@@ -12,10 +12,10 @@ from .seqdata import (CorruptionSpec, Dataset, PhaseGrammar, SequenceSample,
 from .model import ModelConfig, ModelParams, backward, forward, init_params
 from .trainer import (CheckpointStore, ClassWeights, TrainConfig,
                       compute_class_weights, load_store, save_store, train)
-from .csl import (CslProfile, DetectionConfig, LossTrajectory, audit_sequence,
-                  calibrate_tau, compute_csl, eval_loss_trajectory,
-                  flag_percentile, flag_threshold, frames_to_segments,
-                  smooth_csl, trajectory_curvature)
+from .csl import (CslProfile, DetectionConfig, LossTrajectory, audit_dataset,
+                  audit_sequence, calibrate_tau, compute_csl,
+                  eval_loss_trajectory, flag_percentile, flag_threshold,
+                  frames_to_segments, smooth_csl, trajectory_curvature)
 from .metrics import (EvalInput, MetricsReport, auc_bruteforce, build_report,
                       eda, micro_auc)
 

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data/format error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,8 +22,8 @@ from . import metrics as MET
 from . import model as M
 from . import seqdata as SD
 from . import trainer as TR
-from .errors import (AuditToolError, ConfigError, DataError, NumericError,
-                     ParseError)
+from .errors import (AuditToolError, ConfigError, DataError, FingerprintError,
+                     NumericError, ParseError)
 
 PROFILES_FORMAT = "csl-profiles/1"
 
@@ -39,7 +40,6 @@ def _fmt(x: float) -> str:
 DEFAULT_CONFIG = {
     "seed": 0,
     "out_dir": ".",
-    "workers": 1,
     "grammar": {
         "num_classes": 6,
         "feature_dim": 16,
@@ -146,11 +146,10 @@ def build_train_config(cfg: dict) -> TR.TrainConfig:
         checkpoint_stride=int(t["checkpoint_stride"]), dropout=bool(t["dropout"]))
 
 
-def build_detection_config(cfg: dict, tau: float | None = None) -> CSL.DetectionConfig:
+def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
     d = cfg["detection"]
     return CSL.DetectionConfig(
-        mode=d["mode"],
-        tau=float(tau if tau is not None else (d["tau"] or 0.0)),
+        mode=d["mode"], tau=float(d["tau"] or 0.0),
         k_percent=float(d["k_percent"]), window=int(d["window"]),
         audit_loss=d["audit_loss"], min_segment_len=int(d["min_segment_len"]))
 
@@ -221,64 +220,45 @@ def cmd_train(cfg: dict) -> None:
         print(f"epoch {epoch}: mean loss {loss:.6f}")
 
 
-def _compute_tau(cfg: dict, store: TR.CheckpointStore,
-                 det: CSL.DetectionConfig) -> float:
-    """Calibrate tau from the (assumed clean) validation split."""
-    val = SD.read_dataset(_split_path(cfg, "val"))
-    profiles = []
-    for sample in val.samples:
-        traj = CSL.eval_loss_trajectory(store, sample, det)
-        smoothed = CSL.smooth_csl(CSL.compute_csl(traj), det.window)
-        profiles.append(CSL.CslProfile(
-            video_id=sample.id, csl=smoothed, smoothed=smoothed,
-            window=det.window, flags=np.zeros(len(smoothed), dtype=np.int8),
-            segments=[], mode=CSL.THRESHOLD, param=0.0))
-    return CSL.calibrate_tau(profiles, float(cfg["detection"]["calibration_quantile"]))
-
-
 def cmd_audit(cfg: dict) -> None:
     store = TR.load_store(_store_path(cfg))
     ds = SD.read_dataset(_audit_path(cfg))
     ds_fp = SD.grammar_fingerprint(ds.grammar)
     store_fp = store.manifest["fingerprints"]["grammar"]
     if ds_fp != store_fp:
-        raise CSL.FingerprintError(
+        raise FingerprintError(
             f"store/dataset mismatch: store grammar {store_fp}, "
             f"dataset grammar {ds_fp}")
     det = build_detection_config(cfg)
     tau = None
     if det.mode == CSL.THRESHOLD and cfg["detection"]["tau"] is None:
-        tau = _compute_tau(cfg, store, det)
-        det = build_detection_config(cfg, tau=tau)
+        # calibrate on the (assumed clean) validation split
+        val = SD.read_dataset(_split_path(cfg, "val"))
+        tau = CSL.calibrate_tau(
+            [p.smoothed for p in CSL.audit_dataset(store, val, det)],
+            float(cfg["detection"]["calibration_quantile"]))
+        det = dataclasses.replace(det, tau=tau)
 
     E = len(store)
     videos = []
     csv_lines = ["video_id,frame,label,csl,csl_smoothed,curvature,flag,gt_error"]
-    for sample in ds.samples:
-        traj = CSL.eval_loss_trajectory(store, sample, det)
-        csl = CSL.compute_csl(traj)
-        smoothed = CSL.smooth_csl(csl, det.window)
-        curvature = CSL.trajectory_curvature(traj) if E >= 3 \
-            else np.full(len(csl), np.nan)
-        if det.mode == CSL.THRESHOLD:
-            flags = CSL.flag_threshold(smoothed, det.tau)
-        else:
-            flags = CSL.flag_percentile(smoothed, det.k_percent)
-        segments = CSL.frames_to_segments(flags, det.min_segment_len)
-        for t in range(len(csl)):
+    for sample, p in zip(ds.samples, CSL.audit_dataset(store, ds, det)):
+        curvature = CSL.trajectory_curvature(p.trajectory) if E >= 3 \
+            else np.full(len(p.csl), np.nan)
+        for t in range(len(p.csl)):
             csv_lines.append(
-                f"{sample.id},{t},{int(sample.labels[t])},{_fmt(csl[t])},"
-                f"{_fmt(smoothed[t])},{_fmt(curvature[t])},{int(flags[t])},"
+                f"{sample.id},{t},{int(sample.labels[t])},{_fmt(p.csl[t])},"
+                f"{_fmt(p.smoothed[t])},{_fmt(curvature[t])},{int(p.flags[t])},"
                 f"{int(sample.error_mask[t])}")
         videos.append({
             "id": sample.id,
             "epochs": list(store.epochs),
-            "losses": traj.losses.tolist(),
-            "csl": csl.tolist(),
-            "smoothed": smoothed.tolist(),
+            "losses": p.trajectory.losses.tolist(),
+            "csl": p.csl.tolist(),
+            "smoothed": p.smoothed.tolist(),
             "curvature": curvature.tolist(),
-            "flags": flags.tolist(),
-            "segments": [list(s) for s in segments],
+            "flags": p.flags.tolist(),
+            "segments": [list(s) for s in p.segments],
             "labels": sample.labels.tolist(),
             "gt_error": sample.error_mask.tolist(),
         })
@@ -383,7 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, help="override global seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--workers", type=int, help="worker count (audit)")
 
     common(sub.add_parser("gen", help="generate train/val/test datasets"))
     p = sub.add_parser("corrupt", help="inject annotation errors")
@@ -408,8 +387,6 @@ def run(argv: list[str] | None = None) -> None:
         cfg["seed"] = args.seed
     if args.out is not None:
         cfg["out_dir"] = args.out
-    if args.workers is not None:
-        cfg["workers"] = args.workers
     if args.command == "gen":
         cmd_gen(cfg)
     elif args.command == "corrupt":

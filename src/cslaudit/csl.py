@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .errors import ConfigError, DataError, FingerprintError
-from .seqdata import SequenceSample, grammar_fingerprint
+from .errors import ConfigError, DataError, FingerprintError, NumericError
+from .seqdata import Dataset, SequenceSample
 from .trainer import CheckpointStore
 
 UNWEIGHTED = "unweighted"
@@ -68,6 +68,7 @@ class LossTrajectory:
 @dataclass
 class CslProfile:
     video_id: str
+    trajectory: LossTrajectory
     csl: np.ndarray        # (T,)
     smoothed: np.ndarray   # (T,)
     window: int
@@ -77,36 +78,30 @@ class CslProfile:
     param: float           # tau or k_percent, per mode
 
 
-def check_compatible(store: CheckpointStore, sample: SequenceSample,
-                     grammar_fp: str | None = None) -> None:
-    cfg = store.model_config
-    if sample.frames.shape[1] != cfg.feature_dim:
-        raise FingerprintError(
-            f"sample {sample.id}: feature dim {sample.frames.shape[1]} != model "
-            f"feature_dim {cfg.feature_dim} "
-            f"(store grammar {store.manifest['fingerprints']['grammar']})")
-    if grammar_fp is not None \
-            and grammar_fp != store.manifest["fingerprints"]["grammar"]:
-        raise FingerprintError(
-            f"dataset grammar {grammar_fp} != store grammar "
-            f"{store.manifest['fingerprints']['grammar']}")
-
-
 def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                          cfg: DetectionConfig) -> LossTrajectory:
     """Per-frame loss under every checkpoint: exactly E eval forward passes."""
     if not store.snapshots:
         raise DataError("checkpoint store is empty")
-    check_compatible(store, sample)
     model_cfg = store.model_config
+    if sample.frames.shape[1] != model_cfg.feature_dim:
+        raise FingerprintError(
+            f"sample {sample.id}: feature dim {sample.frames.shape[1]} != model "
+            f"feature_dim {model_cfg.feature_dim} "
+            f"(store grammar {store.manifest['fingerprints']['grammar']})")
     if cfg.audit_loss == TRAIN_WEIGHTED:
         alpha = store.class_weights
     else:
         alpha = np.ones(model_cfg.num_classes)
     rows = []
-    for _, params, _ in store.snapshots:
+    for epoch, params, _ in store.snapshots:
         trace = M.forward(params, model_cfg, sample.frames, train=False)
-        rows.append(M.per_frame_losses(trace.probs, sample.labels, alpha))
+        row = M.per_frame_losses(trace.probs, sample.labels, alpha)
+        if not np.all(np.isfinite(row)):
+            raise NumericError(
+                f"video {sample.id}: non-finite loss under the epoch {epoch} "
+                f"checkpoint")
+        rows.append(row)
     return LossTrajectory(video_id=sample.id, losses=np.stack(rows),
                           epochs=list(store.epochs))
 
@@ -124,9 +119,11 @@ def smooth_csl(csl: np.ndarray, w: int) -> np.ndarray:
     csl = np.asarray(csl, dtype=np.float64)
     if w == 0:
         return csl.copy()
+    # Slice "full" to T: mode="same" gives max(T, 2w+1) values.
+    T = len(csl)
     kernel = np.ones(2 * w + 1)
-    sums = np.convolve(csl, kernel, mode="same")
-    counts = np.convolve(np.ones_like(csl), kernel, mode="same")
+    sums = np.convolve(csl, kernel, mode="full")[w:w + T]
+    counts = np.convolve(np.ones_like(csl), kernel, mode="full")[w:w + T]
     return sums / counts
 
 
@@ -149,13 +146,12 @@ def flag_percentile(smoothed: np.ndarray, k_percent: float) -> np.ndarray:
     return flags
 
 
-def calibrate_tau(validation_profiles: list[CslProfile], q: float = 0.95) -> float:
-    """Empirical q-quantile (linear interpolation) of smoothed CSL pooled over
-    all validation frames. Assumes the validation set is clean."""
+def calibrate_tau(smoothed: list[np.ndarray], q: float = 0.95) -> float:
+    """Empirical q-quantile (linear interpolation) of smoothed CSL over all
+    validation frames together. Assumes the validation set is clean."""
     if not 0 < q < 1:
         raise ConfigError("quantile must lie in (0, 1)")
-    pool = np.concatenate([p.smoothed for p in validation_profiles]) \
-        if validation_profiles else np.array([])
+    pool = np.concatenate(smoothed) if smoothed else np.array([])
     if pool.size == 0:
         raise DataError("cannot calibrate tau from an empty validation pool")
     return float(np.quantile(pool, q))
@@ -201,6 +197,12 @@ def audit_sequence(store: CheckpointStore, sample: SequenceSample,
         flags = flag_percentile(smoothed, cfg.k_percent)
         param = cfg.k_percent
     segments = frames_to_segments(flags, cfg.min_segment_len)
-    return CslProfile(video_id=sample.id, csl=csl, smoothed=smoothed,
-                      window=cfg.window, flags=flags, segments=segments,
-                      mode=cfg.mode, param=param)
+    return CslProfile(video_id=sample.id, trajectory=traj, csl=csl,
+                      smoothed=smoothed, window=cfg.window, flags=flags,
+                      segments=segments, mode=cfg.mode, param=param)
+
+
+def audit_dataset(store: CheckpointStore, ds: Dataset,
+                  cfg: DetectionConfig) -> list[CslProfile]:
+    """One profile per sample, in dataset order."""
+    return [audit_sequence(store, sample, cfg) for sample in ds.samples]

@@ -9,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .csl import CslProfile, flag_percentile, frames_to_segments
-from .errors import ConfigError, DataError, MetricUndefinedError
+from .errors import ConfigError, DataError, MetricUndefinedError, NumericError
 
 
 @dataclass
@@ -48,6 +47,17 @@ def _check_two_classes(gt_mask: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    bounds = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1], True])
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1),
+                             np.diff(bounds))
+    return ranks
+
+
 def micro_auc(scores: np.ndarray, gt_mask: np.ndarray) -> float:
     """Tie-adjusted probability that a random positive outscores a random
     negative, via average ranks; O(n log n)."""
@@ -55,8 +65,10 @@ def micro_auc(scores: np.ndarray, gt_mask: np.ndarray) -> float:
     gt_mask = np.asarray(gt_mask).astype(bool)
     if len(scores) != len(gt_mask):
         raise DataError("scores and gt_mask lengths disagree")
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("scores must be finite")
     n_pos, n_neg = _check_two_classes(gt_mask)
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     u = ranks[gt_mask].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -74,32 +86,29 @@ def auc_bruteforce(scores: np.ndarray, gt_mask: np.ndarray) -> float:
     return float(wins / (pos.size * neg.size))
 
 
-def eda(inputs: list[EvalInput], k_percent: float,
-        pooled: bool = False) -> float:
-    """Fraction of ground-truth erroneous segments with at least one frame in
-    the top-k% of smoothed CSL. Ranking is per video by default; pooled=True
-    ranks all frames globally instead."""
-    if not 0 < k_percent <= 100:
-        raise ConfigError("k_percent must lie in (0, 100]")
+def _segments_detected(inputs: list[EvalInput], k_percent: float) -> list[int]:
+    """Per video, the ground-truth segments holding a top-k% frame."""
+    detected = []
+    for ei in inputs:
+        flags = flag_percentile(ei.scores, k_percent)
+        detected.append(sum(1 for s, e in ei.gt_segments if flags[s:e].any()))
+    return detected
+
+
+def _eda(inputs: list[EvalInput], detected: list[int]) -> float:
     total_gt = sum(len(ei.gt_segments) for ei in inputs)
     if total_gt == 0:
         raise MetricUndefinedError(
             "EDA is undefined: no ground-truth erroneous segments")
-    if pooled:
-        all_scores = np.concatenate([ei.scores for ei in inputs])
-        all_flags = flag_percentile(all_scores, k_percent)
-        offsets = np.cumsum([0] + [len(ei.scores) for ei in inputs])
-        flags_per_video = [all_flags[offsets[i]:offsets[i + 1]]
-                           for i in range(len(inputs))]
-    else:
-        flags_per_video = [flag_percentile(ei.scores, k_percent)
-                           for ei in inputs]
-    detected = 0
-    for ei, flags in zip(inputs, flags_per_video):
-        for start, end in ei.gt_segments:
-            if flags[start:end].any():
-                detected += 1
-    return detected / total_gt
+    return sum(detected) / total_gt
+
+
+def eda(inputs: list[EvalInput], k_percent: float) -> float:
+    """Fraction of ground-truth erroneous segments with at least one frame in
+    the top-k% of smoothed CSL, ranking each video on its own."""
+    if not 0 < k_percent <= 100:
+        raise ConfigError("k_percent must lie in (0, 100]")
+    return _eda(inputs, _segments_detected(inputs, k_percent))
 
 
 @dataclass
@@ -141,33 +150,31 @@ class MetricsReport:
 
 
 def build_report(inputs: list[EvalInput], k_percent: float,
-                 config: dict | None = None,
-                 pooled_eda: bool = False) -> MetricsReport:
-    """Pooled micro-AUC over all frames, EDA at k, per-video AUC where defined."""
+                 config: dict | None = None) -> MetricsReport:
+    """Micro-AUC over all frames, EDA at k, per-video AUC where defined."""
     if not inputs:
         raise DataError("no evaluation inputs")
     all_scores = np.concatenate([ei.scores for ei in inputs])
     all_gt = np.concatenate([ei.gt_mask for ei in inputs])
     try:
-        pooled_auc = micro_auc(all_scores, all_gt)
+        overall_auc = micro_auc(all_scores, all_gt)
     except MetricUndefinedError:
-        pooled_auc = None
+        overall_auc = None
+    detected = _segments_detected(inputs, k_percent)
     try:
-        eda_value = eda(inputs, k_percent, pooled=pooled_eda)
+        eda_value = _eda(inputs, detected)
     except MetricUndefinedError:
         eda_value = None
     per_video = []
-    for ei in inputs:
+    for ei, n_det in zip(inputs, detected):
         try:
             v_auc = micro_auc(ei.scores, ei.gt_mask)
         except MetricUndefinedError:
             v_auc = None
-        flags = flag_percentile(ei.scores, k_percent)
-        n_det = sum(1 for s, e in ei.gt_segments if flags[s:e].any())
         per_video.append({"id": ei.video_id, "auc": v_auc,
                           "n_gt_segments": len(ei.gt_segments),
                           "n_detected": n_det})
     return MetricsReport(
-        eda=eda_value, micro_auc=pooled_auc, k_percent=k_percent,
+        eda=eda_value, micro_auc=overall_auc, k_percent=k_percent,
         per_video=per_video, n_videos=len(inputs), n_frames=len(all_scores),
         n_corrupted_frames=int(all_gt.sum()), config=config or {})

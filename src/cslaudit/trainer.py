@@ -211,7 +211,10 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
             losses.append(loss)
         mean_loss = float(np.mean(losses))
         if epoch % cfg_train.checkpoint_stride == 0:
-            snap = params.copy()
+            # Round through float32 so the in-memory snapshot equals the one
+            # load_store decodes; training keeps its float64 parameters.
+            snap = M.ModelParams({k: v.astype(np.float32).astype(np.float64)
+                                  for k, v in params.tensors.items()})
             store.snapshots.append((epoch, snap, mean_loss))
             manifest["epochs"].append(epoch)
             manifest["epoch_losses"].append(mean_loss)

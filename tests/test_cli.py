@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cslaudit as ca
 from cslaudit import cli
 
 
@@ -118,7 +121,6 @@ class TestAuditCmd:
         run_pipeline(cfg_path)
         run = tmp_path / "run"
         csv_lines = (run / "audit.csv").read_text().splitlines()
-        import cslaudit as ca
         ds = ca.read_dataset(str(run / "test_mislabel.jsonl"))
         total = sum(s.num_frames for s in ds.samples)
         assert len(csv_lines) == total + 1
@@ -155,6 +157,17 @@ class TestAuditCmd:
         profiles = json.loads((tmp_path / "run" / "profiles.json").read_text())
         assert profiles["detection"]["tau"] is not None
 
+    def test_nan_checkpoint_exit_4(self, cfg_path, tmp_path, capsys):
+        run_pipeline(cfg_path)
+        store_dir = str(tmp_path / "run" / "store")
+        store = ca.load_store(store_dir)
+        epoch, params, _ = store.snapshots[1]
+        params.tensors["head.W3"][0, 0] = np.nan
+        ca.save_store(store, store_dir)
+        capsys.readouterr()
+        assert run_cli("audit", "--config", cfg_path) == 4
+        assert f"epoch {epoch}" in capsys.readouterr().err
+
 
 class TestEvalCmd:
     def test_report_schema(self, cfg_path, tmp_path):
@@ -169,6 +182,14 @@ class TestEvalCmd:
     def test_eval_without_audit_exit_3(self, cfg_path):
         run_cli("gen", "--config", cfg_path)
         assert run_cli("eval", "--config", cfg_path) == 3
+
+    def test_nan_score_exit_4(self, cfg_path, tmp_path):
+        run_pipeline(cfg_path)
+        path = tmp_path / "run" / "profiles.json"
+        profiles = json.loads(path.read_text())
+        profiles["videos"][0]["smoothed"][0] = float("nan")
+        path.write_text(json.dumps(profiles))
+        assert run_cli("eval", "--config", cfg_path) == 4
 
 
 class TestHeatmap:
@@ -198,3 +219,13 @@ class TestHeatmap:
         cli.write_pgm(np.zeros((3, 4)), str(path))
         body = path.read_bytes().split(b"\n", 3)[3]
         assert body == bytes(12)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(ca.__file__))
+    code = ("import sys, cslaudit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "[]"

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslaudit as ca
 from cslaudit import csl as CSL
 from cslaudit import model as M
-from cslaudit.errors import ConfigError, DataError, FingerprintError
+from cslaudit.errors import ConfigError, DataError, FingerprintError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +132,11 @@ class TestSmoothing:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=40),
            st.integers(0, 6))
+    @example([0.0, 1.0, 1.0, 1.0, 1.0], 3)
     def test_window_bounds(self, values, w):
         x = np.array(values)
         out = ca.smooth_csl(x, w)
+        assert len(out) == len(x)
         for t in range(len(x)):
             lo, hi = max(0, t - w), min(len(x), t + w + 1)
             window = x[lo:hi]
@@ -189,23 +191,18 @@ class TestFlagging:
 
 
 class TestCalibration:
-    def profile(self, values):
-        v = np.asarray(values, dtype=float)
-        return ca.CslProfile("v", v, v, 0, np.zeros(len(v), dtype=np.int8),
-                             [], "threshold", 0.0)
-
     def test_constant_pool(self):
-        assert ca.calibrate_tau([self.profile([1, 1, 1, 1])], 0.95) == 1.0
+        assert ca.calibrate_tau([np.ones(4)], 0.95) == 1.0
 
     def test_interpolated_quantile(self):
-        tau = ca.calibrate_tau([self.profile(np.arange(101.0))], 0.95)
+        tau = ca.calibrate_tau([np.arange(101.0)], 0.95)
         assert tau == pytest.approx(95.0, abs=1e-9)
 
     def test_bounds(self):
         rng = np.random.default_rng(4)
-        prof = self.profile(rng.uniform(2, 9, 50))
+        smoothed = rng.uniform(2, 9, 50)
         for q in (0.05, 0.5, 0.99):
-            tau = ca.calibrate_tau([prof], q)
+            tau = ca.calibrate_tau([smoothed], q)
             assert 2 <= tau <= 9
 
     def test_empty_pool(self):
@@ -298,9 +295,42 @@ class TestAuditSequence:
                              ca.TrainConfig(epochs=5, learning_rate=1e-3,
                                             shuffle_seed=17), td)
         det = ca.DetectionConfig(mode="threshold", tau=0.0, window=2)
-        val_profiles = [ca.audit_sequence(store, s, det) for s in val_ds.samples]
-        tau = ca.calibrate_tau(val_profiles, 0.95)
+        tau = ca.calibrate_tau(
+            [p.smoothed for p in ca.audit_dataset(store, val_ds, det)], 0.95)
         clean = val_ds.samples[0]
         flags = ca.flag_threshold(
             ca.audit_sequence(store, clean, det).smoothed, tau)
         assert flags.mean() <= 0.10  # ~5% expected, margin for pooling
+
+
+class TestAuditDataset:
+    def test_one_profile_per_sample_in_order(self, trained):
+        store, ds = trained
+        profiles = ca.audit_dataset(store, ds, DET)
+        assert [p.video_id for p in profiles] == [s.id for s in ds.samples]
+        for p, s in zip(profiles, ds.samples):
+            assert p.trajectory.losses.shape == (len(store), s.num_frames)
+            assert np.array_equal(p.csl, ca.compute_csl(p.trajectory))
+            assert np.array_equal(
+                p.flags, ca.audit_sequence(store, s, DET).flags)
+
+    def test_trained_and_loaded_store_agree_bitwise(self, trained, tmp_path):
+        store, ds = trained
+        ca.save_store(store, str(tmp_path / "store"))
+        loaded = ca.load_store(str(tmp_path / "store"))
+        for a, b in zip(ca.audit_dataset(store, ds, DET),
+                        ca.audit_dataset(loaded, ds, DET)):
+            assert np.array_equal(a.trajectory.losses, b.trajectory.losses)
+            assert np.array_equal(a.flags, b.flags)
+
+    def test_nan_checkpoint_names_video_and_epoch(self, trained):
+        store, ds = trained
+        epoch, params, loss = store.snapshots[2]
+        poisoned = params.copy()
+        next(iter(poisoned.tensors.values()))[...] = np.nan
+        bad = ca.CheckpointStore(
+            manifest=store.manifest,
+            snapshots=store.snapshots[:2] + [(epoch, poisoned, loss)])
+        with pytest.raises(NumericError,
+                           match=f"{ds.samples[0].id}.*epoch {epoch}"):
+            ca.audit_dataset(bad, ds, DET)

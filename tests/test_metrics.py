@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import cslaudit as ca
 from cslaudit import metrics as MET
-from cslaudit.errors import ConfigError, MetricUndefinedError
+from cslaudit.errors import ConfigError, MetricUndefinedError, NumericError
 
 
 def make_input(video_id, scores, gt):
@@ -36,6 +36,22 @@ class TestMicroAuc:
 
     def test_inverted(self):
         assert ca.micro_auc([0, 1], [1, 0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(NumericError):
+            ca.micro_auc([0.1, bad, 0.3], [0, 1, 1])
+
+
+class TestAverageRanks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                              st.floats(-5, 5)), min_size=1, max_size=60))
+    def test_matches_definition(self, values):
+        # rank = 1 + #smaller + (#equal - 1) / 2, exact in binary floating point
+        x = np.array(values)
+        expected = [1 + (x < v).sum() + ((x == v).sum() - 1) / 2 for v in x]
+        assert MET._average_ranks(x).tolist() == expected
 
 
 class TestBruteforce:
@@ -138,14 +154,14 @@ class TestEda:
         with pytest.raises(ConfigError):
             ca.eda([ei], 0.0)
 
-    def test_pooled_mode_differs_by_video_length(self):
-        # long clean video dilutes a global pool but not per-video ranking
+    def test_per_video_ranking_ignores_other_videos(self):
+        # a long clean video with higher scores would dilute a global pool;
+        # each video is ranked on its own
         gt_short = np.array([1, 0, 0, 0], dtype=int)
         short = make_input("short", np.array([2.0, 0, 0, 0]), gt_short)
         long_clean = make_input("long", np.full(96, 3.0),
                                 np.zeros(96, dtype=int))
         assert ca.eda([short, long_clean], 25.0) == 1.0
-        assert ca.eda([short, long_clean], 25.0, pooled=True) == 0.0
 
 
 class TestReport:
@@ -187,6 +203,13 @@ class TestReport:
         assert rep.micro_auc is None
         assert rep.eda is None
         assert rep.per_video[0]["auc"] is None
+
+    def test_eda_and_per_video_detections_agree(self):
+        inputs = self.inputs()
+        rep = ca.build_report(inputs, 10.0)
+        found = sum(v["n_detected"] for v in rep.per_video)
+        total = sum(v["n_gt_segments"] for v in rep.per_video)
+        assert rep.eda == found / total == ca.eda(inputs, 10.0)
 
     def test_values_in_unit_interval(self):
         rep = ca.build_report(self.inputs(), 10.0)
