@@ -239,45 +239,49 @@ def cmd_audit(cfg: dict) -> None:
             float(cfg["detection"]["calibration_quantile"]))
         det = dataclasses.replace(det, tau=tau)
 
+    profiles = CSL.audit_dataset(store, ds, det)  # raises before any write
     E = len(store)
-    videos = []
-    csv_lines = ["video_id,frame,label,csl,csl_smoothed,curvature,flag,gt_error"]
-    for sample, p in zip(ds.samples, CSL.audit_dataset(store, ds, det)):
-        curvature = CSL.trajectory_curvature(p.trajectory) if E >= 3 \
-            else np.full(len(p.csl), np.nan)
-        for t in range(len(p.csl)):
-            csv_lines.append(
-                f"{sample.id},{t},{int(sample.labels[t])},{_fmt(p.csl[t])},"
-                f"{_fmt(p.smoothed[t])},{_fmt(curvature[t])},{int(p.flags[t])},"
-                f"{int(sample.error_mask[t])}")
-        videos.append({
-            "id": sample.id,
-            "epochs": list(store.epochs),
-            "losses": p.trajectory.losses.tolist(),
-            "csl": p.csl.tolist(),
-            "smoothed": p.smoothed.tolist(),
-            "curvature": curvature.tolist(),
-            "flags": p.flags.tolist(),
-            "segments": [list(s) for s in p.segments],
-            "labels": sample.labels.tolist(),
-            "gt_error": sample.error_mask.tolist(),
-        })
-    profiles = {
+    head = {
         "format": PROFILES_FORMAT,
         "store_fingerprints": store.manifest["fingerprints"],
         "detection": dict(cfg["detection"], tau=det.tau if det.mode == CSL.THRESHOLD
                           else cfg["detection"]["tau"]),
         "seed": cfg["seed"],
-        "videos": videos,
     }
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    with open(_path(cfg, "audit.csv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(csv_lines) + "\n")
-    with open(_path(cfg, "profiles.json"), "w", encoding="utf-8") as f:
-        json.dump(profiles, f, sort_keys=True)
-        f.write("\n")
-    n_frames = sum(len(v["csl"]) for v in videos)
-    print(f"audited {len(videos)} videos ({n_frames} frames) "
+    n_frames = 0
+    with open(_path(cfg, "audit.csv"), "w", encoding="utf-8") as f_csv, \
+            open(_path(cfg, "profiles.json"), "w", encoding="utf-8") as f_json:
+        f_csv.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"
+                    "gt_error\n")
+        # One json.dumps per video runs the C encoder (json.dump to a file
+        # does not) without holding the whole document as one string. Keys
+        # are sorted and "videos" sorts last, so the bytes equal a single
+        # json.dump(..., sort_keys=True) of the full dict.
+        f_json.write(json.dumps(head, sort_keys=True)[:-1] + ', "videos": [')
+        for i, (sample, p) in enumerate(zip(ds.samples, profiles)):
+            curvature = CSL.trajectory_curvature(p.trajectory) if E >= 3 \
+                else np.full(len(p.csl), np.nan)
+            f_csv.write("".join(
+                f"{sample.id},{t},{int(sample.labels[t])},{_fmt(p.csl[t])},"
+                f"{_fmt(p.smoothed[t])},{_fmt(curvature[t])},{int(p.flags[t])},"
+                f"{int(sample.error_mask[t])}\n" for t in range(len(p.csl))))
+            video = {
+                "id": sample.id,
+                "epochs": list(store.epochs),
+                "losses": p.trajectory.losses.tolist(),
+                "csl": p.csl.tolist(),
+                "smoothed": p.smoothed.tolist(),
+                "curvature": curvature.tolist(),
+                "flags": p.flags.tolist(),
+                "segments": [list(s) for s in p.segments],
+                "labels": sample.labels.tolist(),
+                "gt_error": sample.error_mask.tolist(),
+            }
+            f_json.write((", " if i else "") + json.dumps(video, sort_keys=True))
+            n_frames += len(p.csl)
+        f_json.write("]}\n")
+    print(f"audited {len(profiles)} videos ({n_frames} frames) "
           f"over {E} checkpoints")
     if tau is not None:
         print(f"calibrated tau = {_fmt(tau)}")

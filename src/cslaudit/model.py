@@ -147,36 +147,71 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return ModelParams(tensors)
 
 
+_PE_TABLES: dict[int, np.ndarray] = {}
+
+
 def sinusoidal_encoding(T: int, dim: int) -> np.ndarray:
-    """Standard sine/cosine positional encoding, shape (T, dim)."""
-    pos = np.arange(T, dtype=np.float64)[:, None]
-    i = np.arange(dim)[None, :]
-    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-    pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-    return pe
+    """Standard sine/cosine positional encoding, shape (T, dim).
+
+    Row t depends only on t, so one read-only table per `dim` serves every
+    length: it is grown by doubling when a longer sequence arrives, and the
+    result is a read-only view of its first T rows.
+    """
+    table = _PE_TABLES.get(dim)
+    if table is None or table.shape[0] < T:
+        n = T if table is None else max(T, 2 * table.shape[0])
+        pos = np.arange(n, dtype=np.float64)[:, None]
+        i = np.arange(dim)[None, :]
+        angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+        table.flags.writeable = False
+        _PE_TABLES[dim] = table
+    return table[:T]
 
 
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    # sum/n and square(x - mu).sum/n are the exact operations np.mean and
+    # np.var perform, so the centred x is computed once and reused for xhat.
+    n = x.shape[1]
+    mu = x.sum(axis=1, keepdims=True) / n
+    xhat = x - mu
+    var = np.square(xhat).sum(axis=1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv_std
-    return xhat * g + b, xhat, inv_std
+    xhat *= inv_std
+    y = xhat * g
+    y += b
+    return y, xhat, inv_std
 
 
 def _layernorm_backward(dy, xhat, inv_std, g):
+    n = xhat.shape[1]
     dxhat = dy * g
-    dg = (dy * xhat).sum(axis=0)
+    tmp = dy * xhat
+    dg = tmp.sum(axis=0)
     db = dy.sum(axis=0)
-    dx = inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
-    return dx, dg, db
+    np.multiply(dxhat, xhat, out=tmp)
+    m2 = tmp.sum(axis=1, keepdims=True) / n
+    dxhat -= dxhat.sum(axis=1, keepdims=True) / n
+    np.multiply(xhat, m2, out=tmp)
+    dxhat -= tmp
+    dxhat *= inv_std
+    return dxhat, dg, db
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax computed in place: overwrites z and returns it."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
+def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray) -> np.ndarray:
+    """Gradient through a row softmax A: overwrites dA with dS and returns it."""
+    tmp = dA * A
+    dA -= tmp.sum(axis=1, keepdims=True)
+    dA *= A
+    return dA
 
 
 @dataclass
@@ -219,7 +254,9 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         Km = N @ p["attn.Wk"].T
         Vm = N @ p["attn.Wv"].T
         scale = 1.0 / np.sqrt(cfg.attention_dim)
-        A = _softmax_rows(Qm @ Km.T * scale)
+        S = Qm @ Km.T
+        S *= scale
+        A = _softmax_rows(S)
         ctx = A @ Vm
         Hp = U + ctx @ p["attn.Wo"].T
         cache.update(U=U, N=N, xhat_a=xhat_a, inv_a=inv_a,
@@ -332,8 +369,7 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         dctx = dHp @ p["attn.Wo"]
         dA = dctx @ c["Vm"].T
         dVm = c["A"].T @ dctx
-        A = c["A"]
-        dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
+        dS = _softmax_rows_backward(c["A"], dA)
         dQm = dS @ c["Km"] * c["scale"]
         dKm = dS.T @ c["Qm"] * c["scale"]
         grads["attn.Wq"] = dQm.T @ c["N"]

@@ -99,6 +99,8 @@ class PhaseGrammar:
             )
         except KeyError as e:
             raise SchemaError(f"grammar is missing field {e}") from e
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"grammar has a malformed field ({e})") from e
 
     def __eq__(self, other):
         if not isinstance(other, PhaseGrammar):
@@ -391,6 +393,41 @@ def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> N
     os.replace(tmp, path)
 
 
+def _sample_from_json(obj, ln: int) -> SequenceSample:
+    """Validate one parsed sample line; SchemaError names the line."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"line {ln}: sample must be a JSON object, "
+                          f"got {type(obj).__name__}")
+    for key in ("id", "frames", "labels", "error_mask"):
+        if key not in obj:
+            raise SchemaError(f"line {ln}: sample is missing field {key!r}")
+    try:
+        frames = np.asarray(obj["frames"], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"line {ln}: frames must be a T x d array of "
+                          f"numbers ({e})") from e
+    if frames.ndim != 2 or frames.shape[0] < 1:
+        raise SchemaError(f"line {ln}: frames must be a non-empty T x d "
+                          f"array, got shape {frames.shape}")
+    ints = {}
+    for key in ("labels", "error_mask"):
+        try:
+            arr = np.asarray(obj[key])
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise SchemaError(f"line {ln}: {key} must be a list of integers")
+        ints[key] = arr
+    if np.any((ints["error_mask"] != 0) & (ints["error_mask"] != 1)):
+        raise SchemaError(f"line {ln}: error_mask values must be 0 or 1")
+    try:
+        return SequenceSample(id=obj["id"], frames=frames, labels=ints["labels"],
+                              error_mask=ints["error_mask"],
+                              corruption=obj.get("corruption"))
+    except SchemaError as e:
+        raise SchemaError(f"line {ln}: {e}") from e
+
+
 def read_dataset(path: str) -> Dataset:
     with _open_text(path, "r") as f:
         lines = f.read().splitlines()
@@ -402,7 +439,19 @@ def read_dataset(path: str) -> Dataset:
         raise ParseError(f"bad header JSON: {e.msg}", line=1) from e
     if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
         raise ParseError(f"expected format {FORMAT_TAG!r}", line=1)
-    grammar = PhaseGrammar.from_dict(header.get("grammar", {}))
+    for key in ("split", "seed"):
+        if key not in header:
+            raise SchemaError(f"line 1: header is missing field {key!r}")
+    if header["split"] not in SPLITS:
+        raise SchemaError(f"line 1: split must be one of {SPLITS}, "
+                          f"got {header['split']!r}")
+    if type(header["seed"]) is not int:  # bool is an int subclass
+        raise SchemaError(f"line 1: seed must be an integer, "
+                          f"got {header['seed']!r}")
+    try:
+        grammar = PhaseGrammar.from_dict(header.get("grammar", {}))
+    except SchemaError as e:
+        raise SchemaError(f"line 1: {e}") from e
     samples = []
     for ln, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -411,18 +460,9 @@ def read_dataset(path: str) -> Dataset:
             obj = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ParseError(f"bad sample JSON: {e.msg}", line=ln) from e
-        try:
-            sample = SequenceSample(
-                id=obj["id"],
-                frames=np.asarray(obj["frames"], dtype=np.float64),
-                labels=np.asarray(obj["labels"], dtype=np.int64),
-                error_mask=np.asarray(obj["error_mask"], dtype=np.int8),
-                corruption=obj.get("corruption"))
-        except KeyError as e:
-            raise SchemaError(f"line {ln}: sample is missing field {e}") from e
-        samples.append(sample)
+        samples.append(_sample_from_json(obj, ln))
     return Dataset(grammar=grammar, samples=samples,
-                   split=header["split"], seed=int(header["seed"]))
+                   split=header["split"], seed=header["seed"])
 
 
 def grammar_fingerprint(grammar: PhaseGrammar) -> str:

@@ -99,37 +99,74 @@ class TrainConfig:
 
 
 class AdamWState:
-    """First/second moment accumulators, one pair per tensor."""
+    """AdamW moments plus the storage of the parameters they update.
+
+    The constructor packs every parameter tensor into one contiguous float64
+    buffer, 2-D weight matrices first, and rebinds `params.tensors` to views
+    of it (names and canonical order unchanged), so that one step is a few
+    vectorised operations over the whole model. Step only the `params` the
+    state was built from.
+    """
 
     def __init__(self, params: M.ModelParams):
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        tensors = params.tensors
+        # a stable sort keeps canonical order within each group
+        self.order = sorted(tensors, key=lambda k: tensors[k].ndim != 2)
+        self.n_decay = sum(tensors[k].size for k in self.order
+                           if tensors[k].ndim == 2)
+        self.p = np.concatenate([tensors[k].ravel() for k in self.order],
+                                dtype=np.float64)
+        off = 0
+        for k in self.order:
+            shape, n = tensors[k].shape, tensors[k].size
+            tensors[k] = self.p[off:off + n].reshape(shape)
+            off += n
+        self.m = np.zeros_like(self.p)
+        self.v = np.zeros_like(self.p)
+        self.g = np.empty_like(self.p)
+        self.tmp = np.empty_like(self.p)
+        self.den = np.empty_like(self.p)
 
 
 def adamw_step(params: M.ModelParams, grads: dict[str, np.ndarray],
                state: AdamWState, t: int, cfg: TrainConfig,
                context: str = "") -> None:
-    """One in-place AdamW update. Decoupled weight decay hits only the 2-D
-    weight matrices (not biases, not LayerNorm gains/biases)."""
+    """One in-place AdamW update of the parameters `state` was built from.
+    Decoupled weight decay hits only the 2-D weight matrices (not biases,
+    not LayerNorm gains/biases)."""
     if t < 1:
         raise ConfigError("step index must be >= 1")
+    g = state.g
+    np.concatenate([grads[k].ravel() for k in state.order], out=g)
+    if not np.isfinite(g).all():
+        name = next(k for k in params.tensors
+                    if not np.isfinite(grads[k]).all())
+        raise NumericError(f"non-finite gradient in {name} {context}".strip())
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, p in params.tensors.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name} {context}".strip())
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
-        if cfg.weight_decay > 0 and p.ndim == 2:
-            p -= cfg.learning_rate * cfg.weight_decay * p
+    m, v, tmp, den = state.m, state.v, state.tmp, state.den
+    # Same per-element operations, in the same order, as the textbook form
+    #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+    #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps);  p -= (lr*wd)*p  (2-D only)
+    m *= cfg.beta1
+    np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    m += tmp
+    v *= cfg.beta2
+    np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, bc1, out=tmp)
+    tmp *= cfg.learning_rate
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    den += cfg.eps
+    tmp /= den
+    state.p -= tmp
+    if cfg.weight_decay > 0:
+        w = state.p[:state.n_decay]
+        np.multiply(w, cfg.learning_rate * cfg.weight_decay,
+                    out=tmp[:state.n_decay])
+        w -= tmp[:state.n_decay]
 
 
 @dataclass

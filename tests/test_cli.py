@@ -229,3 +229,44 @@ def test_import_loads_no_scipy():
                          capture_output=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out.strip() == "[]"
+
+
+# (line the error must name, edit of the parsed rows of a clean test.jsonl)
+MALFORMED = {
+    "header-without-split": (1, lambda rows: rows[0].pop("split")),
+    "header-without-seed": (1, lambda rows: rows[0].pop("seed")),
+    "ragged-frames": (3, lambda rows: rows[2]["frames"][1].pop()),
+    "one-d-frames": (3, lambda rows: rows[2].update(frames=rows[2]["labels"])),
+    "empty-sample": (2, lambda rows: rows[1].update(
+        frames=[], labels=[], error_mask=[])),
+    "non-object-sample": (4, lambda rows: rows.__setitem__(3, [1, 2])),
+    "float-label": (2, lambda rows: rows[1]["labels"].__setitem__(0, 0.5)),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_cfg(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("malformed")
+    cfg = base_config(tmp / "run")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(cfg))
+    for cmd in ("gen", "train"):
+        assert run_cli(cmd, "--config", str(path)) == 0
+    return cfg
+
+
+@pytest.mark.parametrize("line,mutate", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_audit_input_exit_3(trained_cfg, tmp_path, capsys, line,
+                                      mutate):
+    clean = os.path.join(trained_cfg["out_dir"], "test.jsonl")
+    rows = [json.loads(ln) for ln in open(clean)]
+    mutate(rows)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    cfg = dict(trained_cfg, data=dict(trained_cfg["data"], audit_path=str(bad)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("audit", "--config", str(path)) == 3
+    assert f"line {line}:" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cslaudit as ca
 from cslaudit import model as M
@@ -223,3 +226,98 @@ def test_sinusoidal_encoding_shape_and_range():
     assert pe.shape == (50, 9)
     assert np.abs(pe).max() <= 1.0
     assert not np.array_equal(pe[0], pe[1])
+
+
+# ---------------------------------------------------------------------------
+# The kernels below reuse buffers and work in place. Each must give exactly
+# the bits of the straightforward formula, kept here as the reference.
+
+
+def ref_sinusoidal_encoding(T, dim):
+    pos = np.arange(T, dtype=np.float64)[:, None]
+    i = np.arange(dim)[None, :]
+    angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+def ref_layernorm(x, g, b):
+    mu = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + M.LN_EPS)
+    xhat = (x - mu) * inv_std
+    return xhat * g + b, xhat, inv_std
+
+
+def ref_layernorm_backward(dy, xhat, inv_std, g):
+    dxhat = dy * g
+    dg = (dy * xhat).sum(axis=0)
+    db = dy.sum(axis=0)
+    dx = inv_std * (dxhat - dxhat.mean(axis=1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=1, keepdims=True))
+    return dx, dg, db
+
+
+def ref_softmax_rows(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_softmax_rows_backward(A, dA):
+    return A * (dA - (dA * A).sum(axis=1, keepdims=True))
+
+
+@st.composite
+def same_shape_matrices(draw, k, max_rows=40, max_cols=24):
+    shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols)))
+    elements = st.floats(-1e3, 1e3, allow_subnormal=False)
+    return [draw(arrays(np.float64, shape, elements=elements))
+            for _ in range(k)]
+
+
+class TestKernelsBitIdentical:
+    @settings(max_examples=60, deadline=None)
+    @given(same_shape_matrices(1))
+    def test_softmax_rows(self, mats):
+        z = mats[0].copy()
+        out = M._softmax_rows(z)
+        assert out is z  # in place
+        assert np.array_equal(out, ref_softmax_rows(mats[0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_shape_matrices(3))
+    def test_softmax_rows_backward(self, mats):
+        A = ref_softmax_rows(mats[0])
+        dA = mats[1]
+        expected = ref_softmax_rows_backward(A, dA)
+        assert np.array_equal(M._softmax_rows_backward(A, dA.copy()), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_shape_matrices(3))
+    def test_layernorm(self, mats):
+        x, gb, _ = mats
+        g, b = gb[0], gb[-1]
+        for got, want in zip(M._layernorm(x, g, b), ref_layernorm(x, g, b)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(same_shape_matrices(3))
+    def test_layernorm_backward(self, mats):
+        x, dy, gs = mats
+        g = gs[0]
+        _, xhat, inv_std = ref_layernorm(x, g, g)
+        got = M._layernorm_backward(dy, xhat, inv_std, g)
+        for a, b in zip(got, ref_layernorm_backward(dy, xhat, inv_std, g)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_sinusoidal_encoding_prefix(self, monkeypatch, order):
+        monkeypatch.setattr(M, "_PE_TABLES", {})
+        lengths = range(1, 601) if order == "ascending" else range(600, 0, -1)
+        for dim in (7, 32):
+            for T in lengths:
+                pe = M.sinusoidal_encoding(T, dim)
+                assert np.array_equal(pe, ref_sinusoidal_encoding(T, dim))
+                assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            M.sinusoidal_encoding(3, 7)[0, 0] = 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cslaudit as ca
+from cslaudit import model as M
 from cslaudit import trainer as TR
 from cslaudit.errors import ConfigError, CoverageError, NumericError, StoreError
 
@@ -100,6 +101,87 @@ class TestAdamW:
                 TR.adamw_step(params, {"w": g * t}, state, t, cfg)
             results.append(params.tensors["w"].copy())
         assert np.array_equal(results[0], results[1])
+
+
+def ref_adamw_step(tensors, grads, m, v, t, cfg):
+    """The per-tensor AdamW update, kept as the reference for the flat one."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name, p in tensors.items():
+        g = grads[name]
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * g * g
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+        if cfg.weight_decay > 0 and p.ndim == 2:
+            p -= cfg.learning_rate * cfg.weight_decay * p
+
+
+class TestFlatAdamW:
+    # 1-D tensors between the 2-D ones, so packing reorders the buffer
+    SHAPES = {"a.W": (3, 4), "a.b": (3,), "ln_g": (4,), "b.W": (2, 3),
+              "b.b": (2,)}
+
+    def make_state(self):
+        rng = np.random.default_rng(0)
+        init = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+        params = ca.ModelParams({k: v.copy() for k, v in init.items()})
+        cfg = TR.TrainConfig(epochs=1, learning_rate=0.05, weight_decay=0.1,
+                             shuffle_seed=0)
+        return rng, init, params, TR.AdamWState(params), cfg
+
+    def test_matches_per_tensor_reference(self):
+        rng, ref, params, state, cfg = self.make_state()
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(x) for k, x in ref.items()}
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3)
+                     for k, s in self.SHAPES.items()}
+            TR.adamw_step(params, grads, state, t, cfg)
+            ref_adamw_step(ref, grads, m, v, t, cfg)
+            assert list(params.tensors) == list(self.SHAPES)
+            for k in self.SHAPES:
+                assert np.array_equal(params.tensors[k], ref[k]), (t, k)
+
+    def test_nonfinite_names_first_tensor_in_canonical_order(self):
+        _, _, params, state, cfg = self.make_state()
+        grads = {k: np.zeros(s) for k, s in self.SHAPES.items()}
+        grads["b.W"][0, 0] = np.inf   # first in the packed buffer
+        grads["ln_g"][1] = np.nan     # first in canonical order
+        with pytest.raises(NumericError, match="ln_g"):
+            TR.adamw_step(params, grads, state, 1, cfg)
+
+
+def test_train_equals_reference_replay(small_dataset, tmp_path):
+    """Two epochs of attention training with dropout and weight decay give
+    the snapshots of a replay that steps with the per-tensor reference."""
+    cfg_model = ca.ModelConfig(
+        feature_dim=4, num_classes=3, hidden_dim=8, head_dims=(6, 5),
+        temporal_mode="attention", attention_dim=4, init_seed=3)
+    cfg_train = TR.TrainConfig(epochs=2, learning_rate=1e-3, shuffle_seed=17)
+    store = ca.train(small_dataset, cfg_model, cfg_train, str(tmp_path / "s"))
+
+    shuffle_seed, dropout_seed = np.random.SeedSequence(17).spawn(2)
+    rng_shuffle = np.random.default_rng(shuffle_seed)
+    rng_dropout = np.random.default_rng(dropout_seed)
+    alpha = ca.compute_class_weights(small_dataset).alpha
+    params = ca.init_params(cfg_model)
+    m = {k: np.zeros_like(x) for k, x in params.tensors.items()}
+    v = {k: np.zeros_like(x) for k, x in params.tensors.items()}
+    step = 0
+    for epoch in (1, 2):
+        for idx in rng_shuffle.permutation(len(small_dataset.samples)):
+            s = small_dataset.samples[idx]
+            step += 1
+            _, grads = M.backward(params, cfg_model, s.frames, s.labels, alpha,
+                                  train=True, rng=rng_dropout)
+            ref_adamw_step(params.tensors, grads, m, v, step, cfg_train)
+        snap = ca.ModelParams({k: x.astype(np.float32).astype(np.float64)
+                               for k, x in params.tensors.items()})
+        assert store.snapshots[epoch - 1][1] == snap
 
 
 @pytest.fixture
