@@ -23,7 +23,7 @@ from . import model as M
 from . import seqdata as SD
 from . import trainer as TR
 from .errors import (AuditToolError, ConfigError, DataError, FingerprintError,
-                     NumericError, ParseError)
+                     NumericError, ParseError, SchemaError)
 
 PROFILES_FORMAT = "csl-profiles/1"
 
@@ -262,10 +262,8 @@ def cmd_audit(cfg: dict) -> None:
         for i, (sample, p) in enumerate(zip(ds.samples, profiles)):
             curvature = CSL.trajectory_curvature(p.trajectory) if E >= 3 \
                 else np.full(len(p.csl), np.nan)
-            f_csv.write("".join(
-                f"{sample.id},{t},{int(sample.labels[t])},{_fmt(p.csl[t])},"
-                f"{_fmt(p.smoothed[t])},{_fmt(curvature[t])},{int(p.flags[t])},"
-                f"{int(sample.error_mask[t])}\n" for t in range(len(p.csl))))
+            # The CSV rows reuse the Python scalars of these lists: f"{x!r}"
+            # of a float is _fmt(x), with no per-frame numpy indexing.
             video = {
                 "id": sample.id,
                 "epochs": list(store.epochs),
@@ -278,6 +276,11 @@ def cmd_audit(cfg: dict) -> None:
                 "labels": sample.labels.tolist(),
                 "gt_error": sample.error_mask.tolist(),
             }
+            f_csv.write("".join(
+                f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
+                for t, (y, c, sm, k, fl, g) in enumerate(zip(
+                    video["labels"], video["csl"], video["smoothed"],
+                    video["curvature"], video["flags"], video["gt_error"]))))
             f_json.write((", " if i else "") + json.dumps(video, sort_keys=True))
             n_frames += len(p.csl)
         f_json.write("]}\n")
@@ -292,9 +295,26 @@ def _load_profiles(cfg: dict) -> dict:
     if not os.path.exists(path):
         raise DataError(f"no audit artifacts at {path}; run audit first")
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: not valid JSON ({e.msg})", e.lineno) from e
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: profiles must be a JSON object, "
+                         f"got {type(data).__name__}")
     if data.get("format") != PROFILES_FORMAT:
         raise ParseError(f"unexpected profiles format {data.get('format')!r}")
+    videos = data.get("videos")
+    if not isinstance(videos, list):
+        raise SchemaError(f"{path}: 'videos' must be a list, "
+                          f"got {type(videos).__name__}")
+    for i, v in enumerate(videos):
+        if not isinstance(v, dict):
+            raise SchemaError(f"{path}: video {i} must be a JSON object, "
+                              f"got {type(v).__name__}")
+        for key in ("id", "smoothed", "gt_error", "losses"):
+            if key not in v:
+                raise SchemaError(f"{path}: video {i} lacks {key!r}")
     return data
 
 

@@ -1,10 +1,12 @@
 """Audit core: loss trajectories over checkpoints, CSL, smoothing, flagging.
 
-For each audited sequence we run one eval-mode forward pass per saved
-checkpoint (temporal context intact), record per-frame cross-entropy against
-the annotated labels, average over checkpoints to get the per-frame CSL,
-smooth with a truncated moving window, and flag frames either above a
-threshold (strict >) or in the per-video top-k% of smoothed CSL.
+For each audited sequence we replay the whole sequence (temporal context
+intact) through every saved checkpoint in eval mode, record per-frame
+cross-entropy against the annotated labels, average over checkpoints to get
+the per-frame CSL, smooth with a truncated moving window, and flag frames
+either above a threshold (strict >) or in the per-video top-k% of smoothed
+CSL. The checkpoints are stacked along a leading axis and replayed a chunk at
+a time, one stacked forward pass per chunk.
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ TRAIN_WEIGHTED = "train_weighted"
 
 THRESHOLD = "threshold"
 PERCENTILE = "percentile"
+
+# Most frame x checkpoint rows one stacked replay forward holds: short
+# sequences go through all checkpoints in one call, long ones in chunks of
+# consecutive checkpoints (at least one), which bounds the activations alive
+# at once.
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -78,11 +86,30 @@ class CslProfile:
     param: float           # tau or k_percent, per mode
 
 
-def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
-                         cfg: DetectionConfig) -> LossTrajectory:
-    """Per-frame loss under every checkpoint: exactly E eval forward passes."""
+def _stack_snapshots(store: CheckpointStore) -> M.ModelParams:
+    """The store's snapshots as one ModelParams whose tensors carry a leading
+    epoch axis (E, ...), in store order."""
     if not store.snapshots:
         raise DataError("checkpoint store is empty")
+    tensors = [params.tensors for _, params, _ in store.snapshots]
+    return M.ModelParams({k: np.stack([t[k] for t in tensors])
+                          for k in tensors[0]})
+
+
+def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
+                         cfg: DetectionConfig, *,
+                         stacked: M.ModelParams | None = None
+                         ) -> LossTrajectory:
+    """Per-frame loss under every checkpoint, in epoch order.
+
+    The checkpoints are replayed in chunks of consecutive epochs, one stacked
+    eval forward pass per chunk of at most CHUNK_ROWS frame x checkpoint rows;
+    each row equals a forward under that checkpoint alone, bit for bit.
+    `stacked` is the store's snapshots already stacked (audit_dataset passes
+    them so that a dataset is stacked once, not once per sequence).
+    """
+    if stacked is None:
+        stacked = _stack_snapshots(store)
     model_cfg = store.model_config
     if sample.frames.shape[1] != model_cfg.feature_dim:
         raise FingerprintError(
@@ -93,17 +120,25 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
         alpha = store.class_weights
     else:
         alpha = np.ones(model_cfg.num_classes)
-    rows = []
-    for epoch, params, _ in store.snapshots:
-        trace = M.forward(params, model_cfg, sample.frames, train=False)
-        row = M.per_frame_losses(trace.probs, sample.labels, alpha)
-        if not np.all(np.isfinite(row)):
+    epochs = store.epochs
+    T = sample.num_frames
+    step = max(1, CHUNK_ROWS // max(T, 1))
+    # Rows in C order: compute_csl's mean over epochs sums in memory order
+    # (a T-major matrix would be summed pairwise), so the layout fixes its
+    # last bit.
+    losses = np.empty((len(epochs), T))
+    for lo in range(0, len(epochs), step):
+        chunk = M.ModelParams({k: v[lo:lo + step]
+                               for k, v in stacked.tensors.items()})
+        trace = M.forward(chunk, model_cfg, sample.frames, train=False)
+        rows = losses[lo:lo + step]
+        rows[...] = M.per_frame_losses(trace.probs, sample.labels, alpha)
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
             raise NumericError(
-                f"video {sample.id}: non-finite loss under the epoch {epoch} "
-                f"checkpoint")
-        rows.append(row)
-    return LossTrajectory(video_id=sample.id, losses=np.stack(rows),
-                          epochs=list(store.epochs))
+                f"video {sample.id}: non-finite loss under the epoch "
+                f"{epochs[lo + int(bad.argmax())]} checkpoint")
+    return LossTrajectory(video_id=sample.id, losses=losses, epochs=epochs)
 
 
 def compute_csl(traj: LossTrajectory) -> np.ndarray:
@@ -184,10 +219,8 @@ def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
     return np.abs(np.diff(traj.losses, n=2, axis=0)).mean(axis=0)
 
 
-def audit_sequence(store: CheckpointStore, sample: SequenceSample,
-                   cfg: DetectionConfig) -> CslProfile:
-    """Trajectory -> CSL -> smoothing -> flagging -> segments."""
-    traj = eval_loss_trajectory(store, sample, cfg)
+def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
+    """CSL -> smoothing -> flagging -> segments of one trajectory."""
     csl = compute_csl(traj)
     smoothed = smooth_csl(csl, cfg.window)
     if cfg.mode == THRESHOLD:
@@ -197,12 +230,21 @@ def audit_sequence(store: CheckpointStore, sample: SequenceSample,
         flags = flag_percentile(smoothed, cfg.k_percent)
         param = cfg.k_percent
     segments = frames_to_segments(flags, cfg.min_segment_len)
-    return CslProfile(video_id=sample.id, trajectory=traj, csl=csl,
+    return CslProfile(video_id=traj.video_id, trajectory=traj, csl=csl,
                       smoothed=smoothed, window=cfg.window, flags=flags,
                       segments=segments, mode=cfg.mode, param=param)
 
 
+def audit_sequence(store: CheckpointStore, sample: SequenceSample,
+                   cfg: DetectionConfig) -> CslProfile:
+    """Trajectory -> CSL -> smoothing -> flagging -> segments."""
+    return _profile(eval_loss_trajectory(store, sample, cfg), cfg)
+
+
 def audit_dataset(store: CheckpointStore, ds: Dataset,
                   cfg: DetectionConfig) -> list[CslProfile]:
-    """One profile per sample, in dataset order."""
-    return [audit_sequence(store, sample, cfg) for sample in ds.samples]
+    """One profile per sample, in dataset order; the snapshots are stacked
+    once for the whole dataset."""
+    stacked = _stack_snapshots(store)
+    return [_profile(eval_loss_trajectory(store, s, cfg, stacked=stacked), cfg)
+            for s in ds.samples]

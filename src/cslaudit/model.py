@@ -169,17 +169,26 @@ def sinusoidal_encoding(T: int, dim: int) -> np.ndarray:
     return table[:T]
 
 
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray | None = None):
+    """x @ W.T (+ b) per frame row; W and b may carry leading checkpoint axes
+    (matmul broadcasts, one gemm per checkpoint)."""
+    y = x @ W.swapaxes(-1, -2)
+    if b is not None:
+        y += b[..., None, :]
+    return y
+
+
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     # sum/n and square(x - mu).sum/n are the exact operations np.mean and
     # np.var perform, so the centred x is computed once and reused for xhat.
-    n = x.shape[1]
-    mu = x.sum(axis=1, keepdims=True) / n
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
     xhat = x - mu
-    var = np.square(xhat).sum(axis=1, keepdims=True) / n
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv_std
-    y = xhat * g
-    y += b
+    y = xhat * g[..., None, :]
+    y += b[..., None, :]
     return y, xhat, inv_std
 
 
@@ -199,10 +208,11 @@ def _layernorm_backward(dy, xhat, inv_std, g):
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax computed in place: overwrites z and returns it."""
-    z -= z.max(axis=1, keepdims=True)
+    """Softmax over the last axis computed in place: overwrites z and
+    returns it."""
+    z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=-1, keepdims=True)
     return z
 
 
@@ -218,7 +228,7 @@ def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray) -> np.ndarray:
 class ForwardTrace:
     """Per-frame probabilities plus cached activations for the backward pass."""
 
-    probs: np.ndarray            # (T, C), rows on the simplex
+    probs: np.ndarray            # (..., T, C), rows on the simplex
     train: bool
     cache: dict = field(repr=False, default_factory=dict)
 
@@ -230,6 +240,14 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
 
     Eval mode is a pure function of (params, frames); train mode consumes
     `rng` for the two dropout masks.
+
+    Every parameter tensor may carry the same leading checkpoint axes, e.g.
+    shape (E, h, d) for `enc.W`: the result then holds one (T, C) probability
+    matrix per checkpoint, `probs` of shape (E, T, C), each equal bit for bit
+    to a forward with that checkpoint alone (per-frame layers broadcast one
+    gemm per checkpoint; the T x T attention core loops over the checkpoints,
+    so only one score matrix is alive at a time). A stacked call caches no
+    activations: `backward` and train mode take unstacked parameters.
     """
     X = np.asarray(frames, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.feature_dim:
@@ -240,33 +258,53 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite values in input frames")
     p = params.tensors
-    cache: dict = {"X": X}
-
-    pre_enc = X @ p["enc.W"].T + p["enc.b"]
-    H0 = np.maximum(pre_enc, 0.0)
-    cache["pre_enc"] = pre_enc
-
+    cache = {"X": X} if p["enc.W"].ndim == 2 else None
+    H = _encode(p, X, cache)
     if cfg.temporal_mode == ATTENTION:
-        T = X.shape[0]
-        U = H0 + sinusoidal_encoding(T, cfg.hidden_dim)
-        N, xhat_a, inv_a = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"])
-        Qm = N @ p["attn.Wq"].T
-        Km = N @ p["attn.Wk"].T
-        Vm = N @ p["attn.Wv"].T
-        scale = 1.0 / np.sqrt(cfg.attention_dim)
-        S = Qm @ Km.T
+        H = _attend(p, cfg, H, cache)
+    if cache is not None:
+        cache["Hp"] = H
+    probs = _head(p, cfg, H, train, rng, cache)
+    return ForwardTrace(probs=probs, train=train, cache=cache or {})
+
+
+# The three stages of forward(). Each fills `cache` with what backward needs
+# when given one; without it (a stacked replay) a stage's activations are
+# freed when it returns, so a replay chunk's working set stays a few arrays.
+
+
+def _encode(p: dict, X: np.ndarray, cache: dict | None) -> np.ndarray:
+    pre_enc = _affine(X, p["enc.W"], p["enc.b"])
+    if cache is not None:
+        cache["pre_enc"] = pre_enc
+    return np.maximum(pre_enc, 0.0)
+
+
+def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray,
+            cache: dict | None) -> np.ndarray:
+    T = H0.shape[-2]
+    U = H0 + sinusoidal_encoding(T, cfg.hidden_dim)
+    N, xhat_a, inv_a = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"])
+    Qm = _affine(N, p["attn.Wq"])
+    Km = _affine(N, p["attn.Wk"])
+    Vm = _affine(N, p["attn.Wv"])
+    scale = 1.0 / np.sqrt(cfg.attention_dim)
+    ctx = np.empty_like(Vm)
+    for i in np.ndindex(Qm.shape[:-2]):  # one (): unstacked parameters
+        S = Qm[i] @ Km[i].T
         S *= scale
         A = _softmax_rows(S)
-        ctx = A @ Vm
-        Hp = U + ctx @ p["attn.Wo"].T
+        np.matmul(A, Vm[i], out=ctx[i])
+    if cache is not None:
         cache.update(U=U, N=N, xhat_a=xhat_a, inv_a=inv_a,
                      Qm=Qm, Km=Km, Vm=Vm, A=A, ctx=ctx, scale=scale)
-    else:
-        Hp = H0
-    cache["Hp"] = Hp
+    return U + _affine(ctx, p["attn.Wo"])
 
+
+def _head(p: dict, cfg: ModelConfig, Hp: np.ndarray, train: bool,
+          rng: np.random.Generator | None, cache: dict | None) -> np.ndarray:
     r1, r2 = cfg.dropout_rates if train else (0.0, 0.0)
-    Z1 = Hp @ p["head.W1"].T + p["head.b1"]
+    Z1 = _affine(Hp, p["head.W1"], p["head.b1"])
     L1, xhat1, inv1 = _layernorm(Z1, p["head.ln1_g"], p["head.ln1_b"])
     R1 = np.maximum(L1, 0.0)
     if r1 > 0:
@@ -277,7 +315,7 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     else:
         mask1 = None
         D1 = R1
-    Z2 = D1 @ p["head.W2"].T + p["head.b2"]
+    Z2 = _affine(D1, p["head.W2"], p["head.b2"])
     L2, xhat2, inv2 = _layernorm(Z2, p["head.ln2_g"], p["head.ln2_b"])
     R2 = np.maximum(L2, 0.0)
     if r2 > 0:
@@ -288,11 +326,11 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     else:
         mask2 = None
         D2 = R2
-    Z = D2 @ p["head.W3"].T + p["head.b3"]
-    probs = _softmax_rows(Z)
-    cache.update(L1=L1, xhat1=xhat1, inv1=inv1, mask1=mask1, D1=D1,
-                 L2=L2, xhat2=xhat2, inv2=inv2, mask2=mask2, D2=D2)
-    return ForwardTrace(probs=probs, train=train, cache=cache)
+    Z = _affine(D2, p["head.W3"], p["head.b3"])
+    if cache is not None:
+        cache.update(L1=L1, xhat1=xhat1, inv1=inv1, mask1=mask1, D1=D1,
+                     L2=L2, xhat2=xhat2, inv2=inv2, mask2=mask2, D2=D2)
+    return _softmax_rows(Z)
 
 
 def weighted_ce(probs_row: np.ndarray, label: int, alpha: np.ndarray) -> float:
@@ -315,9 +353,11 @@ def sequence_loss(probs: np.ndarray, labels: np.ndarray,
 
 def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
                      alpha: np.ndarray) -> np.ndarray:
+    """Weighted CE of every frame; `probs` (..., T, C) gives (..., T).
+    With leading axes the result need not be C-contiguous."""
     labels = np.asarray(labels)
     idx = np.arange(len(labels))
-    p = np.maximum(probs[idx, labels], PROB_FLOOR)
+    p = np.maximum(probs[..., idx, labels], PROB_FLOOR)
     return np.asarray(alpha)[labels] * (-np.log(p))
 
 

@@ -471,4 +471,28 @@ def grammar_fingerprint(grammar: PhaseGrammar) -> str:
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
-    return hashlib.sha256(serialize_dataset(ds).encode()).hexdigest()
+    """sha256 of a dataset's content, hashed from its arrays.
+
+    Recipe: a sequence of length-framed fields, each its byte length as a
+    little-endian uint64 followed by the bytes. First the header JSON (keys
+    `format`, `grammar`, `split`, `seed`; sorted keys, default separators),
+    then for each sample in order: `id` (UTF-8), the frames shape (T, d as
+    little-endian uint64), `frames` (little-endian float64, row-major),
+    `labels` (little-endian int64), `error_mask` (int8) and `corruption`
+    (JSON with sorted keys, `null` when absent).
+    """
+    h = hashlib.sha256()
+
+    def put(field: bytes) -> None:
+        h.update(len(field).to_bytes(8, "little"))
+        h.update(field)
+
+    put(json.dumps(_header_dict(ds), sort_keys=True).encode())
+    for s in ds.samples:
+        put(s.id.encode())
+        put(np.array(s.frames.shape, dtype="<u8").tobytes())
+        put(s.frames.astype("<f8").tobytes())
+        put(s.labels.astype("<i8").tobytes())
+        put(s.error_mask.astype("i1").tobytes())
+        put(json.dumps(s.corruption, sort_keys=True).encode())
+    return h.hexdigest()

@@ -342,14 +342,36 @@ def load_store(path: str) -> CheckpointStore:
     if not os.path.exists(manifest_path):
         raise StoreError(f"no manifest.json in {path}")
     with open(manifest_path, encoding="utf-8") as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise StoreError(f"{manifest_path}: not valid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{manifest_path}: manifest must be a JSON object, "
+                         f"got {type(manifest).__name__}")
     if manifest.get("format") != STORE_FORMAT:
         raise StoreError(
             f"manifest format {manifest.get('format')!r} != {STORE_FORMAT!r}")
-    cfg_model = M.ModelConfig.from_dict(manifest["model"])
+    for key in ("model", "epochs", "epoch_losses", "class_weights",
+                "fingerprints"):
+        if key not in manifest:
+            raise StoreError(f"{manifest_path}: manifest lacks {key!r}")
+    epochs, losses = manifest["epochs"], manifest["epoch_losses"]
+    if not isinstance(epochs, list) or not isinstance(losses, list) \
+            or len(epochs) != len(losses):
+        raise StoreError(f"{manifest_path}: 'epochs' and 'epoch_losses' must "
+                         "be lists of the same length")
+    if any(type(e) is not int for e in epochs):
+        raise StoreError(f"{manifest_path}: 'epochs' must hold integers")
+    if any(type(x) not in (int, float) for x in losses):
+        raise StoreError(f"{manifest_path}: 'epoch_losses' must hold numbers")
+    try:
+        cfg_model = M.ModelConfig.from_dict(manifest["model"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise StoreError(f"{manifest_path}: malformed 'model' ({e!r})") from e
     expected = M.param_shapes(cfg_model)
     snapshots = []
-    for epoch, mean_loss in zip(manifest["epochs"], manifest["epoch_losses"]):
+    for epoch, mean_loss in zip(epochs, losses):
         snap_path = _snapshot_path(path, epoch)
         if not os.path.exists(snap_path):
             raise StoreError(f"manifest lists epoch {epoch} but "
@@ -361,6 +383,6 @@ def load_store(path: str) -> CheckpointStore:
                 raise StoreError(
                     f"epoch {epoch}: tensor {name} missing or misshaped")
         snapshots.append((int(epoch), params, float(mean_loss)))
-    if any(a >= b for a, b in zip(manifest["epochs"], manifest["epochs"][1:])):
+    if any(a >= b for a, b in zip(epochs, epochs[1:])):
         raise StoreError("manifest epochs are not strictly increasing")
     return CheckpointStore(manifest=manifest, snapshots=snapshots)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -270,3 +271,76 @@ def test_malformed_audit_input_exit_3(trained_cfg, tmp_path, capsys, line,
     capsys.readouterr()
     assert run_cli("audit", "--config", str(path)) == 3
     assert f"line {line}:" in capsys.readouterr().err
+
+
+STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",
+                "fingerprints")
+# (text the error must show, edit of a clean store manifest)
+BAD_MANIFESTS = {
+    "array": ("must be a JSON object", lambda m: [m]),
+    "format-only": ("lacks 'model'", lambda m: {"format": m["format"]}),
+    **{f"without-{key}": (f"lacks {key!r}",
+                          lambda m, key=key: {k: v for k, v in m.items()
+                                              if k != key})
+       for key in STORE_FIELDS},
+    "epoch-count-mismatch": ("'epochs' and 'epoch_losses'", lambda m: dict(
+        m, epoch_losses=m["epoch_losses"][:-1])),
+    "string-epoch": ("'epochs' must hold integers", lambda m: dict(
+        m, epochs=[str(e) for e in m["epochs"]])),
+    "null-loss": ("'epoch_losses' must hold numbers", lambda m: dict(
+        m, epoch_losses=[None] * len(m["epoch_losses"]))),
+}
+
+
+@pytest.mark.parametrize("text,mutate", list(BAD_MANIFESTS.values()),
+                         ids=list(BAD_MANIFESTS))
+def test_malformed_store_manifest_exit_3(trained_cfg, tmp_path, capsys, text,
+                                         mutate):
+    store = tmp_path / "run" / "store"
+    shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"), store)
+    manifest = json.loads((store / "manifest.json").read_text())
+    (store / "manifest.json").write_text(json.dumps(mutate(manifest)))
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               data=dict(trained_cfg["data"], audit_path=os.path.join(
+                   trained_cfg["out_dir"], "test.jsonl")))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("audit", "--config", str(path)) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and text in err
+
+
+PROFILE_FIELDS = ("id", "smoothed", "gt_error", "losses")
+# (text the error must show, edit of a clean profiles.json)
+BAD_PROFILES = {
+    "array": ("must be a JSON object", lambda d: [d]),
+    "videos-not-a-list": ("'videos' must be a list",
+                          lambda d: dict(d, videos={"v0": d["videos"][0]})),
+    "video-not-an-object": ("video 1 must be a JSON object",
+                            lambda d: dict(d, videos=[d["videos"][0], "v1"])),
+    **{f"video-without-{key}": (
+        f"video 1 lacks {key!r}",
+        lambda d, key=key: dict(d, videos=[d["videos"][0], {
+            k: v for k, v in d["videos"][1].items() if k != key}]))
+       for key in PROFILE_FIELDS},
+}
+
+
+@pytest.mark.parametrize("text,mutate", list(BAD_PROFILES.values()),
+                         ids=list(BAD_PROFILES))
+def test_malformed_profiles_exit_3(tmp_path, capsys, text, mutate):
+    videos = [{"id": f"v{i}", "smoothed": [0.1, 0.9, 0.2],
+               "gt_error": [0, 1, 0], "losses": [[0.1, 0.9, 0.2]]}
+              for i in range(2)]
+    clean = {"format": cli.PROFILES_FORMAT, "videos": videos}
+    cfg = base_config(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    (tmp_path / "profiles.json").write_text(json.dumps(clean))
+    assert run_cli("eval", "--config", str(path)) == 0
+    (tmp_path / "profiles.json").write_text(json.dumps(mutate(clean)))
+    capsys.readouterr()
+    assert run_cli("eval", "--config", str(path)) == 3
+    err = capsys.readouterr().err
+    assert "profiles.json" in err and text in err

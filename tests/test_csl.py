@@ -77,17 +77,32 @@ class TestTrajectory:
             ca.eval_loss_trajectory(store, bad, DET)
 
     def test_exactly_one_forward_per_checkpoint(self, trained, monkeypatch):
+        """Every checkpoint goes through exactly one forward: one stacked
+        call per chunk, whose leading axes cover the epochs once, in order."""
         store, ds = trained
-        calls = []
+        sample = ds.samples[0]
+        E = len(store)
+        received = []
         original = M.forward
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def recording(params, *args, **kwargs):
+            received.append(params)
+            return original(params, *args, **kwargs)
 
-        monkeypatch.setattr(CSL.M, "forward", counting)
-        ca.eval_loss_trajectory(store, ds.samples[0], DET)
-        assert len(calls) == len(store)
+        monkeypatch.setattr(CSL.M, "forward", recording)
+        # the default budget takes all E checkpoints at once
+        for per_call in (E, 2):
+            if per_call != E:
+                monkeypatch.setattr(CSL, "CHUNK_ROWS",
+                                    per_call * sample.num_frames)
+            received.clear()
+            ca.eval_loss_trajectory(store, sample, DET)
+            assert len(received) == -(-E // per_call)
+            assert sum(len(p.tensors["enc.W"]) for p in received) == E
+            for name in store.snapshots[0][1].tensors:
+                assert np.array_equal(
+                    np.concatenate([p.tensors[name] for p in received]),
+                    np.stack([p.tensors[name] for _, p, _ in store.snapshots]))
 
 
 class TestCsl:
@@ -334,3 +349,86 @@ class TestAuditDataset:
         with pytest.raises(NumericError,
                            match=f"{ds.samples[0].id}.*epoch {epoch}"):
             ca.audit_dataset(bad, ds, DET)
+
+
+def reference_losses(store, sample, cfg):
+    """The replay before stacking: one forward per checkpoint, rows stacked."""
+    alpha = store.class_weights if cfg.audit_loss == CSL.TRAIN_WEIGHTED \
+        else np.ones(store.model_config.num_classes)
+    rows = [M.per_frame_losses(
+        M.forward(params, store.model_config, sample.frames).probs,
+        sample.labels, alpha) for _, params, _ in store.snapshots]
+    return np.stack(rows)
+
+
+def random_store(mode, n_epochs):
+    """Untrained store of perturbed checkpoints; epochs 2, 4, 6, ..."""
+    cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
+                         head_dims=(6, 5), temporal_mode=mode,
+                         attention_dim=4, dropout_rates=(0.0, 0.0))
+    snapshots = []
+    for e in range(n_epochs):
+        params = ca.init_params(cfg)
+        rng = np.random.default_rng(e)
+        for k, v in params.tensors.items():
+            params.tensors[k] = v + rng.normal(0, 0.5, v.shape)
+        snapshots.append((2 * (e + 1), params, 1.0))
+    manifest = {"model": cfg.to_dict(), "class_weights": [0.5, 1.0, 1.5],
+                "fingerprints": {"grammar": "g", "train_data": "d"}}
+    return ca.CheckpointStore(manifest=manifest, snapshots=snapshots)
+
+
+@pytest.fixture(scope="module")
+def long_dataset():
+    means = np.zeros((3, 4))
+    means[np.arange(3), np.arange(3)] = 3.0
+    grammar = ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
+    return ca.generate_dataset(grammar, 4, "test", seed=3)
+
+
+class TestStackedReplay:
+    """The chunked stacked replay equals the per-checkpoint loop bit for bit."""
+
+    # (checkpoints, checkpoints per chunk; None: the default budget)
+    CASES = {"E=1": (1, None), "E=10-one-chunk": (10, None),
+             "E=7-chunks-of-3": (7, 3), "T-above-budget": (5, 0)}
+
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    @pytest.mark.parametrize("n_epochs,per_chunk", list(CASES.values()),
+                             ids=list(CASES))
+    @pytest.mark.parametrize("audit_loss", ["unweighted", "train_weighted"])
+    def test_equals_per_checkpoint_loop(self, long_dataset, monkeypatch, mode,
+                                        n_epochs, per_chunk, audit_loss):
+        store = random_store(mode, n_epochs)
+        det = ca.DetectionConfig(mode="percentile", k_percent=20, window=2,
+                                 audit_loss=audit_loss)
+        for sample in long_dataset.samples:
+            if per_chunk is not None:  # 0: fewer rows than one sequence
+                monkeypatch.setattr(CSL, "CHUNK_ROWS",
+                                    max(per_chunk * sample.num_frames,
+                                        sample.num_frames - 1))
+            want = reference_losses(store, sample, det)
+            got = ca.eval_loss_trajectory(store, sample, det).losses
+            assert got.flags.c_contiguous  # mean over epochs sums in order
+            assert np.array_equal(got, want)
+            prof = ca.audit_dataset(
+                store, ca.Dataset(long_dataset.grammar, [sample], "test", 0),
+                det)[0]
+            assert np.array_equal(prof.trajectory.losses, want)
+            csl = want.mean(axis=0)
+            assert np.array_equal(prof.csl, csl)
+            assert np.array_equal(
+                prof.flags, ca.flag_percentile(ca.smooth_csl(csl, 2), 20))
+
+    def test_nan_in_later_chunk_names_video_and_epoch(self, long_dataset,
+                                                      monkeypatch):
+        store = random_store("attention", 6)
+        epoch, params, loss = store.snapshots[3]  # chunk 2 of 3, second row
+        poisoned = params.copy()
+        poisoned.tensors["head.W3"][0, 0] = np.nan
+        store.snapshots[3] = (epoch, poisoned, loss)
+        ds = long_dataset
+        monkeypatch.setattr(CSL, "CHUNK_ROWS", 2 * ds.samples[0].num_frames)
+        with pytest.raises(NumericError,
+                           match=f"video {ds.samples[0].id}: .*epoch 8 "):
+            ca.audit_dataset(store, ds, DET)

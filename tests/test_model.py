@@ -321,3 +321,21 @@ class TestKernelsBitIdentical:
                 assert not pe.flags.writeable
         with pytest.raises(ValueError):
             M.sinusoidal_encoding(3, 7)[0, 0] = 1.0
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    @pytest.mark.parametrize("T", [1, 2, 37])
+    def test_each_checkpoint_equals_its_own_forward(self, mode, T):
+        cfg = ca.ModelConfig(feature_dim=5, num_classes=4, hidden_dim=12,
+                             head_dims=(8, 6), temporal_mode=mode,
+                             attention_dim=6)
+        snaps = [perturbed_params(cfg, seed, scale=0.5) for seed in range(3)]
+        stacked = M.ModelParams({k: np.stack([p.tensors[k] for p in snaps])
+                                 for k in snaps[0].tensors})
+        X = np.random.default_rng(T).normal(0, 1, (T, 5))
+        trace = ca.forward(stacked, cfg, X)
+        assert trace.probs.shape == (3, T, 4)
+        assert trace.cache == {}  # a stacked replay keeps no activations
+        for e, p in enumerate(snaps):
+            assert np.array_equal(trace.probs[e], ca.forward(p, cfg, X).probs)

@@ -1,4 +1,7 @@
 import gzip
+import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -259,6 +262,29 @@ class TestIO:
         assert grammar_fingerprint(small_dataset.grammar) != dataset_fingerprint(small_dataset)
         other = ca.generate_dataset(small_dataset.grammar, 6, "train", 8)
         assert dataset_fingerprint(other) != dataset_fingerprint(small_dataset)
+
+    def test_fingerprint_recipe(self, small_dataset, tmp_path):
+        # the documented recipe, built independently with struct
+        corrupted = ca.corrupt_dataset(small_dataset, ca.CorruptionSpec(
+            "mislabel", 0.5, 2, 3, seed=1))
+        fields = [json.dumps({"format": "csl-seqdata/1",
+                              "grammar": corrupted.grammar.to_dict(),
+                              "split": "train", "seed": 7},
+                             sort_keys=True).encode()]
+        for s in corrupted.samples:
+            T, d = s.frames.shape
+            fields += [s.id.encode(), struct.pack("<2Q", T, d),
+                       struct.pack(f"<{T * d}d", *s.frames.ravel()),
+                       struct.pack(f"<{T}q", *s.labels),
+                       struct.pack(f"<{T}b", *s.error_mask),
+                       json.dumps(s.corruption, sort_keys=True).encode()]
+        want = hashlib.sha256(b"".join(
+            struct.pack("<Q", len(f)) + f for f in fields)).hexdigest()
+        assert any(s.corruption for s in corrupted.samples)
+        assert dataset_fingerprint(corrupted) == want
+        path = tmp_path / "c.jsonl"
+        ca.write_dataset(corrupted, str(path))
+        assert dataset_fingerprint(ca.read_dataset(str(path))) == want
 
     def test_serialization_float_round_trip(self, tmp_path):
         # awkward floats survive the shortest-repr JSON round trip exactly
