@@ -93,65 +93,110 @@ def load_config(path: str) -> dict:
             user = json.load(f)
     except FileNotFoundError as e:
         raise ConfigError(f"config file not found: {path}") from e
+    except IsADirectoryError as e:
+        raise ConfigError(f"config path {path} is a directory") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8 text ({e.reason})") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
+    cfg = _merge(DEFAULT_CONFIG, user)
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(cfg[section], dict):
+            raise ConfigError(f"config field {section} must be a JSON object")
+    return cfg
+
+
+def _field(cfg: dict, dotted: str, conv):
+    """conv of the config value at a dotted path ("train.epochs"); a value
+    conv refuses raises ConfigError naming the path."""
+    value = cfg
+    for key in dotted.split("."):
+        value = value[key]
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config field {dotted}: cannot use {value!r} "
+                          f"({e})") from e
+
+
+def _ints(values) -> tuple[int, ...]:
+    return tuple(int(x) for x in values)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
+
+
+def _seed(cfg: dict, dotted: str, offset: int) -> int:
+    """The seed field at a dotted path, or the global seed plus offset when
+    that field is null."""
+    section, key = dotted.split(".")
+    if cfg[section][key] is None:
+        return _field(cfg, "seed", int) + offset
+    return _field(cfg, dotted, int)
 
 
 def build_grammar(cfg: dict) -> SD.PhaseGrammar:
-    g = cfg["grammar"]
-    C, d = int(g["num_classes"]), int(g["feature_dim"])
-    if g.get("class_means") is not None:
-        means = np.asarray(g["class_means"], dtype=np.float64)
+    C = _field(cfg, "grammar.num_classes", int)
+    d = _field(cfg, "grammar.feature_dim", int)
+    if cfg["grammar"].get("class_means") is not None:
+        means = _field(cfg, "grammar.class_means",
+                       lambda v: np.asarray(v, dtype=np.float64))
     else:
         if d < C:
             raise ConfigError(
                 "feature_dim must be >= num_classes for default class means")
         means = np.zeros((C, d))
-        means[np.arange(C), np.arange(C)] = float(g["class_mean_scale"])
-    order = g.get("phase_order") or list(range(C))
+        means[np.arange(C), np.arange(C)] = _field(
+            cfg, "grammar.class_mean_scale", float)
+    order = tuple(range(C))
+    if cfg["grammar"].get("phase_order"):
+        order = _field(cfg, "grammar.phase_order", _ints)
     return SD.PhaseGrammar(
         num_classes=C, feature_dim=d, class_means=means,
-        feature_noise_sigma=float(g["feature_noise_sigma"]),
-        phase_order=tuple(order),
-        duration_min=int(g["duration_min"]),
-        duration_max=int(g["duration_max"]),
-        boundary_blend=int(g["boundary_blend"]))
+        feature_noise_sigma=_field(cfg, "grammar.feature_noise_sigma", float),
+        phase_order=order,
+        duration_min=_field(cfg, "grammar.duration_min", int),
+        duration_max=_field(cfg, "grammar.duration_max", int),
+        boundary_blend=_field(cfg, "grammar.boundary_blend", int))
 
 
 def build_model_config(cfg: dict, grammar: SD.PhaseGrammar) -> M.ModelConfig:
-    m = cfg["model"]
-    init_seed = m["init_seed"] if m["init_seed"] is not None \
-        else int(cfg["seed"]) + 100
     return M.ModelConfig(
         feature_dim=grammar.feature_dim, num_classes=grammar.num_classes,
-        hidden_dim=int(m["hidden_dim"]),
-        head_dims=tuple(int(x) for x in m["head_dims"]),
-        temporal_mode=m["temporal_mode"],
-        attention_dim=int(m["attention_dim"]),
-        dropout_rates=tuple(float(x) for x in m["dropout_rates"]),
-        init_seed=init_seed, init_scale=float(m["init_scale"]))
+        hidden_dim=_field(cfg, "model.hidden_dim", int),
+        head_dims=_field(cfg, "model.head_dims", _ints),
+        temporal_mode=cfg["model"]["temporal_mode"],
+        attention_dim=_field(cfg, "model.attention_dim", int),
+        dropout_rates=_field(cfg, "model.dropout_rates", _floats),
+        init_seed=_seed(cfg, "model.init_seed", 100),
+        init_scale=_field(cfg, "model.init_scale", float))
 
 
 def build_train_config(cfg: dict) -> TR.TrainConfig:
-    t = cfg["train"]
-    shuffle_seed = t["shuffle_seed"] if t["shuffle_seed"] is not None \
-        else int(cfg["seed"]) + 200
     return TR.TrainConfig(
-        epochs=int(t["epochs"]), learning_rate=float(t["learning_rate"]),
-        beta1=float(t["beta1"]), beta2=float(t["beta2"]), eps=float(t["eps"]),
-        weight_decay=float(t["weight_decay"]), shuffle_seed=shuffle_seed,
-        checkpoint_stride=int(t["checkpoint_stride"]), dropout=bool(t["dropout"]))
+        epochs=_field(cfg, "train.epochs", int),
+        learning_rate=_field(cfg, "train.learning_rate", float),
+        beta1=_field(cfg, "train.beta1", float),
+        beta2=_field(cfg, "train.beta2", float),
+        eps=_field(cfg, "train.eps", float),
+        weight_decay=_field(cfg, "train.weight_decay", float),
+        shuffle_seed=_seed(cfg, "train.shuffle_seed", 200),
+        checkpoint_stride=_field(cfg, "train.checkpoint_stride", int),
+        dropout=bool(cfg["train"]["dropout"]))
 
 
 def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
     d = cfg["detection"]
     return CSL.DetectionConfig(
-        mode=d["mode"], tau=float(d["tau"] or 0.0),
-        k_percent=float(d["k_percent"]), window=int(d["window"]),
-        audit_loss=d["audit_loss"], min_segment_len=int(d["min_segment_len"]))
+        mode=d["mode"],
+        tau=_field(cfg, "detection.tau", lambda v: float(v or 0.0)),
+        k_percent=_field(cfg, "detection.k_percent", float),
+        window=_field(cfg, "detection.window", int),
+        audit_loss=d["audit_loss"],
+        min_segment_len=_field(cfg, "detection.min_segment_len", int))
 
 
 def _path(cfg: dict, name: str) -> str:
@@ -180,10 +225,8 @@ def _store_path(cfg: dict) -> str:
 def cmd_gen(cfg: dict) -> None:
     grammar = build_grammar(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    counts = {"train": int(cfg["data"]["n_train"]),
-              "val": int(cfg["data"]["n_val"]),
-              "test": int(cfg["data"]["n_test"])}
-    base = int(cfg["seed"])
+    counts = {split: _field(cfg, f"data.n_{split}", int) for split in SD.SPLITS}
+    base = _field(cfg, "seed", int)
     for i, (split, n) in enumerate(counts.items()):
         ds = SD.generate_dataset(grammar, n, split, seed=base + i)
         SD.write_dataset(ds, _split_path(cfg, split))
@@ -195,13 +238,14 @@ def cmd_corrupt(cfg: dict, kind: str | None, fraction: float | None,
                 split: str | None, out_file: str | None) -> None:
     c = cfg["corruption"]
     kind = kind or c["kind"]
-    fraction = fraction if fraction is not None else float(c["fraction"])
+    if fraction is None:
+        fraction = _field(cfg, "corruption.fraction", float)
     split = split or c["split"]
     spec = SD.CorruptionSpec(
         kind=kind, video_fraction=fraction,
-        segment_len_min=int(c["segment_len_min"]),
-        segment_len_max=int(c["segment_len_max"]),
-        seed=int(c["seed"]) if c["seed"] is not None else int(cfg["seed"]) + 10)
+        segment_len_min=_field(cfg, "corruption.segment_len_min", int),
+        segment_len_max=_field(cfg, "corruption.segment_len_max", int),
+        seed=_seed(cfg, "corruption.seed", 10))
     ds = SD.read_dataset(_split_path(cfg, split))
     corrupted = SD.corrupt_dataset(ds, spec)
     out = out_file or _path(cfg, f"{split}_{kind}.jsonl")
@@ -214,10 +258,9 @@ def cmd_train(cfg: dict) -> None:
     ds = SD.read_dataset(_split_path(cfg, "train"))
     model_cfg = build_model_config(cfg, ds.grammar)
     train_cfg = build_train_config(cfg)
-    store = TR.train(ds, model_cfg, train_cfg, _store_path(cfg))
-    for epoch, loss in zip(store.manifest["epochs"],
-                           store.manifest["epoch_losses"]):
-        print(f"epoch {epoch}: mean loss {loss:.6f}")
+    TR.train(ds, model_cfg, train_cfg, _store_path(cfg),
+             on_epoch=lambda epoch, loss: print(
+                 f"epoch {epoch}: mean loss {loss:.6f}", flush=True))
 
 
 def cmd_audit(cfg: dict) -> None:
@@ -236,7 +279,7 @@ def cmd_audit(cfg: dict) -> None:
         val = SD.read_dataset(_split_path(cfg, "val"))
         tau = CSL.calibrate_tau(
             [p.smoothed for p in CSL.audit_dataset(store, val, det)],
-            float(cfg["detection"]["calibration_quantile"]))
+            _field(cfg, "detection.calibration_quantile", float))
         det = dataclasses.replace(det, tau=tau)
 
     profiles = CSL.audit_dataset(store, ds, det)  # raises before any write
@@ -327,7 +370,7 @@ def cmd_eval(cfg: dict) -> None:
                                 np.asarray(v["gt_error"])))
               for v in profiles["videos"]]
     report = MET.build_report(
-        inputs, k_percent=float(cfg["detection"]["k_percent"]),
+        inputs, k_percent=_field(cfg, "detection.k_percent", float),
         config={"detection": cfg["detection"], "seed": cfg["seed"]})
     if report.micro_auc is None:
         print("warning: micro-AUC undefined (single-class ground truth)",

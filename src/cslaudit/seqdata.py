@@ -7,23 +7,50 @@ temporal disordering (two adjacent phase blocks are swapped as units, so every
 frame keeps a label consistent with its content but the transcript violates
 the canonical order).
 
-Datasets persist as UTF-8 JSON Lines (optionally gzipped when the path ends
-in ".gz"): a header object on line 1, one sample object per following line.
+Datasets persist as UTF-8 JSON Lines in the `csl-seqdata/2` format,
+gzipped when the path ends in ".gz", and are written atomically (temp file,
+then rename). Line 1 is the header object: `format` ("csl-seqdata/2"),
+`grammar` (`PhaseGrammar.to_dict()`), `split`, `seed` and any extra keys the
+writer adds (`corrupt` adds `corruption_spec`). Each following line is one
+sample object:
+
+- `id`: string;
+- `frames`: the T x d feature matrix as one string, the padded standard
+  base64 (RFC 4648) of its bytes as little-endian float64, row-major; d is
+  the grammar's `feature_dim`, so T = decoded bytes / (8 d);
+- `labels`: list of T integer class ids;
+- `error_mask`: list of T integers, 1 where the annotation is a ground-truth
+  error and 0 elsewhere;
+- `corruption`: the injected corruption's parameters, or null.
+
+Base64 of the raw bytes round-trips every float64 (NaN payloads and -0.0
+included), so a read returns exactly the arrays that were written. Files in
+the retired `csl-seqdata/1` format, which held frames as nested lists of
+decimal numbers, are refused; regenerate them with `cslaudit gen` or write
+them again with `write_dataset`.
+
+To audit features of your own, build one `SequenceSample` per video, put them
+in a `Dataset` with a `PhaseGrammar` whose `num_classes` and `feature_dim`
+match them, and call `write_dataset`.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import gzip
 import hashlib
 import json
 import os
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SchemaError, SequenceTooShortError
+from .errors import (ConfigError, DataError, ParseError, SchemaError,
+                     SequenceTooShortError)
 
-FORMAT_TAG = "csl-seqdata/1"
+FORMAT_TAG = "csl-seqdata/2"
 
 SPLITS = ("train", "val", "test")
 
@@ -368,7 +395,8 @@ def _header_dict(ds: Dataset, extra: dict | None = None) -> dict:
 
 
 def _sample_dict(s: SequenceSample) -> dict:
-    return {"id": s.id, "frames": s.frames.tolist(),
+    frames = base64.b64encode(s.frames.astype("<f8").tobytes()).decode("ascii")
+    return {"id": s.id, "frames": frames,
             "labels": s.labels.tolist(),
             "error_mask": s.error_mask.tolist(),
             "corruption": s.corruption}
@@ -393,7 +421,24 @@ def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> N
     os.replace(tmp, path)
 
 
-def _sample_from_json(obj, ln: int) -> SequenceSample:
+def _decode_frames(text, d: int, ln: int) -> np.ndarray:
+    """The T x d float64 array held in a sample's base64 `frames` string."""
+    if not isinstance(text, str):
+        raise SchemaError(f"line {ln}: frames must be a base64 string, "
+                          f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as e:
+        raise SchemaError(f"line {ln}: frames is not valid base64 ({e})") from e
+    row = 8 * d
+    if not raw or len(raw) % row:
+        raise SchemaError(f"line {ln}: frames holds {len(raw)} bytes, not a "
+                          f"positive multiple of {row} (8 * feature_dim {d})")
+    # astype copies, so the array is writable and owns its memory
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, d).astype(np.float64)
+
+
+def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
     """Validate one parsed sample line; SchemaError names the line."""
     if not isinstance(obj, dict):
         raise SchemaError(f"line {ln}: sample must be a JSON object, "
@@ -401,14 +446,7 @@ def _sample_from_json(obj, ln: int) -> SequenceSample:
     for key in ("id", "frames", "labels", "error_mask"):
         if key not in obj:
             raise SchemaError(f"line {ln}: sample is missing field {key!r}")
-    try:
-        frames = np.asarray(obj["frames"], dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"line {ln}: frames must be a T x d array of "
-                          f"numbers ({e})") from e
-    if frames.ndim != 2 or frames.shape[0] < 1:
-        raise SchemaError(f"line {ln}: frames must be a non-empty T x d "
-                          f"array, got shape {frames.shape}")
+    frames = _decode_frames(obj["frames"], d, ln)
     ints = {}
     for key in ("labels", "error_mask"):
         try:
@@ -428,16 +466,36 @@ def _sample_from_json(obj, ln: int) -> SequenceSample:
         raise SchemaError(f"line {ln}: {e}") from e
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a dataset file; DataError/ParseError name the path."""
+    try:
+        with _open_text(path, "r") as f:
+            return f.read().splitlines()
+    except FileNotFoundError as e:
+        raise DataError(f"no dataset at {path}; run gen first") from e
+    except IsADirectoryError as e:
+        raise DataError(f"dataset path {path} is a directory") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
+    except (gzip.BadGzipFile, EOFError, zlib.error) as e:
+        raise ParseError(f"{path}: not a complete gzip file ({e})") from e
+
+
 def read_dataset(path: str) -> Dataset:
-    with _open_text(path, "r") as f:
-        lines = f.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ParseError("empty dataset file", line=1)
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ParseError(f"bad header JSON: {e.msg}", line=1) from e
-    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt == "csl-seqdata/1":
+        raise ParseError(
+            f"{path} is in the retired format 'csl-seqdata/1'; regenerate it "
+            f"with `cslaudit gen` or write it with seqdata.write_dataset "
+            f"(format {FORMAT_TAG!r})", line=1)
+    if fmt != FORMAT_TAG:
         raise ParseError(f"expected format {FORMAT_TAG!r}", line=1)
     for key in ("split", "seed"):
         if key not in header:
@@ -460,7 +518,7 @@ def read_dataset(path: str) -> Dataset:
             obj = json.loads(raw)
         except json.JSONDecodeError as e:
             raise ParseError(f"bad sample JSON: {e.msg}", line=ln) from e
-        samples.append(_sample_from_json(obj, ln))
+        samples.append(_sample_from_json(obj, ln, grammar.feature_dim))
     return Dataset(grammar=grammar, samples=samples,
                    split=header["split"], seed=header["seed"])
 

@@ -191,10 +191,11 @@ class CheckpointStore:
 
 
 def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
-          store_path: str) -> CheckpointStore:
+          store_path: str, *, on_epoch=None) -> CheckpointStore:
     """Train for E epochs, one sequence per optimizer step, snapshotting every
     checkpoint_stride epochs. Fully deterministic given seeds; snapshots are
-    written to disk as they are produced."""
+    written to disk as they are produced. `on_epoch(epoch, mean_loss)`, when
+    given, is called after each checkpoint and its manifest are on disk."""
     if not ds_train.samples:
         raise ConfigError("training dataset is empty")
     weights = compute_class_weights(ds_train)
@@ -257,6 +258,8 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
             manifest["epoch_losses"].append(mean_loss)
             _write_snapshot(store_path, epoch, snap)
             _write_manifest(store_path, manifest)
+            if on_epoch is not None:
+                on_epoch(epoch, mean_loss)
     return store
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import shutil
@@ -80,6 +81,18 @@ class TestGen:
 
     def test_missing_config_exit_2(self):
         assert run_cli("gen", "--config", "/nonexistent/cfg.json") == 2
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"seed": "\xff"}')
+        section = tmp_path / "section.json"
+        section.write_text('{"grammar": 5}')
+        for path, text in ((tmp_path, "is a directory"),
+                           (latin, "not UTF-8"),
+                           (section, "grammar must be a JSON object")):
+            capsys.readouterr()
+            assert run_cli("gen", "--config", str(path)) == 2
+            assert text in capsys.readouterr().err
 
 
 class TestCorrupt:
@@ -236,8 +249,16 @@ def test_import_loads_no_scipy():
 MALFORMED = {
     "header-without-split": (1, lambda rows: rows[0].pop("split")),
     "header-without-seed": (1, lambda rows: rows[0].pop("seed")),
-    "ragged-frames": (3, lambda rows: rows[2]["frames"][1].pop()),
-    "one-d-frames": (3, lambda rows: rows[2].update(frames=rows[2]["labels"])),
+    "frames-wrong-length": (3, lambda rows: rows[2].update(
+        frames=base64.b64encode(base64.b64decode(rows[2]["frames"])[:-8])
+        .decode())),
+    "frames-not-a-string": (3, lambda rows: rows[2].update(
+        frames=[[0.0] * 6] * len(rows[2]["labels"]))),
+    "frames-bad-base64": (3, lambda rows: rows[2].update(
+        frames=rows[2]["frames"][:-3])),
+    "frames-outside-base64-alphabet": (3, lambda rows: rows[2].update(
+        frames="****" + rows[2]["frames"])),
+    "old-format-tag": (1, lambda rows: rows[0].update(format="csl-seqdata/1")),
     "empty-sample": (2, lambda rows: rows[1].update(
         frames=[], labels=[], error_mask=[])),
     "non-object-sample": (4, lambda rows: rows.__setitem__(3, [1, 2])),
@@ -256,21 +277,106 @@ def trained_cfg(tmp_path_factory):
     return cfg
 
 
-@pytest.mark.parametrize("line,mutate", list(MALFORMED.values()),
-                         ids=list(MALFORMED))
-def test_malformed_audit_input_exit_3(trained_cfg, tmp_path, capsys, line,
-                                      mutate):
+def audit_file(trained_cfg, tmp_path, capsys, audit_path):
+    """Exit code and stderr of `audit` on the trained store and this file."""
+    cfg = dict(trained_cfg, data=dict(trained_cfg["data"],
+                                      audit_path=str(audit_path)))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    return run_cli("audit", "--config", str(path)), capsys.readouterr().err
+
+
+def edited_test_split(trained_cfg, tmp_path, mutate):
+    """The clean test.jsonl with its parsed rows edited by mutate."""
     clean = os.path.join(trained_cfg["out_dir"], "test.jsonl")
     rows = [json.loads(ln) for ln in open(clean)]
     mutate(rows)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    cfg = dict(trained_cfg, data=dict(trained_cfg["data"], audit_path=str(bad)))
+    return bad
+
+
+@pytest.mark.parametrize("line,mutate", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_audit_input_exit_3(trained_cfg, tmp_path, capsys, line,
+                                      mutate):
+    bad = edited_test_split(trained_cfg, tmp_path, mutate)
+    code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
+    assert code == 3
+    assert f"line {line}:" in err
+
+
+def test_retired_format_names_tag(trained_cfg, tmp_path, capsys):
+    bad = edited_test_split(trained_cfg, tmp_path, MALFORMED["old-format-tag"][1])
+    code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
+    assert code == 3
+    assert "'csl-seqdata/1'" in err and "cslaudit gen" in err
+
+
+def _make_dir(path):
+    path.mkdir()
+    return path
+
+
+def _make_latin1(path):
+    path.write_bytes(b'{"format": "\xff"}\n')
+    return path
+
+
+def _make_plain_gz(path):
+    gz = path.with_suffix(".jsonl.gz")
+    gz.write_text("{}\n")
+    return gz
+
+
+# (text the error must show besides the path, how to make the bad path)
+UNREADABLE = {
+    "missing": ("run gen first", lambda path: path),
+    "directory": ("is a directory", _make_dir),
+    "not-utf8": ("not UTF-8", _make_latin1),
+    "gz-not-gzip": ("gzip", _make_plain_gz),
+}
+
+
+@pytest.mark.parametrize("text,make", list(UNREADABLE.values()),
+                         ids=list(UNREADABLE))
+def test_unreadable_dataset_exit_3(trained_cfg, tmp_path, capsys, text, make):
+    bad = make(tmp_path / "d.jsonl")
+    code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
+    assert code == 3
+    assert str(bad) in err and text in err
+
+
+# (command, dotted config field, wrong-typed value)
+BAD_CONFIG_FIELDS = [
+    ("gen", "grammar.num_classes", "six"),
+    ("gen", "data.n_train", None),
+    ("gen", "seed", "x"),
+    ("train", "model.head_dims", 5),
+    ("train", "train.epochs", "ten"),
+]
+
+
+@pytest.mark.parametrize("command,field,value", BAD_CONFIG_FIELDS,
+                         ids=[f[1] for f in BAD_CONFIG_FIELDS])
+def test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
+                                         command, field, value):
+    cfg = json.loads(json.dumps(trained_cfg))
+    cfg["out_dir"] = str(tmp_path / "run")
+    cfg["data"]["train_path"] = os.path.join(trained_cfg["out_dir"],
+                                             "train.jsonl")
+    *sections, key = field.split(".")
+    node = cfg
+    for section in sections:
+        node = node[section]
+    node[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     capsys.readouterr()
-    assert run_cli("audit", "--config", str(path)) == 3
-    assert f"line {line}:" in capsys.readouterr().err
+    assert run_cli(command, "--config", str(path)) == 2
+    assert f"config field {field}:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run" / "store")
 
 
 STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",

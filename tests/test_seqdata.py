@@ -1,3 +1,4 @@
+import base64
 import gzip
 import hashlib
 import json
@@ -9,9 +10,9 @@ import pytest
 import cslaudit as ca
 from cslaudit.errors import (ConfigError, ParseError, SchemaError,
                              SequenceTooShortError)
-from cslaudit.seqdata import (dataset_fingerprint, grammar_fingerprint,
-                              inject_disordering, inject_mislabeling,
-                              label_runs, serialize_dataset)
+from cslaudit.seqdata import (FORMAT_TAG, dataset_fingerprint,
+                              grammar_fingerprint, inject_disordering,
+                              inject_mislabeling, label_runs)
 
 
 def fixed_grammar(C=2, d=3, dur=5, noise=0.0, blend=0):
@@ -267,7 +268,7 @@ class TestIO:
         # the documented recipe, built independently with struct
         corrupted = ca.corrupt_dataset(small_dataset, ca.CorruptionSpec(
             "mislabel", 0.5, 2, 3, seed=1))
-        fields = [json.dumps({"format": "csl-seqdata/1",
+        fields = [json.dumps({"format": FORMAT_TAG,
                               "grammar": corrupted.grammar.to_dict(),
                               "split": "train", "seed": 7},
                              sort_keys=True).encode()]
@@ -287,12 +288,47 @@ class TestIO:
         assert dataset_fingerprint(ca.read_dataset(str(path))) == want
 
     def test_serialization_float_round_trip(self, tmp_path):
-        # awkward floats survive the shortest-repr JSON round trip exactly
-        vals = np.array([[0.1, 1e-300, 1.7976931348623157e308, -0.0]])
-        s = ca.SequenceSample("s0", vals, np.array([0]), np.array([0], dtype=np.int8))
+        # awkward floats, non-finite ones and the smallest subnormal survive
+        # the round trip bit for bit
+        vals = np.array([[0.1, 1e-300, 1.7976931348623157e308, -0.0],
+                         [np.nan, np.inf, -np.inf, 5e-324]])
+        s = ca.SequenceSample("s0", vals, np.array([0, 0]),
+                              np.array([0, 0], dtype=np.int8))
         g = fixed_grammar(C=2, d=4)
         ds = ca.Dataset(g, [s], "train", 0)
         path = tmp_path / "f.jsonl"
         ca.write_dataset(ds, str(path))
-        back = ca.read_dataset(str(path))
-        assert np.array_equal(back.samples[0].frames, vals)
+        back = ca.read_dataset(str(path)).samples[0].frames
+        assert np.array_equal(back.view("<u8"), vals.view("<u8"))
+
+    def test_format_contract(self, small_dataset, tmp_path):
+        # the csl-seqdata/2 layout, decoded without the package's reader
+        ds = ca.corrupt_dataset(small_dataset, ca.CorruptionSpec(
+            "mislabel", 0.5, 2, 3, seed=1))
+        path = tmp_path / "c.jsonl"
+        ca.write_dataset(ds, str(path), header_extra={"note": "x"})
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert rows[0]["format"] == "csl-seqdata/2" == FORMAT_TAG
+        assert rows[0]["note"] == "x" and rows[0]["split"] == "train"
+        d = rows[0]["grammar"]["feature_dim"]
+        assert len(rows) == len(ds) + 1
+        for row, s in zip(rows[1:], ds.samples):
+            raw = base64.b64decode(row["frames"], validate=True)
+            T = len(raw) // (8 * d)
+            assert len(raw) == 8 * d * T
+            frames = struct.unpack(f"<{T * d}d", raw)
+            assert frames == tuple(s.frames.ravel())
+            for key in ("labels", "error_mask"):
+                assert len(row[key]) == T
+                assert all(type(x) is int for x in row[key])
+            assert row["labels"] == s.labels.tolist()
+            assert row["error_mask"] == s.error_mask.tolist()
+            assert row["id"] == s.id and row["corruption"] == s.corruption
+
+    def test_frames_are_writable_owned_float64(self, small_dataset, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        ca.write_dataset(small_dataset, str(path))
+        for s in ca.read_dataset(str(path)).samples:
+            f = s.frames
+            assert f.dtype == np.float64 and f.flags.c_contiguous
+            assert f.flags.writeable and f.flags.owndata

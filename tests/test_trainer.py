@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -203,6 +204,24 @@ class TestTrain:
         store = ca.train(small_dataset, tiny_model_cfg, cfg,
                          str(tmp_path / "store"))
         assert store.epochs == [2, 4, 6, 8, 10]
+
+    def test_on_epoch_fires_per_checkpoint_as_saved(self, small_dataset,
+                                                     tiny_model_cfg, tmp_path):
+        cfg = TR.TrainConfig(epochs=7, learning_rate=1e-3, shuffle_seed=17,
+                             checkpoint_stride=3)
+        path = tmp_path / "store"
+        calls = []
+
+        def on_epoch(epoch, loss):
+            # the checkpoint and the manifest naming it are already on disk
+            on_disk = json.loads((path / "manifest.json").read_text())
+            calls.append((epoch, loss, on_disk["epochs"][-1],
+                          (path / f"ckpt_{epoch:04d}.bin").exists()))
+
+        store = ca.train(small_dataset, tiny_model_cfg, cfg, str(path),
+                         on_epoch=on_epoch)
+        assert calls == [(e, loss, e, True) for e, _, loss in store.snapshots]
+        assert [c[0] for c in calls] == [3, 6]
 
     def test_snapshot_count_with_uneven_stride(self, small_dataset,
                                                tiny_model_cfg, tmp_path):
