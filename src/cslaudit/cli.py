@@ -25,7 +25,7 @@ from . import trainer as TR
 from .errors import (AuditToolError, ConfigError, DataError, FingerprintError,
                      NumericError, ParseError, SchemaError)
 
-PROFILES_FORMAT = "csl-profiles/1"
+PROFILES_FORMAT = "csl-profiles/2"
 
 
 def _fmt(x: float) -> str:
@@ -287,10 +287,13 @@ def cmd_audit(cfg: dict) -> None:
     head = {
         "format": PROFILES_FORMAT,
         "store_fingerprints": store.manifest["fingerprints"],
-        "detection": dict(cfg["detection"], tau=det.tau if det.mode == CSL.THRESHOLD
+        # eval recomputes the smoothed CSL with this window
+        "detection": dict(cfg["detection"], window=det.window,
+                          tau=det.tau if det.mode == CSL.THRESHOLD
                           else cfg["detection"]["tau"]),
         "seed": cfg["seed"],
     }
+    epochs = list(store.epochs)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     n_frames = 0
     with open(_path(cfg, "audit.csv"), "w", encoding="utf-8") as f_csv, \
@@ -305,25 +308,22 @@ def cmd_audit(cfg: dict) -> None:
         for i, (sample, p) in enumerate(zip(ds.samples, profiles)):
             curvature = CSL.trajectory_curvature(p.trajectory) if E >= 3 \
                 else np.full(len(p.csl), np.nan)
-            # The CSV rows reuse the Python scalars of these lists: f"{x!r}"
-            # of a float is _fmt(x), with no per-frame numpy indexing.
             video = {
                 "id": sample.id,
-                "epochs": list(store.epochs),
-                "losses": p.trajectory.losses.tolist(),
-                "csl": p.csl.tolist(),
-                "smoothed": p.smoothed.tolist(),
-                "curvature": curvature.tolist(),
+                "epochs": epochs,
+                "losses": SD.encode_f8(p.trajectory.losses),
                 "flags": p.flags.tolist(),
                 "segments": [list(s) for s in p.segments],
                 "labels": sample.labels.tolist(),
                 "gt_error": sample.error_mask.tolist(),
             }
+            # f"{x!r}" of a Python float is _fmt(x), with no per-frame numpy
+            # indexing.
             f_csv.write("".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
-                    video["labels"], video["csl"], video["smoothed"],
-                    video["curvature"], video["flags"], video["gt_error"]))))
+                    video["labels"], p.csl.tolist(), p.smoothed.tolist(),
+                    curvature.tolist(), video["flags"], video["gt_error"]))))
             f_json.write((", " if i else "") + json.dumps(video, sort_keys=True))
             n_frames += len(p.csl)
         f_json.write("]}\n")
@@ -334,6 +334,10 @@ def cmd_audit(cfg: dict) -> None:
 
 
 def _load_profiles(cfg: dict) -> dict:
+    """The parsed profiles.json with each video's `losses` decoded into a
+    LossTrajectory under the key `trajectory`. Malformed input raises
+    ParseError/SchemaError (a non-finite loss NumericError) naming the path
+    and the video."""
     path = _path(cfg, "profiles.json")
     if not os.path.exists(path):
         raise DataError(f"no audit artifacts at {path}; run audit first")
@@ -346,25 +350,52 @@ def _load_profiles(cfg: dict) -> dict:
         raise ParseError(f"{path}: profiles must be a JSON object, "
                          f"got {type(data).__name__}")
     if data.get("format") != PROFILES_FORMAT:
-        raise ParseError(f"unexpected profiles format {data.get('format')!r}")
+        raise ParseError(f"{path}: format {data.get('format')!r} is not "
+                         f"{PROFILES_FORMAT!r}; re-run `cslaudit audit`")
+    det = data.get("detection")
+    window = det.get("window") if isinstance(det, dict) else None
+    if type(window) is not int or window < 0:
+        raise SchemaError(f"{path}: detection.window must be an integer "
+                          f">= 0, got {window!r}")
     videos = data.get("videos")
     if not isinstance(videos, list):
         raise SchemaError(f"{path}: 'videos' must be a list, "
                           f"got {type(videos).__name__}")
     for i, v in enumerate(videos):
+        where = f"{path}: video {i}"
         if not isinstance(v, dict):
-            raise SchemaError(f"{path}: video {i} must be a JSON object, "
+            raise SchemaError(f"{where} must be a JSON object, "
                               f"got {type(v).__name__}")
-        for key in ("id", "smoothed", "gt_error", "losses"):
+        for key in ("id", "epochs", "gt_error", "losses"):
             if key not in v:
-                raise SchemaError(f"{path}: video {i} lacks {key!r}")
+                raise SchemaError(f"{where} lacks {key!r}")
+        vid, epochs, gt = v["id"], v["epochs"], v["gt_error"]
+        if not isinstance(vid, str):
+            raise SchemaError(f"{where} id must be a string")
+        # type() is not int also refuses bools
+        if not isinstance(epochs, list) or not epochs \
+                or any(type(e) is not int for e in epochs):
+            raise SchemaError(f"{where} epochs must be a non-empty list of "
+                              f"integers")
+        if not isinstance(gt, list) \
+                or any(type(g) is not int or g not in (0, 1) for g in gt):
+            raise SchemaError(f"{where} gt_error must be a list of 0/1 "
+                              f"integers")
+        losses = SD.decode_f8(v["losses"], (len(epochs), len(gt)),
+                              f"{where} losses")
+        try:
+            v["trajectory"] = CSL.LossTrajectory(vid, losses, epochs)
+        except (DataError, NumericError) as e:
+            raise type(e)(f"{path}: {e}") from e
     return data
 
 
 def cmd_eval(cfg: dict) -> None:
     profiles = _load_profiles(cfg)
+    window = profiles["detection"]["window"]  # the audit's, not this config's
     inputs = [MET.EvalInput(video_id=v["id"],
-                            scores=np.asarray(v["smoothed"]),
+                            scores=CSL.smooth_csl(
+                                CSL.compute_csl(v["trajectory"]), window),
                             gt_mask=np.asarray(v["gt_error"], dtype=np.int8),
                             gt_segments=CSL.frames_to_segments(
                                 np.asarray(v["gt_error"])))
@@ -412,7 +443,7 @@ def cmd_heatmap(cfg: dict, video: str | None) -> None:
         targets = list(by_id)
     for vid in targets:
         path = _path(cfg, f"heatmap_{vid}.pgm")
-        write_pgm(np.asarray(by_id[vid]["losses"]), path)
+        write_pgm(by_id[vid]["trajectory"].losses, path)
         print(f"wrote {path}")
 
 

@@ -66,11 +66,18 @@ class LossTrajectory:
     def __post_init__(self):
         self.losses = np.asarray(self.losses, dtype=np.float64)
         if self.losses.ndim != 2:
-            raise ConfigError("losses must be a 2-D (epochs x frames) matrix")
+            raise DataError(f"video {self.video_id}: losses must be a 2-D "
+                            f"(epochs x frames) matrix, got "
+                            f"{self.losses.ndim}-D")
         if self.losses.shape[0] != len(self.epochs):
-            raise ConfigError("losses row count does not match epoch list")
-        if not np.all(np.isfinite(self.losses)) or np.any(self.losses < 0):
-            raise ConfigError("losses must be finite and nonnegative")
+            raise DataError(f"video {self.video_id}: {self.losses.shape[0]} "
+                            f"loss rows for {len(self.epochs)} epochs")
+        finite = np.isfinite(self.losses).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"video {self.video_id}: non-finite loss at "
+                               f"epoch {self.epochs[int(finite.argmin())]}")
+        if (self.losses < 0).any():
+            raise DataError(f"video {self.video_id}: negative loss")
 
 
 @dataclass

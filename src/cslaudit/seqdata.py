@@ -24,7 +24,9 @@ sample object:
 - `corruption`: the injected corruption's parameters, or null.
 
 Base64 of the raw bytes round-trips every float64 (NaN payloads and -0.0
-included), so a read returns exactly the arrays that were written. Files in
+included), so a read returns exactly the arrays that were written.
+`encode_f8`/`decode_f8` are this codec; the CLI's `profiles.json` stores its
+loss matrices with it too. Files in
 the retired `csl-seqdata/1` format, which held frames as nested lists of
 decimal numbers, are refused; regenerate them with `cslaudit gen` or write
 them again with `write_dataset`.
@@ -128,6 +130,8 @@ class PhaseGrammar:
             raise SchemaError(f"grammar is missing field {e}") from e
         except (TypeError, ValueError) as e:
             raise SchemaError(f"grammar has a malformed field ({e})") from e
+        except ConfigError as e:  # from validate(): the data is at fault
+            raise SchemaError(f"grammar is invalid ({e})") from e
 
     def __eq__(self, other):
         if not isinstance(other, PhaseGrammar):
@@ -394,48 +398,58 @@ def _header_dict(ds: Dataset, extra: dict | None = None) -> dict:
     return header
 
 
+def encode_f8(arr: np.ndarray) -> str:
+    """An array as one string: the padded standard base64 (RFC 4648) of its
+    bytes as little-endian float64, row-major."""
+    return base64.b64encode(np.asarray(arr).astype("<f8").tobytes()).decode("ascii")
+
+
+def decode_f8(text, shape: tuple[int, int], name: str) -> np.ndarray:
+    """The rows x cols float64 array that encode_f8 wrote into `text`.
+
+    A rows of -1 takes as many rows as the bytes hold, at least one. The
+    array is a writable, C-contiguous copy. A SchemaError begins with `name`.
+    """
+    if not isinstance(text, str):
+        raise SchemaError(f"{name} must be a base64 string, "
+                          f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as e:
+        raise SchemaError(f"{name} is not valid base64 ({e})") from e
+    rows, cols = shape
+    if rows < 0:
+        if not raw or len(raw) % (8 * cols):
+            raise SchemaError(f"{name} holds {len(raw)} bytes, not a positive "
+                              f"multiple of {8 * cols} (8 * {cols} columns)")
+    elif len(raw) != 8 * rows * cols:
+        raise SchemaError(f"{name} holds {len(raw)} bytes, not "
+                          f"{8 * rows * cols} (8 * {rows} x {cols})")
+    # astype copies, so the array is writable and owns its memory
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def _sample_dict(s: SequenceSample) -> dict:
-    frames = base64.b64encode(s.frames.astype("<f8").tobytes()).decode("ascii")
-    return {"id": s.id, "frames": frames,
+    return {"id": s.id, "frames": encode_f8(s.frames),
             "labels": s.labels.tolist(),
             "error_mask": s.error_mask.tolist(),
             "corruption": s.corruption}
 
 
-def serialize_dataset(ds: Dataset, header_extra: dict | None = None) -> str:
+def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
+    """Write JSONL atomically (temp file + rename). A path whose directory
+    does not exist raises DataError and leaves no file behind."""
     lines = [json.dumps(_header_dict(ds, header_extra), sort_keys=True)]
     lines.extend(json.dumps(_sample_dict(s), sort_keys=True) for s in ds.samples)
-    return "\n".join(lines) + "\n"
-
-
-def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
-    """Write JSONL atomically (temp file + rename)."""
-    text = serialize_dataset(ds, header_extra)
     tmp = str(path) + ".tmp"
-    if str(path).endswith(".gz"):
-        with gzip.open(tmp, "wt", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-    os.replace(tmp, path)
-
-
-def _decode_frames(text, d: int, ln: int) -> np.ndarray:
-    """The T x d float64 array held in a sample's base64 `frames` string."""
-    if not isinstance(text, str):
-        raise SchemaError(f"line {ln}: frames must be a base64 string, "
-                          f"got {type(text).__name__}")
+    opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        raw = base64.b64decode(text, validate=True)
-    except binascii.Error as e:
-        raise SchemaError(f"line {ln}: frames is not valid base64 ({e})") from e
-    row = 8 * d
-    if not raw or len(raw) % row:
-        raise SchemaError(f"line {ln}: frames holds {len(raw)} bytes, not a "
-                          f"positive multiple of {row} (8 * feature_dim {d})")
-    # astype copies, so the array is writable and owns its memory
-    return np.frombuffer(raw, dtype="<f8").reshape(-1, d).astype(np.float64)
+        with opener(tmp, "wt", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+    except (FileNotFoundError, NotADirectoryError) as e:
+        raise DataError(f"cannot write dataset {path}: its directory does "
+                        f"not exist") from e
+    os.replace(tmp, path)
 
 
 def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
@@ -446,7 +460,7 @@ def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
     for key in ("id", "frames", "labels", "error_mask"):
         if key not in obj:
             raise SchemaError(f"line {ln}: sample is missing field {key!r}")
-    frames = _decode_frames(obj["frames"], d, ln)
+    frames = decode_f8(obj["frames"], (-1, d), f"line {ln}: frames")
     ints = {}
     for key in ("labels", "error_mask"):
         try:

@@ -42,6 +42,16 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def decode_losses(video):
+    """A profiles.json video's E x T loss matrix (the README's recipe)."""
+    return np.frombuffer(base64.b64decode(video["losses"]),
+                         "<f8").reshape(len(video["epochs"]), -1).copy()
+
+
+def encode_losses(losses):
+    return base64.b64encode(np.asarray(losses, "<f8").tobytes()).decode()
+
+
 def run_pipeline(cfg_path):
     for cmd in (["gen"], ["corrupt"], ["train"]):
         assert run_cli(*cmd, "--config", cfg_path) == 0
@@ -201,7 +211,10 @@ class TestEvalCmd:
         run_pipeline(cfg_path)
         path = tmp_path / "run" / "profiles.json"
         profiles = json.loads(path.read_text())
-        profiles["videos"][0]["smoothed"][0] = float("nan")
+        video = profiles["videos"][0]
+        losses = decode_losses(video)
+        losses[0, 0] = np.nan   # eval's recomputed scores become NaN
+        video["losses"] = encode_losses(losses)
         path.write_text(json.dumps(profiles))
         assert run_cli("eval", "--config", cfg_path) == 4
 
@@ -217,7 +230,8 @@ class TestHeatmap:
         header, rest = pgm.split(b"\n", 1)
         assert header == b"P5"
         dims = rest.split(b"\n", 2)
-        E, T = len(vid["losses"]), len(vid["losses"][0])
+        E, T = decode_losses(vid).shape
+        assert T == len(vid["gt_error"])
         assert dims[0] == f"{T} {E}".encode()
         assert len(dims[2]) == E * T
 
@@ -259,6 +273,8 @@ MALFORMED = {
     "frames-outside-base64-alphabet": (3, lambda rows: rows[2].update(
         frames="****" + rows[2]["frames"])),
     "old-format-tag": (1, lambda rows: rows[0].update(format="csl-seqdata/1")),
+    "header-invalid-grammar": (1, lambda rows: rows[0]["grammar"].update(
+        duration_min=0)),
     "empty-sample": (2, lambda rows: rows[1].update(
         frames=[], labels=[], error_mask=[])),
     "non-object-sample": (4, lambda rows: rows.__setitem__(3, [1, 2])),
@@ -272,7 +288,7 @@ def trained_cfg(tmp_path_factory):
     cfg = base_config(tmp / "run")
     path = tmp / "config.json"
     path.write_text(json.dumps(cfg))
-    for cmd in ("gen", "train"):
+    for cmd in ("gen", "corrupt", "train"):
         assert run_cli(cmd, "--config", str(path)) == 0
     return cfg
 
@@ -312,6 +328,95 @@ def test_retired_format_names_tag(trained_cfg, tmp_path, capsys):
     code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
     assert code == 3
     assert "'csl-seqdata/1'" in err and "cslaudit gen" in err
+
+
+@pytest.mark.parametrize("name", ["x.jsonl", "x.jsonl.gz"])
+def test_corrupt_into_missing_directory_exit_3(trained_cfg, tmp_path, capsys,
+                                               name):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(trained_cfg))
+    out = tmp_path / "missing" / name
+    capsys.readouterr()
+    assert run_cli("corrupt", "--config", str(path), "--out-file",
+                   str(out)) == 3
+    assert str(out) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def audited_copy(trained_cfg, tmp_path, **detection):
+    """Config path and config auditing the trained store on the mislabeled
+    test split into tmp_path/run, with these detection fields changed."""
+    src = trained_cfg["out_dir"]
+    out = tmp_path / "run"
+    shutil.copytree(os.path.join(src, "store"), out / "store")
+    cfg = dict(trained_cfg, out_dir=str(out),
+               data=dict(trained_cfg["data"],
+                         val_path=os.path.join(src, "val.jsonl"),
+                         audit_path=os.path.join(src, "test_mislabel.jsonl")),
+               detection=dict(trained_cfg["detection"], **detection))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("audit", "--config", str(path)) == 0
+    return str(path), cfg
+
+
+def library_profiles(path):
+    """audit_dataset's profiles for the audit the config at path runs."""
+    cfg = cli.load_config(path)
+    store = ca.load_store(os.path.join(cfg["out_dir"], "store"))
+    ds = ca.read_dataset(cfg["data"]["audit_path"])
+    return ca.audit_dataset(store, ds, cli.build_detection_config(cfg))
+
+
+@pytest.mark.parametrize("mode", ["percentile", "threshold"])
+def test_profiles_losses_bit_equal_library(trained_cfg, tmp_path, mode):
+    path, cfg = audited_copy(trained_cfg, tmp_path, mode=mode, tau=None)
+    videos = cli._load_profiles(cfg)["videos"]
+    profiles = library_profiles(path)
+    assert [v["id"] for v in videos] == [p.video_id for p in profiles]
+    for v, p in zip(videos, profiles):
+        got = v["trajectory"].losses
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view("<u8"),
+                              p.trajectory.losses.view("<u8"))
+        assert np.array_equal(decode_losses(v), got)
+
+
+@pytest.mark.parametrize("mode", ["percentile", "threshold"])
+def test_eval_scores_equal_library_smoothed(trained_cfg, tmp_path,
+                                            monkeypatch, mode):
+    path, cfg = audited_copy(trained_cfg, tmp_path, mode=mode, tau=None)
+    seen = []
+    build_report = cli.MET.build_report
+
+    def spy(inputs, **kwargs):
+        seen.extend(inputs)
+        return build_report(inputs, **kwargs)
+
+    monkeypatch.setattr(cli.MET, "build_report", spy)
+    assert run_cli("eval", "--config", path) == 0
+    profiles = library_profiles(path)
+    assert len(seen) == len(profiles)
+    for ei, p in zip(seen, profiles):
+        assert ei.video_id == p.video_id
+        assert np.array_equal(ei.scores, p.smoothed)
+
+
+def test_eval_uses_the_audit_window(trained_cfg, tmp_path):
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    assert run_cli("eval", "--config", path) == 0
+    report = os.path.join(cfg["out_dir"], "report.json")
+    before = open(report, "rb").read()
+    window = cfg["detection"]["window"]
+    changed = dict(cfg, detection=dict(cfg["detection"], window=window + 3))
+    open(path, "w").write(json.dumps(changed))
+    assert run_cli("eval", "--config", path) == 0
+    after = json.loads(open(report).read())
+    # report.json echoes the eval config; every other byte is unchanged
+    assert after["config"]["detection"]["window"] == window + 3
+    after["config"]["detection"]["window"] = window
+    assert (json.dumps(after, sort_keys=True, indent=1) + "\n").encode() \
+        == before
 
 
 def _make_dir(path):
@@ -417,7 +522,15 @@ def test_malformed_store_manifest_exit_3(trained_cfg, tmp_path, capsys, text,
     assert "manifest.json" in err and text in err
 
 
-PROFILE_FIELDS = ("id", "smoothed", "gt_error", "losses")
+PROFILE_FIELDS = ("id", "epochs", "gt_error", "losses")
+
+
+def _video_1(**fields):
+    """Edit of a clean profiles.json: video 1 with these fields replaced."""
+    return lambda d: dict(d, videos=[d["videos"][0],
+                                     dict(d["videos"][1], **fields)])
+
+
 # (text the error must show, edit of a clean profiles.json)
 BAD_PROFILES = {
     "array": ("must be a JSON object", lambda d: [d]),
@@ -430,16 +543,26 @@ BAD_PROFILES = {
         lambda d, key=key: dict(d, videos=[d["videos"][0], {
             k: v for k, v in d["videos"][1].items() if k != key}]))
        for key in PROFILE_FIELDS},
+    "losses-not-base64": ("video 1 losses is not valid base64",
+                          _video_1(losses="not base64!")),
+    "losses-wrong-length": ("video 1 losses holds 16 bytes, not 24",
+                            _video_1(losses=encode_losses([0.1, 0.9]))),
+    "old-format-tag": ("'csl-profiles/1' is not 'csl-profiles/2'; re-run "
+                       "`cslaudit audit`",
+                       lambda d: dict(d, format="csl-profiles/1")),
+    "bad-window": ("detection.window must be an integer >= 0",
+                   lambda d: dict(d, detection={"window": -1})),
 }
 
 
 @pytest.mark.parametrize("text,mutate", list(BAD_PROFILES.values()),
                          ids=list(BAD_PROFILES))
 def test_malformed_profiles_exit_3(tmp_path, capsys, text, mutate):
-    videos = [{"id": f"v{i}", "smoothed": [0.1, 0.9, 0.2],
-               "gt_error": [0, 1, 0], "losses": [[0.1, 0.9, 0.2]]}
+    videos = [{"id": f"v{i}", "epochs": [1], "gt_error": [0, 1, 0],
+               "losses": encode_losses([[0.1, 0.9, 0.2]])}
               for i in range(2)]
-    clean = {"format": cli.PROFILES_FORMAT, "videos": videos}
+    clean = {"format": cli.PROFILES_FORMAT, "detection": {"window": 1},
+             "videos": videos}
     cfg = base_config(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))

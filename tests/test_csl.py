@@ -131,6 +131,26 @@ class TestCsl:
         assert np.abs(csl - brute).max() < 1e-12
 
 
+class TestTrajectoryErrors:
+    """Faults in the losses are data or numeric faults, not config ones."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_numeric_and_names_epoch(self, value):
+        losses = np.ones((3, 4))
+        losses[1, 2] = value
+        with pytest.raises(NumericError, match="video v: .* epoch 20"):
+            ca.LossTrajectory("v", losses, [10, 20, 30])
+
+    @pytest.mark.parametrize("losses,epochs", [
+        (-np.ones((2, 3)), [1, 2]),     # negative
+        (np.ones(3), [1]),              # not 2-D
+        (np.ones((2, 3)), [1, 2, 3]),   # rows != epochs
+    ], ids=["negative", "one-d", "epoch-count-mismatch"])
+    def test_bad_shape_or_sign_is_data_error(self, losses, epochs):
+        with pytest.raises(DataError, match="video v"):
+            ca.LossTrajectory("v", losses, epochs)
+
+
 class TestSmoothing:
     def test_zero_window_identity(self):
         x = np.array([4.0, 1.0, 3.0])
