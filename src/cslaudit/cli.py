@@ -370,8 +370,10 @@ def _load_profiles(cfg: dict) -> dict:
             if key not in v:
                 raise SchemaError(f"{where} lacks {key!r}")
         vid, epochs, gt = v["id"], v["epochs"], v["gt_error"]
-        if not isinstance(vid, str):
-            raise SchemaError(f"{where} id must be a string")
+        try:
+            SD.check_id(vid)
+        except SchemaError as e:
+            raise SchemaError(f"{where}: {e}") from e
         # type() is not int also refuses bools
         if not isinstance(epochs, list) or not epochs \
                 or any(type(e) is not int for e in epochs):

@@ -105,18 +105,21 @@ def _stack_snapshots(store: CheckpointStore) -> M.ModelParams:
 
 def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                          cfg: DetectionConfig, *,
-                         stacked: M.ModelParams | None = None
-                         ) -> LossTrajectory:
+                         stacked: M.ModelParams | None = None,
+                         ws: M.Workspace | None = None) -> LossTrajectory:
     """Per-frame loss under every checkpoint, in epoch order.
 
     The checkpoints are replayed in chunks of consecutive epochs, one stacked
     eval forward pass per chunk of at most CHUNK_ROWS frame x checkpoint rows;
     each row equals a forward under that checkpoint alone, bit for bit.
-    `stacked` is the store's snapshots already stacked (audit_dataset passes
-    them so that a dataset is stacked once, not once per sequence).
+    `stacked` is the store's snapshots already stacked, and `ws` the
+    workspace the forward passes reuse (audit_dataset passes both, so that a
+    dataset is stacked once and replayed through one workspace).
     """
     if stacked is None:
         stacked = _stack_snapshots(store)
+    if ws is None:
+        ws = M.Workspace()
     model_cfg = store.model_config
     if sample.frames.shape[1] != model_cfg.feature_dim:
         raise FingerprintError(
@@ -137,7 +140,7 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in stacked.tensors.items()})
-        trace = M.forward(chunk, model_cfg, sample.frames, train=False)
+        trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
         rows = losses[lo:lo + step]
         rows[...] = M.per_frame_losses(trace.probs, sample.labels, alpha)
         bad = ~np.isfinite(rows).all(axis=1)
@@ -251,7 +254,9 @@ def audit_sequence(store: CheckpointStore, sample: SequenceSample,
 def audit_dataset(store: CheckpointStore, ds: Dataset,
                   cfg: DetectionConfig) -> list[CslProfile]:
     """One profile per sample, in dataset order; the snapshots are stacked
-    once for the whole dataset."""
+    once for the whole dataset, and one workspace serves every replay."""
     stacked = _stack_snapshots(store)
-    return [_profile(eval_loss_trajectory(store, s, cfg, stacked=stacked), cfg)
+    ws = M.Workspace()
+    return [_profile(eval_loss_trajectory(store, s, cfg, stacked=stacked,
+                                          ws=ws), cfg)
             for s in ds.samples]

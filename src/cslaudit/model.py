@@ -13,10 +13,16 @@ applied after the two hidden head activations in train mode only.
 Everything is plain numpy; backward() returns exact gradients of the mean
 weighted cross-entropy with respect to every parameter tensor, verified
 against central finite differences in the test suite.
+
+forward() and backward() write every activation, T x T matrix, dropout mask
+and backward temporary into a Workspace that the training loop and the audit
+replay each keep for a whole run; its docstring says who owns the results
+and for how long.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,35 +175,126 @@ def sinusoidal_encoding(T: int, dim: int) -> np.ndarray:
     return table[:T]
 
 
-def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray | None = None):
-    """x @ W.T (+ b) per frame row; W and b may carry leading checkpoint axes
-    (matmul broadcasts, one gemm per checkpoint)."""
-    y = x @ W.swapaxes(-1, -2)
+# A stacked call keeps no activations, so these take the storage of one that
+# is dead by the time they are written: each ReLU runs in place, and Z2 and Z
+# overwrite Z1, the normalized input of a LayerNorm already computed. Fewer
+# buffers touched per call keep a replay's working set in cache.
+_STACKED_SHARED = {"H": "pre_enc", "D1": "L1", "D2": "L2",
+                   "Z2": "Z1", "Z": "Z1"}
+
+
+class Workspace:
+    """Float64 scratch buffers that `forward` and `backward` reuse.
+
+    Each named buffer is one flat array that grows when a larger shape
+    arrives and is handed out as a C-contiguous prefix view. The views for
+    one call's shapes are built once and cached under (config, leading axes,
+    frame count, train), so a call costs one lookup; growing a buffer drops the
+    cached views, since they may point at its old storage. Reusing the
+    buffers keeps large arrays from being returned to the OS and faulted in
+    again on every call.
+
+    Ownership: a workspace belongs to one caller, and the arrays a call
+    returns (`ForwardTrace.probs` and `.cache`) are views into it, valid
+    until the next call with the same workspace. A call without one makes
+    a fresh workspace, so its results are the caller's alone.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+        self._views: dict[tuple, dict[str, np.ndarray]] = {}
+
+    def buffers(self, cfg: ModelConfig, lead: tuple[int, ...], T: int,
+                train: bool) -> dict[str, np.ndarray]:
+        """name -> view for one call; `train` adds the dropout masks and the
+        backward temporaries."""
+        key = (cfg, lead, T, train)
+        views = self._views.get(key)
+        if views is None:
+            sizes = {name: (shape, math.prod(shape)) for name, shape
+                     in _buffer_shapes(cfg, lead, T, train).items()}
+            alias = _STACKED_SHARED if lead else {}
+            for name, (_, n) in sizes.items():
+                name = alias.get(name, name)
+                if name not in self._flat or self._flat[name].size < n:
+                    self._flat[name] = np.empty(n)
+                    self._views.clear()
+            views = {name: self._flat[alias.get(name, name)][:n].reshape(shape)
+                     for name, (shape, n) in sizes.items()}
+            self._views[key] = views
+        return views
+
+
+def _buffer_shapes(cfg: ModelConfig, lead: tuple[int, ...], T: int,
+                   train: bool) -> dict[str, tuple[int, ...]]:
+    """The workspace buffers one call uses. Per-frame activations carry the
+    leading checkpoint axes; the T x T attention matrix is one checkpoint's,
+    and the backward temporaries are unstacked."""
+    h, a, C = cfg.hidden_dim, cfg.attention_dim, cfg.num_classes
+    h1, h2 = cfg.head_dims
+    r = lead + (T,)
+    shapes = {"pre_enc": r + (h,), "H": r + (h,),
+              "Z1": r + (h1,), "L1": r + (h1,), "inv1": r + (1,),
+              "D1": r + (h1,), "Z2": r + (h2,), "L2": r + (h2,),
+              "inv2": r + (1,), "D2": r + (h2,), "Z": r + (C,)}
+    attention = cfg.temporal_mode == ATTENTION
+    if attention:
+        shapes.update(N=r + (h,), xhat_a=r + (h,), inv_a=r + (1,),
+                      Qm=r + (a,), Km=r + (a,), Vm=r + (a,), A=(T, T),
+                      ctx=r + (a,), Hp=r + (h,))
+    if train:
+        shapes.update(mask1=r + (h1,), mask2=r + (h2,),
+                      dZ=(T, C), dD2=(T, h2), tmp2=(T, h2),
+                      dD1=(T, h1), tmp1=(T, h1), dHp=(T, h))
+        if attention:
+            shapes.update(dctx=(T, a), dA=(T, T), tmpA=(T, T), dVm=(T, a),
+                          dQm=(T, a), dKm=(T, a), dN=(T, h), tmp_h=(T, h))
+    return shapes
+
+
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray | None = None,
+            out: np.ndarray | None = None):
+    """x @ W.T (+ b) per frame row, into `out` when given; W and b may carry
+    leading checkpoint axes (matmul broadcasts, one gemm per checkpoint)."""
+    y = np.matmul(x, W.swapaxes(-1, -2), out=out)
     if b is not None:
         y += b[..., None, :]
     return y
 
 
-def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
+def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray,
+               y: np.ndarray | None = None, xhat: np.ndarray | None = None,
+               inv_std: np.ndarray | None = None):
+    """(y, xhat, inv_std) of a LayerNorm over the last axis, written into the
+    given buffers (xhat may be x itself) or into new arrays."""
     # sum/n and square(x - mu).sum/n are the exact operations np.mean and
     # np.var perform, so the centred x is computed once and reused for xhat.
+    if y is None:
+        y, xhat = np.empty_like(x), np.empty_like(x)
+        inv_std = np.empty(x.shape[:-1] + (1,))
     n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / n
-    xhat = x - mu
-    var = np.square(xhat).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
+    mu = x.sum(axis=-1, keepdims=True, out=inv_std)
+    mu /= n
+    np.subtract(x, mu, out=xhat)
+    var = np.square(xhat, out=y).sum(axis=-1, keepdims=True, out=inv_std)
+    var /= n
+    var += LN_EPS
+    np.sqrt(var, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
     xhat *= inv_std
-    y = xhat * g[..., None, :]
+    np.multiply(xhat, g[..., None, :], out=y)
     y += b[..., None, :]
     return y, xhat, inv_std
 
 
-def _layernorm_backward(dy, xhat, inv_std, g):
+def _layernorm_backward(dy, xhat, inv_std, g, dx=None, tmp=None):
+    """(dx, dg, db) of a LayerNorm; dx and tmp are buffers shaped like dy
+    (dx may be dy itself), new arrays when not given."""
     n = xhat.shape[1]
-    dxhat = dy * g
-    tmp = dy * xhat
+    tmp = np.multiply(dy, xhat, out=tmp)
     dg = tmp.sum(axis=0)
     db = dy.sum(axis=0)
+    dxhat = np.multiply(dy, g, out=dx)
     np.multiply(dxhat, xhat, out=tmp)
     m2 = tmp.sum(axis=1, keepdims=True) / n
     dxhat -= dxhat.sum(axis=1, keepdims=True) / n
@@ -216,12 +313,27 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray) -> np.ndarray:
-    """Gradient through a row softmax A: overwrites dA with dS and returns it."""
-    tmp = dA * A
+def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray,
+                           tmp: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through a row softmax A: overwrites dA with dS and returns it.
+    `tmp` is a scratch buffer shaped like A."""
+    tmp = np.multiply(dA, A, out=tmp)
     dA -= tmp.sum(axis=1, keepdims=True)
     dA *= A
     return dA
+
+
+def _dropout(R: np.ndarray, rate: float, rng: np.random.Generator | None,
+             mask: np.ndarray) -> np.ndarray:
+    """Inverted dropout of R in place; the mask (1/(1 - rate) where kept,
+    else 0) is drawn into the buffer `mask` and returned."""
+    if rng is None:
+        raise ConfigError("train-mode forward with dropout requires an rng")
+    rng.random(out=mask)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    R *= mask
+    return mask
 
 
 @dataclass
@@ -229,13 +341,12 @@ class ForwardTrace:
     """Per-frame probabilities plus cached activations for the backward pass."""
 
     probs: np.ndarray            # (..., T, C), rows on the simplex
-    train: bool
     cache: dict = field(repr=False, default_factory=dict)
 
 
 def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
-            train: bool = False,
-            rng: np.random.Generator | None = None) -> ForwardTrace:
+            train: bool = False, rng: np.random.Generator | None = None,
+            ws: Workspace | None = None) -> ForwardTrace:
     """Run the classifier over a full sequence.
 
     Eval mode is a pure function of (params, frames); train mode consumes
@@ -248,6 +359,8 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     gemm per checkpoint; the T x T attention core loops over the checkpoints,
     so only one score matrix is alive at a time). A stacked call caches no
     activations: `backward` and train mode take unstacked parameters.
+
+    The result lives in `ws` (see Workspace), a fresh one when not given.
     """
     X = np.asarray(frames, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.feature_dim:
@@ -258,75 +371,71 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite values in input frames")
     p = params.tensors
-    cache = {"X": X} if p["enc.W"].ndim == 2 else None
-    H = _encode(p, X, cache)
+    lead = p["enc.W"].shape[:-2]
+    buf = (ws or Workspace()).buffers(cfg, lead, X.shape[0], train)
+    cache = None if lead else {"X": X}
+    H = _encode(p, X, buf, cache)
     if cfg.temporal_mode == ATTENTION:
-        H = _attend(p, cfg, H, cache)
+        H = _attend(p, cfg, H, buf, cache)
     if cache is not None:
         cache["Hp"] = H
-    probs = _head(p, cfg, H, train, rng, cache)
-    return ForwardTrace(probs=probs, train=train, cache=cache or {})
+    probs = _head(p, cfg, H, train, rng, buf, cache)
+    return ForwardTrace(probs=probs, cache=cache or {})
 
 
-# The three stages of forward(). Each fills `cache` with what backward needs
-# when given one; without it (a stacked replay) a stage's activations are
-# freed when it returns, so a replay chunk's working set stays a few arrays.
+# The three stages of forward(). Each writes its activations into the
+# workspace views `buf` and fills `cache` with what backward needs when given
+# one (a stacked replay passes none).
 
 
-def _encode(p: dict, X: np.ndarray, cache: dict | None) -> np.ndarray:
-    pre_enc = _affine(X, p["enc.W"], p["enc.b"])
+def _encode(p: dict, X: np.ndarray, buf: dict,
+            cache: dict | None) -> np.ndarray:
+    pre_enc = _affine(X, p["enc.W"], p["enc.b"], buf["pre_enc"])
     if cache is not None:
         cache["pre_enc"] = pre_enc
-    return np.maximum(pre_enc, 0.0)
+    return np.maximum(pre_enc, 0.0, out=buf["H"])
 
 
-def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray,
+def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray, buf: dict,
             cache: dict | None) -> np.ndarray:
     T = H0.shape[-2]
-    U = H0 + sinusoidal_encoding(T, cfg.hidden_dim)
-    N, xhat_a, inv_a = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"])
-    Qm = _affine(N, p["attn.Wq"])
-    Km = _affine(N, p["attn.Wk"])
-    Vm = _affine(N, p["attn.Wv"])
+    U = H0  # backward needs H0 no more: U = H0 + PE overwrites it
+    U += sinusoidal_encoding(T, cfg.hidden_dim)
+    N, xhat_a, inv_a = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"],
+                                  buf["N"], buf["xhat_a"], buf["inv_a"])
+    Qm = _affine(N, p["attn.Wq"], out=buf["Qm"])
+    Km = _affine(N, p["attn.Wk"], out=buf["Km"])
+    Vm = _affine(N, p["attn.Wv"], out=buf["Vm"])
     scale = 1.0 / np.sqrt(cfg.attention_dim)
-    ctx = np.empty_like(Vm)
+    A, ctx = buf["A"], buf["ctx"]
     for i in np.ndindex(Qm.shape[:-2]):  # one (): unstacked parameters
-        S = Qm[i] @ Km[i].T
-        S *= scale
-        A = _softmax_rows(S)
+        np.matmul(Qm[i], Km[i].T, out=A)
+        A *= scale
+        _softmax_rows(A)
         np.matmul(A, Vm[i], out=ctx[i])
     if cache is not None:
-        cache.update(U=U, N=N, xhat_a=xhat_a, inv_a=inv_a,
+        cache.update(N=N, xhat_a=xhat_a, inv_a=inv_a,
                      Qm=Qm, Km=Km, Vm=Vm, A=A, ctx=ctx, scale=scale)
-    return U + _affine(ctx, p["attn.Wo"])
+    Hp = _affine(ctx, p["attn.Wo"], out=buf["Hp"])
+    Hp += U  # the residual; IEEE addition commutes, so this is U + Hp
+    return Hp
 
 
 def _head(p: dict, cfg: ModelConfig, Hp: np.ndarray, train: bool,
-          rng: np.random.Generator | None, cache: dict | None) -> np.ndarray:
+          rng: np.random.Generator | None, buf: dict,
+          cache: dict | None) -> np.ndarray:
     r1, r2 = cfg.dropout_rates if train else (0.0, 0.0)
-    Z1 = _affine(Hp, p["head.W1"], p["head.b1"])
-    L1, xhat1, inv1 = _layernorm(Z1, p["head.ln1_g"], p["head.ln1_b"])
-    R1 = np.maximum(L1, 0.0)
-    if r1 > 0:
-        if rng is None:
-            raise ConfigError("train-mode forward with dropout requires an rng")
-        mask1 = (rng.random(R1.shape) >= r1) / (1.0 - r1)
-        D1 = R1 * mask1
-    else:
-        mask1 = None
-        D1 = R1
-    Z2 = _affine(D1, p["head.W2"], p["head.b2"])
-    L2, xhat2, inv2 = _layernorm(Z2, p["head.ln2_g"], p["head.ln2_b"])
-    R2 = np.maximum(L2, 0.0)
-    if r2 > 0:
-        if rng is None:
-            raise ConfigError("train-mode forward with dropout requires an rng")
-        mask2 = (rng.random(R2.shape) >= r2) / (1.0 - r2)
-        D2 = R2 * mask2
-    else:
-        mask2 = None
-        D2 = R2
-    Z = _affine(D2, p["head.W3"], p["head.b3"])
+    Z1 = _affine(Hp, p["head.W1"], p["head.b1"], buf["Z1"])
+    L1, xhat1, inv1 = _layernorm(Z1, p["head.ln1_g"], p["head.ln1_b"],
+                                 buf["L1"], Z1, buf["inv1"])
+    D1 = np.maximum(L1, 0.0, out=buf["D1"])
+    mask1 = _dropout(D1, r1, rng, buf["mask1"]) if r1 > 0 else None
+    Z2 = _affine(D1, p["head.W2"], p["head.b2"], buf["Z2"])
+    L2, xhat2, inv2 = _layernorm(Z2, p["head.ln2_g"], p["head.ln2_b"],
+                                 buf["L2"], Z2, buf["inv2"])
+    D2 = np.maximum(L2, 0.0, out=buf["D2"])
+    mask2 = _dropout(D2, r2, rng, buf["mask2"]) if r2 > 0 else None
+    Z = _affine(D2, p["head.W3"], p["head.b3"], buf["Z"])
     if cache is not None:
         cache.update(L1=L1, xhat1=xhat1, inv1=inv1, mask1=mask1, D1=D1,
                      L2=L2, xhat2=xhat2, inv2=inv2, mask2=mask2, D2=D2)
@@ -363,67 +472,78 @@ def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
 
 def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
              labels: np.ndarray, alpha: np.ndarray, train: bool = False,
-             rng: np.random.Generator | None = None
+             rng: np.random.Generator | None = None,
+             ws: Workspace | None = None
              ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean weighted CE over the sequence plus exact gradients.
 
     With train-mode dropout the gradients are exact for the realized masks
-    (same rng stream as the paired forward).
+    (same rng stream as the paired forward). Activations and temporaries
+    live in `ws` (a fresh workspace when not given); the gradients are new
+    arrays.
     """
-    trace = forward(params, cfg, frames, train=train, rng=rng)
+    ws = ws or Workspace()
+    trace = forward(params, cfg, frames, train=train, rng=rng, ws=ws)
     c = trace.cache
     p = params.tensors
     labels = np.asarray(labels, dtype=np.int64)
     T = len(labels)
     if T != c["X"].shape[0]:
         raise ConfigError("labels length does not match frames")
+    buf = ws.buffers(cfg, (), T, True)  # forward's views plus temporaries
     alpha = np.asarray(alpha, dtype=np.float64)
     loss = sequence_loss(trace.probs, labels, alpha)
     grads: dict[str, np.ndarray] = {}
 
     # softmax + weighted CE: dZ[t] = alpha[y_t]/T * (p_t - onehot(y_t))
     w = alpha[labels][:, None] / T
-    dZ = trace.probs * w
+    dZ = np.multiply(trace.probs, w, out=buf["dZ"])
     dZ[np.arange(T), labels] -= w[:, 0]
 
     grads["head.W3"] = dZ.T @ c["D2"]
     grads["head.b3"] = dZ.sum(axis=0)
-    dD2 = dZ @ p["head.W3"]
-    dR2 = dD2 * c["mask2"] if c["mask2"] is not None else dD2
-    dL2 = dR2 * (c["L2"] > 0)
+    dL2 = np.matmul(dZ, p["head.W3"], out=buf["dD2"])
+    if c["mask2"] is not None:
+        dL2 *= c["mask2"]
+    dL2 *= c["L2"] > 0
     dZ2, grads["head.ln2_g"], grads["head.ln2_b"] = _layernorm_backward(
-        dL2, c["xhat2"], c["inv2"], p["head.ln2_g"])
+        dL2, c["xhat2"], c["inv2"], p["head.ln2_g"], dL2, buf["tmp2"])
     grads["head.W2"] = dZ2.T @ c["D1"]
     grads["head.b2"] = dZ2.sum(axis=0)
-    dD1 = dZ2 @ p["head.W2"]
-    dR1 = dD1 * c["mask1"] if c["mask1"] is not None else dD1
-    dL1 = dR1 * (c["L1"] > 0)
+    dL1 = np.matmul(dZ2, p["head.W2"], out=buf["dD1"])
+    if c["mask1"] is not None:
+        dL1 *= c["mask1"]
+    dL1 *= c["L1"] > 0
     dZ1, grads["head.ln1_g"], grads["head.ln1_b"] = _layernorm_backward(
-        dL1, c["xhat1"], c["inv1"], p["head.ln1_g"])
+        dL1, c["xhat1"], c["inv1"], p["head.ln1_g"], dL1, buf["tmp1"])
     grads["head.W1"] = dZ1.T @ c["Hp"]
     grads["head.b1"] = dZ1.sum(axis=0)
-    dHp = dZ1 @ p["head.W1"]
+    dHp = np.matmul(dZ1, p["head.W1"], out=buf["dHp"])
 
     if cfg.temporal_mode == ATTENTION:
         grads["attn.Wo"] = dHp.T @ c["ctx"]
-        dctx = dHp @ p["attn.Wo"]
-        dA = dctx @ c["Vm"].T
-        dVm = c["A"].T @ dctx
-        dS = _softmax_rows_backward(c["A"], dA)
-        dQm = dS @ c["Km"] * c["scale"]
-        dKm = dS.T @ c["Qm"] * c["scale"]
+        dctx = np.matmul(dHp, p["attn.Wo"], out=buf["dctx"])
+        dA = np.matmul(dctx, c["Vm"].T, out=buf["dA"])
+        dVm = np.matmul(c["A"].T, dctx, out=buf["dVm"])
+        dS = _softmax_rows_backward(c["A"], dA, buf["tmpA"])
+        dQm = np.matmul(dS, c["Km"], out=buf["dQm"])
+        dQm *= c["scale"]
+        dKm = np.matmul(dS.T, c["Qm"], out=buf["dKm"])
+        dKm *= c["scale"]
         grads["attn.Wq"] = dQm.T @ c["N"]
         grads["attn.Wk"] = dKm.T @ c["N"]
         grads["attn.Wv"] = dVm.T @ c["N"]
-        dN = dQm @ p["attn.Wq"] + dKm @ p["attn.Wk"] + dVm @ p["attn.Wv"]
-        dU_ln, grads["attn.ln_g"], grads["attn.ln_b"] = _layernorm_backward(
-            dN, c["xhat_a"], c["inv_a"], p["attn.ln_g"])
-        dU = dHp + dU_ln   # residual + LN path
-        dH0 = dU           # positional encoding is constant
+        dN, tmp = buf["dN"], buf["tmp_h"]
+        np.matmul(dQm, p["attn.Wq"], out=dN)
+        dN += np.matmul(dKm, p["attn.Wk"], out=tmp)
+        dN += np.matmul(dVm, p["attn.Wv"], out=tmp)
+        dU, grads["attn.ln_g"], grads["attn.ln_b"] = _layernorm_backward(
+            dN, c["xhat_a"], c["inv_a"], p["attn.ln_g"], dN, tmp)
+        dU += dHp          # residual + LN path
+        dpre = dU          # positional encoding is constant
     else:
-        dH0 = dHp
-
-    dpre = dH0 * (c["pre_enc"] > 0)
+        dpre = dHp
+    dpre *= c["pre_enc"] > 0
     grads["enc.W"] = dpre.T @ c["X"]
     grads["enc.b"] = dpre.sum(axis=0)
     return loss, grads

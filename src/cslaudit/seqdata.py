@@ -14,7 +14,8 @@ then rename). Line 1 is the header object: `format` ("csl-seqdata/2"),
 writer adds (`corrupt` adds `corruption_spec`). Each following line is one
 sample object:
 
-- `id`: string;
+- `id`: string, non-empty, not `.` or `..`, without `/`, `\\`, `,`, `"` or
+  control characters (`check_id`);
 - `frames`: the T x d feature matrix as one string, the padded standard
   base64 (RFC 4648) of its bytes as little-endian float64, row-major; d is
   the grammar's `feature_dim`, so T = decoded bytes / (8 d);
@@ -44,6 +45,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -55,6 +57,18 @@ from .errors import (ConfigError, DataError, ParseError, SchemaError,
 FORMAT_TAG = "csl-seqdata/2"
 
 SPLITS = ("train", "val", "test")
+
+_BAD_ID_CHAR = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]')
+
+
+def check_id(vid) -> None:
+    """Raise SchemaError unless `vid` can name a video: the id names its
+    heatmap file and is written unquoted into audit.csv."""
+    if not isinstance(vid, str) or vid in ("", ".", "..") \
+            or _BAD_ID_CHAR.search(vid):
+        raise SchemaError(
+            f"sample id {vid!r} must be a non-empty string other than '.' or "
+            f"'..', without '/', '\\', ',', '\"' or control characters")
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,7 @@ class SequenceSample:
     corruption: dict | None = None
 
     def __post_init__(self):
+        check_id(self.id)
         self.frames = np.asarray(self.frames, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.error_mask = np.asarray(self.error_mask, dtype=np.int8)
@@ -496,7 +511,17 @@ def _read_lines(path: str) -> list[str]:
 
 
 def read_dataset(path: str) -> Dataset:
+    """The dataset in a `csl-seqdata/2` file. Every ParseError or SchemaError
+    message begins with the path, then the line at fault."""
     lines = _read_lines(path)
+    try:
+        return _parse_dataset(lines)
+    except (ParseError, SchemaError) as e:
+        e.args = (f"{path}: {e}",)  # keeps the type, line and traceback
+        raise
+
+
+def _parse_dataset(lines: list[str]) -> Dataset:
     if not lines:
         raise ParseError("empty dataset file", line=1)
     try:
@@ -506,8 +531,8 @@ def read_dataset(path: str) -> Dataset:
     fmt = header.get("format") if isinstance(header, dict) else None
     if fmt == "csl-seqdata/1":
         raise ParseError(
-            f"{path} is in the retired format 'csl-seqdata/1'; regenerate it "
-            f"with `cslaudit gen` or write it with seqdata.write_dataset "
+            f"the file is in the retired format 'csl-seqdata/1'; regenerate "
+            f"it with `cslaudit gen` or write it with seqdata.write_dataset "
             f"(format {FORMAT_TAG!r})", line=1)
     if fmt != FORMAT_TAG:
         raise ParseError(f"expected format {FORMAT_TAG!r}", line=1)

@@ -216,6 +216,12 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
 
     params = M.init_params(eff_model)
     state = AdamWState(params)
+    # Every step's activations and temporaries, sized for the longest
+    # sequence up front: buffers that grew mid-run would leave their old
+    # storage behind as holes in the heap.
+    ws = M.Workspace()
+    ws.buffers(eff_model, (), max(s.num_frames for s in ds_train.samples),
+               True)
     n = len(ds_train.samples)
     os.makedirs(store_path, exist_ok=True)
     manifest = {
@@ -240,7 +246,7 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
             step += 1
             loss, grads = M.backward(
                 params, eff_model, sample.frames, sample.labels, weights.alpha,
-                train=True, rng=rng_dropout)
+                train=True, rng=rng_dropout, ws=ws)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, step {step}")

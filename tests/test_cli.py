@@ -279,6 +279,10 @@ MALFORMED = {
         frames=[], labels=[], error_mask=[])),
     "non-object-sample": (4, lambda rows: rows.__setitem__(3, [1, 2])),
     "float-label": (2, lambda rows: rows[1]["labels"].__setitem__(0, 0.5)),
+    # an id names the heatmap file and is written unquoted into audit.csv
+    "id-not-a-string": (3, lambda rows: rows[2].update(id=7)),
+    "id-with-slash": (3, lambda rows: rows[2].update(id="../x")),
+    "id-with-comma": (3, lambda rows: rows[2].update(id="a,b")),
 }
 
 
@@ -320,7 +324,7 @@ def test_malformed_audit_input_exit_3(trained_cfg, tmp_path, capsys, line,
     bad = edited_test_split(trained_cfg, tmp_path, mutate)
     code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
     assert code == 3
-    assert f"line {line}:" in err
+    assert f"{bad}: line {line}:" in err  # audit reads two files
 
 
 def test_retired_format_names_tag(trained_cfg, tmp_path, capsys):
@@ -552,6 +556,7 @@ BAD_PROFILES = {
                        lambda d: dict(d, format="csl-profiles/1")),
     "bad-window": ("detection.window must be an integer >= 0",
                    lambda d: dict(d, detection={"window": -1})),
+    "id-with-slash": ("video 1: sample id '../x'", _video_1(id="../x")),
 }
 
 

@@ -452,3 +452,28 @@ class TestStackedReplay:
         with pytest.raises(NumericError,
                            match=f"video {ds.samples[0].id}: .*epoch 8 "):
             ca.audit_dataset(store, ds, DET)
+
+
+@pytest.mark.parametrize("mode", ["context_free", "attention"])
+@pytest.mark.parametrize("chunk_rows", [None, 100])
+def test_one_workspace_across_lengths(monkeypatch, mode, chunk_rows):
+    """audit_dataset replays long, short, then long sequences through one
+    workspace; each profile equals that sequence audited alone (a fresh
+    workspace), bit for bit."""
+    if chunk_rows is not None:  # chunks of 1, 2 and all 7 checkpoints
+        monkeypatch.setattr(CSL, "CHUNK_ROWS", chunk_rows)
+    store = random_store(mode, 7)
+    means = np.zeros((3, 4))
+    means[np.arange(3), np.arange(3)] = 3.0
+    grammar = ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
+    rng = np.random.default_rng(5)
+    samples = [ca.SequenceSample(f"v{i}", rng.normal(0, 1, (T, 4)),
+                                 rng.integers(0, 3, T), np.zeros(T))
+               for i, T in enumerate([70, 9, 1, 50, 70, 23])]
+    got = ca.audit_dataset(store, ca.Dataset(grammar, samples, "test", 0), DET)
+    for s, prof in zip(samples, got):
+        want = ca.audit_dataset(
+            store, ca.Dataset(grammar, [s], "test", 0), DET)[0]
+        for field in ("csl", "smoothed", "flags"):
+            assert np.array_equal(getattr(prof, field), getattr(want, field))
+        assert np.array_equal(prof.trajectory.losses, want.trajectory.losses)

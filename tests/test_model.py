@@ -339,3 +339,53 @@ class TestStackedForward:
         assert trace.cache == {}  # a stacked replay keeps no activations
         for e, p in enumerate(snaps):
             assert np.array_equal(trace.probs[e], ca.forward(p, cfg, X).probs)
+
+
+class TestWorkspace:
+    CFG = dict(feature_dim=4, num_classes=3, hidden_dim=8, head_dims=(6, 5),
+               attention_dim=4, dropout_rates=(0.5, 0.3))
+
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    def test_shared_equals_fresh_across_lengths(self, mode):
+        """One workspace serving long, short, then long sequences gives the
+        results of a fresh workspace per call, bit for bit."""
+        cfg = ca.ModelConfig(temporal_mode=mode, **self.CFG)
+        p = perturbed_params(cfg, 8)
+        alpha = np.array([0.5, 1.0, 1.5])
+        ws = M.Workspace()
+        for T in (40, 7, 1, 40, 23):
+            rng = np.random.default_rng(T)
+            X, y = rng.normal(size=(T, 4)), rng.integers(0, 3, T)
+            loss, grads = ca.backward(p, cfg, X, y, alpha, train=True,
+                                      rng=np.random.default_rng(T), ws=ws)
+            loss0, grads0 = ca.backward(p, cfg, X, y, alpha, train=True,
+                                        rng=np.random.default_rng(T))
+            assert loss == loss0
+            for k in grads0:
+                assert np.array_equal(grads[k], grads0[k])
+            assert np.array_equal(ca.forward(p, cfg, X, ws=ws).probs,
+                                  ca.forward(p, cfg, X).probs)
+
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    def test_results_without_workspace_are_not_overwritten(self, mode):
+        cfg = ca.ModelConfig(temporal_mode=mode, **self.CFG)
+        p = perturbed_params(cfg, 9)
+        rng = np.random.default_rng(9)
+        X1, X2 = rng.normal(size=(2, 11, 4))
+        y, alpha = rng.integers(0, 3, 11), np.ones(3)
+        trace = ca.forward(p, cfg, X1, train=True,
+                           rng=np.random.default_rng(1))
+        _, grads = ca.backward(p, cfg, X1, y, alpha)
+        kept = {k: v.copy() for k, v in trace.cache.items()
+                if isinstance(v, np.ndarray)}
+        probs, kept_grads = trace.probs.copy(), {
+            k: g.copy() for k, g in grads.items()}
+        ca.forward(p, cfg, X2, train=True, rng=np.random.default_rng(2))
+        ca.backward(p, cfg, X2, y, alpha, train=True,
+                    rng=np.random.default_rng(2))
+        assert np.array_equal(trace.probs, probs)
+        assert kept.keys() >= {"pre_enc", "L1", "L2", "D1", "D2"}
+        for k, v in kept.items():
+            assert np.array_equal(trace.cache[k], v)
+        for k, g in kept_grads.items():
+            assert np.array_equal(grads[k], g)

@@ -253,6 +253,19 @@ class TestIO:
         with pytest.raises(SchemaError, match=obj["id"]):
             ca.read_dataset(str(path))
 
+    @pytest.mark.parametrize("bad_id", [
+        7, None, "", ".", "..", "sub/dir", "../x", "a\\b", "a,b", 'a"b',
+        "a\nb", "a\tb", "a\x7fb", "a\x85b"])
+    def test_sample_id_refused(self, bad_id):
+        with pytest.raises(SchemaError, match="sample id"):
+            ca.SequenceSample(bad_id, np.zeros((2, 2)), [0, 0], [0, 0])
+
+    @pytest.mark.parametrize("good_id", ["s0", "train-0001", "a.b", ".x",
+                                         "vidéo 1"])
+    def test_sample_id_accepted(self, good_id):
+        assert ca.SequenceSample(good_id, np.zeros((2, 2)), [0, 0],
+                                 [0, 0]).id == good_id
+
     def test_write_is_atomic(self, small_dataset, tmp_path):
         path = tmp_path / "ds.jsonl"
         ca.write_dataset(small_dataset, str(path))

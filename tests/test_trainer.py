@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -254,6 +256,42 @@ class TestTrain:
         ds = ca.Dataset(small_grammar, [], "train", 0)
         with pytest.raises(ConfigError):
             ca.train(ds, tiny_model_cfg, train_cfg, str(tmp_path / "s"))
+
+
+FAULTS_PER_STEP = """
+import resource, sys, tempfile
+import numpy as np
+import cslaudit as ca
+
+C, d = 6, 16
+means = np.zeros((C, d))
+means[np.arange(C), np.arange(C)] = 2.8
+grammar = ca.PhaseGrammar(C, d, means, 1.0, tuple(range(C)), 50, 70, 3)
+ds = ca.generate_dataset(grammar, 8, "train", seed=1)  # T 300..420
+faults = []
+with tempfile.TemporaryDirectory() as store:
+    ca.train(ds, ca.ModelConfig(feature_dim=d, num_classes=C,
+                                temporal_mode="attention"),
+             ca.TrainConfig(epochs=4), store,
+             on_epoch=lambda epoch, loss: faults.append(
+                 resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print((faults[-1] - faults[0]) / (len(ds.samples) * (len(faults) - 1)))
+"""
+
+
+def test_training_step_faults_in_no_pages():
+    """After the first epoch an attention step (T 300..420) reuses its
+    buffers instead of faulting in fresh pages: a fresh interpreter with the
+    default allocator settings takes at most 10 minor faults per step."""
+    pytest.importorskip("resource")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(ca.__file__)))
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert float(out) <= 10, f"{float(out):.0f} minor faults per step"
 
 
 class TestStoreIO:
