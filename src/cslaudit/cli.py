@@ -345,7 +345,8 @@ def _load_profiles(cfg: dict) -> dict:
         try:
             data = json.load(f)
         except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: not valid JSON ({e.msg})", e.lineno) from e
+            raise ParseError(f"{path}: line {e.lineno}: not valid JSON "
+                             f"({e.msg})") from e
     if not isinstance(data, dict):
         raise ParseError(f"{path}: profiles must be a JSON object, "
                          f"got {type(data).__name__}")
@@ -361,6 +362,7 @@ def _load_profiles(cfg: dict) -> dict:
     if not isinstance(videos, list):
         raise SchemaError(f"{path}: 'videos' must be a list, "
                           f"got {type(videos).__name__}")
+    first = {}  # id -> index of the first video with it
     for i, v in enumerate(videos):
         where = f"{path}: video {i}"
         if not isinstance(v, dict):
@@ -374,6 +376,8 @@ def _load_profiles(cfg: dict) -> dict:
             SD.check_id(vid)
         except SchemaError as e:
             raise SchemaError(f"{where}: {e}") from e
+        if first.setdefault(vid, i) != i:
+            raise SchemaError(f"{where} repeats the id of video {first[vid]}")
         # type() is not int also refuses bools
         if not isinstance(epochs, list) or not epochs \
                 or any(type(e) is not int for e in epochs):

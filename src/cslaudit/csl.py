@@ -12,13 +12,15 @@ a time, one stacked forward pass per chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DataError, FingerprintError, NumericError
 from .seqdata import Dataset, SequenceSample
-from .trainer import CheckpointStore
+if TYPE_CHECKING:  # annotations only: eval and heatmap never load trainer
+    from .trainer import CheckpointStore
 
 UNWEIGHTED = "unweighted"
 TRAIN_WEIGHTED = "train_weighted"
@@ -245,18 +247,19 @@ def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
                       segments=segments, mode=cfg.mode, param=param)
 
 
-def audit_sequence(store: CheckpointStore, sample: SequenceSample,
-                   cfg: DetectionConfig) -> CslProfile:
-    """Trajectory -> CSL -> smoothing -> flagging -> segments."""
-    return _profile(eval_loss_trajectory(store, sample, cfg), cfg)
-
-
 def audit_dataset(store: CheckpointStore, ds: Dataset,
                   cfg: DetectionConfig) -> list[CslProfile]:
     """One profile per sample, in dataset order; the snapshots are stacked
     once for the whole dataset, and one workspace serves every replay."""
     stacked = _stack_snapshots(store)
+    # Sized up front, chunked as eval_loss_trajectory chunks, for the largest
+    # chunk and the longest T x T attention matrix: no buffer grows mid-replay.
     ws = M.Workspace()
+    chunks = {s.num_frames: min(max(1, CHUNK_ROWS // s.num_frames),
+                                len(store.snapshots)) for s in ds.samples}
+    if chunks:
+        for T in (max(chunks, key=lambda T: chunks[T] * T), max(chunks)):
+            ws.buffers(store.model_config, (chunks[T],), T, False)
     return [_profile(eval_loss_trajectory(store, s, cfg, stacked=stacked,
                                           ws=ws), cfg)
             for s in ds.samples]

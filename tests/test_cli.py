@@ -578,3 +578,103 @@ def test_malformed_profiles_exit_3(tmp_path, capsys, text, mutate):
     assert run_cli("eval", "--config", str(path)) == 3
     err = capsys.readouterr().err
     assert "profiles.json" in err and text in err
+
+
+def test_truncated_profiles_names_path_first(trained_cfg, tmp_path, capsys):
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    profiles = os.path.join(cfg["out_dir"], "profiles.json")
+    text = open(profiles).read()
+    open(profiles, "w").write(text[:len(text) // 2])
+    capsys.readouterr()
+    assert run_cli("eval", "--config", path) == 3
+    assert capsys.readouterr().err.startswith(
+        f"data error: {profiles}: line 1: not valid JSON (")
+
+
+@pytest.mark.parametrize("command", ["eval", "heatmap"])
+def test_duplicate_video_ids_exit_3(trained_cfg, tmp_path, capsys, command):
+    """A profiles.json whose video 1 has video 0's id was scored as 20
+    videos by eval and gave 19 heatmaps for 20 videos."""
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    profiles = os.path.join(cfg["out_dir"], "profiles.json")
+    data = json.loads(open(profiles).read())
+    data["videos"][1]["id"] = data["videos"][0]["id"]
+    open(profiles, "w").write(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(command, "--config", path) == 3
+    assert f"{profiles}: video 1 repeats the id of video 0" \
+        in capsys.readouterr().err
+    assert not any(f.endswith(".pgm") for f in os.listdir(cfg["out_dir"]))
+
+
+# The cslaudit modules each command loads in a fresh interpreter; the rest
+# stay unloaded lazy modules.
+BASE_MODULES = {"cli", "errors", "seqdata"}
+LOADED = {
+    None: BASE_MODULES,  # a bare `import cslaudit.cli`
+    "gen": BASE_MODULES,
+    "corrupt": BASE_MODULES,
+    "train": BASE_MODULES | {"model", "trainer"},
+    "audit": BASE_MODULES | {"csl", "model", "trainer"},
+    "eval": BASE_MODULES | {"csl", "metrics"},
+    "heatmap": BASE_MODULES | {"csl"},
+}
+LAZY = {"model", "trainer", "csl", "metrics"}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    cfg = base_config(tmp_path / "run")
+    cfg["train"]["epochs"] = 3
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(ca.__file__))
+    # Prints {module: still lazy} for every cslaudit submodule, last.
+    probe = ("import importlib.util, json, sys\n"
+             "from cslaudit import cli\n"
+             "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "print(json.dumps({m.split('.')[1]: type(v) is "
+             "importlib.util._LazyModule for m, v in sys.modules.items() "
+             "if m.startswith('cslaudit.')}))\n"
+             "sys.exit(code)\n")
+    for command, loaded in LOADED.items():
+        args = [command, "--config", str(cfg_path)] if command else []
+        proc = subprocess.run([sys.executable, "-c", probe, *args], text=True,
+                              capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        modules = json.loads(proc.stdout.splitlines()[-1])
+        assert {m for m, lazy in modules.items() if not lazy} == loaded, \
+            command
+        assert {m for m, lazy in modules.items() if lazy} == LAZY - loaded, \
+            command
+
+
+# The package's public names before its submodules loaded lazily, less the
+# deleted audit_sequence.
+PUBLIC = {
+    "CorruptionSpec", "Dataset", "PhaseGrammar", "SequenceSample",
+    "corrupt_dataset", "generate_dataset", "read_dataset", "write_dataset",
+    "ModelConfig", "ModelParams", "backward", "forward", "init_params",
+    "CheckpointStore", "ClassWeights", "TrainConfig", "compute_class_weights",
+    "load_store", "save_store", "train",
+    "CslProfile", "DetectionConfig", "LossTrajectory", "audit_dataset",
+    "calibrate_tau", "compute_csl", "eval_loss_trajectory", "flag_percentile",
+    "flag_threshold", "frames_to_segments", "smooth_csl",
+    "trajectory_curvature",
+    "EvalInput", "MetricsReport", "auc_bruteforce", "build_report", "eda",
+    "micro_auc",
+}
+
+
+def test_public_names_resolve():
+    assert sorted(ca.__all__) == sorted(PUBLIC)
+    listed = dir(ca)
+    for name in PUBLIC:
+        home = getattr(ca, ca._HOME[name])
+        assert getattr(ca, name) is getattr(home, name)
+        assert name in listed
+    with pytest.raises(AttributeError, match="audit_sequence"):
+        ca.audit_sequence
+    namespace = {}
+    exec("from cslaudit import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == PUBLIC

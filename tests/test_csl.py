@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +30,12 @@ def trained():
 
 
 DET = ca.DetectionConfig(mode="percentile", k_percent=20, window=2)
+
+
+def audit_one(store, ds, sample, det):
+    """The profile of one sample: audit_dataset on a one-sample Dataset."""
+    [prof] = ca.audit_dataset(store, replace(ds, samples=[sample]), det)
+    return prof
 
 
 class TestTrajectory:
@@ -297,7 +305,7 @@ class TestAuditSequence:
         single = ca.CheckpointStore(manifest=store.manifest,
                                     snapshots=store.snapshots[:1])
         det = ca.DetectionConfig(mode="threshold", tau=-1.0, window=0)
-        prof = ca.audit_sequence(single, ds.samples[0], det)
+        prof = audit_one(single, ds, ds.samples[0], det)
         T = ds.samples[0].num_frames
         assert prof.flags.sum() == T
         assert prof.segments == [(0, T)]
@@ -305,7 +313,7 @@ class TestAuditSequence:
     def test_pipeline_decomposition(self, trained):
         store, ds = trained
         det = ca.DetectionConfig(mode="percentile", k_percent=15, window=3)
-        prof = ca.audit_sequence(store, ds.samples[3], det)
+        prof = audit_one(store, ds, ds.samples[3], det)
         traj = ca.eval_loss_trajectory(store, ds.samples[3], det)
         csl = ca.compute_csl(traj)
         assert np.array_equal(prof.csl, csl)
@@ -334,7 +342,7 @@ class TestAuditSequence:
             [p.smoothed for p in ca.audit_dataset(store, val_ds, det)], 0.95)
         clean = val_ds.samples[0]
         flags = ca.flag_threshold(
-            ca.audit_sequence(store, clean, det).smoothed, tau)
+            audit_one(store, val_ds, clean, det).smoothed, tau)
         assert flags.mean() <= 0.10  # ~5% expected, margin for pooling
 
 
@@ -347,7 +355,7 @@ class TestAuditDataset:
             assert p.trajectory.losses.shape == (len(store), s.num_frames)
             assert np.array_equal(p.csl, ca.compute_csl(p.trajectory))
             assert np.array_equal(
-                p.flags, ca.audit_sequence(store, s, DET).flags)
+                p.flags, audit_one(store, ds, s, DET).flags)
 
     def test_trained_and_loaded_store_agree_bitwise(self, trained, tmp_path):
         store, ds = trained
@@ -477,3 +485,33 @@ def test_one_workspace_across_lengths(monkeypatch, mode, chunk_rows):
         for field in ("csl", "smoothed", "flags"):
             assert np.array_equal(getattr(prof, field), getattr(want, field))
         assert np.array_equal(prof.trajectory.losses, want.trajectory.losses)
+
+
+@pytest.mark.parametrize("mode", ["context_free", "attention"])
+@pytest.mark.parametrize("chunk_rows", [None, 100])
+def test_workspace_sized_before_replay(monkeypatch, mode, chunk_rows):
+    """On a dataset ordered short to long, no workspace buffer is replaced
+    during the replay: audit_dataset sizes them all before the first forward."""
+    if chunk_rows is not None:  # largest chunk at T=50, longest T=70
+        monkeypatch.setattr(CSL, "CHUNK_ROWS", chunk_rows)
+    store = random_store(mode, 7)
+    means = np.zeros((3, 4))
+    means[np.arange(3), np.arange(3)] = 3.0
+    grammar = ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
+    rng = np.random.default_rng(6)
+    samples = [ca.SequenceSample(f"v{i}", rng.normal(0, 1, (T, 4)),
+                                 rng.integers(0, 3, T), np.zeros(T))
+               for i, T in enumerate([1, 9, 23, 50, 70])]
+    seen = []  # the workspace's flat buffers at each forward call
+    forward = M.forward
+
+    def spy(*args, ws, **kwargs):
+        seen.append(dict(ws._flat))  # holds the arrays, so ids stay unique
+        return forward(*args, ws=ws, **kwargs)
+
+    monkeypatch.setattr(M, "forward", spy)
+    ca.audit_dataset(store, ca.Dataset(grammar, samples, "test", 0), DET)
+    assert len(seen) >= len(samples)
+    for flat in seen:
+        assert flat.keys() == seen[0].keys()
+        assert all(flat[k] is seen[0][k] for k in flat)
