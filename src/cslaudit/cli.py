@@ -28,11 +28,6 @@ from .errors import (AuditToolError, ConfigError, DataError, FingerprintError,
 PROFILES_FORMAT = "csl-profiles/2"
 
 
-def _fmt(x: float) -> str:
-    """Shortest round-trip decimal representation."""
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -61,29 +56,33 @@ DEFAULT_CONFIG = {
     },
     "model": {
         "hidden_dim": 32, "head_dims": [16, 8], "temporal_mode": "attention",
-        "attention_dim": 16, "dropout_rates": [0.5, 0.3],
-        "init_seed": None, "init_scale": 1.0,
+        "attention_dim": 16, "dropout_rates": [0.5, 0.3], "init_seed": None,
     },
     "train": {
         "epochs": 50, "learning_rate": 1e-4, "beta1": 0.9, "beta2": 0.999,
         "eps": 1e-8, "weight_decay": 0.01, "shuffle_seed": None,
-        "checkpoint_stride": 1, "dropout": True,
     },
     "detection": {
         "mode": "percentile", "k_percent": 10.0, "tau": None, "window": 5,
-        "audit_loss": "unweighted", "min_segment_len": 1,
-        "calibration_quantile": 0.95,
+        "audit_loss": "unweighted",
     },
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """base with override's values. A key base does not define, or a
+    non-object where base has a section, raises ConfigError naming its
+    dotted path."""
     out = dict(base)
     for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
+        if k not in base:
+            raise ConfigError(f"config field {prefix}{k}: unknown field")
+        if isinstance(base[k], dict):
+            if not isinstance(v, dict):
+                raise ConfigError(f"config field {prefix}{k}: must be a JSON "
+                                  f"object")
+            v = _merge(base[k], v, f"{prefix}{k}.")
+        out[k] = v
     return out
 
 
@@ -92,19 +91,20 @@ def load_config(path: str) -> dict:
         with open(path, encoding="utf-8") as f:
             user = json.load(f)
     except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
+        raise ConfigError(f"{path}: config file not found") from e
     except IsADirectoryError as e:
-        raise ConfigError(f"config path {path} is a directory") from e
+        raise ConfigError(f"{path}: config path is a directory") from e
     except UnicodeDecodeError as e:
-        raise ConfigError(f"config {path} is not UTF-8 text ({e.reason})") from e
+        raise ConfigError(f"{path}: config is not UTF-8 text ({e.reason})") from e
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+        raise ConfigError(f"{path}: config is not valid JSON ({e})") from e
     if not isinstance(user, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"{path}: config must be a JSON object, "
+                          f"got {type(user).__name__}")
     cfg = _merge(DEFAULT_CONFIG, user)
-    for section, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(cfg[section], dict):
-            raise ConfigError(f"config field {section} must be a JSON object")
+    _field(cfg, "out_dir", _text)
+    for key in ("train_path", "val_path", "audit_path"):
+        _field(cfg, f"data.{key}", lambda v: v if v is None else _text(v))
     return cfg
 
 
@@ -119,6 +119,12 @@ def _field(cfg: dict, dotted: str, conv):
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config field {dotted}: cannot use {value!r} "
                           f"({e})") from e
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, not {type(value).__name__}")
+    return value
 
 
 def _ints(values) -> tuple[int, ...]:
@@ -171,8 +177,7 @@ def build_model_config(cfg: dict, grammar: SD.PhaseGrammar) -> M.ModelConfig:
         temporal_mode=cfg["model"]["temporal_mode"],
         attention_dim=_field(cfg, "model.attention_dim", int),
         dropout_rates=_field(cfg, "model.dropout_rates", _floats),
-        init_seed=_seed(cfg, "model.init_seed", 100),
-        init_scale=_field(cfg, "model.init_scale", float))
+        init_seed=_seed(cfg, "model.init_seed", 100))
 
 
 def build_train_config(cfg: dict) -> TR.TrainConfig:
@@ -183,9 +188,7 @@ def build_train_config(cfg: dict) -> TR.TrainConfig:
         beta2=_field(cfg, "train.beta2", float),
         eps=_field(cfg, "train.eps", float),
         weight_decay=_field(cfg, "train.weight_decay", float),
-        shuffle_seed=_seed(cfg, "train.shuffle_seed", 200),
-        checkpoint_stride=_field(cfg, "train.checkpoint_stride", int),
-        dropout=bool(cfg["train"]["dropout"]))
+        shuffle_seed=_seed(cfg, "train.shuffle_seed", 200))
 
 
 def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
@@ -195,8 +198,7 @@ def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
         tau=_field(cfg, "detection.tau", lambda v: float(v or 0.0)),
         k_percent=_field(cfg, "detection.k_percent", float),
         window=_field(cfg, "detection.window", int),
-        audit_loss=d["audit_loss"],
-        min_segment_len=_field(cfg, "detection.min_segment_len", int))
+        audit_loss=d["audit_loss"])
 
 
 def _path(cfg: dict, name: str) -> str:
@@ -249,7 +251,8 @@ def cmd_corrupt(cfg: dict, kind: str | None, fraction: float | None,
     ds = SD.read_dataset(_split_path(cfg, split))
     corrupted = SD.corrupt_dataset(ds, spec)
     out = out_file or _path(cfg, f"{split}_{kind}.jsonl")
-    SD.write_dataset(corrupted, out, header_extra={"corruption_spec": spec.to_dict()})
+    SD.write_dataset(corrupted, out,
+                     header_extra={"corruption_spec": dataclasses.asdict(spec)})
     n_corrupt = sum(1 for s in corrupted.samples if s.corruption is not None)
     print(f"corrupted {n_corrupt}/{len(corrupted.samples)} sequences -> {out}")
 
@@ -278,8 +281,7 @@ def cmd_audit(cfg: dict) -> None:
         # calibrate on the (assumed clean) validation split
         val = SD.read_dataset(_split_path(cfg, "val"))
         tau = CSL.calibrate_tau(
-            [p.smoothed for p in CSL.audit_dataset(store, val, det)],
-            _field(cfg, "detection.calibration_quantile", float))
+            [p.smoothed for p in CSL.audit_dataset(store, val, det)])
         det = dataclasses.replace(det, tau=tau)
 
     profiles = CSL.audit_dataset(store, ds, det)  # raises before any write
@@ -317,8 +319,8 @@ def cmd_audit(cfg: dict) -> None:
                 "labels": sample.labels.tolist(),
                 "gt_error": sample.error_mask.tolist(),
             }
-            # f"{x!r}" of a Python float is _fmt(x), with no per-frame numpy
-            # indexing.
+            # f"{x!r}" of a Python float is its shortest round-trip decimal,
+            # with no per-frame numpy indexing.
             f_csv.write("".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
@@ -330,7 +332,7 @@ def cmd_audit(cfg: dict) -> None:
     print(f"audited {len(profiles)} videos ({n_frames} frames) "
           f"over {E} checkpoints")
     if tau is not None:
-        print(f"calibrated tau = {_fmt(tau)}")
+        print(f"calibrated tau = {tau!r}")
 
 
 def _load_profiles(cfg: dict) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DataError, FingerprintError, NumericError
-from .seqdata import Dataset, SequenceSample
+from .seqdata import Dataset, SequenceSample, label_runs
 if TYPE_CHECKING:  # annotations only: eval and heatmap never load trainer
     from .trainer import CheckpointStore
 
@@ -42,7 +42,6 @@ class DetectionConfig:
     k_percent: float = 10.0          # percentile mode
     window: int = 5
     audit_loss: str = UNWEIGHTED     # "unweighted" | "train_weighted"
-    min_segment_len: int = 1
 
     def __post_init__(self):
         if self.mode not in (THRESHOLD, PERCENTILE):
@@ -55,8 +54,6 @@ class DetectionConfig:
             raise ConfigError("window must be >= 0")
         if self.audit_loss not in (UNWEIGHTED, TRAIN_WEIGHTED):
             raise ConfigError(f"unknown audit_loss {self.audit_loss!r}")
-        if self.min_segment_len < 1:
-            raise ConfigError("min_segment_len must be >= 1")
 
 
 @dataclass
@@ -88,11 +85,8 @@ class CslProfile:
     trajectory: LossTrajectory
     csl: np.ndarray        # (T,)
     smoothed: np.ndarray   # (T,)
-    window: int
     flags: np.ndarray      # (T,) int
     segments: list[tuple[int, int]]
-    mode: str
-    param: float           # tau or k_percent, per mode
 
 
 def _stack_snapshots(store: CheckpointStore) -> M.ModelParams:
@@ -204,22 +198,9 @@ def calibrate_tau(smoothed: list[np.ndarray], q: float = 0.95) -> float:
     return float(np.quantile(pool, q))
 
 
-def frames_to_segments(flags: np.ndarray,
-                       min_segment_len: int = 1) -> list[tuple[int, int]]:
-    """Maximal runs of 1s as half-open intervals; runs shorter than
-    min_segment_len are dropped from the list (flags themselves untouched)."""
-    flags = np.asarray(flags)
-    segments = []
-    start = None
-    for t in range(len(flags) + 1):
-        on = t < len(flags) and flags[t]
-        if on and start is None:
-            start = t
-        elif not on and start is not None:
-            if t - start >= min_segment_len:
-                segments.append((start, t))
-            start = None
-    return segments
+def frames_to_segments(flags: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of 1s as half-open intervals."""
+    return [(start, end) for value, start, end in label_runs(flags) if value]
 
 
 def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
@@ -237,14 +218,11 @@ def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
     smoothed = smooth_csl(csl, cfg.window)
     if cfg.mode == THRESHOLD:
         flags = flag_threshold(smoothed, cfg.tau)
-        param = cfg.tau
     else:
         flags = flag_percentile(smoothed, cfg.k_percent)
-        param = cfg.k_percent
-    segments = frames_to_segments(flags, cfg.min_segment_len)
     return CslProfile(video_id=traj.video_id, trajectory=traj, csl=csl,
-                      smoothed=smoothed, window=cfg.window, flags=flags,
-                      segments=segments, mode=cfg.mode, param=param)
+                      smoothed=smoothed, flags=flags,
+                      segments=frames_to_segments(flags))
 
 
 def audit_dataset(store: CheckpointStore, ds: Dataset,

@@ -137,17 +137,6 @@ class MetricsReport:
             "config": self.config,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        if d.get("format") != "csl-report/1":
-            raise DataError(f"unexpected report format {d.get('format')!r}")
-        counts = d["counts"]
-        return cls(eda=d["eda"], micro_auc=d["micro_auc"],
-                   k_percent=d["k_percent"], per_video=d["per_video"],
-                   n_videos=counts["videos"], n_frames=counts["frames"],
-                   n_corrupted_frames=counts["corrupted_frames"],
-                   config=d["config"])
-
 
 def build_report(inputs: list[EvalInput], k_percent: float,
                  config: dict | None = None) -> MetricsReport:

@@ -46,7 +46,6 @@ class ModelConfig:
     attention_dim: int = 16
     dropout_rates: tuple[float, float] = (0.5, 0.3)
     init_seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         for name in ("feature_dim", "num_classes", "hidden_dim", "attention_dim"):
@@ -58,24 +57,11 @@ class ModelConfig:
             raise ConfigError(f"unknown temporal_mode {self.temporal_mode!r}")
         if not all(0 <= r < 1 for r in self.dropout_rates):
             raise ConfigError("dropout_rates must lie in [0, 1)")
-        if self.init_scale <= 0:
-            raise ConfigError("init_scale must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_dim": self.feature_dim,
-            "num_classes": self.num_classes,
-            "hidden_dim": self.hidden_dim,
-            "head_dims": list(self.head_dims),
-            "temporal_mode": self.temporal_mode,
-            "attention_dim": self.attention_dim,
-            "dropout_rates": list(self.dropout_rates),
-            "init_seed": self.init_seed,
-            "init_scale": self.init_scale,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config a store manifest records; keys it does not define
+        (such as a retired field in an older store) are ignored."""
         return cls(
             feature_dim=int(d["feature_dim"]),
             num_classes=int(d["num_classes"]),
@@ -85,7 +71,6 @@ class ModelConfig:
             attention_dim=int(d["attention_dim"]),
             dropout_rates=tuple(float(x) for x in d["dropout_rates"]),
             init_seed=int(d["init_seed"]),
-            init_scale=float(d["init_scale"]),
         )
 
 
@@ -116,19 +101,6 @@ class ModelParams:
 
     tensors: dict[str, np.ndarray]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()})
-
-    def check_shapes(self, cfg: ModelConfig) -> None:
-        expected = param_shapes(cfg)
-        if set(self.tensors) != set(expected):
-            raise ConfigError(
-                f"parameter names {sorted(self.tensors)} != {sorted(expected)}")
-        for name, shape in expected.items():
-            if self.tensors[name].shape != shape:
-                raise ConfigError(
-                    f"{name}: shape {self.tensors[name].shape} != {shape}")
-
     def __eq__(self, other):
         if not isinstance(other, ModelParams):
             return NotImplemented
@@ -138,13 +110,13 @@ class ModelParams:
 
 
 def init_params(cfg: ModelConfig) -> ModelParams:
-    """Uniform(-scale/sqrt(fan_in), +scale/sqrt(fan_in)) weights, zero biases,
-    unit LayerNorm gains."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases, unit
+    LayerNorm gains."""
     rng = np.random.default_rng(cfg.init_seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
         if len(shape) == 2:
-            bound = cfg.init_scale / np.sqrt(shape[1])
+            bound = 1.0 / np.sqrt(shape[1])
             tensors[name] = rng.uniform(-bound, bound, size=shape)
         elif name.endswith("_g"):
             tensors[name] = np.ones(shape)
@@ -451,15 +423,6 @@ def weighted_ce(probs_row: np.ndarray, label: int, alpha: np.ndarray) -> float:
     return float(alpha[label]) * (-np.log(p))
 
 
-def sequence_loss(probs: np.ndarray, labels: np.ndarray,
-                  alpha: np.ndarray) -> float:
-    """Mean weighted cross-entropy over a sequence."""
-    labels = np.asarray(labels)
-    idx = np.arange(len(labels))
-    p = np.maximum(probs[idx, labels], PROB_FLOOR)
-    return float(np.mean(np.asarray(alpha)[labels] * (-np.log(p))))
-
-
 def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
                      alpha: np.ndarray) -> np.ndarray:
     """Weighted CE of every frame; `probs` (..., T, C) gives (..., T).
@@ -492,7 +455,7 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         raise ConfigError("labels length does not match frames")
     buf = ws.buffers(cfg, (), T, True)  # forward's views plus temporaries
     alpha = np.asarray(alpha, dtype=np.float64)
-    loss = sequence_loss(trace.probs, labels, alpha)
+    loss = float(per_frame_losses(trace.probs, labels, alpha).mean())
     grads: dict[str, np.ndarray] = {}
 
     # softmax + weighted CE: dZ[t] = alpha[y_t]/T * (p_t - onehot(y_t))

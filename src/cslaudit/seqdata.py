@@ -245,18 +245,10 @@ class CorruptionSpec:
         if self.segment_len_min < 1:
             raise ConfigError("segment_len_min must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "video_fraction": self.video_fraction,
-            "segment_len_min": self.segment_len_min,
-            "segment_len_max": self.segment_len_max,
-            "seed": self.seed,
-        }
-
 
 def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
     """Maximal constant runs of a label vector as (class, start, end) triples."""
+    labels = np.asarray(labels).tolist()  # Python ints index and compare faster
     runs = []
     start = 0
     for t in range(1, len(labels) + 1):
@@ -399,8 +391,10 @@ def corrupt_dataset(ds: Dataset, spec: CorruptionSpec) -> Dataset:
 # persistence
 
 
-def _open_text(path: str, mode: str):
-    if str(path).endswith(".gz"):
+def _open_text(path: str, mode: str, name: str | None = None):
+    """`path` opened as UTF-8 text, through gzip when `name` (by default
+    the path itself) ends in ".gz"."""
+    if str(name or path).endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
@@ -457,9 +451,8 @@ def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> N
     lines = [json.dumps(_header_dict(ds, header_extra), sort_keys=True)]
     lines.extend(json.dumps(_sample_dict(s), sort_keys=True) for s in ds.samples)
     tmp = str(path) + ".tmp"
-    opener = gzip.open if str(path).endswith(".gz") else open
     try:
-        with opener(tmp, "wt", encoding="utf-8") as f:
+        with _open_text(tmp, "w", path) as f:
             f.write("\n".join(lines) + "\n")
     except (FileNotFoundError, NotADirectoryError) as e:
         raise DataError(f"cannot write dataset {path}: its directory does "

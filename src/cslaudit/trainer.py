@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,43 +59,12 @@ class TrainConfig:
     eps: float = 1e-8
     weight_decay: float = 0.01
     shuffle_seed: int = 0
-    checkpoint_stride: int = 1
-    dropout: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.checkpoint_stride < 1:
-            raise ConfigError("checkpoint_stride must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "shuffle_seed": self.shuffle_seed,
-            "checkpoint_stride": self.checkpoint_stride,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(
-            epochs=int(d["epochs"]),
-            learning_rate=float(d["learning_rate"]),
-            beta1=float(d["beta1"]),
-            beta2=float(d["beta2"]),
-            eps=float(d["eps"]),
-            weight_decay=float(d["weight_decay"]),
-            shuffle_seed=int(d["shuffle_seed"]),
-            checkpoint_stride=int(d["checkpoint_stride"]),
-            dropout=bool(d["dropout"]),
-        )
 
 
 class AdamWState:
@@ -193,9 +162,9 @@ class CheckpointStore:
 def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
           store_path: str, *, on_epoch=None) -> CheckpointStore:
     """Train for E epochs, one sequence per optimizer step, snapshotting every
-    checkpoint_stride epochs. Fully deterministic given seeds; snapshots are
-    written to disk as they are produced. `on_epoch(epoch, mean_loss)`, when
-    given, is called after each checkpoint and its manifest are on disk."""
+    epoch. Fully deterministic given seeds; snapshots are written to disk as
+    they are produced. `on_epoch(epoch, mean_loss)`, when given, is called
+    after each checkpoint and its manifest are on disk."""
     if not ds_train.samples:
         raise ConfigError("training dataset is empty")
     weights = compute_class_weights(ds_train)
@@ -209,25 +178,20 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
     rng_shuffle = np.random.default_rng(shuffle_seed)
     rng_dropout = np.random.default_rng(dropout_seed)
 
-    eff_model = cfg_model
-    if not cfg_train.dropout:
-        from dataclasses import replace
-        eff_model = replace(cfg_model, dropout_rates=(0.0, 0.0))
-
-    params = M.init_params(eff_model)
+    params = M.init_params(cfg_model)
     state = AdamWState(params)
     # Every step's activations and temporaries, sized for the longest
     # sequence up front: buffers that grew mid-run would leave their old
     # storage behind as holes in the heap.
     ws = M.Workspace()
-    ws.buffers(eff_model, (), max(s.num_frames for s in ds_train.samples),
+    ws.buffers(cfg_model, (), max(s.num_frames for s in ds_train.samples),
                True)
     n = len(ds_train.samples)
     os.makedirs(store_path, exist_ok=True)
     manifest = {
         "format": STORE_FORMAT,
-        "model": eff_model.to_dict(),
-        "train": cfg_train.to_dict(),
+        "model": asdict(cfg_model),
+        "train": asdict(cfg_train),
         "class_weights": weights.alpha.tolist(),
         "fingerprints": {
             "train_data": dataset_fingerprint(ds_train),
@@ -245,7 +209,7 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
             sample = ds_train.samples[idx]
             step += 1
             loss, grads = M.backward(
-                params, eff_model, sample.frames, sample.labels, weights.alpha,
+                params, cfg_model, sample.frames, sample.labels, weights.alpha,
                 train=True, rng=rng_dropout, ws=ws)
             if not np.isfinite(loss):
                 raise NumericError(
@@ -254,18 +218,17 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
                        context=f"(epoch {epoch}, step {step})")
             losses.append(loss)
         mean_loss = float(np.mean(losses))
-        if epoch % cfg_train.checkpoint_stride == 0:
-            # Round through float32 so the in-memory snapshot equals the one
-            # load_store decodes; training keeps its float64 parameters.
-            snap = M.ModelParams({k: v.astype(np.float32).astype(np.float64)
-                                  for k, v in params.tensors.items()})
-            store.snapshots.append((epoch, snap, mean_loss))
-            manifest["epochs"].append(epoch)
-            manifest["epoch_losses"].append(mean_loss)
-            _write_snapshot(store_path, epoch, snap)
-            _write_manifest(store_path, manifest)
-            if on_epoch is not None:
-                on_epoch(epoch, mean_loss)
+        # Round through float32 so the in-memory snapshot equals the one
+        # load_store decodes; training keeps its float64 parameters.
+        snap = M.ModelParams({k: v.astype(np.float32).astype(np.float64)
+                              for k, v in params.tensors.items()})
+        store.snapshots.append((epoch, snap, mean_loss))
+        manifest["epochs"].append(epoch)
+        manifest["epoch_losses"].append(mean_loss)
+        _write_snapshot(store_path, epoch, snap)
+        _write_manifest(store_path, manifest)
+        if on_epoch is not None:
+            on_epoch(epoch, mean_loss)
     return store
 
 
@@ -292,20 +255,20 @@ def encode_snapshot(params: M.ModelParams) -> bytes:
     return MAGIC + bytes(body) + np.uint32(crc).tobytes()
 
 
-def decode_snapshot(blob: bytes, context: str = "") -> M.ModelParams:
+def decode_snapshot(blob: bytes) -> M.ModelParams:
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
-        raise StoreError(f"bad snapshot magic {context}".strip())
+        raise StoreError("bad snapshot magic")
     body = blob[len(MAGIC):-4]
     crc_stored = int(np.frombuffer(blob[-4:], dtype="<u4")[0])
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
-        raise StoreError(f"snapshot checksum mismatch {context}".strip())
+        raise StoreError("snapshot checksum mismatch")
     tensors: dict[str, np.ndarray] = {}
     off = 0
 
     def take(n: int) -> bytes:
         nonlocal off
         if off + n > len(body):
-            raise StoreError(f"truncated snapshot {context}".strip())
+            raise StoreError("truncated snapshot")
         chunk = body[off:off + n]
         off += n
         return chunk
@@ -359,8 +322,8 @@ def load_store(path: str) -> CheckpointStore:
         raise StoreError(f"{manifest_path}: manifest must be a JSON object, "
                          f"got {type(manifest).__name__}")
     if manifest.get("format") != STORE_FORMAT:
-        raise StoreError(
-            f"manifest format {manifest.get('format')!r} != {STORE_FORMAT!r}")
+        raise StoreError(f"{manifest_path}: format {manifest.get('format')!r} "
+                         f"is not {STORE_FORMAT!r}")
     for key in ("model", "epochs", "epoch_losses", "class_weights",
                 "fingerprints"):
         if key not in manifest:
@@ -374,6 +337,9 @@ def load_store(path: str) -> CheckpointStore:
         raise StoreError(f"{manifest_path}: 'epochs' must hold integers")
     if any(type(x) not in (int, float) for x in losses):
         raise StoreError(f"{manifest_path}: 'epoch_losses' must hold numbers")
+    if any(a >= b for a, b in zip(epochs, epochs[1:])):
+        raise StoreError(f"{manifest_path}: 'epochs' are not strictly "
+                         "increasing")
     try:
         cfg_model = M.ModelConfig.from_dict(manifest["model"])
     except (KeyError, TypeError, ValueError) as e:
@@ -383,15 +349,16 @@ def load_store(path: str) -> CheckpointStore:
     for epoch, mean_loss in zip(epochs, losses):
         snap_path = _snapshot_path(path, epoch)
         if not os.path.exists(snap_path):
-            raise StoreError(f"manifest lists epoch {epoch} but "
-                             f"{os.path.basename(snap_path)} is missing")
+            raise StoreError(f"{manifest_path}: lists epoch {epoch} but "
+                             f"{snap_path} is missing")
         with open(snap_path, "rb") as f:
-            params = decode_snapshot(f.read(), context=f"(epoch {epoch})")
+            try:
+                params = decode_snapshot(f.read())
+            except StoreError as e:
+                raise StoreError(f"{snap_path}: {e}") from e
         for name, shape in expected.items():
             if name not in params.tensors or params.tensors[name].shape != shape:
                 raise StoreError(
-                    f"epoch {epoch}: tensor {name} missing or misshaped")
+                    f"{snap_path}: tensor {name} missing or misshaped")
         snapshots.append((int(epoch), params, float(mean_loss)))
-    if any(a >= b for a, b in zip(epochs, epochs[1:])):
-        raise StoreError("manifest epochs are not strictly increasing")
     return CheckpointStore(manifest=manifest, snapshots=snapshots)

@@ -1,9 +1,11 @@
 import base64
+import importlib.util
 import json
 import os
 import shutil
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -95,14 +97,26 @@ class TestGen:
     def test_unreadable_config_exit_2(self, tmp_path, capsys):
         latin = tmp_path / "latin.json"
         latin.write_bytes(b'{"seed": "\xff"}')
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text('{"seed": 1')
+        array = tmp_path / "array.json"
+        array.write_text('[{"seed": 1}]')
         section = tmp_path / "section.json"
         section.write_text('{"grammar": 5}')
-        for path, text in ((tmp_path, "is a directory"),
-                           (latin, "not UTF-8"),
-                           (section, "grammar must be a JSON object")):
+        # (path, text of the error, whether the error names the file first)
+        for path, text, names_file in (
+                (tmp_path / "missing.json", "not found", True),
+                (tmp_path, "is a directory", True),
+                (latin, "not UTF-8", True),
+                (truncated, "not valid JSON", True),
+                (array, "must be a JSON object, got list", True),
+                (section, "config field grammar: must be a JSON object",
+                 False)):
             capsys.readouterr()
             assert run_cli("gen", "--config", str(path)) == 2
-            assert text in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert text in err
+            assert err.startswith(f"config error: {path}: ") == names_file
 
 
 class TestCorrupt:
@@ -464,6 +478,15 @@ BAD_CONFIG_FIELDS = [
     ("gen", "seed", "x"),
     ("train", "model.head_dims", 5),
     ("train", "train.epochs", "ten"),
+    ("gen", "out_dir", 5),
+    ("train", "data.train_path", 5),
+    ("audit", "data.val_path", ["val.jsonl"]),
+    ("audit", "data.audit_path", {"path": "test.jsonl"}),
+    # fields the config does not define: a typo and a deleted setting
+    ("train", "train.epoch", 3),
+    ("audit", "detection.windw", 0),
+    ("train", "train.checkpoint_stride", 1),
+    ("gen", "outdir", "run"),
 ]
 
 
@@ -490,7 +513,8 @@ def test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
 
 STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",
                 "fingerprints")
-# (text the error must show, edit of a clean store manifest)
+# (text the error must show, edit of a clean store manifest); each error
+# begins with the manifest's path
 BAD_MANIFESTS = {
     "array": ("must be a JSON object", lambda m: [m]),
     "format-only": ("lacks 'model'", lambda m: {"format": m["format"]}),
@@ -504,26 +528,111 @@ BAD_MANIFESTS = {
         m, epochs=[str(e) for e in m["epochs"]])),
     "null-loss": ("'epoch_losses' must hold numbers", lambda m: dict(
         m, epoch_losses=[None] * len(m["epoch_losses"]))),
+    "wrong-format": ("format 'csl-ckpt-store/0' is not 'csl-ckpt-store/1'",
+                     lambda m: dict(m, format="csl-ckpt-store/0")),
+    "decreasing-epochs": ("'epochs' are not strictly increasing",
+                          lambda m: dict(m, epochs=m["epochs"][::-1])),
+    "missing-snapshot": ("lists epoch 99 but", lambda m: dict(
+        m, epochs=m["epochs"][:-1] + [99])),
+}
+# (the snapshot at fault, text the error must show, edit of its bytes); each
+# error begins with the snapshot's path
+BAD_SNAPSHOTS = {
+    "snapshot-bad-magic": ("ckpt_0002.bin", "bad snapshot magic",
+                           lambda b: b"XXXXXXXX" + b[8:]),
+    "snapshot-checksum": ("ckpt_0003.bin", "snapshot checksum mismatch",
+                          lambda b: b[:40] + bytes([b[40] ^ 0xFF]) + b[41:]),
+    "snapshot-too-short": ("ckpt_0001.bin", "bad snapshot magic",
+                           lambda b: b[:5]),
+    "snapshot-truncated": ("ckpt_0004.bin", "truncated snapshot",
+                           lambda b: resealed(b[:40] + b[-4:])),
 }
 
 
-@pytest.mark.parametrize("text,mutate", list(BAD_MANIFESTS.values()),
-                         ids=list(BAD_MANIFESTS))
-def test_malformed_store_manifest_exit_3(trained_cfg, tmp_path, capsys, text,
-                                         mutate):
+def resealed(blob):
+    """A snapshot with its checksum recomputed over its (edited) body."""
+    body = blob[8:-4]
+    return blob[:8] + body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def audit_store_copy(trained_cfg, tmp_path, capsys, edit):
+    """Exit code and stderr of `audit` on a copy of the trained store that
+    edit(store directory) changed first."""
     store = tmp_path / "run" / "store"
     shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"), store)
-    manifest = json.loads((store / "manifest.json").read_text())
-    (store / "manifest.json").write_text(json.dumps(mutate(manifest)))
+    edit(store)
     cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
                data=dict(trained_cfg["data"], audit_path=os.path.join(
                    trained_cfg["out_dir"], "test.jsonl")))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     capsys.readouterr()
-    assert run_cli("audit", "--config", str(path)) == 3
-    err = capsys.readouterr().err
-    assert "manifest.json" in err and text in err
+    return run_cli("audit", "--config", str(path)), capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,text,mutate",
+    [("manifest.json", *case) for case in BAD_MANIFESTS.values()]
+    + list(BAD_SNAPSHOTS.values()),
+    ids=list(BAD_MANIFESTS) + list(BAD_SNAPSHOTS))
+def test_malformed_store_manifest_exit_3(trained_cfg, tmp_path, capsys, name,
+                                         text, mutate):
+    def edit(store):
+        target = store / name
+        if name == "manifest.json":
+            manifest = json.loads(target.read_text())
+            target.write_text(json.dumps(mutate(manifest)))
+        else:
+            target.write_bytes(mutate(target.read_bytes()))
+
+    code, err = audit_store_copy(trained_cfg, tmp_path, capsys, edit)
+    assert code == 3
+    assert err.startswith(f"data error: {tmp_path / 'run' / 'store' / name}: ")
+    assert text in err
+
+
+def test_store_with_retired_fields_audits_the_same(trained_cfg, tmp_path,
+                                                   capsys):
+    """A store whose manifest still records the deleted settings
+    model.init_scale, train.dropout and train.checkpoint_stride (at their
+    only values in use) loads and audits to the same bytes."""
+    def add_retired(store):
+        manifest = json.loads((store / "manifest.json").read_text())
+        manifest["model"]["init_scale"] = 1.0
+        manifest["train"].update(dropout=True, checkpoint_stride=1)
+        (store / "manifest.json").write_text(json.dumps(manifest))
+
+    audits = []
+    for name, edit in (("as-written", lambda store: None),
+                       ("retired", add_retired)):
+        code, err = audit_store_copy(trained_cfg, tmp_path / name, capsys,
+                                     edit)
+        assert code == 0, err
+        audits.append((tmp_path / name / "run" / "audit.csv").read_bytes())
+        store = ca.load_store(str(tmp_path / name / "run" / "store"))
+        assert store.model_config == ca.load_store(
+            os.path.join(trained_cfg["out_dir"], "store")).model_config
+    assert audits[0] == audits[1]
+
+
+def test_benchmark_workloads_pass_config_checks(tmp_path):
+    """Every benchmark workload's config, as bench/workloads.make_config
+    builds it, loads and builds: the benchmark sets no retired field."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert workloads.WORKLOADS
+    for name in workloads.WORKLOADS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(workloads.make_config(
+            name, 0, str(tmp_path / name))))
+        cfg = cli.load_config(str(path))
+        grammar = cli.build_grammar(cfg)
+        cli.build_model_config(cfg, grammar)
+        cli.build_train_config(cfg)
+        cli.build_detection_config(cfg)
 
 
 PROFILE_FIELDS = ("id", "epochs", "gt_error", "losses")

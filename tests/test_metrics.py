@@ -191,11 +191,15 @@ class TestReport:
     def test_json_round_trip(self):
         rep = ca.build_report(self.inputs(), 10.0, config={"window": 5})
         blob = json.dumps(rep.to_dict(), sort_keys=True)
-        back = MET.MetricsReport.from_dict(json.loads(blob))
-        assert back.micro_auc == rep.micro_auc
-        assert back.eda == rep.eda
-        assert back.per_video == rep.per_video
-        assert back.config == rep.config
+        back = json.loads(blob)
+        assert back["format"] == "csl-report/1"
+        assert back["micro_auc"] == rep.micro_auc
+        assert back["eda"] == rep.eda
+        assert back["per_video"] == rep.per_video
+        assert back["config"] == rep.config
+        assert back["counts"] == {"videos": rep.n_videos,
+                                  "frames": rep.n_frames,
+                                  "corrupted_frames": rep.n_corrupted_frames}
 
     def test_undefined_metrics_surface_as_none(self):
         clean = make_input("v", np.zeros(10), np.zeros(10, dtype=int))

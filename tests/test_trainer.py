@@ -200,17 +200,9 @@ class TestTrain:
         assert store.epochs == [1, 2, 3, 4, 5]
         assert all(np.isfinite(loss) for _, _, loss in store.snapshots)
 
-    def test_checkpoint_stride(self, small_dataset, tiny_model_cfg, tmp_path):
-        cfg = TR.TrainConfig(epochs=10, learning_rate=1e-3, shuffle_seed=17,
-                             checkpoint_stride=2)
-        store = ca.train(small_dataset, tiny_model_cfg, cfg,
-                         str(tmp_path / "store"))
-        assert store.epochs == [2, 4, 6, 8, 10]
-
     def test_on_epoch_fires_per_checkpoint_as_saved(self, small_dataset,
-                                                     tiny_model_cfg, tmp_path):
-        cfg = TR.TrainConfig(epochs=7, learning_rate=1e-3, shuffle_seed=17,
-                             checkpoint_stride=3)
+                                                     tiny_model_cfg, train_cfg,
+                                                     tmp_path):
         path = tmp_path / "store"
         calls = []
 
@@ -220,18 +212,10 @@ class TestTrain:
             calls.append((epoch, loss, on_disk["epochs"][-1],
                           (path / f"ckpt_{epoch:04d}.bin").exists()))
 
-        store = ca.train(small_dataset, tiny_model_cfg, cfg, str(path),
+        store = ca.train(small_dataset, tiny_model_cfg, train_cfg, str(path),
                          on_epoch=on_epoch)
         assert calls == [(e, loss, e, True) for e, _, loss in store.snapshots]
-        assert [c[0] for c in calls] == [3, 6]
-
-    def test_snapshot_count_with_uneven_stride(self, small_dataset,
-                                               tiny_model_cfg, tmp_path):
-        cfg = TR.TrainConfig(epochs=7, learning_rate=1e-3, shuffle_seed=17,
-                             checkpoint_stride=3)
-        store = ca.train(small_dataset, tiny_model_cfg, cfg,
-                         str(tmp_path / "store"))
-        assert len(store) == 7 // 3
+        assert [c[0] for c in calls] == [1, 2, 3, 4, 5]
 
     def test_bitwise_deterministic_files(self, small_dataset, tiny_model_cfg,
                                          train_cfg, tmp_path):
