@@ -127,8 +127,14 @@ def _text(value) -> str:
     return value
 
 
+def _int(value) -> int:
+    if type(value) is not int:  # a bool is an int subclass: refused too
+        raise TypeError(f"must be an integer, not {type(value).__name__}")
+    return value
+
+
 def _ints(values) -> tuple[int, ...]:
-    return tuple(int(x) for x in values)
+    return tuple(_int(x) for x in values)
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -140,13 +146,13 @@ def _seed(cfg: dict, dotted: str, offset: int) -> int:
     that field is null."""
     section, key = dotted.split(".")
     if cfg[section][key] is None:
-        return _field(cfg, "seed", int) + offset
-    return _field(cfg, dotted, int)
+        return _field(cfg, "seed", _int) + offset
+    return _field(cfg, dotted, _int)
 
 
 def build_grammar(cfg: dict) -> SD.PhaseGrammar:
-    C = _field(cfg, "grammar.num_classes", int)
-    d = _field(cfg, "grammar.feature_dim", int)
+    C = _field(cfg, "grammar.num_classes", _int)
+    d = _field(cfg, "grammar.feature_dim", _int)
     if cfg["grammar"].get("class_means") is not None:
         means = _field(cfg, "grammar.class_means",
                        lambda v: np.asarray(v, dtype=np.float64))
@@ -164,25 +170,25 @@ def build_grammar(cfg: dict) -> SD.PhaseGrammar:
         num_classes=C, feature_dim=d, class_means=means,
         feature_noise_sigma=_field(cfg, "grammar.feature_noise_sigma", float),
         phase_order=order,
-        duration_min=_field(cfg, "grammar.duration_min", int),
-        duration_max=_field(cfg, "grammar.duration_max", int),
-        boundary_blend=_field(cfg, "grammar.boundary_blend", int))
+        duration_min=_field(cfg, "grammar.duration_min", _int),
+        duration_max=_field(cfg, "grammar.duration_max", _int),
+        boundary_blend=_field(cfg, "grammar.boundary_blend", _int))
 
 
 def build_model_config(cfg: dict, grammar: SD.PhaseGrammar) -> M.ModelConfig:
     return M.ModelConfig(
         feature_dim=grammar.feature_dim, num_classes=grammar.num_classes,
-        hidden_dim=_field(cfg, "model.hidden_dim", int),
+        hidden_dim=_field(cfg, "model.hidden_dim", _int),
         head_dims=_field(cfg, "model.head_dims", _ints),
         temporal_mode=cfg["model"]["temporal_mode"],
-        attention_dim=_field(cfg, "model.attention_dim", int),
+        attention_dim=_field(cfg, "model.attention_dim", _int),
         dropout_rates=_field(cfg, "model.dropout_rates", _floats),
         init_seed=_seed(cfg, "model.init_seed", 100))
 
 
 def build_train_config(cfg: dict) -> TR.TrainConfig:
     return TR.TrainConfig(
-        epochs=_field(cfg, "train.epochs", int),
+        epochs=_field(cfg, "train.epochs", _int),
         learning_rate=_field(cfg, "train.learning_rate", float),
         beta1=_field(cfg, "train.beta1", float),
         beta2=_field(cfg, "train.beta2", float),
@@ -197,7 +203,7 @@ def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
         mode=d["mode"],
         tau=_field(cfg, "detection.tau", lambda v: float(v or 0.0)),
         k_percent=_field(cfg, "detection.k_percent", float),
-        window=_field(cfg, "detection.window", int),
+        window=_field(cfg, "detection.window", _int),
         audit_loss=d["audit_loss"])
 
 
@@ -212,14 +218,6 @@ def _split_path(cfg: dict, split: str) -> str:
     return _path(cfg, f"{split}.jsonl")
 
 
-def _audit_path(cfg: dict) -> str:
-    return cfg["data"].get("audit_path") or _path(cfg, "test.jsonl")
-
-
-def _store_path(cfg: dict) -> str:
-    return _path(cfg, "store")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -227,8 +225,8 @@ def _store_path(cfg: dict) -> str:
 def cmd_gen(cfg: dict) -> None:
     grammar = build_grammar(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    counts = {split: _field(cfg, f"data.n_{split}", int) for split in SD.SPLITS}
-    base = _field(cfg, "seed", int)
+    counts = {split: _field(cfg, f"data.n_{split}", _int) for split in SD.SPLITS}
+    base = _field(cfg, "seed", _int)
     for i, (split, n) in enumerate(counts.items()):
         ds = SD.generate_dataset(grammar, n, split, seed=base + i)
         SD.write_dataset(ds, _split_path(cfg, split))
@@ -245,8 +243,8 @@ def cmd_corrupt(cfg: dict, kind: str | None, fraction: float | None,
     split = split or c["split"]
     spec = SD.CorruptionSpec(
         kind=kind, video_fraction=fraction,
-        segment_len_min=_field(cfg, "corruption.segment_len_min", int),
-        segment_len_max=_field(cfg, "corruption.segment_len_max", int),
+        segment_len_min=_field(cfg, "corruption.segment_len_min", _int),
+        segment_len_max=_field(cfg, "corruption.segment_len_max", _int),
         seed=_seed(cfg, "corruption.seed", 10))
     ds = SD.read_dataset(_split_path(cfg, split))
     corrupted = SD.corrupt_dataset(ds, spec)
@@ -261,30 +259,35 @@ def cmd_train(cfg: dict) -> None:
     ds = SD.read_dataset(_split_path(cfg, "train"))
     model_cfg = build_model_config(cfg, ds.grammar)
     train_cfg = build_train_config(cfg)
-    TR.train(ds, model_cfg, train_cfg, _store_path(cfg),
+    TR.train(ds, model_cfg, train_cfg, _path(cfg, "store"),
              on_epoch=lambda epoch, loss: print(
                  f"epoch {epoch}: mean loss {loss:.6f}", flush=True))
 
 
+def _audit(store: TR.CheckpointStore, ds: SD.Dataset, path: str,
+           det: CSL.DetectionConfig) -> list:
+    """audit_dataset of the dataset read from path; one of another grammar
+    than the store's raises FingerprintError naming path."""
+    try:
+        return CSL.audit_dataset(store, ds, det)
+    except FingerprintError as e:
+        raise FingerprintError(f"{path}: {e}") from e
+
+
 def cmd_audit(cfg: dict) -> None:
-    store = TR.load_store(_store_path(cfg))
-    ds = SD.read_dataset(_audit_path(cfg))
-    ds_fp = SD.grammar_fingerprint(ds.grammar)
-    store_fp = store.manifest["fingerprints"]["grammar"]
-    if ds_fp != store_fp:
-        raise FingerprintError(
-            f"store/dataset mismatch: store grammar {store_fp}, "
-            f"dataset grammar {ds_fp}")
     det = build_detection_config(cfg)
+    store = TR.load_store(_path(cfg, "store"))
+    path = cfg["data"].get("audit_path") or _path(cfg, "test.jsonl")
+    ds = SD.read_dataset(path)
     tau = None
     if det.mode == CSL.THRESHOLD and cfg["detection"]["tau"] is None:
         # calibrate on the (assumed clean) validation split
-        val = SD.read_dataset(_split_path(cfg, "val"))
-        tau = CSL.calibrate_tau(
-            [p.smoothed for p in CSL.audit_dataset(store, val, det)])
+        val_path = _split_path(cfg, "val")
+        val = _audit(store, SD.read_dataset(val_path), val_path, det)
+        tau = CSL.calibrate_tau([p.smoothed for p in val])
         det = dataclasses.replace(det, tau=tau)
 
-    profiles = CSL.audit_dataset(store, ds, det)  # raises before any write
+    profiles = _audit(store, ds, path, det)  # raises before any write
     E = len(store)
     head = {
         "format": PROFILES_FORMAT,
@@ -443,13 +446,9 @@ def write_pgm(losses: np.ndarray, path: str) -> None:
 def cmd_heatmap(cfg: dict, video: str | None) -> None:
     profiles = _load_profiles(cfg)
     by_id = {v["id"]: v for v in profiles["videos"]}
-    if video is not None:
-        if video not in by_id:
-            raise DataError(f"unknown video id {video!r}")
-        targets = [video]
-    else:
-        targets = list(by_id)
-    for vid in targets:
+    if video is not None and video not in by_id:
+        raise DataError(f"unknown video id {video!r}")
+    for vid in by_id if video is None else [video]:
         path = _path(cfg, f"heatmap_{vid}.pgm")
         write_pgm(by_id[vid]["trajectory"].losses, path)
         print(f"wrote {path}")

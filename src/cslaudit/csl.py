@@ -6,7 +6,8 @@ cross-entropy against the annotated labels, average over checkpoints to get
 the per-frame CSL, smooth with a truncated moving window, and flag frames
 either above a threshold (strict >) or in the per-video top-k% of smoothed
 CSL. The checkpoints are stacked along a leading axis and replayed a chunk at
-a time, one stacked forward pass per chunk.
+a time, one stacked forward pass per chunk, in the checkpoints' own dtype:
+float32 for a trained or loaded store. The losses are float64 throughout.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, DataError, FingerprintError, NumericError
-from .seqdata import Dataset, SequenceSample, label_runs
+from .seqdata import Dataset, SequenceSample, grammar_fingerprint, label_runs
 if TYPE_CHECKING:  # annotations only: eval and heatmap never load trainer
     from .trainer import CheckpointStore
 
@@ -107,7 +108,8 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
 
     The checkpoints are replayed in chunks of consecutive epochs, one stacked
     eval forward pass per chunk of at most CHUNK_ROWS frame x checkpoint rows;
-    each row equals a forward under that checkpoint alone, bit for bit.
+    each row equals a forward under that checkpoint alone, bit for bit. The
+    forward runs in the snapshots' dtype; the loss rows are float64.
     `stacked` is the store's snapshots already stacked, and `ws` the
     workspace the forward passes reuse (audit_dataset passes both, so that a
     dataset is stacked once and replayed through one workspace).
@@ -136,7 +138,12 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in stacked.tensors.items()})
-        trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
+        # an overflow ends as a non-finite loss, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
+            except NumericError as e:
+                raise NumericError(f"video {sample.id}: {e}") from e
         rows = losses[lo:lo + step]
         rows[...] = M.per_frame_losses(trace.probs, sample.labels, alpha)
         bad = ~np.isfinite(rows).all(axis=1)
@@ -228,7 +235,13 @@ def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
 def audit_dataset(store: CheckpointStore, ds: Dataset,
                   cfg: DetectionConfig) -> list[CslProfile]:
     """One profile per sample, in dataset order; the snapshots are stacked
-    once for the whole dataset, and one workspace serves every replay."""
+    once for the whole dataset, and one workspace serves every replay. A
+    dataset of another grammar than the store's raises FingerprintError."""
+    ds_fp = grammar_fingerprint(ds.grammar)
+    store_fp = store.manifest["fingerprints"]["grammar"]
+    if ds_fp != store_fp:
+        raise FingerprintError(f"store/dataset mismatch: store grammar "
+                               f"{store_fp}, dataset grammar {ds_fp}")
     stacked = _stack_snapshots(store)
     # Sized up front, chunked as eval_loss_trajectory chunks, for the largest
     # chunk and the longest T x T attention matrix: no buffer grows mid-replay.
@@ -237,7 +250,8 @@ def audit_dataset(store: CheckpointStore, ds: Dataset,
                                 len(store.snapshots)) for s in ds.samples}
     if chunks:
         for T in (max(chunks, key=lambda T: chunks[T] * T), max(chunks)):
-            ws.buffers(store.model_config, (chunks[T],), T, False)
+            ws.buffers(store.model_config, (chunks[T],), T, False,
+                       stacked.tensors["enc.W"].dtype)
     return [_profile(eval_loss_trajectory(store, s, cfg, stacked=stacked,
                                           ws=ws), cfg)
             for s in ds.samples]

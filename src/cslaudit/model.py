@@ -18,6 +18,9 @@ forward() and backward() write every activation, T x T matrix, dropout mask
 and backward temporary into a Workspace that the training loop and the audit
 replay each keep for a whole run; its docstring says who owns the results
 and for how long.
+
+forward() computes in the dtype of the parameters: training runs in float64,
+and the audit replays the float32 checkpoints in float32.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ class ModelConfig:
         for name in ("feature_dim", "num_classes", "hidden_dim", "attention_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        for name in ("head_dims", "dropout_rates"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"{name} must hold exactly 2 values, got "
+                                  f"{len(getattr(self, name))}")
         if any(h < 1 for h in self.head_dims):
             raise ConfigError("head_dims must be >= 1")
         if self.temporal_mode not in (CONTEXT_FREE, ATTENTION):
@@ -125,25 +132,28 @@ def init_params(cfg: ModelConfig) -> ModelParams:
     return ModelParams(tensors)
 
 
-_PE_TABLES: dict[int, np.ndarray] = {}
+_PE_TABLES: dict[tuple[int, np.dtype], np.ndarray] = {}
 
 
-def sinusoidal_encoding(T: int, dim: int) -> np.ndarray:
-    """Standard sine/cosine positional encoding, shape (T, dim).
+def sinusoidal_encoding(T: int, dim: int, dtype=np.float64) -> np.ndarray:
+    """Standard sine/cosine positional encoding, shape (T, dim), computed in
+    float64 and rounded to `dtype`.
 
-    Row t depends only on t, so one read-only table per `dim` serves every
-    length: it is grown by doubling when a longer sequence arrives, and the
-    result is a read-only view of its first T rows.
+    Row t depends only on t, so one read-only table per (`dim`, `dtype`)
+    serves every length: it is grown by doubling when a longer sequence
+    arrives, and the result is a read-only view of its first T rows.
     """
-    table = _PE_TABLES.get(dim)
+    key = (dim, np.dtype(dtype))
+    table = _PE_TABLES.get(key)
     if table is None or table.shape[0] < T:
         n = T if table is None else max(T, 2 * table.shape[0])
         pos = np.arange(n, dtype=np.float64)[:, None]
         i = np.arange(dim)[None, :]
         angle = pos / np.power(10000.0, (2 * (i // 2)) / dim)
-        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+        table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle)).astype(
+            dtype, copy=False)
         table.flags.writeable = False
-        _PE_TABLES[dim] = table
+        _PE_TABLES[key] = table
     return table[:T]
 
 
@@ -156,12 +166,13 @@ _STACKED_SHARED = {"H": "pre_enc", "D1": "L1", "D2": "L2",
 
 
 class Workspace:
-    """Float64 scratch buffers that `forward` and `backward` reuse.
+    """Scratch buffers that `forward` and `backward` reuse.
 
     Each named buffer is one flat array that grows when a larger shape
-    arrives and is handed out as a C-contiguous prefix view. The views for
-    one call's shapes are built once and cached under (config, leading axes,
-    frame count, train), so a call costs one lookup; growing a buffer drops the
+    arrives (and is replaced when a call of another dtype arrives) and is
+    handed out as a C-contiguous prefix view. The views for one call's shapes
+    are built once and cached under (config, leading axes, frame count,
+    train, dtype), so a call costs one lookup; replacing a buffer drops the
     cached views, since they may point at its old storage. Reusing the
     buffers keeps large arrays from being returned to the OS and faulted in
     again on every call.
@@ -177,10 +188,11 @@ class Workspace:
         self._views: dict[tuple, dict[str, np.ndarray]] = {}
 
     def buffers(self, cfg: ModelConfig, lead: tuple[int, ...], T: int,
-                train: bool) -> dict[str, np.ndarray]:
-        """name -> view for one call; `train` adds the dropout masks and the
-        backward temporaries."""
-        key = (cfg, lead, T, train)
+                train: bool, dtype=np.float64) -> dict[str, np.ndarray]:
+        """name -> view of `dtype` for one call; `train` adds the dropout
+        masks and the backward temporaries."""
+        dtype = np.dtype(dtype)
+        key = (cfg, lead, T, train, dtype)
         views = self._views.get(key)
         if views is None:
             sizes = {name: (shape, math.prod(shape)) for name, shape
@@ -188,8 +200,9 @@ class Workspace:
             alias = _STACKED_SHARED if lead else {}
             for name, (_, n) in sizes.items():
                 name = alias.get(name, name)
-                if name not in self._flat or self._flat[name].size < n:
-                    self._flat[name] = np.empty(n)
+                flat = self._flat.get(name)
+                if flat is None or flat.dtype != dtype or flat.size < n:
+                    self._flat[name] = np.empty(n, dtype)
                     self._views.clear()
             views = {name: self._flat[alias.get(name, name)][:n].reshape(shape)
                      for name, (shape, n) in sizes.items()}
@@ -253,6 +266,8 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray,
     var += LN_EPS
     np.sqrt(var, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
+    if not inv_std.all():  # the squares overflowed: NaN, not a silent 0
+        inv_std[inv_std == 0] = np.nan
     xhat *= inv_std
     np.multiply(xhat, g[..., None, :], out=y)
     y += b[..., None, :]
@@ -332,19 +347,25 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     so only one score matrix is alive at a time). A stacked call caches no
     activations: `backward` and train mode take unstacked parameters.
 
+    The call computes in the dtype of the parameters, and the frames are
+    cast to it (float64 frames under float64 parameters are used as they
+    are). A frame value beyond the range of that dtype, such as |x| > 3.4e38
+    under float32 checkpoints, becomes inf and raises NumericError.
+
     The result lives in `ws` (see Workspace), a fresh one when not given.
     """
-    X = np.asarray(frames, dtype=np.float64)
+    p = params.tensors
+    W = p["enc.W"]
+    X = np.asarray(frames, dtype=W.dtype)
     if X.ndim != 2 or X.shape[1] != cfg.feature_dim:
         raise ConfigError(
             f"frames shape {X.shape} incompatible with feature_dim {cfg.feature_dim}")
     if X.shape[0] < 1:
         raise ConfigError("need at least one frame")
     if not np.all(np.isfinite(X)):
-        raise NumericError("non-finite values in input frames")
-    p = params.tensors
-    lead = p["enc.W"].shape[:-2]
-    buf = (ws or Workspace()).buffers(cfg, lead, X.shape[0], train)
+        raise NumericError(f"non-finite values in input frames as {X.dtype}")
+    lead = W.shape[:-2]
+    buf = (ws or Workspace()).buffers(cfg, lead, X.shape[0], train, W.dtype)
     cache = None if lead else {"X": X}
     H = _encode(p, X, buf, cache)
     if cfg.temporal_mode == ATTENTION:
@@ -372,13 +393,14 @@ def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray, buf: dict,
             cache: dict | None) -> np.ndarray:
     T = H0.shape[-2]
     U = H0  # backward needs H0 no more: U = H0 + PE overwrites it
-    U += sinusoidal_encoding(T, cfg.hidden_dim)
+    U += sinusoidal_encoding(T, cfg.hidden_dim, U.dtype)
     N, xhat_a, inv_a = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"],
                                   buf["N"], buf["xhat_a"], buf["inv_a"])
     Qm = _affine(N, p["attn.Wq"], out=buf["Qm"])
     Km = _affine(N, p["attn.Wk"], out=buf["Km"])
     Vm = _affine(N, p["attn.Wv"], out=buf["Vm"])
-    scale = 1.0 / np.sqrt(cfg.attention_dim)
+    # a Python float, so that it multiplies a float32 call in float32
+    scale = 1.0 / math.sqrt(cfg.attention_dim)
     A, ctx = buf["A"], buf["ctx"]
     for i in np.ndindex(Qm.shape[:-2]):  # one (): unstacked parameters
         np.matmul(Qm[i], Km[i].T, out=A)
@@ -425,11 +447,13 @@ def weighted_ce(probs_row: np.ndarray, label: int, alpha: np.ndarray) -> float:
 
 def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
                      alpha: np.ndarray) -> np.ndarray:
-    """Weighted CE of every frame; `probs` (..., T, C) gives (..., T).
-    With leading axes the result need not be C-contiguous."""
+    """Weighted CE of every frame in float64; `probs` (..., T, C), of any
+    float dtype, gives (..., T). The log is taken in float64, so float32
+    probabilities are rounded only once. With leading axes the result need
+    not be C-contiguous."""
     labels = np.asarray(labels)
     idx = np.arange(len(labels))
-    p = np.maximum(probs[..., idx, labels], PROB_FLOOR)
+    p = np.maximum(probs[..., idx, labels], PROB_FLOOR, dtype=np.float64)
     return np.asarray(alpha)[labels] * (-np.log(p))
 
 

@@ -218,9 +218,9 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
                        context=f"(epoch {epoch}, step {step})")
             losses.append(loss)
         mean_loss = float(np.mean(losses))
-        # Round through float32 so the in-memory snapshot equals the one
-        # load_store decodes; training keeps its float64 parameters.
-        snap = M.ModelParams({k: v.astype(np.float32).astype(np.float64)
+        # The stored float32 copy, equal to the one load_store decodes;
+        # training keeps its float64 parameters.
+        snap = M.ModelParams({k: v.astype(np.float32)
                               for k, v in params.tensors.items()})
         store.snapshots.append((epoch, snap, mean_loss))
         manifest["epochs"].append(epoch)
@@ -256,6 +256,7 @@ def encode_snapshot(params: M.ModelParams) -> bytes:
 
 
 def decode_snapshot(blob: bytes) -> M.ModelParams:
+    """The snapshot's tensors as stored: writable float32 arrays."""
     if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
         raise StoreError("bad snapshot magic")
     body = blob[len(MAGIC):-4]
@@ -281,7 +282,7 @@ def decode_snapshot(blob: bytes) -> M.ModelParams:
                      for _ in range(rank))
         count = int(np.prod(dims)) if dims else 1
         payload = np.frombuffer(take(4 * count), dtype="<f4")
-        tensors[name] = payload.reshape(dims).astype(np.float64)
+        tensors[name] = payload.reshape(dims).astype(np.float32)
     return M.ModelParams(tensors)
 
 
@@ -342,7 +343,7 @@ def load_store(path: str) -> CheckpointStore:
                          "increasing")
     try:
         cfg_model = M.ModelConfig.from_dict(manifest["model"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise StoreError(f"{manifest_path}: malformed 'model' ({e!r})") from e
     expected = M.param_shapes(cfg_model)
     snapshots = []

@@ -237,6 +237,32 @@ def test_criterion_8_invariant_suite(small_grammar, tiny_model_cfg):
            ok)
 
 
+def test_float32_replay_tolerance_gate(bench):
+    """The audit replays the stored float32 snapshots in float32. Replayed
+    with the same snapshots upcast to float64, the attention mislabel and the
+    context-free disorder audits keep every frame's CSL within 1e-6, every
+    flag, and the micro-AUC within 1e-6."""
+    grammar = make_benchmark_grammar()
+    worst_csl = worst_auc = 0.0
+    for key, name in (("attn_mis", "attn"), ("cf_dis", "cf")):
+        r, store = bench[key], bench["stores"][name]
+        assert all(v.dtype == np.float32 for _, p, _ in store.snapshots
+                   for v in p.tensors.values())
+        upcast = TR.CheckpointStore(store.manifest, [
+            (e, M.ModelParams({k: v.astype(np.float64)
+                               for k, v in p.tensors.items()}), loss)
+            for e, p, loss in store.snapshots])
+        ref = audit_dataset(upcast, ca.Dataset(grammar, r.samples, "test", 2))
+        for p32, p64 in zip(r.profiles, ref.profiles):
+            assert p64.trajectory.losses.dtype == np.float64
+            assert np.array_equal(p32.flags, p64.flags), p32.video_id
+            worst_csl = max(worst_csl, float(np.abs(p32.csl - p64.csl).max()))
+        worst_auc = max(worst_auc, abs(r.auc - ref.auc))
+    print(f"float32 replay: max |dCSL| {worst_csl:.1e}, |dAUC| {worst_auc:.1e}")
+    # 0 < : the two replays did run in different precisions
+    assert 0 < worst_csl <= 1e-6 and worst_auc <= 1e-6
+
+
 def test_criterion_9_pipeline_determinism(tmp_path):
     artifacts = ("store/manifest.json", "store/ckpt_0004.bin", "audit.csv",
                  "report.json", "profiles.json")

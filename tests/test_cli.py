@@ -511,6 +511,102 @@ def test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
     assert not os.path.exists(tmp_path / "run" / "store")
 
 
+# (command, dotted integer field, a JSON value that is no integer): each was
+# truncated by int() before, e.g. epochs 2.7 trained 2 epochs and true 1
+NON_INTEGER_FIELDS = [
+    ("train", "train.epochs", 2.7),
+    ("train", "train.epochs", True),
+    ("audit", "detection.window", 2.5),
+    ("gen", "data.n_test", "5"),
+    ("gen", "seed", False),
+    ("train", "model.head_dims", [8, 6.5]),
+    ("train", "model.init_seed", 1.5),
+]
+
+
+@pytest.mark.parametrize("command,field,value", NON_INTEGER_FIELDS,
+                         ids=[f"{f}={v!r}" for _, f, v in NON_INTEGER_FIELDS])
+def test_non_integer_config_field_exit_2(trained_cfg, tmp_path, capsys,
+                                         command, field, value):
+    test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
+                                         command, field, value)
+
+
+@pytest.mark.parametrize("field,value", [("head_dims", [16]),
+                                         ("head_dims", [16, 8, 4]),
+                                         ("dropout_rates", [0.5])])
+def test_pair_field_of_wrong_length_exit_2(trained_cfg, tmp_path, capsys,
+                                           field, value):
+    """head_dims and dropout_rates hold exactly two values; another count
+    is a config error naming the field, not an unpacking traceback."""
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               data=dict(trained_cfg["data"], train_path=os.path.join(
+                   trained_cfg["out_dir"], "train.jsonl")),
+               model=dict(trained_cfg["model"], **{field: value}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must hold exactly 2 values, got {len(value)}" in err
+    assert not os.path.exists(tmp_path / "run" / "store")
+
+
+# grammar overrides that make a val split foreign to the trained store: more
+# classes than the model scores (an IndexError before) and other class means
+# (silently calibrated before)
+FOREIGN_GRAMMARS = {
+    "8-classes": {"num_classes": 8,  # means: 1..8 in binary, times 2
+                  "class_means": [[2.0 * (i >> b & 1) for b in range(6)]
+                                  for i in range(1, 9)]},
+    "class-mean-scale": {"class_mean_scale": 3.0},
+}
+
+
+@pytest.mark.parametrize("grammar", list(FOREIGN_GRAMMARS.values()),
+                         ids=list(FOREIGN_GRAMMARS))
+def test_foreign_calibration_split_exit_3(trained_cfg, tmp_path, capsys,
+                                          grammar):
+    """The val split that calibrates tau is checked against the store's
+    grammar like the audited split: exit 3 naming the file, nothing written."""
+    foreign = dict(trained_cfg, grammar=dict(trained_cfg["grammar"], **grammar))
+    val = tmp_path / "val.jsonl"
+    ca.write_dataset(ca.generate_dataset(cli.build_grammar(foreign), 3, "val",
+                                         seed=1), str(val))
+    shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"),
+                    tmp_path / "run" / "store")
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               data=dict(trained_cfg["data"], val_path=str(val),
+                         audit_path=os.path.join(trained_cfg["out_dir"],
+                                                 "test.jsonl")),
+               detection=dict(trained_cfg["detection"], mode="threshold",
+                              tau=None))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("audit", "--config", str(path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {val}: store/dataset mismatch")
+    assert os.listdir(tmp_path / "run") == ["store"]
+
+
+@pytest.mark.parametrize("value,text", [(1e39, "input frames as float32"),
+                                        (1e20, "under the epoch 1 checkpoint")])
+def test_frame_beyond_float32_range_exit_4(trained_cfg, tmp_path, capsys,
+                                           value, text):
+    """The replay runs in the checkpoints' float32. A frame value finite in
+    float64 but beyond float32 range, or one whose square overflows float32
+    in a LayerNorm (a silent 0 before), is a numeric error naming the video."""
+    ds = ca.read_dataset(os.path.join(trained_cfg["out_dir"], "test.jsonl"))
+    ds.samples[1].frames[3, 0] = value
+    big = tmp_path / "big.jsonl"
+    ca.write_dataset(ds, str(big))
+    code, err = audit_file(trained_cfg, tmp_path, capsys, big)
+    assert code == 4
+    assert err.startswith(f"numeric error: video {ds.samples[1].id}: ")
+    assert text in err
+
+
 STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",
                 "fingerprints")
 # (text the error must show, edit of a clean store manifest); each error
@@ -534,6 +630,8 @@ BAD_MANIFESTS = {
                           lambda m: dict(m, epochs=m["epochs"][::-1])),
     "missing-snapshot": ("lists epoch 99 but", lambda m: dict(
         m, epochs=m["epochs"][:-1] + [99])),
+    "one-head-dim": ("malformed 'model'", lambda m: dict(
+        m, model=dict(m["model"], head_dims=[8]))),
 }
 # (the snapshot at fault, text the error must show, edit of its bytes); each
 # error begins with the snapshot's path

@@ -9,6 +9,7 @@ import cslaudit as ca
 from cslaudit import csl as CSL
 from cslaudit import model as M
 from cslaudit.errors import ConfigError, DataError, FingerprintError, NumericError
+from cslaudit.seqdata import grammar_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +354,22 @@ class TestAuditDataset:
             assert np.array_equal(
                 p.flags, audit_one(store, ds, s, DET).flags)
 
+    @pytest.mark.parametrize("change", ["more-classes", "class-mean-scale"])
+    def test_foreign_grammar_refused(self, trained, change):
+        """A dataset of another grammar than the store's is refused before
+        any replay: more classes than the model (labels it cannot score) or
+        the same shapes with other class means."""
+        store, ds = trained
+        g = ds.grammar
+        if change == "more-classes":
+            other = replace(g, num_classes=4, class_means=np.eye(4) * 3.0,
+                            phase_order=(0, 1, 2, 3))
+        else:
+            other = replace(g, class_means=g.class_means * 2)
+        foreign = ca.generate_dataset(other, 2, "val", seed=1)
+        with pytest.raises(FingerprintError, match="store/dataset mismatch"):
+            ca.audit_dataset(store, foreign, DET)
+
     def test_trained_and_loaded_store_agree_bitwise(self, trained, tmp_path):
         store, ds = trained
         ca.save_store(store, str(tmp_path / "store"))
@@ -386,8 +403,16 @@ def reference_losses(store, sample, cfg):
     return np.stack(rows)
 
 
+def replay_grammar():
+    """The 3-class, 4-dim grammar of the random_store replay tests."""
+    means = np.zeros((3, 4))
+    means[np.arange(3), np.arange(3)] = 3.0
+    return ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
+
+
 def random_store(mode, n_epochs):
-    """Untrained store of perturbed checkpoints; epochs 2, 4, 6, ..."""
+    """Untrained float64 store of perturbed checkpoints for datasets of
+    replay_grammar(); epochs 2, 4, 6, ..."""
     cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
                          head_dims=(6, 5), temporal_mode=mode,
                          attention_dim=4, dropout_rates=(0.0, 0.0))
@@ -399,16 +424,14 @@ def random_store(mode, n_epochs):
             params.tensors[k] = v + rng.normal(0, 0.5, v.shape)
         snapshots.append((2 * (e + 1), params, 1.0))
     manifest = {"model": asdict(cfg), "class_weights": [0.5, 1.0, 1.5],
-                "fingerprints": {"grammar": "g", "train_data": "d"}}
+                "fingerprints": {"grammar": grammar_fingerprint(
+                    replay_grammar()), "train_data": "d"}}
     return ca.CheckpointStore(manifest=manifest, snapshots=snapshots)
 
 
 @pytest.fixture(scope="module")
 def long_dataset():
-    means = np.zeros((3, 4))
-    means[np.arange(3), np.arange(3)] = 3.0
-    grammar = ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
-    return ca.generate_dataset(grammar, 4, "test", seed=3)
+    return ca.generate_dataset(replay_grammar(), 4, "test", seed=3)
 
 
 class TestStackedReplay:
@@ -469,9 +492,7 @@ def test_one_workspace_across_lengths(monkeypatch, mode, chunk_rows):
     if chunk_rows is not None:  # chunks of 1, 2 and all 7 checkpoints
         monkeypatch.setattr(CSL, "CHUNK_ROWS", chunk_rows)
     store = random_store(mode, 7)
-    means = np.zeros((3, 4))
-    means[np.arange(3), np.arange(3)] = 3.0
-    grammar = ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
+    grammar = replay_grammar()
     rng = np.random.default_rng(5)
     samples = [ca.SequenceSample(f"v{i}", rng.normal(0, 1, (T, 4)),
                                  rng.integers(0, 3, T), np.zeros(T))
@@ -493,9 +514,7 @@ def test_workspace_sized_before_replay(monkeypatch, mode, chunk_rows):
     if chunk_rows is not None:  # largest chunk at T=50, longest T=70
         monkeypatch.setattr(CSL, "CHUNK_ROWS", chunk_rows)
     store = random_store(mode, 7)
-    means = np.zeros((3, 4))
-    means[np.arange(3), np.arange(3)] = 3.0
-    grammar = ca.PhaseGrammar(3, 4, means, 0.8, (0, 1, 2), 5, 15, 2)
+    grammar = replay_grammar()
     rng = np.random.default_rng(6)
     samples = [ca.SequenceSample(f"v{i}", rng.normal(0, 1, (T, 4)),
                                  rng.integers(0, 3, T), np.zeros(T))

@@ -391,3 +391,61 @@ class TestWorkspace:
             assert np.array_equal(trace.cache[k], v)
         for k, g in kept_grads.items():
             assert np.array_equal(grads[k], g)
+
+
+class TestDtype:
+    """forward computes in the dtype of its parameters: float32 for the
+    audit's stored checkpoints, float64 (the training path) unchanged."""
+
+    CFG = TestWorkspace.CFG
+
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_float32_parameters_give_float32_probs(self, mode, lead):
+        cfg = ca.ModelConfig(temporal_mode=mode, **self.CFG)
+        snaps = [perturbed_params(cfg, seed, scale=0.5) for seed in range(3)]
+        p64 = snaps[0] if not lead else M.ModelParams(
+            {k: np.stack([p.tensors[k] for p in snaps]) for k in snaps[0].tensors})
+        p32 = M.ModelParams({k: v.astype(np.float32)
+                             for k, v in p64.tensors.items()})
+        X = np.random.default_rng(1).normal(size=(13, 4))  # float64 frames
+        ws = M.Workspace()
+        probs = ca.forward(p32, cfg, X, ws=ws).probs
+        assert probs.dtype == np.float32 and probs.shape == lead + (13, 3)
+        assert ws._flat and all(b.dtype == np.float32 for b in ws._flat.values())
+        up = M.ModelParams({k: v.astype(np.float64)
+                            for k, v in p32.tensors.items()})
+        assert np.abs(probs - ca.forward(up, cfg, X).probs).max() < 1e-5
+
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    def test_float64_step_uses_frames_as_given(self, mode):
+        """A float64 training step casts nothing: the frames are used without
+        a copy and every workspace buffer stays float64."""
+        cfg = ca.ModelConfig(temporal_mode=mode, **self.CFG)
+        p = perturbed_params(cfg, 2)
+        X = np.random.default_rng(2).normal(size=(9, 4))
+        ws = M.Workspace()
+        trace = ca.forward(p, cfg, X, train=True,
+                           rng=np.random.default_rng(0), ws=ws)
+        assert trace.cache["X"] is X and trace.probs.dtype == np.float64
+        ca.backward(p, cfg, X, np.zeros(9, dtype=int), np.ones(3), train=True,
+                    rng=np.random.default_rng(0), ws=ws)
+        assert all(b.dtype == np.float64 for b in ws._flat.values())
+
+    def test_frame_beyond_float32_range_is_numeric_error(self, tiny_model_cfg):
+        p64 = ca.init_params(tiny_model_cfg)
+        p32 = M.ModelParams({k: v.astype(np.float32)
+                             for k, v in p64.tensors.items()})
+        X = np.zeros((4, 4))
+        X[2, 1] = 1e39  # finite in float64, inf in float32
+        ca.forward(p64, tiny_model_cfg, X)
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="float32"):
+            ca.forward(p32, tiny_model_cfg, X)
+
+    def test_float32_encoding_is_the_rounded_float64_table(self):
+        for T in (5, 40):
+            pe = M.sinusoidal_encoding(T, 7, np.float32)
+            assert pe.dtype == np.float32 and not pe.flags.writeable
+            assert np.array_equal(
+                pe, ref_sinusoidal_encoding(T, 7).astype(np.float32))

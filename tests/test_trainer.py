@@ -288,6 +288,24 @@ class TestStoreIO:
         for (e1, p1, l1), (e2, p2, l2) in zip(loaded.snapshots, again.snapshots):
             assert e1 == e2 and l1 == l2 and p1 == p2
 
+    def test_loaded_snapshots_are_the_trained_float32(self, small_dataset,
+                                                      tiny_model_cfg,
+                                                      train_cfg, tmp_path):
+        """load_store returns the stored float32 tensors, equal bit for bit
+        to the snapshots train() keeps in memory."""
+        store = ca.train(small_dataset, tiny_model_cfg, train_cfg,
+                         str(tmp_path / "a"))
+        loaded = ca.load_store(str(tmp_path / "a"))
+        assert len(loaded) == len(store)
+        for (e1, p1, l1), (e2, p2, l2) in zip(store.snapshots,
+                                              loaded.snapshots):
+            assert e1 == e2 and l1 == l2
+            assert p1.tensors.keys() == p2.tensors.keys()
+            for k, v in p1.tensors.items():
+                assert v.dtype == p2.tensors[k].dtype == np.float32
+                assert p2.tensors[k].flags.writeable
+                assert np.array_equal(v, p2.tensors[k])
+
     def test_snapshot_encoding_round_trip(self, tiny_model_cfg):
         params = ca.init_params(tiny_model_cfg)
         blob = TR.encode_snapshot(params)
