@@ -137,8 +137,15 @@ def _ints(values) -> tuple[int, ...]:
     return tuple(_int(x) for x in values)
 
 
+def _float(value) -> float:
+    # type() refuses bools and strings, isfinite NaN and the infinities
+    if type(value) not in (int, float) or not np.isfinite(value):
+        raise ValueError("must be a finite JSON number")
+    return float(value)
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(x) for x in values)
+    return tuple(_float(x) for x in values)
 
 
 def _seed(cfg: dict, dotted: str, offset: int) -> int:
@@ -155,20 +162,20 @@ def build_grammar(cfg: dict) -> SD.PhaseGrammar:
     d = _field(cfg, "grammar.feature_dim", _int)
     if cfg["grammar"].get("class_means") is not None:
         means = _field(cfg, "grammar.class_means",
-                       lambda v: np.asarray(v, dtype=np.float64))
+                       lambda v: np.array([_floats(row) for row in v]))
     else:
         if d < C:
             raise ConfigError(
                 "feature_dim must be >= num_classes for default class means")
         means = np.zeros((C, d))
         means[np.arange(C), np.arange(C)] = _field(
-            cfg, "grammar.class_mean_scale", float)
+            cfg, "grammar.class_mean_scale", _float)
     order = tuple(range(C))
     if cfg["grammar"].get("phase_order"):
         order = _field(cfg, "grammar.phase_order", _ints)
     return SD.PhaseGrammar(
         num_classes=C, feature_dim=d, class_means=means,
-        feature_noise_sigma=_field(cfg, "grammar.feature_noise_sigma", float),
+        feature_noise_sigma=_field(cfg, "grammar.feature_noise_sigma", _float),
         phase_order=order,
         duration_min=_field(cfg, "grammar.duration_min", _int),
         duration_max=_field(cfg, "grammar.duration_max", _int),
@@ -189,11 +196,11 @@ def build_model_config(cfg: dict, grammar: SD.PhaseGrammar) -> M.ModelConfig:
 def build_train_config(cfg: dict) -> TR.TrainConfig:
     return TR.TrainConfig(
         epochs=_field(cfg, "train.epochs", _int),
-        learning_rate=_field(cfg, "train.learning_rate", float),
-        beta1=_field(cfg, "train.beta1", float),
-        beta2=_field(cfg, "train.beta2", float),
-        eps=_field(cfg, "train.eps", float),
-        weight_decay=_field(cfg, "train.weight_decay", float),
+        learning_rate=_field(cfg, "train.learning_rate", _float),
+        beta1=_field(cfg, "train.beta1", _float),
+        beta2=_field(cfg, "train.beta2", _float),
+        eps=_field(cfg, "train.eps", _float),
+        weight_decay=_field(cfg, "train.weight_decay", _float),
         shuffle_seed=_seed(cfg, "train.shuffle_seed", 200))
 
 
@@ -201,8 +208,9 @@ def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
     d = cfg["detection"]
     return CSL.DetectionConfig(
         mode=d["mode"],
-        tau=_field(cfg, "detection.tau", lambda v: float(v or 0.0)),
-        k_percent=_field(cfg, "detection.k_percent", float),
+        tau=_field(cfg, "detection.tau",
+                   lambda v: 0.0 if v is None else _float(v)),
+        k_percent=_field(cfg, "detection.k_percent", _float),
         window=_field(cfg, "detection.window", _int),
         audit_loss=d["audit_loss"])
 
@@ -216,6 +224,15 @@ def _split_path(cfg: dict, split: str) -> str:
     if key and cfg["data"].get(key):
         return cfg["data"][key]
     return _path(cfg, f"{split}.jsonl")
+
+
+def _read_split(path: str) -> SD.Dataset:
+    """read_dataset of path; a file without samples raises DataError."""
+    ds = SD.read_dataset(path)
+    if not ds.samples:
+        raise DataError(f"{path}: the dataset holds no samples, only a "
+                        f"header line")
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +256,19 @@ def cmd_corrupt(cfg: dict, kind: str | None, fraction: float | None,
     c = cfg["corruption"]
     kind = kind or c["kind"]
     if fraction is None:
-        fraction = _field(cfg, "corruption.fraction", float)
+        fraction = _field(cfg, "corruption.fraction", _float)
     split = split or c["split"]
     spec = SD.CorruptionSpec(
         kind=kind, video_fraction=fraction,
         segment_len_min=_field(cfg, "corruption.segment_len_min", _int),
         segment_len_max=_field(cfg, "corruption.segment_len_max", _int),
         seed=_seed(cfg, "corruption.seed", 10))
-    ds = SD.read_dataset(_split_path(cfg, split))
-    corrupted = SD.corrupt_dataset(ds, spec)
+    path = _split_path(cfg, split)
+    ds = _read_split(path)
+    try:
+        corrupted = SD.corrupt_dataset(ds, spec)
+    except DataError as e:  # a sample corrupted already, or too short
+        raise type(e)(f"{path}: {e}") from e
     out = out_file or _path(cfg, f"{split}_{kind}.jsonl")
     SD.write_dataset(corrupted, out,
                      header_extra={"corruption_spec": dataclasses.asdict(spec)})
@@ -256,7 +277,7 @@ def cmd_corrupt(cfg: dict, kind: str | None, fraction: float | None,
 
 
 def cmd_train(cfg: dict) -> None:
-    ds = SD.read_dataset(_split_path(cfg, "train"))
+    ds = _read_split(_split_path(cfg, "train"))
     model_cfg = build_model_config(cfg, ds.grammar)
     train_cfg = build_train_config(cfg)
     TR.train(ds, model_cfg, train_cfg, _path(cfg, "store"),
@@ -278,12 +299,12 @@ def cmd_audit(cfg: dict) -> None:
     det = build_detection_config(cfg)
     store = TR.load_store(_path(cfg, "store"))
     path = cfg["data"].get("audit_path") or _path(cfg, "test.jsonl")
-    ds = SD.read_dataset(path)
+    ds = _read_split(path)
     tau = None
     if det.mode == CSL.THRESHOLD and cfg["detection"]["tau"] is None:
         # calibrate on the (assumed clean) validation split
         val_path = _split_path(cfg, "val")
-        val = _audit(store, SD.read_dataset(val_path), val_path, det)
+        val = _audit(store, _read_split(val_path), val_path, det)
         tau = CSL.calibrate_tau([p.smoothed for p in val])
         det = dataclasses.replace(det, tau=tau)
 
@@ -412,7 +433,7 @@ def cmd_eval(cfg: dict) -> None:
                                 np.asarray(v["gt_error"])))
               for v in profiles["videos"]]
     report = MET.build_report(
-        inputs, k_percent=_field(cfg, "detection.k_percent", float),
+        inputs, k_percent=_field(cfg, "detection.k_percent", _float),
         config={"detection": cfg["detection"], "seed": cfg["seed"]})
     if report.micro_auc is None:
         print("warning: micro-AUC undefined (single-class ground truth)",

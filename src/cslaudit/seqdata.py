@@ -8,11 +8,12 @@ frame keeps a label consistent with its content but the transcript violates
 the canonical order).
 
 Datasets persist as UTF-8 JSON Lines in the `csl-seqdata/2` format,
-gzipped when the path ends in ".gz", and are written atomically (temp file,
-then rename). Line 1 is the header object: `format` ("csl-seqdata/2"),
-`grammar` (`PhaseGrammar.to_dict()`), `split`, `seed` and any extra keys the
-writer adds (`corrupt` adds `corruption_spec`). Each following line is one
-sample object:
+gzipped when the path ends in ".gz". They are read and written one line at
+a time, and written atomically (temp file, then rename). Line 1 is the
+header object: `format` ("csl-seqdata/2"), `grammar`
+(`PhaseGrammar.to_dict()`), `split`, `seed` and any extra keys the writer
+adds (`corrupt` adds `corruption_spec`). Each following line is one sample
+object:
 
 - `id`: string, non-empty, not `.` or `..`, without `/`, `\\`, `,`, `"` or
   control characters (`check_id`);
@@ -40,13 +41,14 @@ match them, and call `write_dataset`.
 from __future__ import annotations
 
 import base64
-import binascii
 import gzip
 import hashlib
+import itertools
 import json
 import os
 import re
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -259,25 +261,17 @@ def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _phase_means(grammar: PhaseGrammar, durations: list[int]) -> np.ndarray:
-    """Per-frame mean vectors for one sequence, with linear boundary blending."""
-    order = grammar.phase_order
-    T = sum(durations)
-    means = np.empty((T, grammar.feature_dim))
-    pos = 0
-    starts = []
-    for j, dur in enumerate(durations):
-        means[pos:pos + dur] = grammar.class_means[order[j]]
-        starts.append(pos)
-        pos += dur
+    """Per-frame mean vectors for one sequence, with linear boundary blending:
+    the 2 * blend rows around each phase boundary step from the previous
+    phase's mean to the next one's, a later boundary's rows written last."""
+    mus = grammar.class_means[list(grammar.phase_order)]
+    means = np.repeat(mus, durations, axis=0)
     b = grammar.boundary_blend
     if b > 0:
-        for j in range(1, len(durations)):
-            lo = starts[j] - b
-            mu_prev = grammar.class_means[order[j - 1]]
-            mu_next = grammar.class_means[order[j]]
-            for k in range(2 * b):
-                w = (k + 1) / (2 * b + 1)
-                means[lo + k] = (1 - w) * mu_prev + w * mu_next
+        w = (np.arange(1, 2 * b + 1) / (2 * b + 1))[:, None]
+        blends = (1 - w) * mus[:-1, None] + w * mus[1:, None]  # (C-1, 2b, d)
+        for lo, rows in zip(np.cumsum(durations[:-1]) - b, blends):
+            means[lo:lo + 2 * b] = rows
     return means
 
 
@@ -313,7 +307,7 @@ def inject_mislabeling(sample: SequenceSample, spec: CorruptionSpec,
     if spec.kind != "mislabel":
         raise ConfigError("inject_mislabeling requires a mislabel spec")
     if sample.corruption is not None:
-        raise ValueError(f"sample {sample.id} is already corrupted")
+        raise SchemaError(f"sample {sample.id} is already corrupted")
     T = sample.num_frames
     if T < spec.segment_len_min:
         raise SequenceTooShortError(
@@ -347,7 +341,7 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
     if spec.kind != "disorder":
         raise ConfigError("inject_disordering requires a disorder spec")
     if sample.corruption is not None:
-        raise ValueError(f"sample {sample.id} is already corrupted")
+        raise SchemaError(f"sample {sample.id} is already corrupted")
     runs = label_runs(sample.labels)
     if len(runs) < 2:
         raise SequenceTooShortError(
@@ -424,7 +418,7 @@ def decode_f8(text, shape: tuple[int, int], name: str) -> np.ndarray:
                           f"got {type(text).__name__}")
     try:
         raw = base64.b64decode(text, validate=True)
-    except binascii.Error as e:
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
         raise SchemaError(f"{name} is not valid base64 ({e})") from e
     rows, cols = shape
     if rows < 0:
@@ -446,17 +440,23 @@ def _sample_dict(s: SequenceSample) -> dict:
 
 
 def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
-    """Write JSONL atomically (temp file + rename). A path whose directory
-    does not exist raises DataError and leaves no file behind."""
-    lines = [json.dumps(_header_dict(ds, header_extra), sort_keys=True)]
-    lines.extend(json.dumps(_sample_dict(s), sort_keys=True) for s in ds.samples)
-    tmp = str(path) + ".tmp"
+    """Write JSONL atomically (temp file + rename), one line at a time. A
+    path whose directory does not exist raises DataError; a failed write
+    leaves neither the temp file nor a changed `path`."""
+    tmp = f"{path}.tmp"
     try:
-        with _open_text(tmp, "w", path) as f:
-            f.write("\n".join(lines) + "\n")
+        f = _open_text(tmp, "w", path)
     except (FileNotFoundError, NotADirectoryError) as e:
         raise DataError(f"cannot write dataset {path}: its directory does "
                         f"not exist") from e
+    rows = itertools.chain([_header_dict(ds, header_extra)],
+                           map(_sample_dict, ds.samples))
+    try:
+        with f:
+            f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    except BaseException:
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -488,11 +488,12 @@ def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
         raise SchemaError(f"line {ln}: {e}") from e
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a dataset file; DataError/ParseError name the path."""
+def read_dataset(path: str) -> Dataset:
+    """The dataset in a `csl-seqdata/2` file, parsed one line at a time.
+    Every error names the path; a parse or schema error also the line."""
     try:
         with _open_text(path, "r") as f:
-            return f.read().splitlines()
+            return _parse_dataset(f)
     except FileNotFoundError as e:
         raise DataError(f"no dataset at {path}; run gen first") from e
     except IsADirectoryError as e:
@@ -501,24 +502,16 @@ def _read_lines(path: str) -> list[str]:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     except (gzip.BadGzipFile, EOFError, zlib.error) as e:
         raise ParseError(f"{path}: not a complete gzip file ({e})") from e
-
-
-def read_dataset(path: str) -> Dataset:
-    """The dataset in a `csl-seqdata/2` file. Every ParseError or SchemaError
-    message begins with the path, then the line at fault."""
-    lines = _read_lines(path)
-    try:
-        return _parse_dataset(lines)
     except (ParseError, SchemaError) as e:
         e.args = (f"{path}: {e}",)  # keeps the type, line and traceback
         raise
 
 
-def _parse_dataset(lines: list[str]) -> Dataset:
-    if not lines:
-        raise ParseError("empty dataset file", line=1)
+def _parse_dataset(lines: Iterator[str]) -> Dataset:
     try:
-        header = json.loads(lines[0])
+        header = json.loads(next(lines))
+    except StopIteration as e:
+        raise ParseError("empty dataset file", line=1) from e
     except json.JSONDecodeError as e:
         raise ParseError(f"bad header JSON: {e.msg}", line=1) from e
     fmt = header.get("format") if isinstance(header, dict) else None
@@ -543,7 +536,7 @@ def _parse_dataset(lines: list[str]) -> Dataset:
     except SchemaError as e:
         raise SchemaError(f"line 1: {e}") from e
     samples = []
-    for ln, raw in enumerate(lines[1:], start=2):
+    for ln, raw in enumerate(lines, start=2):
         if not raw.strip():
             continue
         try:

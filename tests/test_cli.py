@@ -1,4 +1,5 @@
 import base64
+import gzip
 import importlib.util
 import json
 import os
@@ -297,6 +298,8 @@ MALFORMED = {
     "id-not-a-string": (3, lambda rows: rows[2].update(id=7)),
     "id-with-slash": (3, lambda rows: rows[2].update(id="../x")),
     "id-with-comma": (3, lambda rows: rows[2].update(id="a,b")),
+    "frames-not-ascii": (3, lambda rows: rows[2].update(
+        frames="\u00e9" + rows[2]["frames"])),
 }
 
 
@@ -437,35 +440,55 @@ def test_eval_uses_the_audit_window(trained_cfg, tmp_path):
         == before
 
 
-def _make_dir(path):
+def _make_dir(path, clean):
     path.mkdir()
     return path
 
 
-def _make_latin1(path):
+def _make_latin1(path, clean):
     path.write_bytes(b'{"format": "\xff"}\n')
     return path
 
 
-def _make_plain_gz(path):
+def _make_plain_gz(path, clean):
     gz = path.with_suffix(".jsonl.gz")
     gz.write_text("{}\n")
     return gz
 
 
-# (text the error must show besides the path, how to make the bad path)
+def _make_bad_byte_on_line_3(path, clean):
+    lines = clean.split(b"\n")
+    # leading JSON whitespace puts the byte past the chunks that hold lines
+    # 1 and 2, so it is decoded only after they are parsed
+    lines[2] = b" " * 65536 + lines[2].replace(b'"id": "', b'"id": "\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def _make_truncated_gz(path, clean):
+    gz = path.with_suffix(".jsonl.gz")
+    blob = gzip.compress(clean)
+    gz.write_bytes(blob[:len(blob) // 2])
+    return gz
+
+
+# (text the error must show besides the path, how to make the bad path from
+# the bytes of a clean split)
 UNREADABLE = {
-    "missing": ("run gen first", lambda path: path),
+    "missing": ("run gen first", lambda path, clean: path),
     "directory": ("is a directory", _make_dir),
     "not-utf8": ("not UTF-8", _make_latin1),
     "gz-not-gzip": ("gzip", _make_plain_gz),
+    "not-utf8-on-line-3": ("not UTF-8", _make_bad_byte_on_line_3),
+    "gz-cut-mid-stream": ("not a complete gzip file", _make_truncated_gz),
 }
 
 
 @pytest.mark.parametrize("text,make", list(UNREADABLE.values()),
                          ids=list(UNREADABLE))
 def test_unreadable_dataset_exit_3(trained_cfg, tmp_path, capsys, text, make):
-    bad = make(tmp_path / "d.jsonl")
+    with open(os.path.join(trained_cfg["out_dir"], "test.jsonl"), "rb") as f:
+        bad = make(tmp_path / "d.jsonl", f.read())
     code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
     assert code == 3
     assert str(bad) in err and text in err
@@ -550,6 +573,90 @@ def test_pair_field_of_wrong_length_exit_2(trained_cfg, tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{field} must hold exactly 2 values, got {len(value)}" in err
     assert not os.path.exists(tmp_path / "run" / "store")
+
+
+# (command, dotted float field, the field's value holding the number x);
+# float() took strings and bools, and NaN passed every range check
+FLOAT_FIELDS = [
+    ("gen", "grammar.feature_noise_sigma", lambda x: x),
+    ("gen", "grammar.class_mean_scale", lambda x: x),
+    ("gen", "grammar.class_means",
+     lambda x: [[x, 0, 0, 0, 0, 0]] + [[2.0 * (i == j) for j in range(6)]
+                                       for i in range(1, 4)]),
+    ("corrupt", "corruption.fraction", lambda x: x),
+    ("train", "model.dropout_rates", lambda x: [0.5, x]),
+    *[("train", f"train.{key}", lambda x: x) for key in (
+        "learning_rate", "beta1", "beta2", "eps", "weight_decay")],
+    ("audit", "detection.tau", lambda x: x),
+    ("audit", "detection.k_percent", lambda x: x),
+]
+
+
+@pytest.mark.parametrize("x", ["0.5", True, float("nan"), float("inf")],
+                         ids=["string", "bool", "NaN", "Infinity"])
+@pytest.mark.parametrize("command,field,value", FLOAT_FIELDS,
+                         ids=[f[1] for f in FLOAT_FIELDS])
+def test_non_finite_or_non_number_float_field_exit_2(
+        trained_cfg, tmp_path, capsys, command, field, value, x):
+    test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
+                                         command, field, value(x))
+
+
+def header_only(src, dst):
+    """dst holding the header line of the dataset at src, and no sample."""
+    with open(src, encoding="utf-8") as f:
+        dst.write_text(f.readline())
+    return str(dst)
+
+
+@pytest.mark.parametrize("command,key,detection", [
+    ("train", "train_path", {}),
+    ("audit", "audit_path", {}),
+    ("audit", "val_path", {"mode": "threshold", "tau": None}),
+], ids=["train", "audit", "val"])
+def test_header_only_split_exit_3(trained_cfg, tmp_path, capsys, command, key,
+                                  detection):
+    """A split with no samples is a data error naming its file, in the
+    stage that reads it: not a config error (train), an audit of 0 videos
+    (audit) or an empty calibration pool (val)."""
+    split = {"train_path": "train", "val_path": "val"}.get(key, "test")
+    empty = header_only(os.path.join(trained_cfg["out_dir"],
+                                     f"{split}.jsonl"), tmp_path / "e.jsonl")
+    shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"),
+                    tmp_path / "run" / "store")
+    data = dict(trained_cfg["data"], audit_path=os.path.join(
+        trained_cfg["out_dir"], "test.jsonl"))
+    data[key] = empty
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"), data=data,
+               detection=dict(trained_cfg["detection"], **detection))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(path)) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {empty}: the dataset holds no samples, only a header "
+        f"line\n")
+    assert os.listdir(tmp_path / "run") == ["store"]
+    assert len(os.listdir(tmp_path / "run" / "store")) == len(os.listdir(
+        os.path.join(trained_cfg["out_dir"], "store")))
+
+
+def test_corrupt_already_corrupted_split_exit_3(trained_cfg, tmp_path,
+                                                capsys):
+    """`corrupt` of a split whose samples are corrupted already is a data
+    error naming the file (a ValueError traceback before)."""
+    corrupted = os.path.join(trained_cfg["out_dir"], "test_mislabel.jsonl")
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               data=dict(trained_cfg["data"], train_path=corrupted))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("corrupt", "--config", str(path), "--split", "train",
+                   "--fraction", "1") == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {corrupted}: sample ")
+    assert err.endswith(" is already corrupted\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # grammar overrides that make a val split foreign to the trained store: more

@@ -2,15 +2,19 @@ import base64
 import gzip
 import hashlib
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cslaudit as ca
 from cslaudit.errors import (ConfigError, ParseError, SchemaError,
                              SequenceTooShortError)
-from cslaudit.seqdata import (FORMAT_TAG, dataset_fingerprint,
+from cslaudit.seqdata import (FORMAT_TAG, _phase_means, dataset_fingerprint,
                               grammar_fingerprint, inject_disordering,
                               inject_mislabeling, label_runs)
 
@@ -60,6 +64,30 @@ class TestGenerate:
         for s in ds.samples:
             for t in range(s.num_frames):
                 assert np.array_equal(s.frames[t], g.class_means[s.labels[t]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 5), st.integers(0, 6),
+           st.data())
+    def test_phase_means_equal_row_loop(self, C, d, blend, data):
+        """The broadcast blend is bit-identical to blending row by row, also
+        where a phase shorter than 2 * blend lets two boundaries overlap."""
+        durations = data.draw(st.lists(st.integers(blend + 1, blend + 9),
+                                       min_size=C, max_size=C))
+        means = np.random.default_rng(C * 10 + d).normal(size=(C, d))
+        g = ca.PhaseGrammar(C, d, means, 0.0, tuple(np.random.default_rng(
+            blend).permutation(C)), blend + 1, blend + 9, blend)
+        got = _phase_means(g, durations)
+        want = np.empty((sum(durations), d))
+        starts = np.cumsum([0] + durations)
+        for j, dur in enumerate(durations):
+            want[starts[j]:starts[j] + dur] = means[g.phase_order[j]]
+        for j in range(1, C):
+            mu_prev = means[g.phase_order[j - 1]]
+            mu_next = means[g.phase_order[j]]
+            for k in range(2 * blend):
+                w = (k + 1) / (2 * blend + 1)
+                want[starts[j] - blend + k] = (1 - w) * mu_prev + w * mu_next
+        assert np.array_equal(got.view("<u8"), want.view("<u8"))
 
     def test_invalid_grammar(self):
         with pytest.raises(ConfigError):
@@ -124,8 +152,10 @@ class TestMislabel:
     def test_already_corrupted_rejected(self):
         out = inject_mislabeling(self.make_sample(), self.SPEC, 3,
                                  np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="sample s0 is already corrupted"):
             inject_mislabeling(out, self.SPEC, 3, np.random.default_rng(0))
+        with pytest.raises(SchemaError, match="sample s0 is already corrupted"):
+            inject_disordering(out, TestDisorder.SPEC, np.random.default_rng(0))
 
     def test_too_short(self):
         spec = ca.CorruptionSpec("mislabel", 1.0, 20, 30, 0)
@@ -345,3 +375,74 @@ class TestIO:
             f = s.frames
             assert f.dtype == np.float64 and f.flags.c_contiguous
             assert f.flags.writeable and f.flags.owndata
+
+
+def cf_short_test_split():
+    """A 2.5 MB dataset: the cf-short benchmark's test split."""
+    C, d = 6, 16
+    means = np.zeros((C, d))
+    means[np.arange(C), np.arange(C)] = 2.0 * np.sqrt(2.0)
+    g = ca.PhaseGrammar(C, d, means, 1.0, tuple(range(C)), 8, 16, 3)
+    return ca.generate_dataset(g, 200, "test", seed=3)
+
+
+class TestStreamingIO:
+    def test_memory_does_not_grow_with_file_size(self, tmp_path):
+        """Reading and writing hold one line at a time: the transient memory
+        stays a small share of the file size (about 300% and 120% when the
+        whole file was held as one string)."""
+        ds = cf_short_test_split()
+        path = tmp_path / "ds.jsonl"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ca.write_dataset(ds, str(path))
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+            size = os.path.getsize(path)
+            del ds
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            back = ca.read_dataset(str(path))
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        arrays = sum(s.frames.nbytes + s.labels.nbytes + s.error_mask.nbytes
+                     for s in back.samples)
+        assert size >= 2_000_000
+        assert write_peak < 0.25 * size
+        assert read_peak - arrays < 0.25 * size
+
+    @pytest.mark.parametrize("name", ["ds.jsonl", "ds.jsonl.gz"])
+    def test_bytes_equal_one_shot_recipe(self, small_dataset, tmp_path, name):
+        ds = ca.corrupt_dataset(small_dataset, ca.CorruptionSpec(
+            "mislabel", 0.5, 2, 3, seed=1))
+        path = tmp_path / name
+        ca.write_dataset(ds, str(path), header_extra={"note": "x"})
+        header = {"format": FORMAT_TAG, "grammar": ds.grammar.to_dict(),
+                  "split": ds.split, "seed": ds.seed, "note": "x"}
+        rows = [header] + [
+            {"id": s.id, "frames": base64.b64encode(
+                s.frames.astype("<f8").tobytes()).decode(),
+             "labels": s.labels.tolist(), "error_mask": s.error_mask.tolist(),
+             "corruption": s.corruption} for s in ds.samples]
+        want = ("\n".join(json.dumps(r, sort_keys=True) for r in rows)
+                + "\n").encode()
+        raw = path.read_bytes()
+        assert (gzip.decompress(raw) if name.endswith(".gz") else raw) == want
+
+    @pytest.mark.parametrize("name", ["ds.jsonl", "ds.jsonl.gz"])
+    def test_failed_write_leaves_target_alone(self, small_dataset, tmp_path,
+                                              name):
+        path = tmp_path / name
+        ca.write_dataset(small_dataset, str(path))
+        before = path.read_bytes()
+        bad = ca.Dataset(small_dataset.grammar, list(small_dataset.samples),
+                         "train", 0)
+        bad.samples[3] = ca.SequenceSample(
+            "s3", bad.samples[3].frames, bad.samples[3].labels,
+            bad.samples[3].error_mask, corruption={"kind": {1, 2}})
+        with pytest.raises(TypeError):  # a set is no JSON value
+            ca.write_dataset(bad, str(path))
+        assert os.listdir(tmp_path) == [name]
+        assert path.read_bytes() == before
