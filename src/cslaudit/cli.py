@@ -69,24 +69,63 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """base with override's values. A key base does not define, or a
-    non-object where base has a section, raises ConfigError naming its
-    dotted path."""
+# A leaf takes values of the kind of its default; these example values give
+# the kind of the leaves whose default is null.
+_NULL_KINDS = {"grammar.class_means": [[0.0]], "grammar.phase_order": [0],
+               "data.train_path": "x", "data.val_path": "x",
+               "data.audit_path": "x", "corruption.seed": 0,
+               "model.init_seed": 0, "train.shuffle_seed": 0,
+               "detection.tau": 0.0}
+# type of a default -> (its kind in words, plural, test of a JSON value). type()
+# refuses bools; the bound refuses NaN, infinities and ints too big for float().
+_KINDS = {
+    int: ("a non-negative integer", "non-negative integers",
+          lambda v: type(v) is int and v >= 0),
+    float: ("a finite number", "finite numbers",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a non-empty string", "non-empty strings",
+          lambda v: type(v) is str and v != ""),
+}
+
+
+def _kind(example) -> tuple:
+    """_KINDS entry for the kind of example, a list's built from its items."""
+    if type(example) is not list:
+        return _KINDS[type(example)]
+    _, items, test = _kind(example[0])
+    return (f"a list of {items}", f"lists of {items}",
+            lambda v: type(v) is list and all(map(test, v)))
+
+
+def _merge(base: dict, override: dict, prefix: str = "",
+           default: dict = DEFAULT_CONFIG) -> dict:
+    """base with override's values. A key the default config lacks, a
+    non-object where it has a section, or a value not of its default's kind
+    (null only where the default is null) raises ConfigError naming it."""
     out = dict(base)
     for k, v in override.items():
-        if k not in base:
-            raise ConfigError(f"config field {prefix}{k}: unknown field")
-        if isinstance(base[k], dict):
+        dotted = prefix + k
+        if k not in default:
+            raise ConfigError(f"config field {dotted}: unknown field")
+        if isinstance(default[k], dict):
             if not isinstance(v, dict):
-                raise ConfigError(f"config field {prefix}{k}: must be a JSON "
-                                  f"object")
-            v = _merge(base[k], v, f"{prefix}{k}.")
+                raise ConfigError(f"config field {dotted}: must be a JSON "
+                                  f"object, not {json.dumps(v)}")
+            v = _merge(base[k], v, dotted + ".", default[k])
+        elif v is not None or default[k] is not None:
+            what, _, test = _kind(_NULL_KINDS.get(dotted, default[k]))
+            if dotted == "corruption.split":  # no dataclass checks this one
+                what, test = '"train" or "test"', ("train", "test").__contains__
+            if not test(v):
+                raise ConfigError(f"config field {dotted}: must be {what}, "
+                                  f"not {json.dumps(v)}")
         out[k] = v
     return out
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: dict | None = None) -> dict:
+    """The default config merged with the JSON object at path, then with
+    overrides (the command-line flags), every value checked on the way."""
     try:
         with open(path, encoding="utf-8") as f:
             user = json.load(f)
@@ -101,117 +140,55 @@ def load_config(path: str) -> dict:
     if not isinstance(user, dict):
         raise ConfigError(f"{path}: config must be a JSON object, "
                           f"got {type(user).__name__}")
-    cfg = _merge(DEFAULT_CONFIG, user)
-    _field(cfg, "out_dir", _text)
-    for key in ("train_path", "val_path", "audit_path"):
-        _field(cfg, f"data.{key}", lambda v: v if v is None else _text(v))
-    return cfg
+    return _merge(_merge(DEFAULT_CONFIG, user), overrides or {})
 
 
-def _field(cfg: dict, dotted: str, conv):
-    """conv of the config value at a dotted path ("train.epochs"); a value
-    conv refuses raises ConfigError naming the path."""
-    value = cfg
-    for key in dotted.split("."):
-        value = value[key]
-    try:
-        return conv(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config field {dotted}: cannot use {value!r} "
-                          f"({e})") from e
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"must be a string, not {type(value).__name__}")
-    return value
-
-
-def _int(value) -> int:
-    if type(value) is not int:  # a bool is an int subclass: refused too
-        raise TypeError(f"must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _ints(values) -> tuple[int, ...]:
-    return tuple(_int(x) for x in values)
-
-
-def _float(value) -> float:
-    # type() refuses bools and strings, isfinite NaN and the infinities
-    if type(value) not in (int, float) or not np.isfinite(value):
-        raise ValueError("must be a finite JSON number")
-    return float(value)
-
-
-def _floats(values) -> tuple[float, ...]:
-    return tuple(_float(x) for x in values)
-
-
-def _seed(cfg: dict, dotted: str, offset: int) -> int:
-    """The seed field at a dotted path, or the global seed plus offset when
-    that field is null."""
-    section, key = dotted.split(".")
-    if cfg[section][key] is None:
-        return _field(cfg, "seed", _int) + offset
-    return _field(cfg, dotted, _int)
+def _seed(cfg: dict, value: int | None, offset: int) -> int:
+    """A seed field's value, or the global seed plus offset when it is null."""
+    return cfg["seed"] + offset if value is None else value
 
 
 def build_grammar(cfg: dict) -> SD.PhaseGrammar:
-    C = _field(cfg, "grammar.num_classes", _int)
-    d = _field(cfg, "grammar.feature_dim", _int)
-    if cfg["grammar"].get("class_means") is not None:
-        means = _field(cfg, "grammar.class_means",
-                       lambda v: np.array([_floats(row) for row in v]))
-    else:
+    g = cfg["grammar"]
+    C, d = g["num_classes"], g["feature_dim"]
+    means = g["class_means"]
+    if means is None:
         if d < C:
             raise ConfigError(
                 "feature_dim must be >= num_classes for default class means")
         means = np.zeros((C, d))
-        means[np.arange(C), np.arange(C)] = _field(
-            cfg, "grammar.class_mean_scale", _float)
-    order = tuple(range(C))
-    if cfg["grammar"].get("phase_order"):
-        order = _field(cfg, "grammar.phase_order", _ints)
+        means[np.arange(C), np.arange(C)] = g["class_mean_scale"]
     return SD.PhaseGrammar(
         num_classes=C, feature_dim=d, class_means=means,
-        feature_noise_sigma=_field(cfg, "grammar.feature_noise_sigma", _float),
-        phase_order=order,
-        duration_min=_field(cfg, "grammar.duration_min", _int),
-        duration_max=_field(cfg, "grammar.duration_max", _int),
-        boundary_blend=_field(cfg, "grammar.boundary_blend", _int))
+        feature_noise_sigma=float(g["feature_noise_sigma"]),
+        phase_order=range(C) if g["phase_order"] is None else g["phase_order"],
+        duration_min=g["duration_min"], duration_max=g["duration_max"],
+        boundary_blend=g["boundary_blend"])
 
 
 def build_model_config(cfg: dict, grammar: SD.PhaseGrammar) -> M.ModelConfig:
+    m = cfg["model"]
     return M.ModelConfig(
         feature_dim=grammar.feature_dim, num_classes=grammar.num_classes,
-        hidden_dim=_field(cfg, "model.hidden_dim", _int),
-        head_dims=_field(cfg, "model.head_dims", _ints),
-        temporal_mode=cfg["model"]["temporal_mode"],
-        attention_dim=_field(cfg, "model.attention_dim", _int),
-        dropout_rates=_field(cfg, "model.dropout_rates", _floats),
-        init_seed=_seed(cfg, "model.init_seed", 100))
+        hidden_dim=m["hidden_dim"], head_dims=tuple(m["head_dims"]),
+        temporal_mode=m["temporal_mode"], attention_dim=m["attention_dim"],
+        dropout_rates=tuple(map(float, m["dropout_rates"])),
+        init_seed=_seed(cfg, m["init_seed"], 100))
 
 
 def build_train_config(cfg: dict) -> TR.TrainConfig:
+    t = cfg["train"]
     return TR.TrainConfig(
-        epochs=_field(cfg, "train.epochs", _int),
-        learning_rate=_field(cfg, "train.learning_rate", _float),
-        beta1=_field(cfg, "train.beta1", _float),
-        beta2=_field(cfg, "train.beta2", _float),
-        eps=_field(cfg, "train.eps", _float),
-        weight_decay=_field(cfg, "train.weight_decay", _float),
-        shuffle_seed=_seed(cfg, "train.shuffle_seed", 200))
+        epochs=t["epochs"], shuffle_seed=_seed(cfg, t["shuffle_seed"], 200),
+        **{k: float(t[k]) for k in ("learning_rate", "beta1", "beta2", "eps",
+                                    "weight_decay")})
 
 
 def build_detection_config(cfg: dict) -> CSL.DetectionConfig:
     d = cfg["detection"]
     return CSL.DetectionConfig(
-        mode=d["mode"],
-        tau=_field(cfg, "detection.tau",
-                   lambda v: 0.0 if v is None else _float(v)),
-        k_percent=_field(cfg, "detection.k_percent", _float),
-        window=_field(cfg, "detection.window", _int),
+        mode=d["mode"], tau=0.0 if d["tau"] is None else float(d["tau"]),
+        k_percent=float(d["k_percent"]), window=d["window"],
         audit_loss=d["audit_loss"])
 
 
@@ -220,10 +197,8 @@ def _path(cfg: dict, name: str) -> str:
 
 
 def _split_path(cfg: dict, split: str) -> str:
-    key = {"train": "train_path", "val": "val_path"}.get(split)
-    if key and cfg["data"].get(key):
-        return cfg["data"][key]
-    return _path(cfg, f"{split}.jsonl")
+    """data.<split>_path if set (train, val), else <split>.jsonl in out_dir."""
+    return cfg["data"].get(f"{split}_path") or _path(cfg, f"{split}.jsonl")
 
 
 def _read_split(path: str) -> SD.Dataset:
@@ -242,34 +217,28 @@ def _read_split(path: str) -> SD.Dataset:
 def cmd_gen(cfg: dict) -> None:
     grammar = build_grammar(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
-    counts = {split: _field(cfg, f"data.n_{split}", _int) for split in SD.SPLITS}
-    base = _field(cfg, "seed", _int)
-    for i, (split, n) in enumerate(counts.items()):
-        ds = SD.generate_dataset(grammar, n, split, seed=base + i)
+    for i, split in enumerate(SD.SPLITS):
+        n = cfg["data"][f"n_{split}"]
+        ds = SD.generate_dataset(grammar, n, split, seed=cfg["seed"] + i)
         SD.write_dataset(ds, _split_path(cfg, split))
         print(f"{split}: {n} sequences, "
               f"{sum(s.num_frames for s in ds.samples)} frames")
 
 
-def cmd_corrupt(cfg: dict, kind: str | None, fraction: float | None,
-                split: str | None, out_file: str | None) -> None:
+def cmd_corrupt(cfg: dict, out_file: str | None) -> None:
     c = cfg["corruption"]
-    kind = kind or c["kind"]
-    if fraction is None:
-        fraction = _field(cfg, "corruption.fraction", _float)
-    split = split or c["split"]
     spec = SD.CorruptionSpec(
-        kind=kind, video_fraction=fraction,
-        segment_len_min=_field(cfg, "corruption.segment_len_min", _int),
-        segment_len_max=_field(cfg, "corruption.segment_len_max", _int),
-        seed=_seed(cfg, "corruption.seed", 10))
-    path = _split_path(cfg, split)
+        kind=c["kind"], video_fraction=float(c["fraction"]),
+        segment_len_min=c["segment_len_min"],
+        segment_len_max=c["segment_len_max"],
+        seed=_seed(cfg, c["seed"], 10))
+    path = _split_path(cfg, c["split"])
     ds = _read_split(path)
     try:
         corrupted = SD.corrupt_dataset(ds, spec)
     except DataError as e:  # a sample corrupted already, or too short
         raise type(e)(f"{path}: {e}") from e
-    out = out_file or _path(cfg, f"{split}_{kind}.jsonl")
+    out = out_file or _path(cfg, f"{c['split']}_{spec.kind}.jsonl")
     SD.write_dataset(corrupted, out,
                      header_extra={"corruption_spec": dataclasses.asdict(spec)})
     n_corrupt = sum(1 for s in corrupted.samples if s.corruption is not None)
@@ -298,7 +267,7 @@ def _audit(store: TR.CheckpointStore, ds: SD.Dataset, path: str,
 def cmd_audit(cfg: dict) -> None:
     det = build_detection_config(cfg)
     store = TR.load_store(_path(cfg, "store"))
-    path = cfg["data"].get("audit_path") or _path(cfg, "test.jsonl")
+    path = cfg["data"]["audit_path"] or _path(cfg, "test.jsonl")
     ds = _read_split(path)
     tau = None
     if det.mode == CSL.THRESHOLD and cfg["detection"]["tau"] is None:
@@ -314,8 +283,8 @@ def cmd_audit(cfg: dict) -> None:
         "format": PROFILES_FORMAT,
         "store_fingerprints": store.manifest["fingerprints"],
         # eval recomputes the smoothed CSL with this window
-        "detection": dict(cfg["detection"], window=det.window,
-                          tau=det.tau if det.mode == CSL.THRESHOLD
+        "detection": dict(cfg["detection"], tau=det.tau
+                          if det.mode == CSL.THRESHOLD
                           else cfg["detection"]["tau"]),
         "seed": cfg["seed"],
     }
@@ -388,6 +357,8 @@ def _load_profiles(cfg: dict) -> dict:
     if not isinstance(videos, list):
         raise SchemaError(f"{path}: 'videos' must be a list, "
                           f"got {type(videos).__name__}")
+    if not videos:
+        raise SchemaError(f"{path}: 'videos' is empty; re-run `cslaudit audit`")
     first = {}  # id -> index of the first video with it
     for i, v in enumerate(videos):
         where = f"{path}: video {i}"
@@ -433,7 +404,7 @@ def cmd_eval(cfg: dict) -> None:
                                 np.asarray(v["gt_error"])))
               for v in profiles["videos"]]
     report = MET.build_report(
-        inputs, k_percent=_field(cfg, "detection.k_percent", _float),
+        inputs, k_percent=float(cfg["detection"]["k_percent"]),
         config={"detection": cfg["detection"], "seed": cfg["seed"]})
     if report.micro_auc is None:
         print("warning: micro-AUC undefined (single-class ground truth)",
@@ -508,23 +479,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> None:
     args = _build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.out is not None:
-        cfg["out_dir"] = args.out
-    if args.command == "gen":
-        cmd_gen(cfg)
-    elif args.command == "corrupt":
-        cmd_corrupt(cfg, args.kind, args.fraction, args.split, args.out_file)
-    elif args.command == "train":
-        cmd_train(cfg)
-    elif args.command == "audit":
-        cmd_audit(cfg)
-    elif args.command == "eval":
-        cmd_eval(cfg)
+
+    def given(flags: dict) -> dict:
+        return {k: v for k, v in flags.items() if v is not None}
+
+    overrides = given({"seed": args.seed, "out_dir": args.out})
+    if args.command == "corrupt":
+        overrides["corruption"] = given({
+            "kind": args.kind, "fraction": args.fraction, "split": args.split})
+    cfg = load_config(args.config, overrides)
+    if args.command == "corrupt":
+        cmd_corrupt(cfg, args.out_file)
     elif args.command == "heatmap":
         cmd_heatmap(cfg, args.video)
+    else:
+        {"gen": cmd_gen, "train": cmd_train, "audit": cmd_audit,
+         "eval": cmd_eval}[args.command](cfg)
 
 
 def main(argv: list[str] | None = None) -> int:

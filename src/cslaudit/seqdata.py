@@ -87,8 +87,11 @@ class PhaseGrammar:
     boundary_blend: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "class_means",
-                           np.asarray(self.class_means, dtype=np.float64))
+        try:
+            means = np.asarray(self.class_means, dtype=np.float64)
+        except ValueError as e:  # a ragged nested list
+            raise ConfigError("class_means must be a numeric matrix") from e
+        object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "phase_order", tuple(self.phase_order))
         self.validate()
 
@@ -101,8 +104,11 @@ class PhaseGrammar:
         if self.class_means.shape != (C, d):
             raise ConfigError(
                 f"class_means shape {self.class_means.shape} != ({C}, {d})")
-        if self.feature_noise_sigma < 0:
-            raise ConfigError("feature_noise_sigma must be nonnegative")
+        if not np.isfinite(self.class_means).all():
+            raise ConfigError("class_means must be finite")
+        if not 0 <= self.feature_noise_sigma < np.inf:  # false for NaN
+            raise ConfigError("feature_noise_sigma must be finite and "
+                              "nonnegative")
         if sorted(self.phase_order) != list(range(C)):
             raise ConfigError(
                 f"phase_order {self.phase_order} is not a permutation of 0..{C - 1}")
@@ -280,7 +286,6 @@ def generate_dataset(grammar: PhaseGrammar, n_videos: int, split: str,
     """Generate clean sequences: every video runs through all phases in order."""
     if n_videos < 1:
         raise ConfigError("n_videos must be >= 1")
-    grammar.validate()
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n_videos):

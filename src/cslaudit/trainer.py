@@ -63,8 +63,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # each test is false for NaN
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1)")
+        if not 0 < self.eps < np.inf:
+            raise ConfigError("eps must be finite and > 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
 
 
 class AdamWState:

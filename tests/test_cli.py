@@ -531,7 +531,7 @@ def test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
     capsys.readouterr()
     assert run_cli(command, "--config", str(path)) == 2
     assert f"config field {field}:" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "run" / "store")
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 # (command, dotted integer field, a JSON value that is no integer): each was
@@ -600,6 +600,103 @@ def test_non_finite_or_non_number_float_field_exit_2(
         trained_cfg, tmp_path, capsys, command, field, value, x):
     test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
                                          command, field, value(x))
+
+
+# (command, dotted field, a value of the right JSON type that the checks in
+# each command let through): negative seeds were ValueError tracebacks, an
+# empty out_dir a FileNotFoundError traceback, phase_order 0 or false meant
+# the default order, an empty audit_path audited the clean test.jsonl, and
+# corruption.split "foo" read out/foo.jsonl
+ESCAPED_CONFIG_VALUES = [
+    ("gen", "seed", -1),
+    ("train", "model.init_seed", -1),
+    ("train", "train.shuffle_seed", -3),
+    ("corrupt", "corruption.seed", -1),
+    ("gen", "out_dir", ""),
+    ("audit", "data.audit_path", ""),
+    ("gen", "grammar.phase_order", 0),
+    ("gen", "grammar.phase_order", False),
+    ("corrupt", "corruption.split", "foo"),
+    ("corrupt", "corruption.split", "val"),
+]
+
+
+@pytest.mark.parametrize("command,field,value", ESCAPED_CONFIG_VALUES,
+                         ids=[f"{f}={v!r}" for _, f, v in ESCAPED_CONFIG_VALUES])
+def test_escaped_config_value_exit_2(trained_cfg, tmp_path, capsys, command,
+                                     field, value):
+    test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
+                                         command, field, value)
+
+
+@pytest.mark.parametrize("command,flags,field", [
+    ("gen", ["--seed", "-1"], "seed"),
+    ("train", ["--seed", "-3"], "seed"),
+    ("gen", ["--out", ""], "out_dir"),
+    ("corrupt", ["--fraction", "nan"], "corruption.fraction"),
+    ("corrupt", ["--fraction", "inf"], "corruption.fraction"),
+], ids=["seed-gen", "seed-train", "out", "fraction-nan", "fraction-inf"])
+def test_bad_flag_value_exit_2(tmp_path, capsys, command, flags, field):
+    """A flag is checked as the config field it sets: exit 2 naming that
+    field, and nothing written."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(tmp_path / "run")))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(path), *flags) == 2
+    assert f"config field {field}: must be " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def config_leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+@pytest.mark.parametrize("field", list(config_leaves(cli.DEFAULT_CONFIG)))
+def test_every_config_leaf_is_checked(tmp_path, capsys, field):
+    """Every leaf, a leaf added later too, refuses a value of the wrong kind
+    when the config loads, in any command."""
+    cfg = base_config(tmp_path / "run")
+    *sections, key = field.split(".")
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = {"x": 1}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli("gen", "--config", str(path)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: config field {field}: must be ")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_integer_valued_floats_keep_their_json(trained_cfg, tmp_path):
+    """A float field written as an integer reaches the library as a float,
+    so the manifest records learning_rate 1.0, while profiles.json and
+    report.json echo the detection section as written: k_percent 10."""
+    out = trained_cfg["out_dir"]
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               data=dict(trained_cfg["data"],
+                         train_path=os.path.join(out, "train.jsonl"),
+                         audit_path=os.path.join(out, "test_mislabel.jsonl")),
+               train=dict(trained_cfg["train"], learning_rate=1, epochs=2),
+               detection=dict(trained_cfg["detection"], k_percent=10))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("train", "audit", "eval"):
+        assert run_cli(command, "--config", str(path)) == 0
+    run = tmp_path / "run"
+    manifest = json.loads((run / "store" / "manifest.json").read_text())
+    profiles = json.loads((run / "profiles.json").read_text())
+    report = json.loads((run / "report.json").read_text())
+    assert repr(manifest["train"]["learning_rate"]) == "1.0"
+    assert repr(profiles["detection"]["k_percent"]) == "10"
+    assert repr(report["config"]["detection"]["k_percent"]) == "10"
+    assert repr(report["k_percent"]) == "10.0"
 
 
 def header_only(src, dst):
@@ -678,8 +775,8 @@ def test_foreign_calibration_split_exit_3(trained_cfg, tmp_path, capsys,
     grammar like the audited split: exit 3 naming the file, nothing written."""
     foreign = dict(trained_cfg, grammar=dict(trained_cfg["grammar"], **grammar))
     val = tmp_path / "val.jsonl"
-    ca.write_dataset(ca.generate_dataset(cli.build_grammar(foreign), 3, "val",
-                                         seed=1), str(val))
+    grammar = cli.build_grammar(cli._merge(cli.DEFAULT_CONFIG, foreign))
+    ca.write_dataset(ca.generate_dataset(grammar, 3, "val", seed=1), str(val))
     shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"),
                     tmp_path / "run" / "store")
     cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
@@ -871,6 +968,7 @@ BAD_PROFILES = {
     "bad-window": ("detection.window must be an integer >= 0",
                    lambda d: dict(d, detection={"window": -1})),
     "id-with-slash": ("video 1: sample id '../x'", _video_1(id="../x")),
+    "videos-empty": ("'videos' is empty", lambda d: dict(d, videos=[])),
 }
 
 
@@ -903,6 +1001,22 @@ def test_truncated_profiles_names_path_first(trained_cfg, tmp_path, capsys):
     assert run_cli("eval", "--config", path) == 3
     assert capsys.readouterr().err.startswith(
         f"data error: {profiles}: line 1: not valid JSON (")
+
+
+def test_heatmap_of_empty_profiles_exit_3(tmp_path, capsys):
+    """heatmap exited 0 and wrote nothing for a profiles.json without
+    videos; eval exited 3 without naming the file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(tmp_path)))
+    profiles = tmp_path / "profiles.json"
+    profiles.write_text(json.dumps({"format": cli.PROFILES_FORMAT,
+                                    "detection": {"window": 1},
+                                    "videos": []}))
+    capsys.readouterr()
+    assert run_cli("heatmap", "--config", str(path)) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {profiles}: 'videos' is empty; re-run `cslaudit audit`\n")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "profiles.json"]
 
 
 @pytest.mark.parametrize("command", ["eval", "heatmap"])

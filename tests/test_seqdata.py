@@ -101,6 +101,21 @@ class TestGenerate:
             ca.PhaseGrammar(2, 3, fixed_grammar().class_means, 0.1, (0, 1),
                             5, 5, 5)
 
+    # a NaN noise sigma passed `< 0` and generated noise-free data, and a NaN
+    # class mean generated NaN frames; a ragged list was a ValueError
+    @pytest.mark.parametrize("means,sigma,text", [
+        ([[np.nan, 0, 0], [0, 1, 0]], 0.1, "class_means must be finite"),
+        ([[np.inf, 0, 0], [0, 1, 0]], 0.1, "class_means must be finite"),
+        ([[1, 0, 0], [0, 1]], 0.1, "class_means must be a numeric matrix"),
+        ([[1, 0, 0], [0, 1, 0]], np.nan, "feature_noise_sigma must be finite"),
+        ([[1, 0, 0], [0, 1, 0]], np.inf, "feature_noise_sigma must be finite"),
+        ([[1, 0, 0], [0, 1, 0]], -1.0, "feature_noise_sigma must be finite"),
+    ], ids=["nan-mean", "inf-mean", "ragged-means", "nan-sigma", "inf-sigma",
+            "negative-sigma"])
+    def test_non_finite_grammar_refused(self, means, sigma, text):
+        with pytest.raises(ConfigError, match=text):
+            ca.PhaseGrammar(2, 3, means, sigma, (0, 1), 5, 5, 0)
+
 
 class TestMislabel:
     SPEC = ca.CorruptionSpec("mislabel", 1.0, segment_len_min=3,

@@ -242,6 +242,24 @@ class TestTrain:
             ca.train(ds, tiny_model_cfg, train_cfg, str(tmp_path / "s"))
 
 
+# Each was accepted before: beta1 1.0 zeroed the bias correction (a numeric
+# fault at step 2), and a negative eps or weight decay trained with exit 0.
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", np.inf), ("learning_rate", np.nan),
+    ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", np.nan),
+    ("eps", 0.0), ("eps", -1.0), ("eps", np.inf),
+    ("weight_decay", -50.0), ("weight_decay", np.inf),
+    ("weight_decay", np.nan)])
+def test_train_config_out_of_range_refused(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TR.TrainConfig(epochs=1, **{field: value})
+
+
+def test_train_config_range_ends_accepted():
+    TR.TrainConfig(epochs=1, learning_rate=1e9, beta1=0.0, beta2=0.0,
+                   eps=1e-300, weight_decay=0.0)
+
+
 FAULTS_PER_STEP = """
 import resource, sys, tempfile
 import numpy as np
