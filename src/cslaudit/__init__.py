@@ -17,7 +17,7 @@ _PUBLIC = {  # module -> the public names it defines
     "seqdata": "CorruptionSpec Dataset PhaseGrammar SequenceSample "
                "corrupt_dataset generate_dataset read_dataset write_dataset",
     "model": "ModelConfig ModelParams backward forward init_params",
-    "trainer": "CheckpointStore ClassWeights TrainConfig "
+    "trainer": "CheckpointStore TrainConfig "
                "compute_class_weights load_store save_store train",
     "csl": "CslProfile DetectionConfig LossTrajectory audit_dataset "
            "calibrate_tau compute_csl eval_loss_trajectory flag_percentile "

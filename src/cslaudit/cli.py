@@ -76,25 +76,6 @@ _NULL_KINDS = {"grammar.class_means": [[0.0]], "grammar.phase_order": [0],
                "data.audit_path": "x", "corruption.seed": 0,
                "model.init_seed": 0, "train.shuffle_seed": 0,
                "detection.tau": 0.0}
-# type of a default -> (its kind in words, plural, test of a JSON value). type()
-# refuses bools; the bound refuses NaN, infinities and ints too big for float().
-_KINDS = {
-    int: ("a non-negative integer", "non-negative integers",
-          lambda v: type(v) is int and v >= 0),
-    float: ("a finite number", "finite numbers",
-            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    str: ("a non-empty string", "non-empty strings",
-          lambda v: type(v) is str and v != ""),
-}
-
-
-def _kind(example) -> tuple:
-    """_KINDS entry for the kind of example, a list's built from its items."""
-    if type(example) is not list:
-        return _KINDS[type(example)]
-    _, items, test = _kind(example[0])
-    return (f"a list of {items}", f"lists of {items}",
-            lambda v: type(v) is list and all(map(test, v)))
 
 
 def _merge(base: dict, override: dict, prefix: str = "",
@@ -113,7 +94,7 @@ def _merge(base: dict, override: dict, prefix: str = "",
                                   f"object, not {json.dumps(v)}")
             v = _merge(base[k], v, dotted + ".", default[k])
         elif v is not None or default[k] is not None:
-            what, _, test = _kind(_NULL_KINDS.get(dotted, default[k]))
+            what, _, test = SD.json_kind(_NULL_KINDS.get(dotted, default[k]))
             if dotted == "corruption.split":  # no dataclass checks this one
                 what, test = '"train" or "test"', ("train", "test").__contains__
             if not test(v):

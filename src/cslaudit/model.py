@@ -17,7 +17,8 @@ against central finite differences in the test suite.
 forward() and backward() write every activation, T x T matrix, dropout mask
 and backward temporary into a Workspace that the training loop and the audit
 replay each keep for a whole run; its docstring says who owns the results
-and for how long.
+and for how long. backward() writes the gradients where its caller says:
+during training, into the optimizer's flat buffer.
 
 forward() computes in the dtype of the parameters: training runs in float64,
 and the audit replays the float32 checkpoints in float32.
@@ -31,9 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .seqdata import json_fields
 
 LN_EPS = 1e-5
 PROB_FLOOR = 1e-12
+_ROW_BLOCK = 64  # rows per block of the softmax backward's row sums
 
 CONTEXT_FREE = "context_free"
 ATTENTION = "attention"
@@ -67,18 +70,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config a store manifest records; keys it does not define
-        (such as a retired field in an older store) are ignored."""
-        return cls(
-            feature_dim=int(d["feature_dim"]),
-            num_classes=int(d["num_classes"]),
-            hidden_dim=int(d["hidden_dim"]),
-            head_dims=tuple(int(x) for x in d["head_dims"]),
-            temporal_mode=d["temporal_mode"],
-            attention_dim=int(d["attention_dim"]),
-            dropout_rates=tuple(float(x) for x in d["dropout_rates"]),
-            init_seed=int(d["init_seed"]),
-        )
+        """The config a store manifest records, each field of its JSON kind;
+        other keys (such as a retired field of an older store) are ignored."""
+        return cls(**json_fields(d, {
+            "feature_dim": 0, "num_classes": 0, "hidden_dim": 0,
+            "head_dims": [0], "temporal_mode": "x", "attention_dim": 0,
+            "dropout_rates": [0.0], "init_seed": 0}))
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -175,7 +172,8 @@ class Workspace:
     train, dtype), so a call costs one lookup; replacing a buffer drops the
     cached views, since they may point at its old storage. Reusing the
     buffers keeps large arrays from being returned to the OS and faulted in
-    again on every call.
+    again on every call. A train-mode attention call holds two T x T
+    buffers, `A` and `dA`, and a (min(T, _ROW_BLOCK), T) scratch.
 
     Ownership: a workspace belongs to one caller, and the arrays a call
     returns (`ForwardTrace.probs` and `.cache`) are views into it, valid
@@ -232,8 +230,9 @@ def _buffer_shapes(cfg: ModelConfig, lead: tuple[int, ...], T: int,
                       dZ=(T, C), dD2=(T, h2), tmp2=(T, h2),
                       dD1=(T, h1), tmp1=(T, h1), dHp=(T, h))
         if attention:
-            shapes.update(dctx=(T, a), dA=(T, T), tmpA=(T, T), dVm=(T, a),
-                          dQm=(T, a), dKm=(T, a), dN=(T, h), tmp_h=(T, h))
+            shapes.update(dctx=(T, a), dA=(T, T), tmpA=(min(T, _ROW_BLOCK), T),
+                          rowsumA=(T, 1), dVm=(T, a), dQm=(T, a), dKm=(T, a),
+                          dN=(T, h), tmp_h=(T, h))
     return shapes
 
 
@@ -274,13 +273,14 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray,
     return y, xhat, inv_std
 
 
-def _layernorm_backward(dy, xhat, inv_std, g, dx=None, tmp=None):
-    """(dx, dg, db) of a LayerNorm; dx and tmp are buffers shaped like dy
-    (dx may be dy itself), new arrays when not given."""
+def _layernorm_backward(dy, xhat, inv_std, g, dx=None, tmp=None, dg=None,
+                        db=None):
+    """(dx, dg, db) of a LayerNorm into the given buffers, dx and tmp shaped
+    like dy (dx may be dy itself), or into new arrays."""
     n = xhat.shape[1]
     tmp = np.multiply(dy, xhat, out=tmp)
-    dg = tmp.sum(axis=0)
-    db = dy.sum(axis=0)
+    dg = tmp.sum(axis=0, out=dg)
+    db = dy.sum(axis=0, out=db)
     dxhat = np.multiply(dy, g, out=dx)
     np.multiply(dxhat, xhat, out=tmp)
     m2 = tmp.sum(axis=1, keepdims=True) / n
@@ -301,11 +301,21 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray,
-                           tmp: np.ndarray | None = None) -> np.ndarray:
-    """Gradient through a row softmax A: overwrites dA with dS and returns it.
-    `tmp` is a scratch buffer shaped like A."""
-    tmp = np.multiply(dA, A, out=tmp)
-    dA -= tmp.sum(axis=1, keepdims=True)
+                           tmp: np.ndarray | None = None,
+                           rowsum: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through a row softmax A, R x n: overwrites dA with dS and
+    returns it. Each whole row's sum of dA * A goes through `tmp`, of up to
+    _ROW_BLOCK rows, into `rowsum`, (R, 1); new arrays when not given."""
+    R, n = A.shape
+    if tmp is None:
+        tmp = np.empty((min(R, _ROW_BLOCK), n))
+    if rowsum is None:
+        rowsum = np.empty((R, 1))
+    for i in range(0, R, _ROW_BLOCK):
+        j = min(i + _ROW_BLOCK, R)
+        np.multiply(dA[i:j], A[i:j], out=tmp[:j - i]).sum(
+            axis=1, keepdims=True, out=rowsum[i:j])
+    dA -= rowsum
     dA *= A
     return dA
 
@@ -460,14 +470,15 @@ def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
 def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
              labels: np.ndarray, alpha: np.ndarray, train: bool = False,
              rng: np.random.Generator | None = None,
-             ws: Workspace | None = None
+             ws: Workspace | None = None,
+             out: dict[str, np.ndarray] | None = None
              ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean weighted CE over the sequence plus exact gradients.
 
     With train-mode dropout the gradients are exact for the realized masks
     (same rng stream as the paired forward). Activations and temporaries
-    live in `ws` (a fresh workspace when not given); the gradients are new
-    arrays.
+    live in `ws` (a fresh workspace when not given); the gradients go into
+    `out` (name -> float64 array), else into new arrays.
     """
     ws = ws or Workspace()
     trace = forward(params, cfg, frames, train=train, rng=rng, ws=ws)
@@ -480,57 +491,61 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     buf = ws.buffers(cfg, (), T, True)  # forward's views plus temporaries
     alpha = np.asarray(alpha, dtype=np.float64)
     loss = float(per_frame_losses(trace.probs, labels, alpha).mean())
-    grads: dict[str, np.ndarray] = {}
+    grads = out if out is not None else {
+        k: np.empty(shape) for k, shape in param_shapes(cfg).items()}
 
     # softmax + weighted CE: dZ[t] = alpha[y_t]/T * (p_t - onehot(y_t))
     w = alpha[labels][:, None] / T
     dZ = np.multiply(trace.probs, w, out=buf["dZ"])
     dZ[np.arange(T), labels] -= w[:, 0]
 
-    grads["head.W3"] = dZ.T @ c["D2"]
-    grads["head.b3"] = dZ.sum(axis=0)
+    np.matmul(dZ.T, c["D2"], out=grads["head.W3"])
+    dZ.sum(axis=0, out=grads["head.b3"])
     dL2 = np.matmul(dZ, p["head.W3"], out=buf["dD2"])
     if c["mask2"] is not None:
         dL2 *= c["mask2"]
     dL2 *= c["L2"] > 0
-    dZ2, grads["head.ln2_g"], grads["head.ln2_b"] = _layernorm_backward(
-        dL2, c["xhat2"], c["inv2"], p["head.ln2_g"], dL2, buf["tmp2"])
-    grads["head.W2"] = dZ2.T @ c["D1"]
-    grads["head.b2"] = dZ2.sum(axis=0)
+    dZ2, _, _ = _layernorm_backward(
+        dL2, c["xhat2"], c["inv2"], p["head.ln2_g"], dL2, buf["tmp2"],
+        grads["head.ln2_g"], grads["head.ln2_b"])
+    np.matmul(dZ2.T, c["D1"], out=grads["head.W2"])
+    dZ2.sum(axis=0, out=grads["head.b2"])
     dL1 = np.matmul(dZ2, p["head.W2"], out=buf["dD1"])
     if c["mask1"] is not None:
         dL1 *= c["mask1"]
     dL1 *= c["L1"] > 0
-    dZ1, grads["head.ln1_g"], grads["head.ln1_b"] = _layernorm_backward(
-        dL1, c["xhat1"], c["inv1"], p["head.ln1_g"], dL1, buf["tmp1"])
-    grads["head.W1"] = dZ1.T @ c["Hp"]
-    grads["head.b1"] = dZ1.sum(axis=0)
+    dZ1, _, _ = _layernorm_backward(
+        dL1, c["xhat1"], c["inv1"], p["head.ln1_g"], dL1, buf["tmp1"],
+        grads["head.ln1_g"], grads["head.ln1_b"])
+    np.matmul(dZ1.T, c["Hp"], out=grads["head.W1"])
+    dZ1.sum(axis=0, out=grads["head.b1"])
     dHp = np.matmul(dZ1, p["head.W1"], out=buf["dHp"])
 
     if cfg.temporal_mode == ATTENTION:
-        grads["attn.Wo"] = dHp.T @ c["ctx"]
+        np.matmul(dHp.T, c["ctx"], out=grads["attn.Wo"])
         dctx = np.matmul(dHp, p["attn.Wo"], out=buf["dctx"])
         dA = np.matmul(dctx, c["Vm"].T, out=buf["dA"])
         dVm = np.matmul(c["A"].T, dctx, out=buf["dVm"])
-        dS = _softmax_rows_backward(c["A"], dA, buf["tmpA"])
+        dS = _softmax_rows_backward(c["A"], dA, buf["tmpA"], buf["rowsumA"])
         dQm = np.matmul(dS, c["Km"], out=buf["dQm"])
         dQm *= c["scale"]
         dKm = np.matmul(dS.T, c["Qm"], out=buf["dKm"])
         dKm *= c["scale"]
-        grads["attn.Wq"] = dQm.T @ c["N"]
-        grads["attn.Wk"] = dKm.T @ c["N"]
-        grads["attn.Wv"] = dVm.T @ c["N"]
+        np.matmul(dQm.T, c["N"], out=grads["attn.Wq"])
+        np.matmul(dKm.T, c["N"], out=grads["attn.Wk"])
+        np.matmul(dVm.T, c["N"], out=grads["attn.Wv"])
         dN, tmp = buf["dN"], buf["tmp_h"]
         np.matmul(dQm, p["attn.Wq"], out=dN)
         dN += np.matmul(dKm, p["attn.Wk"], out=tmp)
         dN += np.matmul(dVm, p["attn.Wv"], out=tmp)
-        dU, grads["attn.ln_g"], grads["attn.ln_b"] = _layernorm_backward(
-            dN, c["xhat_a"], c["inv_a"], p["attn.ln_g"], dN, tmp)
+        dU, _, _ = _layernorm_backward(
+            dN, c["xhat_a"], c["inv_a"], p["attn.ln_g"], dN, tmp,
+            grads["attn.ln_g"], grads["attn.ln_b"])
         dU += dHp          # residual + LN path
         dpre = dU          # positional encoding is constant
     else:
         dpre = dHp
     dpre *= c["pre_enc"] > 0
-    grads["enc.W"] = dpre.T @ c["X"]
-    grads["enc.b"] = dpre.sum(axis=0)
+    np.matmul(dpre.T, c["X"], out=grads["enc.W"])
+    dpre.sum(axis=0, out=grads["enc.b"])
     return loss, grads

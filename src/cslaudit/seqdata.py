@@ -18,17 +18,17 @@ object:
 - `id`: string, non-empty, not `.` or `..`, without `/`, `\\`, `,`, `"` or
   control characters (`check_id`);
 - `frames`: the T x d feature matrix as one string, the padded standard
-  base64 (RFC 4648) of its bytes as little-endian float64, row-major; d is
-  the grammar's `feature_dim`, so T = decoded bytes / (8 d);
+  base64 (RFC 4648) of its bytes as little-endian float64, row-major, every
+  value finite; d is the grammar's `feature_dim`, so T = decoded bytes / (8 d);
 - `labels`: list of T integer class ids;
 - `error_mask`: list of T integers, 1 where the annotation is a ground-truth
   error and 0 elsewhere;
 - `corruption`: the injected corruption's parameters, or null.
 
 Base64 of the raw bytes round-trips every float64 (NaN payloads and -0.0
-included), so a read returns exactly the arrays that were written.
-`encode_f8`/`decode_f8` are this codec; the CLI's `profiles.json` stores its
-loss matrices with it too. Files in
+included), so a read returns exactly the arrays that were written; a read
+refuses non-finite frames, naming the line. `encode_f8`/`decode_f8` are this
+codec; the CLI's `profiles.json` stores its loss matrices with it too. Files in
 the retired `csl-seqdata/1` format, which held frames as nested lists of
 decimal numbers, are refused; regenerate them with `cslaudit gen` or write
 them again with `write_dataset`.
@@ -47,9 +47,10 @@ import itertools
 import json
 import os
 import re
+import sys
 import zlib
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,6 +72,41 @@ def check_id(vid) -> None:
         raise SchemaError(
             f"sample id {vid!r} must be a non-empty string other than '.' or "
             f"'..', without '/', '\\', ',', '\"' or control characters")
+
+
+# type of an example value -> (its JSON kind in words, plural, test of a value).
+# type() refuses bools; the bound refuses NaN, infinities and ints too big for
+# float().
+_KINDS = {
+    int: ("a non-negative integer", "non-negative integers",
+          lambda v: type(v) is int and v >= 0),
+    float: ("a finite number", "finite numbers",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a non-empty string", "non-empty strings",
+          lambda v: type(v) is str and v != ""),
+}
+
+
+def json_kind(example) -> tuple:
+    """_KINDS entry for the kind of example, a list's built from its first
+    item's; a tuple passes for a list."""
+    if type(example) is not list:
+        return _KINDS[type(example)]
+    _, items, test = json_kind(example[0])
+    return (f"a list of {items}", f"lists of {items}",
+            lambda v: type(v) in (list, tuple) and all(map(test, v)))
+
+
+def json_fields(d: dict, examples: dict) -> dict:
+    """d's value for each key of examples, a list as a tuple: KeyError if
+    missing, ConfigError naming the key if not of its example's kind."""
+    out = {}
+    for k, example in examples.items():
+        what, _, test = json_kind(example)
+        if not test(d[k]):
+            raise ConfigError(f"{k} must be {what}, not {json.dumps(d[k])}")
+        out[k] = tuple(d[k]) if type(d[k]) is list else d[k]
+    return out
 
 
 @dataclass(frozen=True)
@@ -124,30 +160,17 @@ class PhaseGrammar:
                     raise ConfigError(f"class_means {a} and {b} coincide")
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "class_means": self.class_means.tolist(),
-            "feature_noise_sigma": self.feature_noise_sigma,
-            "phase_order": list(self.phase_order),
-            "duration_min": self.duration_min,
-            "duration_max": self.duration_max,
-            "boundary_blend": self.boundary_blend,
-        }
+        """The fields in declaration order, as JSON values."""
+        return dict(asdict(self), class_means=self.class_means.tolist(),
+                    phase_order=list(self.phase_order))
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseGrammar":
         try:
-            return cls(
-                num_classes=int(d["num_classes"]),
-                feature_dim=int(d["feature_dim"]),
-                class_means=np.asarray(d["class_means"], dtype=np.float64),
-                feature_noise_sigma=float(d["feature_noise_sigma"]),
-                phase_order=tuple(int(x) for x in d["phase_order"]),
-                duration_min=int(d["duration_min"]),
-                duration_max=int(d["duration_max"]),
-                boundary_blend=int(d.get("boundary_blend", 3)),
-            )
+            return cls(**json_fields({"boundary_blend": 3, **d}, {
+                "num_classes": 0, "feature_dim": 0, "class_means": [[0.0]],
+                "feature_noise_sigma": 0.0, "phase_order": [0],
+                "duration_min": 0, "duration_max": 0, "boundary_blend": 0}))
         except KeyError as e:
             raise SchemaError(f"grammar is missing field {e}") from e
         except (TypeError, ValueError) as e:
@@ -158,14 +181,7 @@ class PhaseGrammar:
     def __eq__(self, other):
         if not isinstance(other, PhaseGrammar):
             return NotImplemented
-        return (self.num_classes == other.num_classes
-                and self.feature_dim == other.feature_dim
-                and np.array_equal(self.class_means, other.class_means)
-                and self.feature_noise_sigma == other.feature_noise_sigma
-                and self.phase_order == other.phase_order
-                and self.duration_min == other.duration_min
-                and self.duration_max == other.duration_max
-                and self.boundary_blend == other.boundary_blend)
+        return self.to_dict() == other.to_dict()
 
 
 @dataclass
@@ -224,12 +240,6 @@ class Dataset:
             if s.labels.size and (s.labels.min() < 0
                                   or s.labels.max() >= self.grammar.num_classes):
                 raise SchemaError(f"sample {s.id}: labels out of range")
-
-    def __eq__(self, other):
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (self.grammar == other.grammar and self.split == other.split
-                and self.seed == other.seed and self.samples == other.samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -474,6 +484,8 @@ def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
         if key not in obj:
             raise SchemaError(f"line {ln}: sample is missing field {key!r}")
     frames = decode_f8(obj["frames"], (-1, d), f"line {ln}: frames")
+    if not np.isfinite(frames).all():
+        raise SchemaError(f"line {ln}: frames hold a non-finite value")
     ints = {}
     for key in ("labels", "error_mask"):
         try:

@@ -24,20 +24,9 @@ STORE_FORMAT = "csl-ckpt-store/1"
 MAGIC = b"CSLCKPT1"
 
 
-@dataclass
-class ClassWeights:
-    alpha: np.ndarray  # (C,), positive, mean 1
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if np.any(self.alpha <= 0):
-            raise ConfigError("class weights must be positive")
-        if abs(self.alpha.mean() - 1.0) > 1e-9:
-            raise ConfigError("class weights must average to 1")
-
-
-def compute_class_weights(ds: Dataset) -> ClassWeights:
-    """alpha_c proportional to 1/count_c, rescaled to mean 1."""
+def compute_class_weights(ds: Dataset) -> np.ndarray:
+    """alpha, (C,) float64: alpha_c proportional to 1/count_c, rescaled to
+    mean 1."""
     C = ds.grammar.num_classes
     counts = np.zeros(C, dtype=np.int64)
     for s in ds.samples:
@@ -47,7 +36,7 @@ def compute_class_weights(ds: Dataset) -> ClassWeights:
         raise CoverageError(
             f"class {int(missing[0])} never appears in the dataset labels")
     raw = 1.0 / counts
-    return ClassWeights(raw * (C / raw.sum()))
+    return raw * (C / raw.sum())
 
 
 @dataclass(frozen=True)
@@ -76,48 +65,50 @@ class TrainConfig:
 
 
 class AdamWState:
-    """AdamW moments plus the storage of the parameters they update.
+    """AdamW moments plus the storage of the parameters they update and of
+    their gradients.
 
     The constructor packs every parameter tensor into one contiguous float64
-    buffer, 2-D weight matrices first, and rebinds `params.tensors` to views
-    of it (names and canonical order unchanged), so that one step is a few
-    vectorised operations over the whole model. Step only the `params` the
-    state was built from.
+    buffer `p`, 2-D weight matrices first, and rebinds `params.tensors` to
+    views of it (names and canonical order unchanged), so that one step is a
+    few vectorised operations over the whole model. `grads` maps each name,
+    in canonical order, to the view of the gradient buffer `g` at the same
+    offset: fill it (`backward(..., out=state.grads)`) before each step.
     """
 
     def __init__(self, params: M.ModelParams):
         tensors = params.tensors
         # a stable sort keeps canonical order within each group
-        self.order = sorted(tensors, key=lambda k: tensors[k].ndim != 2)
-        self.n_decay = sum(tensors[k].size for k in self.order
+        order = sorted(tensors, key=lambda k: tensors[k].ndim != 2)
+        self.n_decay = sum(tensors[k].size for k in order
                            if tensors[k].ndim == 2)
-        self.p = np.concatenate([tensors[k].ravel() for k in self.order],
+        self.p = np.concatenate([tensors[k].ravel() for k in order],
                                 dtype=np.float64)
+        self.g = np.empty_like(self.p)
+        self.grads = dict.fromkeys(tensors)
         off = 0
-        for k in self.order:
+        for k in order:
             shape, n = tensors[k].shape, tensors[k].size
             tensors[k] = self.p[off:off + n].reshape(shape)
+            self.grads[k] = self.g[off:off + n].reshape(shape)
             off += n
         self.m = np.zeros_like(self.p)
         self.v = np.zeros_like(self.p)
-        self.g = np.empty_like(self.p)
         self.tmp = np.empty_like(self.p)
         self.den = np.empty_like(self.p)
 
 
-def adamw_step(params: M.ModelParams, grads: dict[str, np.ndarray],
-               state: AdamWState, t: int, cfg: TrainConfig,
+def adamw_step(state: AdamWState, t: int, cfg: TrainConfig,
                context: str = "") -> None:
-    """One in-place AdamW update of the parameters `state` was built from.
-    Decoupled weight decay hits only the 2-D weight matrices (not biases,
-    not LayerNorm gains/biases)."""
+    """One in-place AdamW update of the parameters `state` was built from,
+    with the gradients in `state.grads`. Decoupled weight decay hits only
+    the 2-D weight matrices (not biases, not LayerNorm gains/biases)."""
     if t < 1:
         raise ConfigError("step index must be >= 1")
     g = state.g
-    np.concatenate([grads[k].ravel() for k in state.order], out=g)
     if not np.isfinite(g).all():
-        name = next(k for k in params.tensors
-                    if not np.isfinite(grads[k]).all())
+        name = next(k for k, x in state.grads.items()
+                    if not np.isfinite(x).all())
         raise NumericError(f"non-finite gradient in {name} {context}".strip())
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
@@ -175,7 +166,7 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
     after each checkpoint and its manifest are on disk."""
     if not ds_train.samples:
         raise ConfigError("training dataset is empty")
-    weights = compute_class_weights(ds_train)
+    alpha = compute_class_weights(ds_train)
     if cfg_model.feature_dim != ds_train.grammar.feature_dim:
         raise ConfigError("model feature_dim does not match dataset grammar")
     if cfg_model.num_classes != ds_train.grammar.num_classes:
@@ -200,7 +191,7 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
         "format": STORE_FORMAT,
         "model": asdict(cfg_model),
         "train": asdict(cfg_train),
-        "class_weights": weights.alpha.tolist(),
+        "class_weights": alpha.tolist(),
         "fingerprints": {
             "train_data": dataset_fingerprint(ds_train),
             "grammar": grammar_fingerprint(ds_train.grammar),
@@ -216,13 +207,13 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
         for idx in order:
             sample = ds_train.samples[idx]
             step += 1
-            loss, grads = M.backward(
-                params, cfg_model, sample.frames, sample.labels, weights.alpha,
-                train=True, rng=rng_dropout, ws=ws)
+            loss, _ = M.backward(
+                params, cfg_model, sample.frames, sample.labels, alpha,
+                train=True, rng=rng_dropout, ws=ws, out=state.grads)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, step {step}")
-            adamw_step(params, grads, state, step, cfg_train,
+            adamw_step(state, step, cfg_train,
                        context=f"(epoch {epoch}, step {step})")
             losses.append(loss)
         mean_loss = float(np.mean(losses))

@@ -290,6 +290,9 @@ MALFORMED = {
     "old-format-tag": (1, lambda rows: rows[0].update(format="csl-seqdata/1")),
     "header-invalid-grammar": (1, lambda rows: rows[0]["grammar"].update(
         duration_min=0)),
+    # read as 4 by int() before
+    "header-float-num-classes": (1, lambda rows: rows[0]["grammar"].update(
+        num_classes=4.0)),
     "empty-sample": (2, lambda rows: rows[1].update(
         frames=[], labels=[], error_mask=[])),
     "non-object-sample": (4, lambda rows: rows.__setitem__(3, [1, 2])),
@@ -738,6 +741,33 @@ def test_header_only_split_exit_3(trained_cfg, tmp_path, capsys, command, key,
         os.path.join(trained_cfg["out_dir"], "store")))
 
 
+@pytest.mark.parametrize("value,name", [(np.nan, "nan.jsonl"),
+                                        (np.inf, "inf.jsonl.gz")])
+@pytest.mark.parametrize("command,key", [
+    ("corrupt", "train_path"), ("train", "train_path"),
+    ("audit", "audit_path")])
+def test_non_finite_frame_exit_3(trained_cfg, tmp_path, capsys, command, key,
+                                 value, name):
+    """A NaN or inf frame is a data error naming the file and the line, in
+    each stage that reads it (train exited 4 naming neither before)."""
+    ds = ca.read_dataset(os.path.join(trained_cfg["out_dir"], "train.jsonl"))
+    ds.samples[1].frames[3, 0] = value
+    bad = tmp_path / name
+    ca.write_dataset(ds, str(bad))
+    shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"),
+                    tmp_path / "run" / "store")
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               data=dict(trained_cfg["data"], **{key: str(bad)}),
+               corruption=dict(trained_cfg["corruption"], split="train"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(path)) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {bad}: line 3: frames hold a non-finite value\n")
+    assert os.listdir(tmp_path / "run") == ["store"]
+
+
 def test_corrupt_already_corrupted_split_exit_3(trained_cfg, tmp_path,
                                                 capsys):
     """`corrupt` of a split whose samples are corrupted already is a data
@@ -836,6 +866,10 @@ BAD_MANIFESTS = {
         m, epochs=m["epochs"][:-1] + [99])),
     "one-head-dim": ("malformed 'model'", lambda m: dict(
         m, model=dict(m["model"], head_dims=[8]))),
+    # read as [8, 6] by int() before
+    "fractional-head-dims": ("head_dims must be a list of non-negative "
+                             "integers", lambda m: dict(
+        m, model=dict(m["model"], head_dims=[8.5, 6]))),
 }
 # (the snapshot at fault, text the error must show, edit of its bytes); each
 # error begins with the snapshot's path
@@ -1078,12 +1112,12 @@ def test_each_command_loads_only_its_modules(tmp_path):
 
 
 # The package's public names before its submodules loaded lazily, less the
-# deleted audit_sequence.
+# deleted audit_sequence and ClassWeights.
 PUBLIC = {
     "CorruptionSpec", "Dataset", "PhaseGrammar", "SequenceSample",
     "corrupt_dataset", "generate_dataset", "read_dataset", "write_dataset",
     "ModelConfig", "ModelParams", "backward", "forward", "init_params",
-    "CheckpointStore", "ClassWeights", "TrainConfig", "compute_class_weights",
+    "CheckpointStore", "TrainConfig", "compute_class_weights",
     "load_store", "save_store", "train",
     "CslProfile", "DetectionConfig", "LossTrajectory", "audit_dataset",
     "calibrate_tau", "compute_csl", "eval_loss_trajectory", "flag_percentile",

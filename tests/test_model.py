@@ -294,6 +294,16 @@ class TestKernelsBitIdentical:
         expected = ref_softmax_rows_backward(A, dA)
         assert np.array_equal(M._softmax_rows_backward(A, dA.copy()), expected)
 
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 130, 415])
+    def test_softmax_rows_backward_row_blocks(self, T):
+        """T x T, as in attention: full blocks of _ROW_BLOCK rows and
+        every kind of tail."""
+        rng = np.random.default_rng(T)
+        A = ref_softmax_rows(rng.normal(0, 3, (T, T)))
+        dA = rng.normal(0, 1, (T, T))
+        expected = ref_softmax_rows_backward(A, dA)
+        assert np.array_equal(M._softmax_rows_backward(A, dA.copy()), expected)
+
     @settings(max_examples=60, deadline=None)
     @given(same_shape_matrices(3))
     def test_layernorm(self, mats):
@@ -367,6 +377,17 @@ class TestWorkspace:
                 assert np.array_equal(grads[k], grads0[k])
             assert np.array_equal(ca.forward(p, cfg, X, ws=ws).probs,
                                   ca.forward(p, cfg, X).probs)
+
+    @pytest.mark.parametrize("T", [65, 415])
+    def test_train_attention_holds_two_t_by_t_buffers(self, T):
+        """A, dA and a (_ROW_BLOCK, T) scratch for the softmax backward; no
+        third T x T matrix."""
+        cfg = ca.ModelConfig(temporal_mode="attention", **self.CFG)
+        bufs = M.Workspace().buffers(cfg, (), T, True)
+        assert sorted(k for k, v in bufs.items() if v.shape == (T, T)) \
+            == ["A", "dA"]
+        assert bufs["tmpA"].shape == (M._ROW_BLOCK, T) == (64, T)
+        assert sum(v.size >= 64 * T for v in bufs.values()) == 3
 
     @pytest.mark.parametrize("mode", ["context_free", "attention"])
     def test_results_without_workspace_are_not_overwritten(self, mode):

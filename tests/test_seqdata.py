@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -15,8 +16,9 @@ import cslaudit as ca
 from cslaudit.errors import (ConfigError, ParseError, SchemaError,
                              SequenceTooShortError)
 from cslaudit.seqdata import (FORMAT_TAG, _phase_means, dataset_fingerprint,
-                              grammar_fingerprint, inject_disordering,
-                              inject_mislabeling, label_runs)
+                              decode_f8, encode_f8, grammar_fingerprint,
+                              inject_disordering, inject_mislabeling,
+                              label_runs)
 
 
 def fixed_grammar(C=2, d=3, dur=5, noise=0.0, blend=0):
@@ -346,10 +348,11 @@ class TestIO:
         assert dataset_fingerprint(ca.read_dataset(str(path))) == want
 
     def test_serialization_float_round_trip(self, tmp_path):
-        # awkward floats, non-finite ones and the smallest subnormal survive
-        # the round trip bit for bit
+        # awkward floats and the smallest subnormal survive the file round
+        # trip bit for bit; non-finite ones survive the codec, and a read
+        # refuses them as frames
         vals = np.array([[0.1, 1e-300, 1.7976931348623157e308, -0.0],
-                         [np.nan, np.inf, -np.inf, 5e-324]])
+                         [-1.7976931348623157e308, 5e-324, -5e-324, 1.0]])
         s = ca.SequenceSample("s0", vals, np.array([0, 0]),
                               np.array([0, 0], dtype=np.int8))
         g = fixed_grammar(C=2, d=4)
@@ -358,6 +361,46 @@ class TestIO:
         ca.write_dataset(ds, str(path))
         back = ca.read_dataset(str(path)).samples[0].frames
         assert np.array_equal(back.view("<u8"), vals.view("<u8"))
+        odd = np.array([[np.nan, np.inf, -np.inf, -0.0]])
+        back = decode_f8(encode_f8(odd), (-1, 4), "x")
+        assert np.array_equal(back.view("<u8"), odd.view("<u8"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["f.jsonl", "f.jsonl.gz"])
+    def test_non_finite_frame_refused(self, small_dataset, tmp_path, value,
+                                      name):
+        small_dataset.samples[2].frames[5, 1] = value
+        path = tmp_path / name
+        ca.write_dataset(small_dataset, str(path))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "
+                           "line 4: frames hold a non-finite value$"):
+            ca.read_dataset(str(path))
+
+    # (grammar field, a header value of another kind than to_dict() writes);
+    # int() and float() read most of them as a valid grammar before
+    BAD_GRAMMAR_FIELDS = [
+        ("num_classes", 2.9), ("num_classes", 3.0), ("feature_dim", "4"),
+        ("duration_max", True), ("boundary_blend", 2.0),
+        ("feature_noise_sigma", True), ("feature_noise_sigma", "0.3"),
+        ("class_means", [[3, 0, 0, "0"], [0, 3, 0, 0], [0, 0, 3, 0]]),
+        ("phase_order", [0.7, 1.2, 2.1]), ("phase_order", [0, 1, True]),
+        ("phase_order", "012"),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_GRAMMAR_FIELDS,
+                             ids=[f"{f}={v!r}" for f, v in BAD_GRAMMAR_FIELDS])
+    def test_header_grammar_field_of_wrong_kind(self, small_dataset, tmp_path,
+                                                field, value):
+        path = tmp_path / "d.jsonl"
+        ca.write_dataset(small_dataset, str(path))
+        header, *samples = path.read_text().splitlines(keepends=True)
+        header = json.loads(header)
+        header["grammar"][field] = value
+        path.write_text(json.dumps(header) + "\n" + "".join(samples))
+        with pytest.raises(SchemaError) as e:
+            ca.read_dataset(str(path))
+        assert str(e.value).startswith(f"{path}: line 1: grammar is invalid "
+                                       f"({field} must be ")
 
     def test_format_contract(self, small_dataset, tmp_path):
         # the csl-seqdata/2 layout, decoded without the package's reader

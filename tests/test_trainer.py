@@ -31,29 +31,37 @@ class TestClassWeights:
     def test_inverse_frequency(self):
         ds = counts_dataset([10, 30, 60], self.grammar(3))
         w = ca.compute_class_weights(ds)
-        assert np.allclose(w.alpha, [2.0, 2 / 3, 1 / 3], atol=1e-9)
+        assert np.allclose(w, [2.0, 2 / 3, 1 / 3], atol=1e-9)
 
     def test_balanced(self):
         ds = counts_dataset([25, 25, 25], self.grammar(3))
-        assert np.allclose(ca.compute_class_weights(ds).alpha, 1.0)
+        assert np.allclose(ca.compute_class_weights(ds), 1.0)
 
     def test_extreme_imbalance(self):
         ds = counts_dataset([1, 99], self.grammar(2))
-        assert np.allclose(ca.compute_class_weights(ds).alpha, [1.98, 0.02],
+        assert np.allclose(ca.compute_class_weights(ds), [1.98, 0.02],
                            atol=1e-12)
 
     def test_mean_one_and_ordering(self, small_dataset):
         w = ca.compute_class_weights(small_dataset)
-        assert abs(w.alpha.mean() - 1.0) < 1e-9
+        assert abs(w.mean() - 1.0) < 1e-9
         counts = np.zeros(3, dtype=int)
         for s in small_dataset.samples:
             counts += np.bincount(s.labels, minlength=3)
-        assert np.array_equal(np.argsort(w.alpha), np.argsort(-counts))
+        assert np.array_equal(np.argsort(w), np.argsort(-counts))
 
     def test_missing_class(self):
         ds = counts_dataset([10, 20], self.grammar(3))
         with pytest.raises(CoverageError, match="2"):
             ca.compute_class_weights(ds)
+
+
+def adamw_step(grads, state, t, cfg):
+    """TR.adamw_step on these gradients, copied into the state's buffer as
+    backward(..., out=state.grads) writes them."""
+    for k, g in grads.items():
+        state.grads[k][...] = g
+    TR.adamw_step(state, t, cfg)
 
 
 class TestAdamW:
@@ -65,18 +73,18 @@ class TestAdamW:
 
     def test_zero_grad_fixed_point(self):
         params, state, cfg = self.scalar_setup(weight_decay=0.0)
-        TR.adamw_step(params, {"w": np.zeros((1, 1))}, state, 1, cfg)
+        adamw_step({"w": np.zeros((1, 1))}, state, 1, cfg)
         assert params.tensors["w"][0, 0] == 1.0
 
     def test_first_step_size(self):
         params, state, cfg = self.scalar_setup()
-        TR.adamw_step(params, {"w": np.ones((1, 1))}, state, 1, cfg)
+        adamw_step({"w": np.ones((1, 1))}, state, 1, cfg)
         # bias-corrected mhat/sqrt(vhat) = 1 at t=1
         assert params.tensors["w"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-7)
 
     def test_decoupled_decay(self):
         params, state, cfg = self.scalar_setup(weight_decay=0.01)
-        TR.adamw_step(params, {"w": np.zeros((1, 1))}, state, 1, cfg)
+        adamw_step({"w": np.zeros((1, 1))}, state, 1, cfg)
         assert params.tensors["w"][0, 0] == pytest.approx(1.0 * (1 - 0.1 * 0.01),
                                                           abs=1e-15)
 
@@ -85,7 +93,7 @@ class TestAdamW:
         state = TR.AdamWState(params)
         cfg = TR.TrainConfig(epochs=1, learning_rate=0.1, weight_decay=0.5,
                              shuffle_seed=0)
-        TR.adamw_step(params, {"b": np.zeros(1), "ln_g": np.zeros(1)},
+        adamw_step({"b": np.zeros(1), "ln_g": np.zeros(1)},
                       state, 1, cfg)
         assert params.tensors["b"][0] == 1.0
         assert params.tensors["ln_g"][0] == 1.0
@@ -93,7 +101,7 @@ class TestAdamW:
     def test_nonfinite_grad_aborts(self):
         params, state, cfg = self.scalar_setup()
         with pytest.raises(NumericError, match="w"):
-            TR.adamw_step(params, {"w": np.full((1, 1), np.inf)}, state, 1, cfg)
+            adamw_step({"w": np.full((1, 1), np.inf)}, state, 1, cfg)
 
     def test_deterministic(self):
         results = []
@@ -101,7 +109,7 @@ class TestAdamW:
             params, state, cfg = self.scalar_setup(weight_decay=0.01)
             g = np.array([[0.3]])
             for t in range(1, 6):
-                TR.adamw_step(params, {"w": g * t}, state, t, cfg)
+                adamw_step({"w": g * t}, state, t, cfg)
             results.append(params.tensors["w"].copy())
         assert np.array_equal(results[0], results[1])
 
@@ -143,7 +151,7 @@ class TestFlatAdamW:
         for t in range(1, 6):
             grads = {k: rng.normal(size=s) * 10.0 ** rng.uniform(-3, 3)
                      for k, s in self.SHAPES.items()}
-            TR.adamw_step(params, grads, state, t, cfg)
+            adamw_step(grads, state, t, cfg)
             ref_adamw_step(ref, grads, m, v, t, cfg)
             assert list(params.tensors) == list(self.SHAPES)
             for k in self.SHAPES:
@@ -155,7 +163,7 @@ class TestFlatAdamW:
         grads["b.W"][0, 0] = np.inf   # first in the packed buffer
         grads["ln_g"][1] = np.nan     # first in canonical order
         with pytest.raises(NumericError, match="ln_g"):
-            TR.adamw_step(params, grads, state, 1, cfg)
+            adamw_step(grads, state, 1, cfg)
 
 
 def test_train_equals_reference_replay(small_dataset, tmp_path):
@@ -170,7 +178,7 @@ def test_train_equals_reference_replay(small_dataset, tmp_path):
     shuffle_seed, dropout_seed = np.random.SeedSequence(17).spawn(2)
     rng_shuffle = np.random.default_rng(shuffle_seed)
     rng_dropout = np.random.default_rng(dropout_seed)
-    alpha = ca.compute_class_weights(small_dataset).alpha
+    alpha = ca.compute_class_weights(small_dataset)
     params = ca.init_params(cfg_model)
     m = {k: np.zeros_like(x) for k, x in params.tensors.items()}
     v = {k: np.zeros_like(x) for k, x in params.tensors.items()}
@@ -185,6 +193,30 @@ def test_train_equals_reference_replay(small_dataset, tmp_path):
         snap = ca.ModelParams({k: x.astype(np.float32).astype(np.float64)
                                for k, x in params.tensors.items()})
         assert store.snapshots[epoch - 1][1] == snap
+
+
+@pytest.mark.parametrize("mode", ["context_free", "attention"])
+def test_backward_into_state_grads_equals_fresh(mode):
+    """backward(..., out=state.grads) fills every element of the state's
+    flat gradient buffer with the bits of a call without `out`."""
+    cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
+                         head_dims=(6, 5), temporal_mode=mode,
+                         attention_dim=4, init_seed=3)
+    params = ca.init_params(cfg)
+    state = TR.AdamWState(params)
+    state.g[:] = np.nan
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(130, 4)), rng.integers(0, 3, 130)
+    alpha = np.array([0.5, 1.0, 1.5])
+    loss, grads = M.backward(params, cfg, X, y, alpha, train=True,
+                             rng=np.random.default_rng(1), out=state.grads)
+    loss0, grads0 = M.backward(params, cfg, X, y, alpha, train=True,
+                               rng=np.random.default_rng(1))
+    assert grads is state.grads and loss == loss0
+    assert list(grads) == list(grads0) == list(params.tensors)
+    for k in grads0:
+        assert np.array_equal(grads[k], grads0[k]), k
+    assert np.isfinite(state.g).all()
 
 
 @pytest.fixture
@@ -294,6 +326,34 @@ def test_training_step_faults_in_no_pages():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     assert float(out) <= 10, f"{float(out):.0f} minor faults per step"
+
+
+# (model field, a manifest value of another kind than asdict() writes);
+# int() and float() read most of them as a valid config before
+BAD_MODEL_FIELDS = [
+    ("hidden_dim", 8.0), ("hidden_dim", "8"), ("attention_dim", True),
+    ("init_seed", -1), ("head_dims", [6.5, 5]), ("head_dims", [6, True]),
+    ("head_dims", "65"), ("dropout_rates", [0.0, "0"]),
+    ("dropout_rates", [0.0, float("nan")]), ("temporal_mode", 1),
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_MODEL_FIELDS,
+                         ids=[f"{f}={v!r}" for f, v in BAD_MODEL_FIELDS])
+def test_manifest_model_field_of_wrong_kind(small_dataset, tiny_model_cfg,
+                                            tmp_path, field, value):
+    store = str(tmp_path / "s")
+    ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=1), store)
+    path = os.path.join(store, "manifest.json")
+    with open(path) as f:
+        manifest = json.load(f)
+    manifest["model"][field] = value
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(StoreError) as e:
+        ca.load_store(store)
+    assert str(e.value).startswith(f"{path}: malformed 'model' ")
+    assert f"{field} must be " in str(e.value)
 
 
 class TestStoreIO:
