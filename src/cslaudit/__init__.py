@@ -18,7 +18,7 @@ _PUBLIC = {  # module -> the public names it defines
                "corrupt_dataset generate_dataset read_dataset write_dataset",
     "model": "ModelConfig ModelParams backward forward init_params",
     "trainer": "CheckpointStore TrainConfig "
-               "compute_class_weights load_store save_store train",
+               "compute_class_weights load_store train",
     "csl": "CslProfile DetectionConfig LossTrajectory audit_dataset "
            "calibrate_tau compute_csl eval_loss_trajectory flag_percentile "
            "flag_threshold frames_to_segments smooth_csl trajectory_curvature",

@@ -4,13 +4,15 @@ A single JSON config file drives every command; individual flags override
 fields. All outputs are deterministic given the config, and every artifact
 embeds the configuration and seeds that produced it.
 
-Exit codes: 0 success, 2 config error, 3 data/format error, 4 numeric error.
+Exit codes: 0 success, 1 stdout closed early (`train` keeps the epochs it
+finished), 2 config error, 3 data/format error, 4 numeric error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -323,6 +325,8 @@ def _load_profiles(cfg: dict) -> dict:
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: line {e.lineno}: not valid JSON "
                              f"({e.msg})") from e
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     if not isinstance(data, dict):
         raise ParseError(f"{path}: profiles must be a JSON object, "
                          f"got {type(data).__name__}")
@@ -496,5 +500,20 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def console_main() -> None:
+    """The process entry point: main(), then exit with its code, or with 1
+    and no traceback when stdout closed early (as in `cslaudit ... | head`)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # so that the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # Every file is closed by now. Frozen, the rest (mostly numpy's import-time
+    # heap) is skipped by the collections at exit; atexit handlers still run.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

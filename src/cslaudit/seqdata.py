@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import base64
 import gzip
-import hashlib
 import itertools
 import json
 import os
@@ -448,6 +447,8 @@ def decode_f8(text, shape: tuple[int, int], name: str) -> np.ndarray:
 
 
 def _sample_dict(s: SequenceSample) -> dict:
+    if not np.isfinite(s.frames).all():  # read_dataset would refuse it
+        raise SchemaError(f"sample {s.id}: frames hold a non-finite value")
     return {"id": s.id, "frames": encode_f8(s.frames),
             "labels": s.labels.tolist(),
             "error_mask": s.error_mask.tolist(),
@@ -456,8 +457,8 @@ def _sample_dict(s: SequenceSample) -> dict:
 
 def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
     """Write JSONL atomically (temp file + rename), one line at a time. A
-    path whose directory does not exist raises DataError; a failed write
-    leaves neither the temp file nor a changed `path`."""
+    missing directory raises DataError, a NaN or inf frame SchemaError; a
+    failed write leaves neither the temp file nor a changed `path`."""
     tmp = f"{path}.tmp"
     try:
         f = _open_text(tmp, "w", path)
@@ -566,6 +567,7 @@ def _parse_dataset(lines: Iterator[str]) -> Dataset:
 
 
 def grammar_fingerprint(grammar: PhaseGrammar) -> str:
+    import hashlib  # here, not at the top: eval and heatmap never hash
     blob = json.dumps(grammar.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -581,6 +583,7 @@ def dataset_fingerprint(ds: Dataset) -> str:
     `labels` (little-endian int64), `error_mask` (int8) and `corruption`
     (JSON with sorted keys, `null` when absent).
     """
+    import hashlib
     h = hashlib.sha256()
 
     def put(field: bytes) -> None:

@@ -302,13 +302,6 @@ def _write_manifest(store_path: str, manifest: dict) -> None:
     os.replace(tmp, path)
 
 
-def save_store(store: CheckpointStore, path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-    for epoch, params, _ in store.snapshots:
-        _write_snapshot(path, epoch, params)
-    _write_manifest(path, store.manifest)
-
-
 def load_store(path: str) -> CheckpointStore:
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -316,7 +309,7 @@ def load_store(path: str) -> CheckpointStore:
     with open(manifest_path, encoding="utf-8") as f:
         try:
             manifest = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise StoreError(f"{manifest_path}: not valid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise StoreError(f"{manifest_path}: manifest must be a JSON object, "
@@ -337,6 +330,10 @@ def load_store(path: str) -> CheckpointStore:
         raise StoreError(f"{manifest_path}: 'epochs' must hold integers")
     if any(type(x) not in (int, float) for x in losses):
         raise StoreError(f"{manifest_path}: 'epoch_losses' must hold numbers")
+    fps = manifest["fingerprints"]
+    if not isinstance(fps, dict) or type(fps.get("grammar")) is not str:
+        raise StoreError(f"{manifest_path}: 'fingerprints' must map "
+                         "'grammar' to a string")
     if any(a >= b for a, b in zip(epochs, epochs[1:])):
         raise StoreError(f"{manifest_path}: 'epochs' are not strictly "
                          "increasing")
@@ -344,6 +341,11 @@ def load_store(path: str) -> CheckpointStore:
         cfg_model = M.ModelConfig.from_dict(manifest["model"])
     except (KeyError, TypeError, ValueError, ConfigError) as e:
         raise StoreError(f"{manifest_path}: malformed 'model' ({e!r})") from e
+    weights = manifest["class_weights"]
+    if not isinstance(weights, list) or len(weights) != cfg_model.num_classes \
+            or any(type(w) not in (int, float) for w in weights):
+        raise StoreError(f"{manifest_path}: 'class_weights' must hold "
+                         f"{cfg_model.num_classes} numbers")
     expected = M.param_shapes(cfg_model)
     snapshots = []
     for epoch, mean_loss in zip(epochs, losses):

@@ -1,3 +1,7 @@
+import base64
+import gzip
+import json
+
 import numpy as np
 import pytest
 
@@ -37,3 +41,19 @@ def make_benchmark_grammar():
         num_classes=C, feature_dim=d, class_means=means,
         feature_noise_sigma=1.0, phase_order=tuple(range(C)),
         duration_min=40, duration_max=80, boundary_blend=3)
+
+
+def set_frame(path, line, index, value):
+    """Edit the dataset file at path in place: frames[index] of the sample
+    on `line` (1-based) becomes value. Only that line's base64 `frames`
+    string changes, so the file can hold what write_dataset refuses."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8") as f:
+        lines = f.readlines()
+    row = json.loads(lines[line - 1])
+    frames = np.frombuffer(base64.b64decode(row["frames"]), "<f8").copy()
+    frames.reshape(len(row["labels"]), -1)[index] = value
+    row["frames"] = base64.b64encode(frames.tobytes()).decode()
+    lines[line - 1] = json.dumps(row, sort_keys=True) + "\n"
+    with opener(path, "wt", encoding="utf-8") as f:
+        f.writelines(lines)

@@ -1,4 +1,5 @@
 import base64
+import gc
 import gzip
 import importlib.util
 import json
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import cslaudit as ca
+from conftest import set_frame
 from cslaudit import cli
 
 
@@ -199,10 +201,10 @@ class TestAuditCmd:
     def test_nan_checkpoint_exit_4(self, cfg_path, tmp_path, capsys):
         run_pipeline(cfg_path)
         store_dir = str(tmp_path / "run" / "store")
-        store = ca.load_store(store_dir)
-        epoch, params, _ = store.snapshots[1]
+        epoch, params, _ = ca.load_store(store_dir).snapshots[1]
         params.tensors["head.W3"][0, 0] = np.nan
-        ca.save_store(store, store_dir)
+        with open(ca.trainer._snapshot_path(store_dir, epoch), "wb") as f:
+            f.write(ca.trainer.encode_snapshot(params))
         capsys.readouterr()
         assert run_cli("audit", "--config", cfg_path) == 4
         assert f"epoch {epoch}" in capsys.readouterr().err
@@ -750,10 +752,11 @@ def test_non_finite_frame_exit_3(trained_cfg, tmp_path, capsys, command, key,
                                  value, name):
     """A NaN or inf frame is a data error naming the file and the line, in
     each stage that reads it (train exited 4 naming neither before)."""
-    ds = ca.read_dataset(os.path.join(trained_cfg["out_dir"], "train.jsonl"))
-    ds.samples[1].frames[3, 0] = value
+    with open(os.path.join(trained_cfg["out_dir"], "train.jsonl"), "rb") as f:
+        clean = f.read()
     bad = tmp_path / name
-    ca.write_dataset(ds, str(bad))
+    bad.write_bytes(gzip.compress(clean) if name.endswith(".gz") else clean)
+    set_frame(bad, 3, (3, 0), value)  # sample 1
     shutil.copytree(os.path.join(trained_cfg["out_dir"], "store"),
                     tmp_path / "run" / "store")
     cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
@@ -1082,6 +1085,9 @@ LOADED = {
     "heatmap": BASE_MODULES | {"csl"},
 }
 LAZY = {"model", "trainer", "csl", "metrics"}
+# Commands that hash nothing and so load no OpenSSL (gen, corrupt and train
+# load it through numpy.random).
+HASH_FREE = {None, "eval", "heatmap"}
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -1090,13 +1096,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     src = os.path.dirname(os.path.dirname(ca.__file__))
-    # Prints {module: still lazy} for every cslaudit submodule, last.
+    # Prints {module: still lazy} for every cslaudit submodule and whether
+    # OpenSSL's _hashlib is loaded, last.
     probe = ("import importlib.util, json, sys\n"
              "from cslaudit import cli\n"
              "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-             "print(json.dumps({m.split('.')[1]: type(v) is "
+             "print(json.dumps([{m.split('.')[1]: type(v) is "
              "importlib.util._LazyModule for m, v in sys.modules.items() "
-             "if m.startswith('cslaudit.')}))\n"
+             "if m.startswith('cslaudit.')}, '_hashlib' in sys.modules]))\n"
              "sys.exit(code)\n")
     for command, loaded in LOADED.items():
         args = [command, "--config", str(cfg_path)] if command else []
@@ -1104,21 +1111,91 @@ def test_each_command_loads_only_its_modules(tmp_path):
                               capture_output=True,
                               env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        modules = json.loads(proc.stdout.splitlines()[-1])
+        modules, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
+        if command in HASH_FREE:
+            assert not hashlib_loaded, command
         assert {m for m, lazy in modules.items() if not lazy} == loaded, \
             command
         assert {m for m, lazy in modules.items() if lazy} == LAZY - loaded, \
             command
 
 
+def test_console_runs_match_in_process_runs(tmp_path, monkeypatch, capsys):
+    """Each stage run as `python -X dev -m cslaudit.cli`, whose exit freezes
+    the heap, prints and writes what cli.main prints and writes in process.
+    -X dev would report a file left open, which the freeze requires closed,
+    as a ResourceWarning on stderr. cli.main itself never freezes."""
+    cfg = base_config("run")  # relative to each run's working directory
+    cfg["data"]["audit_path"] = os.path.join("run", "test_mislabel.jsonl")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(ca.__file__))
+    (tmp_path / "lib").mkdir()
+    (tmp_path / "console").mkdir()
+    for stage in ("gen", "corrupt", "train", "audit", "eval", "heatmap"):
+        monkeypatch.chdir(tmp_path / "lib")
+        frozen = gc.get_freeze_count()
+        assert run_cli(stage, "--config", str(cfg_path)) == 0
+        assert gc.get_freeze_count() == frozen
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "cslaudit.cli", stage,
+             "--config", str(cfg_path)], cwd=tmp_path / "console", text=True,
+            capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == capsys.readouterr(), stage
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+    assert tree(tmp_path / "console") == tree(tmp_path / "lib") != {}
+
+
+@pytest.mark.parametrize("command", ["heatmap", "train"])
+def test_closed_stdout_exits_1_without_traceback(trained_cfg, tmp_path,
+                                                 command):
+    """`cslaudit heatmap | head -1` after head has gone: exit 1 and a quiet
+    stderr (a BrokenPipeError traceback before). `train` keeps the epochs
+    it finished. The pipe's read end closes before the command prints, so
+    the test does not race the command's writes."""
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    if command == "train":  # a new store, from the trained run's data
+        shutil.rmtree(os.path.join(cfg["out_dir"], "store"))
+        cfg["data"]["train_path"] = os.path.join(trained_cfg["out_dir"],
+                                                 "train.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(cfg, f)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cslaudit.cli", command, "--config", path],
+            stdout=write, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(ca.__file__))))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    if command == "train":
+        assert ca.load_store(os.path.join(cfg["out_dir"], "store")).epochs \
+            == [1]
+
+
+def test_console_script_is_console_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    root = os.path.dirname(os.path.dirname(os.path.dirname(ca.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"cslaudit": "cslaudit.cli:console_main"}
+
+
 # The package's public names before its submodules loaded lazily, less the
-# deleted audit_sequence and ClassWeights.
+# deleted audit_sequence, ClassWeights and save_store.
 PUBLIC = {
     "CorruptionSpec", "Dataset", "PhaseGrammar", "SequenceSample",
     "corrupt_dataset", "generate_dataset", "read_dataset", "write_dataset",
     "ModelConfig", "ModelParams", "backward", "forward", "init_params",
     "CheckpointStore", "TrainConfig", "compute_class_weights",
-    "load_store", "save_store", "train",
+    "load_store", "train",
     "CslProfile", "DetectionConfig", "LossTrajectory", "audit_dataset",
     "calibrate_tau", "compute_csl", "eval_loss_trajectory", "flag_percentile",
     "flag_threshold", "frames_to_segments", "smooth_csl",

@@ -13,8 +13,9 @@ from cslaudit.seqdata import grammar_fingerprint
 
 
 @pytest.fixture(scope="module")
-def trained():
-    """Small trained store plus its training data, shared across this module."""
+def trained_on_disk(tmp_path_factory):
+    """Small trained store, its training data and the directory train()
+    wrote the store to, shared across this module."""
     means = np.zeros((3, 4))
     means[np.arange(3), np.arange(3)] = 3.0
     grammar = ca.PhaseGrammar(3, 4, means, 0.3, (0, 1, 2), 8, 12, 2)
@@ -22,12 +23,16 @@ def trained():
     cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
                          head_dims=(6, 5), temporal_mode="context_free",
                          attention_dim=4, dropout_rates=(0.0, 0.0), init_seed=3)
-    import tempfile
-    with tempfile.TemporaryDirectory() as td:
-        store = ca.train(ds, cfg,
-                         ca.TrainConfig(epochs=5, learning_rate=1e-3,
-                                        shuffle_seed=17), td)
-    return store, ds
+    path = str(tmp_path_factory.mktemp("trained") / "store")
+    store = ca.train(ds, cfg, ca.TrainConfig(epochs=5, learning_rate=1e-3,
+                                             shuffle_seed=17), path)
+    return store, ds, path
+
+
+@pytest.fixture(scope="module")
+def trained(trained_on_disk):
+    """Small trained store plus its training data."""
+    return trained_on_disk[:2]
 
 
 DET = ca.DetectionConfig(mode="percentile", k_percent=20, window=2)
@@ -370,10 +375,9 @@ class TestAuditDataset:
         with pytest.raises(FingerprintError, match="store/dataset mismatch"):
             ca.audit_dataset(store, foreign, DET)
 
-    def test_trained_and_loaded_store_agree_bitwise(self, trained, tmp_path):
-        store, ds = trained
-        ca.save_store(store, str(tmp_path / "store"))
-        loaded = ca.load_store(str(tmp_path / "store"))
+    def test_trained_and_loaded_store_agree_bitwise(self, trained_on_disk):
+        store, ds, path = trained_on_disk
+        loaded = ca.load_store(path)
         for a, b in zip(ca.audit_dataset(store, ds, DET),
                         ca.audit_dataset(loaded, ds, DET)):
             assert np.array_equal(a.trajectory.losses, b.trajectory.losses)

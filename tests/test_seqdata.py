@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cslaudit as ca
+from conftest import set_frame
 from cslaudit.errors import (ConfigError, ParseError, SchemaError,
                              SequenceTooShortError)
 from cslaudit.seqdata import (FORMAT_TAG, _phase_means, dataset_fingerprint,
@@ -369,9 +370,9 @@ class TestIO:
     @pytest.mark.parametrize("name", ["f.jsonl", "f.jsonl.gz"])
     def test_non_finite_frame_refused(self, small_dataset, tmp_path, value,
                                       name):
-        small_dataset.samples[2].frames[5, 1] = value
         path = tmp_path / name
         ca.write_dataset(small_dataset, str(path))
+        set_frame(path, 4, (5, 1), value)  # sample 2
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "
                            "line 4: frames hold a non-finite value$"):
             ca.read_dataset(str(path))
@@ -501,6 +502,28 @@ class TestStreamingIO:
             "s3", bad.samples[3].frames, bad.samples[3].labels,
             bad.samples[3].error_mask, corruption={"kind": {1, 2}})
         with pytest.raises(TypeError):  # a set is no JSON value
+            ca.write_dataset(bad, str(path))
+        assert os.listdir(tmp_path) == [name]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["ds.jsonl", "ds.jsonl.gz"])
+    def test_non_finite_frame_not_written(self, small_dataset, tmp_path,
+                                          name, value):
+        """write_dataset refuses the frames read_dataset would refuse,
+        naming the sample, and leaves the target as it was."""
+        path = tmp_path / name
+        ca.write_dataset(small_dataset, str(path))
+        before = path.read_bytes()
+        bad = ca.Dataset(small_dataset.grammar, list(small_dataset.samples),
+                         "train", 0)
+        s3 = bad.samples[3]
+        frames = s3.frames.copy()
+        frames[2, 0] = value
+        bad.samples[3] = ca.SequenceSample(s3.id, frames, s3.labels,
+                                           s3.error_mask)
+        with pytest.raises(SchemaError, match=f"^sample {s3.id}: frames hold "
+                           "a non-finite value$"):
             ca.write_dataset(bad, str(path))
         assert os.listdir(tmp_path) == [name]
         assert path.read_bytes() == before
