@@ -18,7 +18,8 @@ forward() and backward() write every activation, T x T matrix, dropout mask
 and backward temporary into a Workspace that the training loop and the audit
 replay each keep for a whole run; its docstring says who owns the results
 and for how long. backward() writes the gradients where its caller says:
-during training, into the optimizer's flat buffer.
+during training, into the optimizer's flat buffer. Reductions call the ufunc
+methods that ndarray.sum/max/all wrap, which saves a Python frame per call.
 
 forward() computes in the dtype of the parameters: training runs in float64,
 and the audit replays the float32 checkpoints in float32.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -257,15 +259,15 @@ def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray,
         y, xhat = np.empty_like(x), np.empty_like(x)
         inv_std = np.empty(x.shape[:-1] + (1,))
     n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True, out=inv_std)
+    mu = np.add.reduce(x, axis=-1, keepdims=True, out=inv_std)
     mu /= n
     np.subtract(x, mu, out=xhat)
-    var = np.square(xhat, out=y).sum(axis=-1, keepdims=True, out=inv_std)
+    var = np.add.reduce(np.square(xhat, out=y), -1, keepdims=True, out=inv_std)
     var /= n
     var += LN_EPS
     np.sqrt(var, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
-    if not inv_std.all():  # the squares overflowed: NaN, not a silent 0
+    if not np.logical_and.reduce(inv_std, axis=None):  # overflow: NaN, not 0
         inv_std[inv_std == 0] = np.nan
     xhat *= inv_std
     np.multiply(xhat, g[..., None, :], out=y)
@@ -279,12 +281,12 @@ def _layernorm_backward(dy, xhat, inv_std, g, dx=None, tmp=None, dg=None,
     like dy (dx may be dy itself), or into new arrays."""
     n = xhat.shape[1]
     tmp = np.multiply(dy, xhat, out=tmp)
-    dg = tmp.sum(axis=0, out=dg)
-    db = dy.sum(axis=0, out=db)
+    dg = np.add.reduce(tmp, axis=0, out=dg)
+    db = np.add.reduce(dy, axis=0, out=db)
     dxhat = np.multiply(dy, g, out=dx)
     np.multiply(dxhat, xhat, out=tmp)
-    m2 = tmp.sum(axis=1, keepdims=True) / n
-    dxhat -= dxhat.sum(axis=1, keepdims=True) / n
+    m2 = np.add.reduce(tmp, axis=1, keepdims=True) / n
+    dxhat -= np.add.reduce(dxhat, axis=1, keepdims=True) / n
     np.multiply(xhat, m2, out=tmp)
     dxhat -= tmp
     dxhat *= inv_std
@@ -294,9 +296,9 @@ def _layernorm_backward(dy, xhat, inv_std, g, dx=None, tmp=None, dg=None,
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis computed in place: overwrites z and
     returns it."""
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -313,8 +315,8 @@ def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray,
         rowsum = np.empty((R, 1))
     for i in range(0, R, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, R)
-        np.multiply(dA[i:j], A[i:j], out=tmp[:j - i]).sum(
-            axis=1, keepdims=True, out=rowsum[i:j])
+        np.add.reduce(np.multiply(dA[i:j], A[i:j], out=tmp[:j - i]),
+                      axis=1, keepdims=True, out=rowsum[i:j])
     dA -= rowsum
     dA *= A
     return dA
@@ -328,7 +330,7 @@ def _dropout(R: np.ndarray, rate: float, rng: np.random.Generator | None,
         raise ConfigError("train-mode forward with dropout requires an rng")
     rng.random(out=mask)
     np.greater_equal(mask, rate, out=mask)
-    mask /= 1.0 - rate
+    mask *= 1.0 / (1.0 - rate)  # x * fl(1/d) == fl(x/d) for x in {0, 1}
     R *= mask
     return mask
 
@@ -372,7 +374,7 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
             f"frames shape {X.shape} incompatible with feature_dim {cfg.feature_dim}")
     if X.shape[0] < 1:
         raise ConfigError("need at least one frame")
-    if not np.all(np.isfinite(X)):
+    if not np.logical_and.reduce(np.isfinite(X), axis=None):
         raise NumericError(f"non-finite values in input frames as {X.dtype}")
     lead = W.shape[:-2]
     buf = (ws or Workspace()).buffers(cfg, lead, X.shape[0], train, W.dtype)
@@ -412,7 +414,7 @@ def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray, buf: dict,
     # a Python float, so that it multiplies a float32 call in float32
     scale = 1.0 / math.sqrt(cfg.attention_dim)
     A, ctx = buf["A"], buf["ctx"]
-    for i in np.ndindex(Qm.shape[:-2]):  # one (): unstacked parameters
+    for i in product(*map(range, Qm.shape[:-2])):  # one (): unstacked
         np.matmul(Qm[i], Km[i].T, out=A)
         A *= scale
         _softmax_rows(A)
@@ -444,15 +446,6 @@ def _head(p: dict, cfg: ModelConfig, Hp: np.ndarray, train: bool,
         cache.update(L1=L1, xhat1=xhat1, inv1=inv1, mask1=mask1, D1=D1,
                      L2=L2, xhat2=xhat2, inv2=inv2, mask2=mask2, D2=D2)
     return _softmax_rows(Z)
-
-
-def weighted_ce(probs_row: np.ndarray, label: int, alpha: np.ndarray) -> float:
-    """Class-weighted cross-entropy of one frame: alpha[y] * (-log p[y])."""
-    C = len(probs_row)
-    if not 0 <= label < C:
-        raise IndexError(f"label {label} out of range 0..{C - 1}")
-    p = max(float(probs_row[label]), PROB_FLOOR)
-    return float(alpha[label]) * (-np.log(p))
 
 
 def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
@@ -490,7 +483,8 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         raise ConfigError("labels length does not match frames")
     buf = ws.buffers(cfg, (), T, True)  # forward's views plus temporaries
     alpha = np.asarray(alpha, dtype=np.float64)
-    loss = float(per_frame_losses(trace.probs, labels, alpha).mean())
+    losses = per_frame_losses(trace.probs, labels, alpha)
+    loss = float(np.add.reduce(losses) / T)  # the operations of np.mean
     grads = out if out is not None else {
         k: np.empty(shape) for k, shape in param_shapes(cfg).items()}
 
@@ -500,7 +494,7 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     dZ[np.arange(T), labels] -= w[:, 0]
 
     np.matmul(dZ.T, c["D2"], out=grads["head.W3"])
-    dZ.sum(axis=0, out=grads["head.b3"])
+    np.add.reduce(dZ, axis=0, out=grads["head.b3"])
     dL2 = np.matmul(dZ, p["head.W3"], out=buf["dD2"])
     if c["mask2"] is not None:
         dL2 *= c["mask2"]
@@ -509,7 +503,7 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         dL2, c["xhat2"], c["inv2"], p["head.ln2_g"], dL2, buf["tmp2"],
         grads["head.ln2_g"], grads["head.ln2_b"])
     np.matmul(dZ2.T, c["D1"], out=grads["head.W2"])
-    dZ2.sum(axis=0, out=grads["head.b2"])
+    np.add.reduce(dZ2, axis=0, out=grads["head.b2"])
     dL1 = np.matmul(dZ2, p["head.W2"], out=buf["dD1"])
     if c["mask1"] is not None:
         dL1 *= c["mask1"]
@@ -518,7 +512,7 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         dL1, c["xhat1"], c["inv1"], p["head.ln1_g"], dL1, buf["tmp1"],
         grads["head.ln1_g"], grads["head.ln1_b"])
     np.matmul(dZ1.T, c["Hp"], out=grads["head.W1"])
-    dZ1.sum(axis=0, out=grads["head.b1"])
+    np.add.reduce(dZ1, axis=0, out=grads["head.b1"])
     dHp = np.matmul(dZ1, p["head.W1"], out=buf["dHp"])
 
     if cfg.temporal_mode == ATTENTION:
@@ -547,5 +541,5 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         dpre = dHp
     dpre *= c["pre_enc"] > 0
     np.matmul(dpre.T, c["X"], out=grads["enc.W"])
-    dpre.sum(axis=0, out=grads["enc.b"])
+    np.add.reduce(dpre, axis=0, out=grads["enc.b"])
     return loss, grads

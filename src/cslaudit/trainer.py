@@ -9,7 +9,9 @@ everything between the magic and the checksum.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict, dataclass
@@ -18,7 +20,8 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, CoverageError, NumericError, StoreError
-from .seqdata import Dataset, dataset_fingerprint, grammar_fingerprint
+from .seqdata import (Dataset, dataset_fingerprint, grammar_fingerprint,
+                      json_kind)
 
 STORE_FORMAT = "csl-ckpt-store/1"
 MAGIC = b"CSLCKPT1"
@@ -106,7 +109,7 @@ def adamw_step(state: AdamWState, t: int, cfg: TrainConfig,
     if t < 1:
         raise ConfigError("step index must be >= 1")
     g = state.g
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         name = next(k for k, x in state.grads.items()
                     if not np.isfinite(x).all())
         raise NumericError(f"non-finite gradient in {name} {context}".strip())
@@ -146,7 +149,7 @@ class CheckpointStore:
     def epochs(self) -> list[int]:
         return [e for e, _, _ in self.snapshots]
 
-    @property
+    @functools.cached_property
     def model_config(self) -> M.ModelConfig:
         return M.ModelConfig.from_dict(self.manifest["model"])
 
@@ -210,7 +213,7 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
             loss, _ = M.backward(
                 params, cfg_model, sample.frames, sample.labels, alpha,
                 train=True, rng=rng_dropout, ws=ws, out=state.grads)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, step {step}")
             adamw_step(state, step, cfg_train,
@@ -328,8 +331,10 @@ def load_store(path: str) -> CheckpointStore:
                          "be lists of the same length")
     if any(type(e) is not int for e in epochs):
         raise StoreError(f"{manifest_path}: 'epochs' must hold integers")
-    if any(type(x) not in (int, float) for x in losses):
-        raise StoreError(f"{manifest_path}: 'epoch_losses' must hold numbers")
+    _, _, finite = json_kind(0.0)  # refuses NaN and infinities too
+    if not all(map(finite, losses)):
+        raise StoreError(f"{manifest_path}: 'epoch_losses' must hold numbers, "
+                         "all finite")
     fps = manifest["fingerprints"]
     if not isinstance(fps, dict) or type(fps.get("grammar")) is not str:
         raise StoreError(f"{manifest_path}: 'fingerprints' must map "
@@ -343,9 +348,9 @@ def load_store(path: str) -> CheckpointStore:
         raise StoreError(f"{manifest_path}: malformed 'model' ({e!r})") from e
     weights = manifest["class_weights"]
     if not isinstance(weights, list) or len(weights) != cfg_model.num_classes \
-            or any(type(w) not in (int, float) for w in weights):
+            or not all(finite(w) and w > 0 for w in weights):
         raise StoreError(f"{manifest_path}: 'class_weights' must hold "
-                         f"{cfg_model.num_classes} numbers")
+                         f"{cfg_model.num_classes} numbers, all finite and > 0")
     expected = M.param_shapes(cfg_model)
     snapshots = []
     for epoch, mean_loss in zip(epochs, losses):

@@ -861,6 +861,19 @@ BAD_MANIFESTS = {
         m, epochs=[str(e) for e in m["epochs"]])),
     "null-loss": ("'epoch_losses' must hold numbers", lambda m: dict(
         m, epoch_losses=[None] * len(m["epoch_losses"]))),
+    # json.load reads NaN and Infinity; each of these once audited without
+    # an error, or failed later as a numeric or negative-loss fault
+    "nan-loss": ("'epoch_losses' must hold numbers, all finite",
+                 lambda m: dict(m, epoch_losses=[float("nan")]
+                                * len(m["epoch_losses"]))),
+    **{f"{name}-class-weight": (
+        "'class_weights' must hold 4 numbers, all finite and > 0",
+        lambda m, w=w: dict(m, class_weights=w + m["class_weights"][1:]))
+       for name, w in (("nan", [float("nan")]), ("inf", [float("inf")]),
+                       ("negative", [-1.0]))},
+    "zero-class-weights": (
+        "'class_weights' must hold 4 numbers, all finite and > 0",
+        lambda m: dict(m, class_weights=[0.0] * len(m["class_weights"]))),
     "wrong-format": ("format 'csl-ckpt-store/0' is not 'csl-ckpt-store/1'",
                      lambda m: dict(m, format="csl-ckpt-store/0")),
     "decreasing-epochs": ("'epochs' are not strictly increasing",

@@ -10,6 +10,7 @@ from cslaudit import csl as CSL
 from cslaudit import model as M
 from cslaudit.errors import ConfigError, DataError, FingerprintError, NumericError
 from cslaudit.seqdata import grammar_fingerprint
+from test_model import weighted_ce
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ class TestTrajectory:
             t = int(rng.integers(0, sample.num_frames))
             probs = ca.forward(store.snapshots[e][1], store.model_config,
                                sample.frames).probs
-            expected = M.weighted_ce(probs[t], int(sample.labels[t]), np.ones(3))
+            expected = weighted_ce(probs[t], int(sample.labels[t]), np.ones(3))
             assert traj.losses[e, t] == pytest.approx(expected, abs=1e-15)
 
     def test_dimension_mismatch(self, trained):

@@ -1,11 +1,17 @@
 """Fuzz every input the CLI reads. Each example takes a finished tiny
-pipeline, applies one mutation (a bit flip, a truncation, or a dropped or
-duplicated line) to one of its inputs, and runs a command that reads that
-input through cli.main in process. cli.main turns an AuditToolError into
-exit 2, 3 or 4; any other exception escapes it and fails the test."""
+pipeline, applies one mutation to one of its inputs, and runs a command that
+reads that input through cli.main in process. A mutation is either of the
+bytes (a bit flip, a truncation, or a dropped or duplicated line) or of one
+JSON document (the config, the store manifest, profiles.json or a dataset
+header): a deleted key or item, a value of another JSON type, or a number
+set to NaN, Infinity, -1 or 0. cli.main turns an AuditToolError into exit
+2, 3 or 4; any other exception escapes it and fails the test."""
 
+import functools
 import gzip
 import json
+import math
+import operator
 import os
 import shutil
 import tempfile
@@ -38,32 +44,62 @@ CONFIG = {
     "detection": {"mode": "percentile", "k_percent": 10.0, "window": 2,
                   "audit_loss": "train_weighted"},  # reads class_weights
 }
+# tau calibrated on the val split, which audit then reads too
+THRESHOLD = dict(CONFIG, detection=dict(CONFIG["detection"], mode="threshold",
+                                        tau=None))
 
-# (input file, a command that reads it)
-INPUTS = [("config.json", stage) for stage in STAGES] + [
-    ("run/train.jsonl.gz", "train"),
-    ("run/test.jsonl", "corrupt"),
-    ("run/test_mislabel.jsonl", "audit"),
-    ("run/store/manifest.json", "audit"),
-    ("run/store/ckpt_0002.bin", "audit"),
-    ("run/profiles.json", "eval"),
-    ("run/profiles.json", "heatmap"),
+# (input file, a command that reads it, the config it runs with)
+INPUTS = [("config.json", stage, "config.json") for stage in STAGES] + [
+    ("threshold.json", "audit", "threshold.json"),
+    ("run/train.jsonl.gz", "train", "config.json"),
+    ("run/test.jsonl", "corrupt", "config.json"),
+    ("run/test_mislabel.jsonl", "audit", "config.json"),
+    ("run/val.jsonl", "audit", "threshold.json"),
+    ("run/store/manifest.json", "audit", "config.json"),
+    ("run/store/manifest.json", "audit", "threshold.json"),
+    ("run/store/ckpt_0002.bin", "audit", "config.json"),
+    ("run/profiles.json", "eval", "config.json"),
+    ("run/profiles.json", "heatmap", "config.json"),
 ]
+BINARY = ("run/store/ckpt_0002.bin",)
 
 
 @pytest.fixture(scope="session")
 def pipeline(tmp_path_factory):
-    """A directory holding config.json and the artifacts of every stage."""
+    """A directory holding both configs and the artifacts of every stage."""
     root = tmp_path_factory.mktemp("fuzz")
     (root / "config.json").write_text(json.dumps(CONFIG))
+    (root / "threshold.json").write_text(json.dumps(THRESHOLD))
     cwd = os.getcwd()
     os.chdir(root)
     try:
         for stage in STAGES[:-1]:
+            if stage == "audit":  # profiles.json is the percentile run's
+                assert cli.main([stage, "--config", "threshold.json"]) == 0
             assert cli.main([stage, "--config", "config.json"]) == 0
     finally:
         os.chdir(cwd)
     return root
+
+
+def run_edited(pipeline, name, command, config, edit):
+    """Exit code of `command` in a copy of the pipeline whose file `name`
+    edit(bytes) changed."""
+    work = tempfile.mkdtemp(dir=pipeline.parent)
+    cwd = os.getcwd()
+    try:
+        shutil.copytree(pipeline, work, dirs_exist_ok=True)
+        os.chdir(work)
+        with open(name, "rb") as f:
+            data = edit(f.read())
+        with open(name, "wb") as f:
+            f.write(data)
+        code = cli.main([command, "--config", config])
+        event(f"{name} {command} {config}: exit {code}")
+        return code
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work)
 
 
 def mutate(data: bytes, kind: str, where: float, bit: int) -> bytes:
@@ -82,15 +118,15 @@ def mutate(data: bytes, kind: str, where: float, bit: int) -> bytes:
     return b"".join(lines)
 
 
-MANIFEST = ("run/store/manifest.json", "audit")
+MANIFEST = ("run/store/manifest.json", "audit", "config.json")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 # Escapes found by this test, each a traceback before its fix. A bit 7 flip
 # makes a byte that is not UTF-8: UnicodeDecodeError.
 @example(target=MANIFEST, kind="flip", where=0.5, bit=7, inside_gzip=False)
-@example(target=("run/profiles.json", "eval"), kind="flip", where=0.5, bit=7,
-         inside_gzip=False)
+@example(target=("run/profiles.json", "eval", "config.json"), kind="flip",
+         where=0.5, bit=7, inside_gzip=False)
 # The manifest's line 17 of 47 holds fingerprints.grammar: KeyError.
 @example(target=MANIFEST, kind="drop", where=0.37, bit=0, inside_gzip=False)
 # Its line 2 holds the first of three class weights; with two, the
@@ -104,24 +140,110 @@ MANIFEST = ("run/store/manifest.json", "audit")
 def test_one_mutated_input_ends_in_a_documented_exit(
         pipeline, target, kind, where, bit, inside_gzip):
     """inside_gzip mutates a .gz file's text, not its compressed bytes."""
-    name, command = target
-    work = tempfile.mkdtemp(dir=pipeline.parent)
-    cwd = os.getcwd()
-    try:
-        shutil.copytree(pipeline, work, dirs_exist_ok=True)
-        os.chdir(work)
-        with open(name, "rb") as f:
-            data = f.read()
+    name, command, config = target
+
+    def edit(data):
         if inside_gzip and name.endswith(".gz"):
-            data = gzip.compress(mutate(gzip.decompress(data), kind, where,
+            return gzip.compress(mutate(gzip.decompress(data), kind, where,
                                         bit), mtime=0)
-        else:
-            data = mutate(data, kind, where, bit)
-        with open(name, "wb") as f:
-            f.write(data)
-        code = cli.main([command, "--config", "config.json"])
-        event(f"{name} {command}: exit {code}")
-        assert code in (0, 2, 3, 4)
-    finally:
-        os.chdir(cwd)
-        shutil.rmtree(work)
+        return mutate(data, kind, where, bit)
+
+    assert run_edited(pipeline, name, command, config, edit) in (0, 2, 3, 4)
+
+
+def json_paths(doc, prefix=()) -> list[tuple]:
+    """The path of every value below doc, in document order; of a list's
+    items only the first and the last."""
+    if isinstance(doc, dict):
+        keys = list(doc)
+    elif isinstance(doc, list):
+        keys = sorted({0, len(doc) - 1}) if doc else []
+    else:
+        return []
+    paths = []
+    for k in keys:
+        paths.append(prefix + (k,))
+        paths += json_paths(doc[k], prefix + (k,))
+    return paths
+
+
+# a value of each JSON type; "retype" picks one of another type than the
+# value it replaces
+OTHER_TYPES = [None, True, "x", [], {}, 7, 0.5]
+NUMBERS = {"nan": float("nan"), "inf": float("inf"), "neg": -1, "zero": 0}
+DELETED = object()
+
+
+def edit_json(doc, kind: str, where, pick: int):
+    """Edit doc in place once at `where`: a path, or a relative position in
+    [0, 1) among its paths (among the paths to numbers for the NUMBERS
+    kinds). (path, new value or DELETED), or None if doc has nothing to
+    edit."""
+    paths = json_paths(doc)
+    if kind in NUMBERS:
+        paths = [p for p in paths if type(functools.reduce(
+            operator.getitem, p, doc)) in (int, float)]
+    if not isinstance(where, tuple):
+        if not paths:
+            return None
+        where = paths[int(where * len(paths))]
+    parent = functools.reduce(operator.getitem, where[:-1], doc)
+    key = where[-1]
+    if kind == "delete":
+        del parent[key]
+        return where, DELETED
+    if kind == "retype":
+        others = [v for v in OTHER_TYPES if type(v) is not type(parent[key])]
+        parent[key] = others[pick % len(others)]
+    else:
+        parent[key] = NUMBERS[kind]
+    return where, parent[key]
+
+
+def refused_by_load_store(target, edited) -> bool:
+    """Whether the audit must exit 3 because the manifest no longer holds a
+    class weight that is a finite number > 0, or an epoch loss that is a
+    finite number, where it held one."""
+    if target[0] != MANIFEST[0] or edited is None:
+        return False
+    path, value = edited
+    finite = type(value) in (int, float) and math.isfinite(value)
+    if path[0] == "class_weights":
+        return not (finite and value > 0)
+    return path[0] == "epoch_losses" and not finite
+
+
+# Each of these manifests once loaded without an error: the train-weighted
+# audit then failed with a numeric error (exit 4) or on a negative loss
+# (exit 3), or it audited with exit 0.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@example(target=MANIFEST, kind="nan", where=("class_weights", 0), pick=0)
+@example(target=MANIFEST, kind="inf", where=("class_weights", 0), pick=0)
+@example(target=MANIFEST, kind="neg", where=("class_weights", 0), pick=0)
+@example(target=MANIFEST, kind="zero", where=("class_weights", 0), pick=0)
+@example(target=MANIFEST, kind="nan", where=("epoch_losses", 0), pick=0)
+@given(target=st.sampled_from([t for t in INPUTS if t[0] not in BINARY]),
+       kind=st.sampled_from(["delete", "retype", *NUMBERS]),
+       where=st.integers(0, 999).map(lambda k: k / 1000),
+       pick=st.integers(0, 5))
+def test_one_json_edit_ends_in_a_documented_exit(pipeline, target, kind,
+                                                 where, pick):
+    """A dataset's edit goes to its header line; `pick` chooses the new
+    value of a retype."""
+    name, command, config = target
+    edited = []
+
+    def edit(data):
+        gz = name.endswith(".gz")
+        text = (gzip.decompress(data) if gz else data).decode()
+        head, sep, rest = text.partition("\n") if ".jsonl" in name \
+            else (text, "", "")
+        doc = json.loads(head)
+        edited.append(edit_json(doc, kind, where, pick))
+        text = json.dumps(doc) + sep + rest
+        return gzip.compress(text.encode(), mtime=0) if gz else text.encode()
+
+    code = run_edited(pipeline, name, command, config, edit)
+    if refused_by_load_store(target, edited[0]):
+        assert code == 3, edited[0]
+    assert code in (0, 2, 3, 4)

@@ -141,32 +141,62 @@ class TestForward:
             ca.forward(p, tiny_model_cfg, np.full((4, 4), np.nan))
 
 
+def weighted_ce(probs_row, label, alpha):
+    """Oracle for per_frame_losses: the class-weighted cross-entropy of one
+    frame, alpha[y] * (-log p[y]), with p[y] floored at PROB_FLOOR."""
+    C = len(probs_row)
+    if not 0 <= label < C:
+        raise IndexError(f"label {label} out of range 0..{C - 1}")
+    p = max(float(probs_row[label]), M.PROB_FLOOR)
+    return float(alpha[label]) * (-np.log(p))
+
+
+def one_frame_loss(probs_row, label, alpha):
+    """per_frame_losses of a one-frame sequence, as a float."""
+    return float(M.per_frame_losses(np.asarray(probs_row)[None, :],
+                                    np.array([label]), alpha)[0])
+
+
 class TestWeightedCE:
+    """per_frame_losses against the weighted_ce oracle and known values."""
+
     def test_uniform_probs(self):
-        assert M.weighted_ce(np.full(4, 0.25), 2, np.ones(4)) \
-            == pytest.approx(np.log(4.0), abs=1e-12)
+        for loss in (weighted_ce(np.full(4, 0.25), 2, np.ones(4)),
+                     one_frame_loss(np.full(4, 0.25), 2, np.ones(4))):
+            assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_certain_prediction(self):
         probs = np.array([0.0, 1.0, 0.0])
-        assert M.weighted_ce(probs, 1, np.ones(3)) == 0.0
+        assert weighted_ce(probs, 1, np.ones(3)) == 0.0
+        assert one_frame_loss(probs, 1, np.ones(3)) == 0.0
+        # a zero probability is floored, not an infinite loss
+        assert one_frame_loss(probs, 0, np.ones(3)) \
+            == weighted_ce(probs, 0, np.ones(3)) == -np.log(M.PROB_FLOOR)
 
     def test_weight_scales(self):
         probs = np.array([0.5, 0.5])
-        assert M.weighted_ce(probs, 0, np.array([2.0, 1.0])) \
-            == pytest.approx(2 * np.log(2.0), abs=1e-12)
+        for loss in (weighted_ce(probs, 0, np.array([2.0, 1.0])),
+                     one_frame_loss(probs, 0, np.array([2.0, 1.0]))):
+            assert loss == pytest.approx(2 * np.log(2.0), abs=1e-12)
 
     def test_unit_alpha_is_plain_ce(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            z = rng.normal(size=5)
-            probs = np.exp(z) / np.exp(z).sum()
-            y = int(rng.integers(0, 5))
-            assert M.weighted_ce(probs, y, np.ones(5)) \
-                == pytest.approx(-np.log(probs[y]), abs=1e-12)
+        z = rng.normal(size=(20, 5))
+        probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        y = rng.integers(0, 5, 20)
+        alpha = rng.uniform(0.5, 2.0, 5)
+        unit = M.per_frame_losses(probs, y, np.ones(5))
+        weighted = M.per_frame_losses(probs, y, alpha)
+        for t in range(20):
+            assert unit[t] == pytest.approx(-np.log(probs[t, y[t]]), abs=1e-12)
+            assert weighted[t] == pytest.approx(
+                weighted_ce(probs[t], int(y[t]), alpha), abs=1e-15)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            M.weighted_ce(np.full(3, 1 / 3), 3, np.ones(3))
+            weighted_ce(np.full(3, 1 / 3), 3, np.ones(3))
+        with pytest.raises(IndexError):
+            one_frame_loss(np.full(3, 1 / 3), 3, np.ones(3))
 
 
 class TestBackward:
@@ -269,6 +299,70 @@ def ref_softmax_rows_backward(A, dA):
     return A * (dA - (dA * A).sum(axis=1, keepdims=True))
 
 
+def ref_backward(params, cfg, X, y, alpha, train=False, rng=None):
+    """(loss, grads) of `backward` as plain expressions over the ref_*
+    kernels: fresh arrays, operators, .sum() and .mean()."""
+    p = params.tensors
+    T = len(y)
+    r1, r2 = cfg.dropout_rates if train else (0.0, 0.0)
+
+    def dropout(R, rate):
+        mask = (rng.random(R.shape) >= rate) / (1.0 - rate)
+        return R * mask, mask
+
+    pre_enc = X @ p["enc.W"].T + p["enc.b"]
+    H = np.maximum(pre_enc, 0.0)
+    if cfg.temporal_mode == "attention":
+        U = H + ref_sinusoidal_encoding(T, cfg.hidden_dim)
+        N, xhat_a, inv_a = ref_layernorm(U, p["attn.ln_g"], p["attn.ln_b"])
+        Q, K, V = (N @ p[f"attn.W{m}"].T for m in "qkv")
+        scale = 1.0 / np.sqrt(cfg.attention_dim)
+        A = ref_softmax_rows((Q @ K.T) * scale)
+        ctx = A @ V
+        H = ctx @ p["attn.Wo"].T + U
+    L1, xhat1, inv1 = ref_layernorm(H @ p["head.W1"].T + p["head.b1"],
+                                    p["head.ln1_g"], p["head.ln1_b"])
+    D1, mask1 = dropout(np.maximum(L1, 0.0), r1) if r1 > 0 \
+        else (np.maximum(L1, 0.0), 1.0)
+    L2, xhat2, inv2 = ref_layernorm(D1 @ p["head.W2"].T + p["head.b2"],
+                                    p["head.ln2_g"], p["head.ln2_b"])
+    D2, mask2 = dropout(np.maximum(L2, 0.0), r2) if r2 > 0 \
+        else (np.maximum(L2, 0.0), 1.0)
+    probs = ref_softmax_rows(D2 @ p["head.W3"].T + p["head.b3"])
+    frames = np.arange(T)
+    losses = alpha[y] * -np.log(np.maximum(probs[frames, y], M.PROB_FLOOR))
+    loss = float(losses.mean())
+
+    g = {}
+    w = alpha[y][:, None] / T
+    dZ = probs * w
+    dZ[frames, y] -= w[:, 0]
+    g["head.W3"], g["head.b3"] = dZ.T @ D2, dZ.sum(axis=0)
+    dL2 = dZ @ p["head.W3"] * mask2 * (L2 > 0)
+    dZ2, g["head.ln2_g"], g["head.ln2_b"] = ref_layernorm_backward(
+        dL2, xhat2, inv2, p["head.ln2_g"])
+    g["head.W2"], g["head.b2"] = dZ2.T @ D1, dZ2.sum(axis=0)
+    dL1 = dZ2 @ p["head.W2"] * mask1 * (L1 > 0)
+    dZ1, g["head.ln1_g"], g["head.ln1_b"] = ref_layernorm_backward(
+        dL1, xhat1, inv1, p["head.ln1_g"])
+    g["head.W1"], g["head.b1"] = dZ1.T @ H, dZ1.sum(axis=0)
+    dpre = dZ1 @ p["head.W1"]
+    if cfg.temporal_mode == "attention":
+        g["attn.Wo"] = dpre.T @ ctx
+        dctx = dpre @ p["attn.Wo"]
+        dS = ref_softmax_rows_backward(A, dctx @ V.T)
+        dQ, dK, dV = (dS @ K) * scale, (dS.T @ Q) * scale, A.T @ dctx
+        for m, d in zip("qkv", (dQ, dK, dV)):
+            g[f"attn.W{m}"] = d.T @ N
+        dN = dQ @ p["attn.Wq"] + dK @ p["attn.Wk"] + dV @ p["attn.Wv"]
+        dU, g["attn.ln_g"], g["attn.ln_b"] = ref_layernorm_backward(
+            dN, xhat_a, inv_a, p["attn.ln_g"])
+        dpre = dU + dpre
+    dpre = dpre * (pre_enc > 0)
+    g["enc.W"], g["enc.b"] = dpre.T @ X, dpre.sum(axis=0)
+    return loss, g
+
+
 @st.composite
 def same_shape_matrices(draw, k, max_rows=40, max_cols=24):
     shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols)))
@@ -333,6 +427,31 @@ class TestKernelsBitIdentical:
                 assert not pe.flags.writeable
         with pytest.raises(ValueError):
             M.sinusoidal_encoding(3, 7)[0, 0] = 1.0
+
+
+class TestBackwardBitIdentical:
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("T", [1, 63, 64, 65, 415])
+    def test_backward_equals_ref_backward(self, mode, train, T):
+        """Loss and every gradient, bit for bit; train mode draws both
+        dropout masks from the same rng seed as the reference."""
+        cfg = ca.ModelConfig(feature_dim=5, num_classes=4, hidden_dim=12,
+                             head_dims=(8, 6), temporal_mode=mode,
+                             attention_dim=6, dropout_rates=(0.5, 0.3))
+        params = perturbed_params(cfg, T, scale=0.3)
+        rng = np.random.default_rng(T)
+        X = rng.normal(0, 1, (T, 5))
+        y = rng.integers(0, 4, T)
+        alpha = rng.uniform(0.5, 2.0, 4)
+        loss, grads = ca.backward(params, cfg, X, y, alpha, train=train,
+                                  rng=np.random.default_rng(99))
+        ref_loss, ref_grads = ref_backward(params, cfg, X, y, alpha, train,
+                                           np.random.default_rng(99))
+        assert loss == ref_loss
+        assert set(grads) == set(ref_grads)
+        for k, want in ref_grads.items():
+            assert np.array_equal(grads[k], want), k
 
 
 class TestStackedForward:

@@ -328,6 +328,42 @@ def test_training_step_faults_in_no_pages():
     assert float(out) <= 10, f"{float(out):.0f} minor faults per step"
 
 
+@pytest.mark.parametrize("mode", ["context_free", "attention"])
+def test_training_step_enters_no_numpy_python_frame(mode):
+    """A training step, backward plus adamw_step, calls numpy's ufuncs and
+    ufunc methods directly: after a warm-up step it enters no function
+    defined in numpy's Python files (such as the ndarray.sum wrapper)."""
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
+                         head_dims=(6, 5), temporal_mode=mode,
+                         attention_dim=4, dropout_rates=(0.5, 0.3))
+    cfg_train = TR.TrainConfig(epochs=1, weight_decay=0.01)
+    params = ca.init_params(cfg)
+    state = TR.AdamWState(params)
+    ws = M.Workspace()
+    rng = np.random.default_rng(0)
+    X, y = rng.normal(size=(130, 4)), rng.integers(0, 3, 130)
+    alpha = np.array([0.5, 1.0, 1.5])
+    entered = []
+
+    def step(t):
+        M.backward(params, cfg, X, y, alpha, train=True, rng=rng, ws=ws,
+                   out=state.grads)
+        TR.adamw_step(state, t, cfg_train)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            entered.append(frame.f_code.co_name)
+
+    step(1)
+    sys.setprofile(profile)
+    try:
+        step(2)
+    finally:
+        sys.setprofile(None)
+    assert entered == []
+
+
 # (model field, a manifest value of another kind than asdict() writes);
 # int() and float() read most of them as a valid config before
 BAD_MODEL_FIELDS = [
@@ -357,6 +393,14 @@ def test_manifest_model_field_of_wrong_kind(small_dataset, tiny_model_cfg,
 
 
 class TestStoreIO:
+    def test_model_config_is_read_once(self, small_dataset, tiny_model_cfg,
+                                       tmp_path):
+        ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=1),
+                 str(tmp_path))
+        store = ca.load_store(str(tmp_path))
+        assert store.model_config == tiny_model_cfg
+        assert store.model_config is store.model_config
+
     def test_round_trip_bit_exact(self, small_dataset, tiny_model_cfg,
                                   train_cfg, tmp_path):
         ca.train(small_dataset, tiny_model_cfg, train_cfg, str(tmp_path))
