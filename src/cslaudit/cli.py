@@ -4,8 +4,8 @@ A single JSON config file drives every command; individual flags override
 fields. All outputs are deterministic given the config, and every artifact
 embeds the configuration and seeds that produced it.
 
-Exit codes: 0 success, 1 stdout closed early (`train` keeps the epochs it
-finished), 2 config error, 3 data/format error, 4 numeric error.
+Exit codes: 0 success, 1 stdout closed early, 2 config error, 3 data error or
+an unwritable output path, 4 numeric error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -91,9 +91,7 @@ def _merge(base: dict, override: dict, prefix: str = "",
         if k not in default:
             raise ConfigError(f"config field {dotted}: unknown field")
         if isinstance(default[k], dict):
-            if not isinstance(v, dict):
-                raise ConfigError(f"config field {dotted}: must be a JSON "
-                                  f"object, not {json.dumps(v)}")
+            SD.check_json(v, {}, f"config field {dotted}:", ConfigError)
             v = _merge(base[k], v, dotted + ".", default[k])
         elif v is not None or default[k] is not None:
             what, _, test = SD.json_kind(_NULL_KINDS.get(dotted, default[k]))
@@ -109,20 +107,8 @@ def _merge(base: dict, override: dict, prefix: str = "",
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """The default config merged with the JSON object at path, then with
     overrides (the command-line flags), every value checked on the way."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            user = json.load(f)
-    except FileNotFoundError as e:
-        raise ConfigError(f"{path}: config file not found") from e
-    except IsADirectoryError as e:
-        raise ConfigError(f"{path}: config path is a directory") from e
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: config is not UTF-8 text ({e.reason})") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: config is not valid JSON ({e})") from e
-    if not isinstance(user, dict):
-        raise ConfigError(f"{path}: config must be a JSON object, "
-                          f"got {type(user).__name__}")
+    user = SD.read_json(path, ConfigError, f"{path}: config file not found")
+    SD.check_json(user, {}, f"{path}: config", ConfigError)
     return _merge(_merge(DEFAULT_CONFIG, user), overrides or {})
 
 
@@ -199,7 +185,7 @@ def _read_split(path: str) -> SD.Dataset:
 
 def cmd_gen(cfg: dict) -> None:
     grammar = build_grammar(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
+    SD.make_dir(cfg["out_dir"])
     for i, split in enumerate(SD.SPLITS):
         n = cfg["data"][f"n_{split}"]
         ds = SD.generate_dataset(grammar, n, split, seed=cfg["seed"] + i)
@@ -272,10 +258,11 @@ def cmd_audit(cfg: dict) -> None:
         "seed": cfg["seed"],
     }
     epochs = list(store.epochs)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     n_frames = 0
-    with open(_path(cfg, "audit.csv"), "w", encoding="utf-8") as f_csv, \
-            open(_path(cfg, "profiles.json"), "w", encoding="utf-8") as f_json:
+    with SD.atomic_path(_path(cfg, "audit.csv")) as csv_tmp, \
+            SD.atomic_path(_path(cfg, "profiles.json")) as json_tmp, \
+            open(csv_tmp, "w", encoding="utf-8") as f_csv, \
+            open(json_tmp, "w", encoding="utf-8") as f_json:
         f_csv.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"
                     "gt_error\n")
         # One json.dumps per video runs the C encoder (json.dump to a file
@@ -311,66 +298,41 @@ def cmd_audit(cfg: dict) -> None:
         print(f"calibrated tau = {tau!r}")
 
 
+# The profiles.json fields eval and heatmap read, each an example of its kind
+PROFILES_SHAPE = {"format": "x", "detection": {"window": 0}, "videos": [
+    {"id": "x", "epochs": [0], "gt_error": [0], "losses": "x"}]}
+
+
 def _load_profiles(cfg: dict) -> dict:
-    """The parsed profiles.json with each video's `losses` decoded into a
-    LossTrajectory under the key `trajectory`. Malformed input raises
-    ParseError/SchemaError (a non-finite loss NumericError) naming the path
-    and the video."""
+    """The parsed profiles.json, each video's `losses` decoded into a
+    LossTrajectory at `trajectory`. Malformed input raises ParseError or
+    SchemaError (a non-finite loss NumericError) naming path and field."""
     path = _path(cfg, "profiles.json")
-    if not os.path.exists(path):
-        raise DataError(f"no audit artifacts at {path}; run audit first")
-    with open(path, encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: line {e.lineno}: not valid JSON "
-                             f"({e.msg})") from e
-        except UnicodeDecodeError as e:
-            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: profiles must be a JSON object, "
-                         f"got {type(data).__name__}")
-    if data.get("format") != PROFILES_FORMAT:
+    data = SD.read_json(path, ParseError,
+                        f"no audit artifacts at {path}; run audit first")
+    if type(data) is dict and data.get("format") != PROFILES_FORMAT:
         raise ParseError(f"{path}: format {data.get('format')!r} is not "
                          f"{PROFILES_FORMAT!r}; re-run `cslaudit audit`")
-    det = data.get("detection")
-    window = det.get("window") if isinstance(det, dict) else None
-    if type(window) is not int or window < 0:
-        raise SchemaError(f"{path}: detection.window must be an integer "
-                          f">= 0, got {window!r}")
-    videos = data.get("videos")
-    if not isinstance(videos, list):
-        raise SchemaError(f"{path}: 'videos' must be a list, "
-                          f"got {type(videos).__name__}")
-    if not videos:
-        raise SchemaError(f"{path}: 'videos' is empty; re-run `cslaudit audit`")
+    SD.check_json(data, PROFILES_SHAPE, f"{path}: profiles", SchemaError)
+    if not data["videos"]:
+        raise SchemaError(f"{path}: profiles.videos is empty; re-run "
+                          f"`cslaudit audit`")
     first = {}  # id -> index of the first video with it
-    for i, v in enumerate(videos):
-        where = f"{path}: video {i}"
-        if not isinstance(v, dict):
-            raise SchemaError(f"{where} must be a JSON object, "
-                              f"got {type(v).__name__}")
-        for key in ("id", "epochs", "gt_error", "losses"):
-            if key not in v:
-                raise SchemaError(f"{where} lacks {key!r}")
+    for i, v in enumerate(data["videos"]):
+        where = f"{path}: profiles.videos[{i}]"
         vid, epochs, gt = v["id"], v["epochs"], v["gt_error"]
         try:
             SD.check_id(vid)
         except SchemaError as e:
-            raise SchemaError(f"{where}: {e}") from e
+            raise SchemaError(f"{where}.id: {e}") from e
         if first.setdefault(vid, i) != i:
-            raise SchemaError(f"{where} repeats the id of video {first[vid]}")
-        # type() is not int also refuses bools
-        if not isinstance(epochs, list) or not epochs \
-                or any(type(e) is not int for e in epochs):
-            raise SchemaError(f"{where} epochs must be a non-empty list of "
-                              f"integers")
-        if not isinstance(gt, list) \
-                or any(type(g) is not int or g not in (0, 1) for g in gt):
-            raise SchemaError(f"{where} gt_error must be a list of 0/1 "
-                              f"integers")
+            raise SchemaError(f"{where}.id repeats videos[{first[vid]}].id")
+        if not epochs:
+            raise SchemaError(f"{where}.epochs is empty")
+        if any(g > 1 for g in gt):
+            raise SchemaError(f"{where}.gt_error must hold 0s and 1s only")
         losses = SD.decode_f8(v["losses"], (len(epochs), len(gt)),
-                              f"{where} losses")
+                              f"{where}.losses")
         try:
             v["trajectory"] = CSL.LossTrajectory(vid, losses, epochs)
         except (DataError, NumericError) as e:
@@ -398,7 +360,7 @@ def cmd_eval(cfg: dict) -> None:
         print("warning: EDA undefined (no ground-truth erroneous segments)",
               file=sys.stderr)
     out = _path(cfg, "report.json")
-    with open(out, "w", encoding="utf-8") as f:
+    with SD.atomic_path(out) as tmp, open(tmp, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=1)
         f.write("\n")
     auc_s = "n/a" if report.micro_auc is None else f"{report.micro_auc:.4f}"
@@ -415,7 +377,7 @@ def write_pgm(losses: np.ndarray, path: str) -> None:
     else:
         pixels = np.zeros_like(losses, dtype=np.uint8)
     E, T = losses.shape
-    with open(path, "wb") as f:
+    with SD.atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(f"P5\n{T} {E}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
 
@@ -501,14 +463,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    """The process entry point: main(), then exit with its code, or with 1
-    and no traceback when stdout closed early (as in `cslaudit ... | head`)."""
+    """The process entry point: main()'s exit code; without a traceback, 1
+    if stdout closed early (`cslaudit ... | head`), 130 on Ctrl-C."""
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:  # so that the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    except KeyboardInterrupt:  # train keeps the epochs it finished
+        print("interrupted", file=sys.stderr)
+        code = 130
     # Every file is closed by now. Frozen, the rest (mostly numpy's import-time
     # heap) is skipped by the collections at exit; atexit handlers still run.
     gc.freeze()

@@ -169,10 +169,11 @@ def smooth_csl(csl: np.ndarray, w: int) -> np.ndarray:
         return csl.copy()
     # Slice "full" to T: mode="same" gives max(T, 2w+1) values.
     T = len(csl)
-    kernel = np.ones(2 * w + 1)
-    sums = np.convolve(csl, kernel, mode="full")[w:w + T]
-    counts = np.convolve(np.ones_like(csl), kernel, mode="full")[w:w + T]
-    return sums / counts
+    sums = np.convolve(csl, np.ones(2 * w + 1), mode="full")[w:w + T]
+    # Frames in range of window t, min(t + w, T - 1) - max(t - w, 0) + 1:
+    # min(t, w) before t and min(T - 1 - t, w) after it, exact in float64.
+    before = np.minimum(np.arange(T, dtype=np.float64), w)
+    return sums / (before + before[::-1] + 1.0)
 
 
 def flag_threshold(smoothed: np.ndarray, tau: float) -> np.ndarray:

@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .seqdata import json_fields
+from .seqdata import check_json
 
 LN_EPS = 1e-5
 PROB_FLOOR = 1e-12
@@ -42,6 +42,12 @@ _ROW_BLOCK = 64  # rows per block of the softmax backward's row sums
 
 CONTEXT_FREE = "context_free"
 ATTENTION = "attention"
+
+
+# A ModelConfig's JSON fields (asdict()), each an example of its kind
+CONFIG_SHAPE = {"feature_dim": 0, "num_classes": 0, "hidden_dim": 0,
+                "head_dims": [0], "temporal_mode": "x", "attention_dim": 0,
+                "dropout_rates": [0.0], "init_seed": 0}
 
 
 @dataclass(frozen=True)
@@ -72,12 +78,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config a store manifest records, each field of its JSON kind;
-        other keys (such as a retired field of an older store) are ignored."""
-        return cls(**json_fields(d, {
-            "feature_dim": 0, "num_classes": 0, "hidden_dim": 0,
-            "head_dims": [0], "temporal_mode": "x", "attention_dim": 0,
-            "dropout_rates": [0.0], "init_seed": 0}))
+        """The config a store manifest records, each field of CONFIG_SHAPE's
+        kind; other keys (a retired field of an older store) are ignored."""
+        check_json(d, CONFIG_SHAPE, "model", ConfigError)
+        return cls(**{k: tuple(d[k]) if type(d[k]) is list else d[k]
+                      for k in CONFIG_SHAPE})
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:

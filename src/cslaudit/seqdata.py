@@ -31,16 +31,13 @@ refuses non-finite frames, naming the line. `encode_f8`/`decode_f8` are this
 codec; the CLI's `profiles.json` stores its loss matrices with it too. Files in
 the retired `csl-seqdata/1` format, which held frames as nested lists of
 decimal numbers, are refused; regenerate them with `cslaudit gen` or write
-them again with `write_dataset`.
-
-To audit features of your own, build one `SequenceSample` per video, put them
-in a `Dataset` with a `PhaseGrammar` whose `num_classes` and `feature_dim`
-match them, and call `write_dataset`.
+them again with `write_dataset`, which writes features of your own too.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import gzip
 import itertools
 import json
@@ -96,16 +93,71 @@ def json_kind(example) -> tuple:
             lambda v: type(v) in (list, tuple) and all(map(test, v)))
 
 
-def json_fields(d: dict, examples: dict) -> dict:
-    """d's value for each key of examples, a list as a tuple: KeyError if
-    missing, ConfigError naming the key if not of its example's kind."""
-    out = {}
-    for k, example in examples.items():
+def check_json(value, example, where: str, error: type) -> None:
+    """Raise error naming the field at fault (`where`, then `.key` or `[i]`)
+    unless value has example's shape: every key of an object (others pass),
+    a list of objects like a one-object list's, else example's json_kind."""
+    if type(example) is dict:
+        if type(value) is not dict:
+            raise error(f"{where} must be a JSON object, "
+                        f"got {type(value).__name__}")
+        for k, item in example.items():
+            if k not in value:
+                raise error(f"{where} lacks {k!r}")
+            check_json(value[k], item, f"{where}.{k}", error)
+        return
+    if type(example) is list and type(example[0]) is dict:
+        what = "a list of JSON objects"
+    else:
         what, _, test = json_kind(example)
-        if not test(d[k]):
-            raise ConfigError(f"{k} must be {what}, not {json.dumps(d[k])}")
-        out[k] = tuple(d[k]) if type(d[k]) is list else d[k]
-    return out
+        if test(value):  # a list in one pass; its bad item is sought below
+            return
+    if type(example) is not list or type(value) not in (list, tuple):
+        shown = type(value).__name__ if isinstance(value, (dict, list, tuple)) \
+            else json.dumps(value)
+        raise error(f"{where} must be {what}, not {shown}")
+    for i, item in enumerate(value):
+        check_json(item, example[0], f"{where}[{i}]", error)
+
+
+def read_json(path: str, error: type, missing: str):
+    """The JSON value in the file at path: error(missing) if there is none,
+    error naming path (and line) if it is a directory, not UTF-8 or JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (FileNotFoundError, NotADirectoryError) as e:
+        raise error(missing) from e
+    except IsADirectoryError as e:
+        raise error(f"{path}: is a directory") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from e
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: line {e.lineno}: not valid JSON ({e.msg})") from e
+
+
+@contextlib.contextmanager
+def atomic_path(path: str):
+    """Yield the temp path to write path's content to: renamed over path when
+    the block ends, removed if it raises. An OSError is a DataError."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise DataError(f"cannot write {path}: {e.strerror}") from e
+        raise
+
+
+def make_dir(path: str) -> None:
+    """os.makedirs(path, exist_ok=True); an OSError raises DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror}") from e
 
 
 @dataclass(frozen=True)
@@ -165,15 +217,15 @@ class PhaseGrammar:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhaseGrammar":
+        """The grammar to_dict() wrote (boundary_blend 3 where d lacks it);
+        SchemaError names a field not of its kind, or an invalid grammar."""
+        d = {"boundary_blend": 3, **d}
+        shape = {"num_classes": 0, "feature_dim": 0, "class_means": [[0.0]],
+                 "feature_noise_sigma": 0.0, "phase_order": [0],
+                 "duration_min": 0, "duration_max": 0, "boundary_blend": 0}
+        check_json(d, shape, "grammar", SchemaError)
         try:
-            return cls(**json_fields({"boundary_blend": 3, **d}, {
-                "num_classes": 0, "feature_dim": 0, "class_means": [[0.0]],
-                "feature_noise_sigma": 0.0, "phase_order": [0],
-                "duration_min": 0, "duration_max": 0, "boundary_blend": 0}))
-        except KeyError as e:
-            raise SchemaError(f"grammar is missing field {e}") from e
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"grammar has a malformed field ({e})") from e
+            return cls(**{k: d[k] for k in shape})
         except ConfigError as e:  # from validate(): the data is at fault
             raise SchemaError(f"grammar is invalid ({e})") from e
 
@@ -228,6 +280,7 @@ class Dataset:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
+        check_json(self.seed, 0, "seed", ConfigError)  # as read_dataset does
         ids = [s.id for s in self.samples]
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate sample ids in dataset")
@@ -456,24 +509,13 @@ def _sample_dict(s: SequenceSample) -> dict:
 
 
 def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
-    """Write JSONL atomically (temp file + rename), one line at a time. A
-    missing directory raises DataError, a NaN or inf frame SchemaError; a
-    failed write leaves neither the temp file nor a changed `path`."""
-    tmp = f"{path}.tmp"
-    try:
-        f = _open_text(tmp, "w", path)
-    except (FileNotFoundError, NotADirectoryError) as e:
-        raise DataError(f"cannot write dataset {path}: its directory does "
-                        f"not exist") from e
+    """Write JSONL atomically (atomic_path), one line at a time. An unwritable
+    path raises DataError, a NaN or inf frame SchemaError; a failed write
+    leaves neither the temp file nor a changed `path`."""
     rows = itertools.chain([_header_dict(ds, header_extra)],
                            map(_sample_dict, ds.samples))
-    try:
-        with f:
-            f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    except BaseException:
-        os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    with atomic_path(path) as tmp, _open_text(tmp, "w", path) as f:
+        f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
 def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
@@ -512,7 +554,7 @@ def read_dataset(path: str) -> Dataset:
     try:
         with _open_text(path, "r") as f:
             return _parse_dataset(f)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, NotADirectoryError) as e:
         raise DataError(f"no dataset at {path}; run gen first") from e
     except IsADirectoryError as e:
         raise DataError(f"dataset path {path} is a directory") from e
@@ -523,6 +565,10 @@ def read_dataset(path: str) -> Dataset:
     except (ParseError, SchemaError) as e:
         e.args = (f"{path}: {e}",)  # keeps the type, line and traceback
         raise
+
+
+# The header fields read besides `format`; from_dict checks the grammar's.
+HEADER_SHAPE = {"split": "x", "seed": 0, "grammar": {}}
 
 
 def _parse_dataset(lines: Iterator[str]) -> Dataset:
@@ -540,19 +586,14 @@ def _parse_dataset(lines: Iterator[str]) -> Dataset:
             f"(format {FORMAT_TAG!r})", line=1)
     if fmt != FORMAT_TAG:
         raise ParseError(f"expected format {FORMAT_TAG!r}", line=1)
-    for key in ("split", "seed"):
-        if key not in header:
-            raise SchemaError(f"line 1: header is missing field {key!r}")
+    check_json(header, HEADER_SHAPE, "line 1: header", SchemaError)
     if header["split"] not in SPLITS:
-        raise SchemaError(f"line 1: split must be one of {SPLITS}, "
+        raise SchemaError(f"line 1: header.split must be one of {SPLITS}, "
                           f"got {header['split']!r}")
-    if type(header["seed"]) is not int:  # bool is an int subclass
-        raise SchemaError(f"line 1: seed must be an integer, "
-                          f"got {header['seed']!r}")
     try:
-        grammar = PhaseGrammar.from_dict(header.get("grammar", {}))
-    except SchemaError as e:
-        raise SchemaError(f"line 1: {e}") from e
+        grammar = PhaseGrammar.from_dict(header["grammar"])
+    except SchemaError as e:  # each begins with "grammar"
+        raise SchemaError(f"line 1: header.{e}") from e
     samples = []
     for ln, raw in enumerate(lines, start=2):
         if not raw.strip():

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, CoverageError, NumericError, StoreError
-from .seqdata import (Dataset, dataset_fingerprint, grammar_fingerprint,
-                      json_kind)
+from .seqdata import (Dataset, atomic_path, check_json, dataset_fingerprint,
+                      grammar_fingerprint, make_dir, read_json)
 
 STORE_FORMAT = "csl-ckpt-store/1"
 MAGIC = b"CSLCKPT1"
@@ -97,7 +97,7 @@ class AdamWState:
             off += n
         self.m = np.zeros_like(self.p)
         self.v = np.zeros_like(self.p)
-        self.tmp = np.empty_like(self.p)
+        self.buf = np.empty_like(self.p)
         self.den = np.empty_like(self.p)
 
 
@@ -115,7 +115,7 @@ def adamw_step(state: AdamWState, t: int, cfg: TrainConfig,
         raise NumericError(f"non-finite gradient in {name} {context}".strip())
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    m, v, tmp, den = state.m, state.v, state.tmp, state.den
+    m, v, tmp, den = state.m, state.v, state.buf, state.den
     # Same per-element operations, in the same order, as the textbook form
     #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
     #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps);  p -= (lr*wd)*p  (2-D only)
@@ -189,7 +189,7 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
     ws.buffers(cfg_model, (), max(s.num_frames for s in ds_train.samples),
                True)
     n = len(ds_train.samples)
-    os.makedirs(store_path, exist_ok=True)
+    make_dir(store_path)
     manifest = {
         "format": STORE_FORMAT,
         "model": asdict(cfg_model),
@@ -227,8 +227,13 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
         store.snapshots.append((epoch, snap, mean_loss))
         manifest["epochs"].append(epoch)
         manifest["epoch_losses"].append(mean_loss)
-        _write_snapshot(store_path, epoch, snap)
-        _write_manifest(store_path, manifest)
+        with atomic_path(_snapshot_path(store_path, epoch)) as tmp, \
+                open(tmp, "wb") as f:
+            f.write(encode_snapshot(snap))
+        with atomic_path(os.path.join(store_path, "manifest.json")) as tmp, \
+                open(tmp, "w", encoding="utf-8") as f:
+            json.dump(manifest, f, sort_keys=True, indent=1)
+            f.write("\n")
         if on_epoch is not None:
             on_epoch(epoch, mean_loss)
     return store
@@ -288,84 +293,50 @@ def decode_snapshot(blob: bytes) -> M.ModelParams:
     return M.ModelParams(tensors)
 
 
-def _write_snapshot(store_path: str, epoch: int, params: M.ModelParams) -> None:
-    path = _snapshot_path(store_path, epoch)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(encode_snapshot(params))
-    os.replace(tmp, path)
-
-
-def _write_manifest(store_path: str, manifest: dict) -> None:
-    path = os.path.join(store_path, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, sort_keys=True, indent=1)
-        f.write("\n")
-    os.replace(tmp, path)
+# The manifest fields load_store reads, each an example of its kind
+MANIFEST_SHAPE = {"format": "x", "model": M.CONFIG_SHAPE, "epochs": [0],
+                  "epoch_losses": [0.0], "class_weights": [0.0],
+                  "fingerprints": {"grammar": "x"}}
 
 
 def load_store(path: str) -> CheckpointStore:
     manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise StoreError(f"no manifest.json in {path}")
-    with open(manifest_path, encoding="utf-8") as f:
-        try:
-            manifest = json.load(f)
-        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
-            raise StoreError(f"{manifest_path}: not valid JSON ({e})") from e
-    if not isinstance(manifest, dict):
-        raise StoreError(f"{manifest_path}: manifest must be a JSON object, "
-                         f"got {type(manifest).__name__}")
-    if manifest.get("format") != STORE_FORMAT:
+    manifest = read_json(manifest_path, StoreError,
+                         f"no manifest.json in {path}")
+    if type(manifest) is dict and manifest.get("format") != STORE_FORMAT:
         raise StoreError(f"{manifest_path}: format {manifest.get('format')!r} "
                          f"is not {STORE_FORMAT!r}")
-    for key in ("model", "epochs", "epoch_losses", "class_weights",
-                "fingerprints"):
-        if key not in manifest:
-            raise StoreError(f"{manifest_path}: manifest lacks {key!r}")
+    check_json(manifest, MANIFEST_SHAPE, f"{manifest_path}: manifest",
+               StoreError)
     epochs, losses = manifest["epochs"], manifest["epoch_losses"]
-    if not isinstance(epochs, list) or not isinstance(losses, list) \
-            or len(epochs) != len(losses):
-        raise StoreError(f"{manifest_path}: 'epochs' and 'epoch_losses' must "
-                         "be lists of the same length")
-    if any(type(e) is not int for e in epochs):
-        raise StoreError(f"{manifest_path}: 'epochs' must hold integers")
-    _, _, finite = json_kind(0.0)  # refuses NaN and infinities too
-    if not all(map(finite, losses)):
-        raise StoreError(f"{manifest_path}: 'epoch_losses' must hold numbers, "
-                         "all finite")
-    fps = manifest["fingerprints"]
-    if not isinstance(fps, dict) or type(fps.get("grammar")) is not str:
-        raise StoreError(f"{manifest_path}: 'fingerprints' must map "
-                         "'grammar' to a string")
-    if any(a >= b for a, b in zip(epochs, epochs[1:])):
-        raise StoreError(f"{manifest_path}: 'epochs' are not strictly "
-                         "increasing")
+    if len(epochs) != len(losses) \
+            or any(a >= b for a, b in zip(epochs, epochs[1:])):
+        raise StoreError(f"{manifest_path}: manifest.epochs must increase "
+                         "strictly, one per epoch_losses entry")
     try:
         cfg_model = M.ModelConfig.from_dict(manifest["model"])
-    except (KeyError, TypeError, ValueError, ConfigError) as e:
-        raise StoreError(f"{manifest_path}: malformed 'model' ({e!r})") from e
+    except ConfigError as e:
+        raise StoreError(f"{manifest_path}: manifest.model is invalid "
+                         f"({e})") from e
     weights = manifest["class_weights"]
-    if not isinstance(weights, list) or len(weights) != cfg_model.num_classes \
-            or not all(finite(w) and w > 0 for w in weights):
-        raise StoreError(f"{manifest_path}: 'class_weights' must hold "
-                         f"{cfg_model.num_classes} numbers, all finite and > 0")
+    if len(weights) != cfg_model.num_classes or not all(w > 0 for w in weights):
+        raise StoreError(f"{manifest_path}: manifest.class_weights must hold "
+                         f"{cfg_model.num_classes} numbers, all > 0")
     expected = M.param_shapes(cfg_model)
     snapshots = []
     for epoch, mean_loss in zip(epochs, losses):
         snap_path = _snapshot_path(path, epoch)
-        if not os.path.exists(snap_path):
-            raise StoreError(f"{manifest_path}: lists epoch {epoch} but "
-                             f"{snap_path} is missing")
-        with open(snap_path, "rb") as f:
-            try:
+        try:
+            with open(snap_path, "rb") as f:
                 params = decode_snapshot(f.read())
-            except StoreError as e:
-                raise StoreError(f"{snap_path}: {e}") from e
+        except OSError as e:  # missing, or a directory
+            raise StoreError(f"{manifest_path}: lists epoch {epoch} but cannot "
+                             f"read {snap_path} ({e.strerror})") from e
+        except StoreError as e:
+            raise StoreError(f"{snap_path}: {e}") from e
         for name, shape in expected.items():
             if name not in params.tensors or params.tensors[name].shape != shape:
                 raise StoreError(
                     f"{snap_path}: tensor {name} missing or misshaped")
-        snapshots.append((int(epoch), params, float(mean_loss)))
+        snapshots.append((epoch, params, float(mean_loss)))
     return CheckpointStore(manifest=manifest, snapshots=snapshots)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import zlib
@@ -280,6 +281,9 @@ def test_import_loads_no_scipy():
 MALFORMED = {
     "header-without-split": (1, lambda rows: rows[0].pop("split")),
     "header-without-seed": (1, lambda rows: rows[0].pop("seed")),
+    "header-bool-seed": (1, lambda rows: rows[0].update(seed=True)),
+    "header-grammar-not-an-object": (1, lambda rows: rows[0].update(
+        grammar=[rows[0]["grammar"]])),
     "frames-wrong-length": (3, lambda rows: rows[2].update(
         frames=base64.b64encode(base64.b64decode(rows[2]["frames"])[:-8])
         .decode())),
@@ -481,6 +485,10 @@ def _make_truncated_gz(path, clean):
 # the bytes of a clean split)
 UNREADABLE = {
     "missing": ("run gen first", lambda path, clean: path),
+    # a NotADirectoryError traceback before
+    "below-a-file": ("run gen first",
+                     lambda path, clean: (path.write_bytes(clean),
+                                          path / "x.jsonl")[1]),
     "directory": ("is a directory", _make_dir),
     "not-utf8": ("not UTF-8", _make_latin1),
     "gz-not-gzip": ("gzip", _make_plain_gz),
@@ -846,6 +854,8 @@ def test_frame_beyond_float32_range_exit_4(trained_cfg, tmp_path, capsys,
 
 STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",
                 "fingerprints")
+EPOCHS_TEXT = ("manifest.epochs must increase strictly, one per "
+               "epoch_losses entry")
 # (text the error must show, edit of a clean store manifest); each error
 # begins with the manifest's path
 BAD_MANIFESTS = {
@@ -855,36 +865,47 @@ BAD_MANIFESTS = {
                           lambda m, key=key: {k: v for k, v in m.items()
                                               if k != key})
        for key in STORE_FIELDS},
-    "epoch-count-mismatch": ("'epochs' and 'epoch_losses'", lambda m: dict(
+    "epoch-count-mismatch": (EPOCHS_TEXT, lambda m: dict(
         m, epoch_losses=m["epoch_losses"][:-1])),
-    "string-epoch": ("'epochs' must hold integers", lambda m: dict(
+    "string-epoch": ('manifest.epochs[0] must be a non-negative integer, '
+                     'not "1"', lambda m: dict(
         m, epochs=[str(e) for e in m["epochs"]])),
-    "null-loss": ("'epoch_losses' must hold numbers", lambda m: dict(
+    "bool-epoch": ("manifest.epochs[0] must be a non-negative integer, not "
+                   "true", lambda m: dict(m, epochs=[True] + m["epochs"][1:])),
+    "null-loss": ("manifest.epoch_losses[0] must be a finite number, not "
+                  "null", lambda m: dict(
         m, epoch_losses=[None] * len(m["epoch_losses"]))),
     # json.load reads NaN and Infinity; each of these once audited without
     # an error, or failed later as a numeric or negative-loss fault
-    "nan-loss": ("'epoch_losses' must hold numbers, all finite",
+    "nan-loss": ("manifest.epoch_losses[0] must be a finite number, not NaN",
                  lambda m: dict(m, epoch_losses=[float("nan")]
                                 * len(m["epoch_losses"]))),
     **{f"{name}-class-weight": (
-        "'class_weights' must hold 4 numbers, all finite and > 0",
-        lambda m, w=w: dict(m, class_weights=w + m["class_weights"][1:]))
-       for name, w in (("nan", [float("nan")]), ("inf", [float("inf")]),
-                       ("negative", [-1.0]))},
+        f"manifest.class_weights[0] must be a finite number, not {text}",
+        lambda m, w=w: dict(m, class_weights=[w] + m["class_weights"][1:]))
+       for name, w, text in (("nan", float("nan"), "NaN"),
+                             ("inf", float("inf"), "Infinity"))},
+    "negative-class-weight": (
+        "manifest.class_weights must hold 4 numbers, all > 0",
+        lambda m: dict(m, class_weights=[-1.0] + m["class_weights"][1:])),
     "zero-class-weights": (
-        "'class_weights' must hold 4 numbers, all finite and > 0",
+        "manifest.class_weights must hold 4 numbers, all > 0",
         lambda m: dict(m, class_weights=[0.0] * len(m["class_weights"]))),
     "wrong-format": ("format 'csl-ckpt-store/0' is not 'csl-ckpt-store/1'",
                      lambda m: dict(m, format="csl-ckpt-store/0")),
-    "decreasing-epochs": ("'epochs' are not strictly increasing",
+    "decreasing-epochs": (EPOCHS_TEXT,
                           lambda m: dict(m, epochs=m["epochs"][::-1])),
     "missing-snapshot": ("lists epoch 99 but", lambda m: dict(
         m, epochs=m["epochs"][:-1] + [99])),
-    "one-head-dim": ("malformed 'model'", lambda m: dict(
+    "fingerprints-not-an-object": (
+        "manifest.fingerprints must be a JSON object, got str",
+        lambda m: dict(m, fingerprints=m["fingerprints"]["grammar"])),
+    "one-head-dim": ("manifest.model is invalid (head_dims must hold exactly "
+                     "2 values, got 1)", lambda m: dict(
         m, model=dict(m["model"], head_dims=[8]))),
     # read as [8, 6] by int() before
-    "fractional-head-dims": ("head_dims must be a list of non-negative "
-                             "integers", lambda m: dict(
+    "fractional-head-dims": ("manifest.model.head_dims[0] must be a "
+                             "non-negative integer, not 8.5", lambda m: dict(
         m, model=dict(m["model"], head_dims=[8.5, 6]))),
 }
 # (the snapshot at fault, text the error must show, edit of its bytes); each
@@ -943,6 +964,18 @@ def test_malformed_store_manifest_exit_3(trained_cfg, tmp_path, capsys, name,
     assert text in err
 
 
+def test_snapshot_that_is_a_directory_exit_3(trained_cfg, tmp_path, capsys):
+    """An IsADirectoryError traceback before."""
+    def edit(store):
+        (store / "ckpt_0002.bin").unlink()
+        (store / "ckpt_0002.bin").mkdir()
+
+    code, err = audit_store_copy(trained_cfg, tmp_path, capsys, edit)
+    assert code == 3
+    assert "manifest.json: lists epoch 2 but cannot read " in err
+    assert err.endswith("ckpt_0002.bin (Is a directory)\n")
+
+
 def test_store_with_retired_fields_audits_the_same(trained_cfg, tmp_path,
                                                    capsys):
     """A store whose manifest still records the deleted settings
@@ -999,26 +1032,36 @@ def _video_1(**fields):
 # (text the error must show, edit of a clean profiles.json)
 BAD_PROFILES = {
     "array": ("must be a JSON object", lambda d: [d]),
-    "videos-not-a-list": ("'videos' must be a list",
+    "videos-not-a-list": ("profiles.videos must be a list of JSON objects, "
+                          "not dict",
                           lambda d: dict(d, videos={"v0": d["videos"][0]})),
-    "video-not-an-object": ("video 1 must be a JSON object",
+    "video-not-an-object": ("profiles.videos[1] must be a JSON object, got "
+                            "str",
                             lambda d: dict(d, videos=[d["videos"][0], "v1"])),
     **{f"video-without-{key}": (
-        f"video 1 lacks {key!r}",
+        f"profiles.videos[1] lacks {key!r}",
         lambda d, key=key: dict(d, videos=[d["videos"][0], {
             k: v for k, v in d["videos"][1].items() if k != key}]))
        for key in PROFILE_FIELDS},
-    "losses-not-base64": ("video 1 losses is not valid base64",
+    "losses-not-base64": ("profiles.videos[1].losses is not valid base64",
                           _video_1(losses="not base64!")),
-    "losses-wrong-length": ("video 1 losses holds 16 bytes, not 24",
+    "losses-wrong-length": ("profiles.videos[1].losses holds 16 bytes, not 24",
                             _video_1(losses=encode_losses([0.1, 0.9]))),
     "old-format-tag": ("'csl-profiles/1' is not 'csl-profiles/2'; re-run "
                        "`cslaudit audit`",
                        lambda d: dict(d, format="csl-profiles/1")),
-    "bad-window": ("detection.window must be an integer >= 0",
+    "bad-window": ("profiles.detection.window must be a non-negative "
+                   "integer, not -1",
                    lambda d: dict(d, detection={"window": -1})),
-    "id-with-slash": ("video 1: sample id '../x'", _video_1(id="../x")),
-    "videos-empty": ("'videos' is empty", lambda d: dict(d, videos=[])),
+    "id-with-slash": ("profiles.videos[1].id: sample id '../x'",
+                      _video_1(id="../x")),
+    "bool-epoch": ("profiles.videos[1].epochs[0] must be a non-negative "
+                   "integer, not true", _video_1(epochs=[True])),
+    "no-epochs": ("profiles.videos[1].epochs is empty", _video_1(epochs=[])),
+    "gt-error-of-2": ("profiles.videos[1].gt_error must hold 0s and 1s only",
+                      _video_1(gt_error=[0, 2, 0])),
+    "videos-empty": ("profiles.videos is empty",
+                     lambda d: dict(d, videos=[])),
 }
 
 
@@ -1065,7 +1108,8 @@ def test_heatmap_of_empty_profiles_exit_3(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("heatmap", "--config", str(path)) == 3
     assert capsys.readouterr().err == (
-        f"data error: {profiles}: 'videos' is empty; re-run `cslaudit audit`\n")
+        f"data error: {profiles}: profiles.videos is empty; re-run "
+        f"`cslaudit audit`\n")
     assert sorted(os.listdir(tmp_path)) == ["config.json", "profiles.json"]
 
 
@@ -1080,7 +1124,7 @@ def test_duplicate_video_ids_exit_3(trained_cfg, tmp_path, capsys, command):
     open(profiles, "w").write(json.dumps(data))
     capsys.readouterr()
     assert run_cli(command, "--config", path) == 3
-    assert f"{profiles}: video 1 repeats the id of video 0" \
+    assert f"{profiles}: profiles.videos[1].id repeats videos[0].id" \
         in capsys.readouterr().err
     assert not any(f.endswith(".pgm") for f in os.listdir(cfg["out_dir"]))
 
@@ -1191,6 +1235,36 @@ def test_closed_stdout_exits_1_without_traceback(trained_cfg, tmp_path,
     if command == "train":
         assert ca.load_store(os.path.join(cfg["out_dir"], "store")).epochs \
             == [1]
+
+
+def test_interrupt_exits_130_with_one_line(trained_cfg, tmp_path):
+    """SIGINT (Ctrl-C) during `train`, sent once epoch 1 is reported: exit
+    130 and `interrupted` as the only stderr line (a KeyboardInterrupt
+    traceback before). The store keeps the epochs it finished, and no temp
+    file."""
+    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+               train=dict(trained_cfg["train"], epochs=100000))
+    cfg["data"] = dict(cfg["data"], train_path=os.path.join(
+        trained_cfg["out_dir"], "train.jsonl"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cslaudit.cli", "train", "--config", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(ca.__file__))))
+    try:
+        assert proc.stdout.readline().startswith("epoch 1: ")
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (130, "interrupted\n")
+    store = tmp_path / "run" / "store"
+    epochs = ca.load_store(str(store)).epochs
+    assert epochs == list(range(1, len(epochs) + 1)) != []
+    assert not [f for f in os.listdir(store) if f.endswith(".tmp")]
 
 
 def test_console_script_is_console_main():

@@ -192,6 +192,19 @@ class TestSmoothing:
             window = x[lo:hi]
             assert window.min() - 1e-9 <= out[t] <= window.max() + 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0, 100), min_size=1, max_size=80),
+           st.integers(1, 90))
+    @example([1.0, 2.0], 5)  # w >= T: every window holds the whole sequence
+    def test_counts_equal_the_convolution(self, values, w):
+        """The in-range counts come from their closed form, bit for bit the
+        convolution of ones that they once were, w >= T included."""
+        x = np.array(values)
+        T, kernel = len(x), np.ones(2 * w + 1)
+        sums = np.convolve(x, kernel, mode="full")[w:w + T]
+        counts = np.convolve(np.ones_like(x), kernel, mode="full")[w:w + T]
+        assert ca.smooth_csl(x, w).tobytes() == (sums / counts).tobytes()
+
 
 class TestFlagging:
     def test_threshold_basic(self):

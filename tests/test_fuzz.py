@@ -5,10 +5,16 @@ bytes (a bit flip, a truncation, or a dropped or duplicated line) or of one
 JSON document (the config, the store manifest, profiles.json or a dataset
 header): a deleted key or item, a value of another JSON type, or a number
 set to NaN, Infinity, -1 or 0. cli.main turns an AuditToolError into exit
-2, 3 or 4; any other exception escapes it and fails the test."""
+2, 3 or 4; any other exception escapes it and fails the test.
 
+The output side is fuzzed too: a directory or a regular file in place of one
+path a command writes must end that command in exit 3, and change nothing
+else."""
+
+import contextlib
 import functools
 import gzip
+import io
 import json
 import math
 import operator
@@ -73,7 +79,7 @@ def pipeline(tmp_path_factory):
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        for stage in STAGES[:-1]:
+        for stage in STAGES:
             if stage == "audit":  # profiles.json is the percentile run's
                 assert cli.main([stage, "--config", "threshold.json"]) == 0
             assert cli.main([stage, "--config", "config.json"]) == 0
@@ -247,3 +253,68 @@ def test_one_json_edit_ends_in_a_documented_exit(pipeline, target, kind,
     if refused_by_load_store(target, edited[0]):
         assert code == 3, edited[0]
     assert code in (0, 2, 3, 4)
+
+
+# (a path a command writes, that command): the out_dir and the store are
+# directories, the rest files
+OUTPUTS = [("run", "gen"), ("run/train.jsonl.gz", "gen"),
+           ("run/val.jsonl", "gen"), ("run/test.jsonl", "gen"),
+           ("run/test_mislabel.jsonl", "corrupt"), ("run/store", "train"),
+           ("run/store/manifest.json", "train"), ("run/audit.csv", "audit"),
+           ("run/profiles.json", "audit"), ("run/report.json", "eval"),
+           ("run/heatmap_test-0001.pgm", "heatmap")]
+
+
+def tree(root) -> dict:
+    """Relative path -> content of every file below root. A gzip file's
+    content is its decompressed text: its header records the time it was
+    written."""
+    out = {}
+    for parent, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(parent, name)
+            with open(path, "rb") as f:
+                data = f.read()
+            out[os.path.relpath(path, root)] = gzip.decompress(data) \
+                if name.endswith(".gz") else data
+    return out
+
+
+@settings(max_examples=2 * len(OUTPUTS), deadline=None, derandomize=True,
+          database=None)
+@given(target=st.sampled_from(OUTPUTS), filled=st.booleans())
+def test_unwritable_output_exits_3(pipeline, target, filled):
+    """A directory in place of an output file (holding a file if `filled`),
+    or a regular file in place of an output directory, ends the command that
+    writes it in exit 3 and one stderr line naming the path: no traceback,
+    no *.tmp left, and every other file as it was (a file rewritten before
+    the failure holds the same bytes)."""
+    name, command = target
+    event(f"{name} {command}{' filled' if filled else ''}")
+    work = tempfile.mkdtemp(dir=pipeline.parent)
+    cwd = os.getcwd()
+    try:
+        shutil.copytree(pipeline, work, dirs_exist_ok=True)
+        os.chdir(work)
+        if os.path.isdir(name):
+            shutil.rmtree(name)
+            with open(name, "w") as f:
+                f.write("in the way\n")
+        else:
+            os.remove(name)
+            os.mkdir(name)
+            if filled:
+                open(os.path.join(name, "x"), "w").close()
+        before = tree(".")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", "config.json"])
+        after = tree(".")
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work)
+    assert code == 3
+    assert err.getvalue().startswith(f"data error: cannot write {name}: ")
+    assert err.getvalue().count("\n") == 1
+    assert [p for p in after if p.endswith(".tmp")] == []
+    assert after == before

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import cslaudit as ca
 from conftest import set_frame
-from cslaudit.errors import (ConfigError, ParseError, SchemaError,
-                             SequenceTooShortError)
+from cslaudit.errors import (ConfigError, DataError, ParseError,
+                             SchemaError, SequenceTooShortError)
 from cslaudit.seqdata import (FORMAT_TAG, _phase_means, dataset_fingerprint,
                               decode_f8, encode_f8, grammar_fingerprint,
                               inject_disordering, inject_mislabeling,
@@ -398,10 +398,10 @@ class TestIO:
         header = json.loads(header)
         header["grammar"][field] = value
         path.write_text(json.dumps(header) + "\n" + "".join(samples))
-        with pytest.raises(SchemaError) as e:
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "
+                           rf"line 1: header\.grammar\.{field}(\[\d+\])* "
+                           "must be "):
             ca.read_dataset(str(path))
-        assert str(e.value).startswith(f"{path}: line 1: grammar is invalid "
-                                       f"({field} must be ")
 
     def test_format_contract(self, small_dataset, tmp_path):
         # the csl-seqdata/2 layout, decoded without the package's reader
@@ -527,3 +527,117 @@ class TestStreamingIO:
             ca.write_dataset(bad, str(path))
         assert os.listdir(tmp_path) == [name]
         assert path.read_bytes() == before
+
+
+class TestJsonShape:
+    """check_json, read_json and atomic_path: the one shape check, reader
+    and writer of every JSON document and artifact."""
+
+    SHAPE = {"seed": 0, "rate": 0.0, "name": "x", "sizes": [0],
+             "videos": [{"id": "x", "epochs": [0]}]}
+    GOOD = {"seed": 3, "rate": 0.5, "name": "n", "sizes": [1, 2],
+            "videos": [{"id": "a", "epochs": [1]},
+                       {"id": "b", "epochs": [1, 2], "extra": None}],
+            "other": "keys pass"}
+
+    def test_good_document_passes(self):
+        ca.seqdata.check_json(self.GOOD, self.SHAPE, "doc", SchemaError)
+        # a tuple passes for a list, as asdict() writes one
+        ca.seqdata.check_json({"sizes": (1, 2)}, {"sizes": [0]}, "doc",
+                              SchemaError)
+
+    @pytest.mark.parametrize("edit,text", [
+        (lambda d: d.pop("rate"), "doc lacks 'rate'"),
+        (lambda d: d["videos"][1].pop("epochs"), "doc.videos[1] lacks 'epochs'"),
+        (lambda d: d.update(name=7), "doc.name must be a non-empty string, "
+                                     "not 7"),
+        (lambda d: d.update(seed=True), "doc.seed must be a non-negative "
+                                        "integer, not true"),
+        (lambda d: d.update(rate=float("nan")), "doc.rate must be a finite "
+                                                "number, not NaN"),
+        (lambda d: d.update(sizes=[1, True]), "doc.sizes[1] must be a "
+                                              "non-negative integer, not true"),
+        (lambda d: d.update(sizes={"a": 1}), "doc.sizes must be a list of "
+                                             "non-negative integers, not dict"),
+        (lambda d: d["videos"][1].update(epochs=[1, 2.5]),
+         "doc.videos[1].epochs[1] must be a non-negative integer, not 2.5"),
+        (lambda d: d["videos"].append([1]), "doc.videos[2] must be a JSON "
+                                            "object, got list"),
+        (lambda d: d.update(videos="ab"), "doc.videos must be a list of JSON "
+                                          "objects, not \"ab\""),
+    ], ids=["missing-key", "missing-key-in-list-item", "wrong-leaf-kind",
+            "bool-for-integer", "nan", "bool-in-list", "object-for-list",
+            "bad-item-of-nested-list", "non-object-list-item",
+            "string-for-list"])
+    def test_message_names_the_dotted_field(self, edit, text):
+        doc = json.loads(json.dumps(self.GOOD))
+        edit(doc)
+        with pytest.raises(SchemaError) as e:
+            ca.seqdata.check_json(doc, self.SHAPE, "doc", SchemaError)
+        assert str(e.value) == text
+
+    def test_not_an_object(self):
+        with pytest.raises(ConfigError, match="^f: config must be a JSON "
+                           "object, got list$"):
+            ca.seqdata.check_json([], {}, "f: config", ConfigError)
+
+    def test_read_json(self, tmp_path):
+        read = ca.seqdata.read_json
+        good = tmp_path / "good.json"
+        good.write_text('{"a": [1, 2.5]}')
+        assert read(str(good), ParseError, "gone") == {"a": [1, 2.5]}
+        # a missing file, or one below a regular file, is `missing`
+        cases = [(tmp_path / "missing.json", "^gone$"),
+                 (good / "b.json", "^gone$"),
+                 (tmp_path, f"^{re.escape(str(tmp_path))}: is a directory$")]
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"a": "\xff"}')
+        cases.append((latin, f"^{re.escape(str(latin))}: not UTF-8 text "
+                             r"\(invalid start byte\)$"))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": 1,\n "b": }\n')
+        cases.append((bad, f"^{re.escape(str(bad))}: line 2: not valid JSON "
+                           r"\(Expecting value\)$"))
+        for path, pattern in cases:
+            with pytest.raises(ParseError, match=pattern):
+                read(str(path), ParseError, "gone")
+
+    @pytest.mark.parametrize("seed,shown", [(-1, "-1"), (True, "true")])
+    def test_dataset_refuses_a_seed_its_reader_refuses(self, small_dataset,
+                                                       seed, shown):
+        """A seed the header check refuses on read is refused on
+        construction, so write_dataset never writes one."""
+        with pytest.raises(ConfigError, match=f"^seed must be a non-negative "
+                           f"integer, not {shown}$"):
+            ca.Dataset(small_dataset.grammar, small_dataset.samples, "train",
+                       seed)
+
+    def test_atomic_path(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with ca.seqdata.atomic_path(str(path)) as tmp:
+            assert tmp == f"{path}.tmp"
+            open(tmp, "w").write("one")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        with pytest.raises(KeyError):  # any failure: the target stays
+            with ca.seqdata.atomic_path(str(path)) as tmp:
+                open(tmp, "w").write("two")
+                raise KeyError("x")
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert path.read_text() == "one"
+
+    def test_unwritable_path_is_a_data_error(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("x")
+        for target, reason in (("dir", "Is a directory"),
+                               ("missing/out", "No such file or directory"),
+                               ("file/out", "Not a directory")):
+            path = str(tmp_path / target)
+            with pytest.raises(DataError, match=f"^cannot write "
+                               f"{re.escape(path)}: {reason}$"):
+                with ca.seqdata.atomic_path(path) as tmp:
+                    open(tmp, "w").write("x")
+        with pytest.raises(DataError, match="^cannot write .*file: File "
+                           "exists$"):
+            ca.seqdata.make_dir(str(tmp_path / "file"))
+        assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
+        assert os.listdir(tmp_path / "dir") == []
