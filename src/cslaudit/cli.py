@@ -218,9 +218,18 @@ def cmd_train(cfg: dict) -> None:
     ds = _read_split(_split_path(cfg, "train"))
     model_cfg = build_model_config(cfg, ds.grammar)
     train_cfg = build_train_config(cfg)
-    TR.train(ds, model_cfg, train_cfg, _path(cfg, "store"),
-             on_epoch=lambda epoch, loss: print(
-                 f"epoch {epoch}: mean loss {loss:.6f}", flush=True))
+    stored = []
+
+    def on_epoch(epoch: int, loss: float) -> None:
+        stored.append(epoch)
+        print(f"epoch {epoch}: mean loss {loss:.6f}", flush=True)
+
+    try:
+        TR.train(ds, model_cfg, train_cfg, _path(cfg, "store"),
+                 on_epoch=on_epoch)
+    except KeyboardInterrupt:
+        raise KeyboardInterrupt(f"after epoch {stored[-1]} was stored"
+                                if stored else "before epoch 1 was stored")
 
 
 def _audit(store: TR.CheckpointStore, ds: SD.Dataset, path: str,
@@ -471,8 +480,8 @@ def console_main() -> None:
     except BrokenPipeError:  # so that the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
-    except KeyboardInterrupt:  # train keeps the epochs it finished
-        print("interrupted", file=sys.stderr)
+    except KeyboardInterrupt as e:  # train keeps the epochs it finished
+        print(" ".join(["interrupted", *e.args]), file=sys.stderr)
         code = 130
     # Every file is closed by now. Frozen, the rest (mostly numpy's import-time
     # heap) is skipped by the collections at exit; atexit handlers still run.

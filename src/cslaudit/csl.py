@@ -72,11 +72,11 @@ class LossTrajectory:
         if self.losses.shape[0] != len(self.epochs):
             raise DataError(f"video {self.video_id}: {self.losses.shape[0]} "
                             f"loss rows for {len(self.epochs)} epochs")
-        finite = np.isfinite(self.losses).all(axis=1)
-        if not finite.all():
+        finite = np.logical_and.reduce(np.isfinite(self.losses), axis=1)
+        if not np.logical_and.reduce(finite):
             raise NumericError(f"video {self.video_id}: non-finite loss at "
                                f"epoch {self.epochs[int(finite.argmin())]}")
-        if (self.losses < 0).any():
+        if np.logical_or.reduce(self.losses < 0, axis=None):
             raise DataError(f"video {self.video_id}: negative loss")
 
 
@@ -100,6 +100,9 @@ def _stack_snapshots(store: CheckpointStore) -> M.ModelParams:
                           for k in tensors[0]})
 
 
+# an overflow in the float32 replay ends as a non-finite loss, which
+# LossTrajectory reports
+@np.errstate(over="ignore", invalid="ignore")
 def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                          cfg: DetectionConfig, *,
                          stacked: M.ModelParams | None = None,
@@ -127,7 +130,8 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     if cfg.audit_loss == TRAIN_WEIGHTED:
         alpha = store.class_weights
     else:
-        alpha = np.ones(model_cfg.num_classes)
+        alpha = np.empty(model_cfg.num_classes)
+        alpha.fill(1.0)
     epochs = store.epochs
     T = sample.num_frames
     step = max(1, CHUNK_ROWS // max(T, 1))
@@ -138,25 +142,18 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in stacked.tensors.items()})
-        # an overflow ends as a non-finite loss, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
-            except NumericError as e:
-                raise NumericError(f"video {sample.id}: {e}") from e
-        rows = losses[lo:lo + step]
-        rows[...] = M.per_frame_losses(trace.probs, sample.labels, alpha)
-        bad = ~np.isfinite(rows).all(axis=1)
-        if bad.any():
-            raise NumericError(
-                f"video {sample.id}: non-finite loss under the epoch "
-                f"{epochs[lo + int(bad.argmax())]} checkpoint")
+        try:
+            trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
+        except NumericError as e:
+            raise NumericError(f"video {sample.id}: {e}") from e
+        losses[lo:lo + step] = M.per_frame_losses(trace.probs, sample.labels,
+                                                  alpha)
     return LossTrajectory(video_id=sample.id, losses=losses, epochs=epochs)
 
 
 def compute_csl(traj: LossTrajectory) -> np.ndarray:
     """Columnwise mean over epochs."""
-    return traj.losses.mean(axis=0)
+    return np.add.reduce(traj.losses, axis=0) / traj.losses.shape[0]
 
 
 def smooth_csl(csl: np.ndarray, w: int) -> np.ndarray:
@@ -169,7 +166,9 @@ def smooth_csl(csl: np.ndarray, w: int) -> np.ndarray:
         return csl.copy()
     # Slice "full" to T: mode="same" gives max(T, 2w+1) values.
     T = len(csl)
-    sums = np.convolve(csl, np.ones(2 * w + 1), mode="full")[w:w + T]
+    ones = np.empty(2 * w + 1)
+    ones.fill(1.0)
+    sums = np.convolve(csl, ones, mode="full")[w:w + T]
     # Frames in range of window t, min(t + w, T - 1) - max(t - w, 0) + 1:
     # min(t, w) before t and min(T - 1 - t, w) after it, exact in float64.
     before = np.minimum(np.arange(T, dtype=np.float64), w)
@@ -189,7 +188,7 @@ def flag_percentile(smoothed: np.ndarray, k_percent: float) -> np.ndarray:
     smoothed = np.asarray(smoothed)
     T = len(smoothed)
     m = int(np.ceil(k_percent / 100.0 * T))
-    order = np.argsort(-smoothed, kind="stable")
+    order = (-smoothed).argsort(kind="stable")
     flags = np.zeros(T, dtype=np.int8)
     flags[order[:m]] = 1
     return flags
@@ -217,7 +216,8 @@ def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
     E = traj.losses.shape[0]
     if E < 3:
         raise DataError(f"curvature needs >= 3 checkpoints, store has {E}")
-    return np.abs(np.diff(traj.losses, n=2, axis=0)).mean(axis=0)
+    d1 = traj.losses[1:] - traj.losses[:-1]
+    return np.add.reduce(np.abs(d1[1:] - d1[:-1]), axis=0) / (E - 2)
 
 
 def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:

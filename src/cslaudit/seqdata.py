@@ -39,6 +39,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import gzip
+import io
 import itertools
 import json
 import os
@@ -452,14 +453,6 @@ def corrupt_dataset(ds: Dataset, spec: CorruptionSpec) -> Dataset:
 # persistence
 
 
-def _open_text(path: str, mode: str, name: str | None = None):
-    """`path` opened as UTF-8 text, through gzip when `name` (by default
-    the path itself) ends in ".gz"."""
-    if str(name or path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
 def _header_dict(ds: Dataset, extra: dict | None = None) -> dict:
     header = {"format": FORMAT_TAG, "grammar": ds.grammar.to_dict(),
               "split": ds.split, "seed": ds.seed}
@@ -514,8 +507,14 @@ def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> N
     leaves neither the temp file nor a changed `path`."""
     rows = itertools.chain([_header_dict(ds, header_extra)],
                            map(_sample_dict, ds.samples))
-    with atomic_path(path) as tmp, _open_text(tmp, "w", path) as f:
-        f.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
+        if path.endswith(".gz"):
+            # a header without the write time or the temp name: a rerun
+            # writes the same bytes
+            f = gzip.GzipFile(path, "wb", fileobj=f, mtime=0)
+        with io.TextIOWrapper(f, encoding="utf-8") as text:
+            text.writelines(json.dumps(row, sort_keys=True) + "\n"
+                            for row in rows)
 
 
 def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
@@ -552,7 +551,8 @@ def read_dataset(path: str) -> Dataset:
     """The dataset in a `csl-seqdata/2` file, parsed one line at a time.
     Every error names the path; a parse or schema error also the line."""
     try:
-        with _open_text(path, "r") as f:
+        with (gzip.open(path, "rt", encoding="utf-8") if path.endswith(".gz")
+              else open(path, encoding="utf-8")) as f:
             return _parse_dataset(f)
     except (FileNotFoundError, NotADirectoryError) as e:
         raise DataError(f"no dataset at {path}; run gen first") from e

@@ -1,10 +1,11 @@
 """Training loop with per-epoch checkpointing and the on-disk snapshot store.
 
 The store is a directory with manifest.json plus one binary file per snapshot
-(ckpt_{epoch:04}.bin). Binary layout: magic "CSLCKPT1", then for each tensor
-(canonical name order): name length (u32 LE), UTF-8 name, rank (u32), dims
-(u32 each), payload as little-endian float32; finally a CRC32 (u32 LE) of
-everything between the magic and the checksum.
+(ckpt_{epoch:04}.bin): magic "CSLCKPT1", then one record per tensor of
+manifest.model, exactly those and in canonical order (else a StoreError naming
+the file, exit 3): name length, UTF-8 name, rank and dims, each a u32 LE, then
+the payload as little-endian float32; finally a CRC32 (u32 LE) of everything
+between the magic and the checksum.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import os
+import struct
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -247,49 +249,40 @@ def _snapshot_path(store_path: str, epoch: int) -> str:
     return os.path.join(store_path, f"ckpt_{epoch:04d}.bin")
 
 
+def _tensor_head(name: str, shape: tuple[int, ...]) -> bytes:
+    """A tensor record's header: name length, UTF-8 name, rank, dims."""
+    nb = name.encode("utf-8")
+    return struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb,
+                       len(shape), *shape)
+
+
 def encode_snapshot(params: M.ModelParams) -> bytes:
-    body = bytearray()
-    for name in params.tensors:  # canonical order from construction
-        arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
-        nb = name.encode("utf-8")
-        body += np.uint32(len(nb)).tobytes()
-        body += nb
-        body += np.uint32(arr.ndim).tobytes()
-        for dim in arr.shape:
-            body += np.uint32(dim).tobytes()
-        body += arr.tobytes()
-    crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
-    return MAGIC + bytes(body) + np.uint32(crc).tobytes()
+    body = b"".join(  # canonical order from construction
+        _tensor_head(k, v.shape) + np.ascontiguousarray(v, "<f4").tobytes()
+        for k, v in params.tensors.items())
+    return MAGIC + body + struct.pack("<I", zlib.crc32(body))
 
 
-def decode_snapshot(blob: bytes) -> M.ModelParams:
-    """The snapshot's tensors as stored: writable float32 arrays."""
-    if len(blob) < len(MAGIC) + 4 or blob[:len(MAGIC)] != MAGIC:
+def decode_snapshot(blob: bytes, shapes: dict) -> M.ModelParams:
+    """The tensors of `shapes` (M.param_shapes) as stored: writable float32
+    arrays. Each record's header must be the expected one, byte for byte."""
+    end = len(blob) - 4
+    if end < len(MAGIC) or blob[:len(MAGIC)] != MAGIC:
         raise StoreError("bad snapshot magic")
-    body = blob[len(MAGIC):-4]
-    crc_stored = int(np.frombuffer(blob[-4:], dtype="<u4")[0])
-    if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
+    if zlib.crc32(blob[len(MAGIC):end]) != int.from_bytes(blob[end:], "little"):
         raise StoreError("snapshot checksum mismatch")
-    tensors: dict[str, np.ndarray] = {}
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(body):
+    tensors, off = {}, len(MAGIC)
+    for name, shape in shapes.items():
+        head, n = _tensor_head(name, shape), math.prod(shape)
+        if not blob.startswith(head, off, end):
+            raise StoreError(f"tensor {name} missing or misshaped")
+        off += len(head) + 4 * n
+        if off > end:
             raise StoreError("truncated snapshot")
-        chunk = body[off:off + n]
-        off += n
-        return chunk
-
-    while off < len(body):
-        name_len = int(np.frombuffer(take(4), dtype="<u4")[0])
-        name = take(name_len).decode("utf-8")
-        rank = int(np.frombuffer(take(4), dtype="<u4")[0])
-        dims = tuple(int(np.frombuffer(take(4), dtype="<u4")[0])
-                     for _ in range(rank))
-        count = int(np.prod(dims)) if dims else 1
-        payload = np.frombuffer(take(4 * count), dtype="<f4")
-        tensors[name] = payload.reshape(dims).astype(np.float32)
+        tensors[name] = np.frombuffer(blob, "<f4", n, off - 4 * n).reshape(
+            shape).astype(np.float32)
+    if off != end:
+        raise StoreError(f"{end - off} bytes after the last tensor")
     return M.ModelParams(tensors)
 
 
@@ -322,21 +315,16 @@ def load_store(path: str) -> CheckpointStore:
     if len(weights) != cfg_model.num_classes or not all(w > 0 for w in weights):
         raise StoreError(f"{manifest_path}: manifest.class_weights must hold "
                          f"{cfg_model.num_classes} numbers, all > 0")
-    expected = M.param_shapes(cfg_model)
     snapshots = []
     for epoch, mean_loss in zip(epochs, losses):
         snap_path = _snapshot_path(path, epoch)
         try:
             with open(snap_path, "rb") as f:
-                params = decode_snapshot(f.read())
+                params = decode_snapshot(f.read(), M.param_shapes(cfg_model))
         except OSError as e:  # missing, or a directory
             raise StoreError(f"{manifest_path}: lists epoch {epoch} but cannot "
                              f"read {snap_path} ({e.strerror})") from e
         except StoreError as e:
             raise StoreError(f"{snap_path}: {e}") from e
-        for name, shape in expected.items():
-            if name not in params.tensors or params.tensors[name].shape != shape:
-                raise StoreError(
-                    f"{snap_path}: tensor {name} missing or misshaped")
         snapshots.append((epoch, params, float(mean_loss)))
     return CheckpointStore(manifest=manifest, snapshots=snapshots)

@@ -3,9 +3,11 @@ import gc
 import gzip
 import importlib.util
 import json
+import math
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import zlib
@@ -836,7 +838,7 @@ def test_foreign_calibration_split_exit_3(trained_cfg, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("value,text", [(1e39, "input frames as float32"),
-                                        (1e20, "under the epoch 1 checkpoint")])
+                                        (1e20, "non-finite loss at epoch 1")])
 def test_frame_beyond_float32_range_exit_4(trained_cfg, tmp_path, capsys,
                                            value, text):
     """The replay runs in the checkpoints' float32. A frame value finite in
@@ -857,7 +859,7 @@ STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",
 EPOCHS_TEXT = ("manifest.epochs must increase strictly, one per "
                "epoch_losses entry")
 # (text the error must show, edit of a clean store manifest); each error
-# begins with the manifest's path
+# begins with the manifest's path, or with the snapshot the text names first
 BAD_MANIFESTS = {
     "array": ("must be a JSON object", lambda m: [m]),
     "format-only": ("lacks 'model'", lambda m: {"format": m["format"]}),
@@ -907,6 +909,11 @@ BAD_MANIFESTS = {
     "fractional-head-dims": ("manifest.model.head_dims[0] must be a "
                              "non-negative integer, not 8.5", lambda m: dict(
         m, model=dict(m["model"], head_dims=[8.5, 6]))),
+    # audited the attention store as context-free before, its attn.* tensors
+    # ignored
+    "attention-read-as-context-free": (
+        "ckpt_0001.bin: tensor head.W1 missing or misshaped", lambda m: dict(
+            m, model=dict(m["model"], temporal_mode="context_free"))),
 }
 # (the snapshot at fault, text the error must show, edit of its bytes); each
 # error begins with the snapshot's path
@@ -919,6 +926,19 @@ BAD_SNAPSHOTS = {
                            lambda b: b[:5]),
     "snapshot-truncated": ("ckpt_0004.bin", "truncated snapshot",
                            lambda b: resealed(b[:40] + b[-4:])),
+    # Re-sealed edits of the records; each of the first three ended in a
+    # traceback before, and the swapped tensors loaded.
+    "snapshot-huge-dims": ("ckpt_0002.bin", "tensor enc.W missing or "
+                           "misshaped", lambda b: resealed(
+        b[:21] + struct.pack("<II", 2**32 - 1, 2**32 - 1) + b[29:])),
+    "snapshot-name-not-utf8": ("ckpt_0003.bin", "tensor enc.W missing or "
+                               "misshaped", lambda b: resealed(
+        b[:12] + b"\xff" + b[13:])),
+    "snapshot-extra-tensor": ("ckpt_0001.bin", "17 bytes after the last "
+                              "tensor", lambda b: resealed(
+        b[:-4] + struct.pack("<I1sII", 1, b"x", 1, 1) + bytes(4) + b[-4:])),
+    "snapshot-tensors-swapped": ("ckpt_0004.bin", "tensor attn.Wq missing or "
+                                 "misshaped", lambda b: swapped(b, 4, 5)),
 }
 
 
@@ -926,6 +946,26 @@ def resealed(blob):
     """A snapshot with its checksum recomputed over its (edited) body."""
     body = blob[8:-4]
     return blob[:8] + body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def records(blob):
+    """A snapshot's tensor records (header and payload), in file order."""
+    out, off = [], 8
+    while off < len(blob) - 4:
+        n, = struct.unpack_from("<I", blob, off)
+        rank, = struct.unpack_from("<I", blob, off + 4 + n)
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 8 + n)
+        end = off + 8 + n + 4 * rank + 4 * math.prod(dims)
+        out.append(blob[off:end])
+        off = end
+    return out
+
+
+def swapped(blob, i, j):
+    """A snapshot with its records i and j swapped, re-sealed."""
+    recs = records(blob)
+    recs[i], recs[j] = recs[j], recs[i]
+    return resealed(blob[:8] + b"".join(recs) + blob[-4:])
 
 
 def audit_store_copy(trained_cfg, tmp_path, capsys, edit):
@@ -959,9 +999,12 @@ def test_malformed_store_manifest_exit_3(trained_cfg, tmp_path, capsys, name,
             target.write_bytes(mutate(target.read_bytes()))
 
     code, err = audit_store_copy(trained_cfg, tmp_path, capsys, edit)
+    store = tmp_path / "run" / "store"
     assert code == 3
-    assert err.startswith(f"data error: {tmp_path / 'run' / 'store' / name}: ")
+    assert err.startswith((f"data error: {store / name}: ",
+                           f"data error: {store / text}"))
     assert text in err
+    assert err.count("\n") == 1
 
 
 def test_snapshot_that_is_a_directory_exit_3(trained_cfg, tmp_path, capsys):
@@ -1239,7 +1282,7 @@ def test_closed_stdout_exits_1_without_traceback(trained_cfg, tmp_path,
 
 def test_interrupt_exits_130_with_one_line(trained_cfg, tmp_path):
     """SIGINT (Ctrl-C) during `train`, sent once epoch 1 is reported: exit
-    130 and `interrupted` as the only stderr line (a KeyboardInterrupt
+    130 and one stderr line naming the last stored epoch (a KeyboardInterrupt
     traceback before). The store keeps the epochs it finished, and no temp
     file."""
     cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
@@ -1260,11 +1303,25 @@ def test_interrupt_exits_130_with_one_line(trained_cfg, tmp_path):
     finally:
         proc.kill()
         proc.wait()
-    assert (proc.returncode, err) == (130, "interrupted\n")
     store = tmp_path / "run" / "store"
     epochs = ca.load_store(str(store)).epochs
     assert epochs == list(range(1, len(epochs) + 1)) != []
+    assert (proc.returncode, err) == (
+        130, f"interrupted after epoch {epochs[-1]} was stored\n")
     assert not [f for f in os.listdir(store) if f.endswith(".tmp")]
+
+
+def test_interrupt_before_the_first_epoch_says_so(trained_cfg, tmp_path,
+                                                  monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.TR, "train", interrupted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(trained_cfg))
+    with pytest.raises(KeyboardInterrupt) as e:
+        run_cli("train", "--config", str(path))
+    assert e.value.args == ("before epoch 1 was stored",)
 
 
 def test_console_script_is_console_main():

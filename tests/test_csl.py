@@ -1,3 +1,5 @@
+import os
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -497,7 +499,8 @@ class TestStackedReplay:
         ds = long_dataset
         monkeypatch.setattr(CSL, "CHUNK_ROWS", 2 * ds.samples[0].num_frames)
         with pytest.raises(NumericError,
-                           match=f"video {ds.samples[0].id}: .*epoch 8 "):
+                           match=f"video {ds.samples[0].id}: non-finite loss at "
+                           "epoch 8$"):
             ca.audit_dataset(store, ds, DET)
 
 
@@ -550,3 +553,38 @@ def test_workspace_sized_before_replay(monkeypatch, mode, chunk_rows):
     for flat in seen:
         assert flat.keys() == seen[0].keys()
         assert all(flat[k] is seen[0][k] for k in flat)
+
+
+@pytest.mark.parametrize("mode,det", [
+    ("context_free", DET),
+    ("attention", replace(DET, mode="threshold", tau=1.0))])
+def test_audited_video_enters_numpy_python_code_only_to_convolve(
+        trained, tmp_path, mode, det):
+    """Auditing one video calls numpy's ufuncs and ufunc methods directly:
+    after a warm-up it enters no function defined in numpy's Python files
+    but the errstate wrapper of eval_loss_trajectory and smooth_csl's
+    np.convolve (with its dispatcher)."""
+    _, ds = trained
+    cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
+                         head_dims=(6, 5), temporal_mode=mode, attention_dim=4)
+    store = ca.train(ds, cfg, ca.TrainConfig(epochs=3), str(tmp_path))
+    stacked = CSL._stack_snapshots(store)
+    ws = M.Workspace()
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    entered = []
+
+    def audit(sample):  # audit_dataset's work per video
+        CSL._profile(CSL.eval_loss_trajectory(store, sample, det,
+                                              stacked=stacked, ws=ws), det)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            entered.append(frame.f_code.co_name)
+
+    audit(ds.samples[0])
+    sys.setprofile(profile)
+    try:
+        audit(ds.samples[0])
+    finally:
+        sys.setprofile(None)
+    assert entered == ["inner", "_convolve_dispatcher", "convolve"]

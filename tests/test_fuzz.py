@@ -4,8 +4,10 @@ reads that input through cli.main in process. A mutation is either of the
 bytes (a bit flip, a truncation, or a dropped or duplicated line) or of one
 JSON document (the config, the store manifest, profiles.json or a dataset
 header): a deleted key or item, a value of another JSON type, or a number
-set to NaN, Infinity, -1 or 0. cli.main turns an AuditToolError into exit
-2, 3 or 4; any other exception escapes it and fails the test.
+set to NaN, Infinity, -1 or 0. A snapshot's body can be mutated with its
+checksum re-sealed, so that the mutation reaches the decoder. cli.main turns
+an AuditToolError into exit 2, 3 or 4; any other exception escapes it and
+fails the test.
 
 The output side is fuzzed too: a directory or a regular file in place of one
 path a command writes must end that command in exit 3, and change nothing
@@ -21,12 +23,14 @@ import operator
 import os
 import shutil
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from cslaudit import cli
+from cslaudit.model import ModelConfig, param_shapes
 
 STAGES = ("gen", "corrupt", "train", "audit", "eval", "heatmap")
 
@@ -67,7 +71,8 @@ INPUTS = [("config.json", stage, "config.json") for stage in STAGES] + [
     ("run/profiles.json", "eval", "config.json"),
     ("run/profiles.json", "heatmap", "config.json"),
 ]
-BINARY = ("run/store/ckpt_0002.bin",)
+SNAPSHOT = ("run/store/ckpt_0002.bin", "audit", "config.json")
+BINARY = (SNAPSHOT[0],)
 
 
 @pytest.fixture(scope="session")
@@ -127,31 +132,44 @@ def mutate(data: bytes, kind: str, where: float, bit: int) -> bytes:
 MANIFEST = ("run/store/manifest.json", "audit", "config.json")
 
 
+def resealed(blob: bytes) -> bytes:
+    """A snapshot with its checksum recomputed over its (edited) body."""
+    body = blob[8:-4]
+    return blob[:8] + body + zlib.crc32(body).to_bytes(4, "little")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 # Escapes found by this test, each a traceback before its fix. A bit 7 flip
 # makes a byte that is not UTF-8: UnicodeDecodeError.
-@example(target=MANIFEST, kind="flip", where=0.5, bit=7, inside_gzip=False)
+@example(target=MANIFEST, kind="flip", where=0.5, bit=7, inside=False)
 @example(target=("run/profiles.json", "eval", "config.json"), kind="flip",
-         where=0.5, bit=7, inside_gzip=False)
+         where=0.5, bit=7, inside=False)
 # The manifest's line 17 of 47 holds fingerprints.grammar: KeyError.
-@example(target=MANIFEST, kind="drop", where=0.37, bit=0, inside_gzip=False)
+@example(target=MANIFEST, kind="drop", where=0.37, bit=0, inside=False)
 # Its line 2 holds the first of three class weights; with two, the
 # train-weighted audit raised IndexError.
-@example(target=MANIFEST, kind="drop", where=0.05, bit=0, inside_gzip=False)
+@example(target=MANIFEST, kind="drop", where=0.05, bit=0, inside=False)
+# Bit 7 flipped in the name length of enc.W, 5 then 133, with the checksum
+# re-sealed: the name ran into the payload, UnicodeDecodeError.
+@example(target=SNAPSHOT, kind="flip", where=0.0, bit=7, inside=True)
 @given(target=st.sampled_from(INPUTS),
        kind=st.sampled_from(["flip", "truncate", "drop", "duplicate"]),
        where=st.integers(0, 999).map(lambda k: k / 1000),
        bit=st.integers(0, 7),
-       inside_gzip=st.booleans())
+       inside=st.booleans())
 def test_one_mutated_input_ends_in_a_documented_exit(
-        pipeline, target, kind, where, bit, inside_gzip):
-    """inside_gzip mutates a .gz file's text, not its compressed bytes."""
+        pipeline, target, kind, where, bit, inside):
+    """`inside` mutates a .gz file's text, not its compressed bytes, and a
+    snapshot's body, not its magic or checksum, which it re-seals."""
     name, command, config = target
 
     def edit(data):
-        if inside_gzip and name.endswith(".gz"):
+        if inside and name.endswith(".gz"):
             return gzip.compress(mutate(gzip.decompress(data), kind, where,
                                         bit), mtime=0)
+        if inside and name in BINARY:
+            return resealed(data[:8] + mutate(data[8:-4], kind, where, bit)
+                            + data[-4:])
         return mutate(data, kind, where, bit)
 
     assert run_edited(pipeline, name, command, config, edit) in (0, 2, 3, 4)
@@ -255,6 +273,29 @@ def test_one_json_edit_ends_in_a_documented_exit(pipeline, target, kind,
     assert code in (0, 2, 3, 4)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(where=st.integers(0, 999).map(lambda k: k / 1000),
+       bit=st.integers(0, 7))
+def test_one_resealed_header_flip_exits_3(pipeline, where, bit):
+    """One bit flipped in a tensor record's header (name length, name, rank
+    or a dim) of a snapshot whose checksum is then re-sealed: the decoder
+    refuses it with exit 3, however large a count it now reads."""
+    manifest = json.loads((pipeline / "run/store/manifest.json").read_text())
+    shapes = param_shapes(ModelConfig.from_dict(manifest["model"]))
+    heads, off = [], 8
+    for name, shape in shapes.items():
+        size = 4 + len(name.encode()) + 4 + 4 * len(shape)
+        heads += range(off, off + size)
+        off += size + 4 * math.prod(shape)
+    i = heads[int(where * len(heads))]
+    event(f"byte {i}")
+
+    def edit(data):
+        return resealed(data[:i] + bytes([data[i] ^ 1 << bit]) + data[i + 1:])
+
+    assert run_edited(pipeline, *SNAPSHOT, edit) == 3
+
+
 # (a path a command writes, that command): the out_dir and the store are
 # directories, the rest files
 OUTPUTS = [("run", "gen"), ("run/train.jsonl.gz", "gen"),
@@ -266,17 +307,13 @@ OUTPUTS = [("run", "gen"), ("run/train.jsonl.gz", "gen"),
 
 
 def tree(root) -> dict:
-    """Relative path -> content of every file below root. A gzip file's
-    content is its decompressed text: its header records the time it was
-    written."""
+    """Relative path -> bytes of every file below root."""
     out = {}
     for parent, _, files in os.walk(root):
         for name in files:
             path = os.path.join(parent, name)
             with open(path, "rb") as f:
-                data = f.read()
-            out[os.path.relpath(path, root)] = gzip.decompress(data) \
-                if name.endswith(".gz") else data
+                out[os.path.relpath(path, root)] = f.read()
     return out
 
 

@@ -407,7 +407,8 @@ class TestStoreIO:
         for epoch in range(1, train_cfg.epochs + 1):
             with open(TR._snapshot_path(str(tmp_path), epoch), "rb") as f:
                 blob = f.read()
-            assert TR.encode_snapshot(TR.decode_snapshot(blob)) == blob
+            assert TR.encode_snapshot(TR.decode_snapshot(
+                blob, M.param_shapes(tiny_model_cfg))) == blob
 
     def test_loaded_snapshots_are_the_trained_float32(self, small_dataset,
                                                       tiny_model_cfg,
@@ -430,7 +431,7 @@ class TestStoreIO:
     def test_snapshot_encoding_round_trip(self, tiny_model_cfg):
         params = ca.init_params(tiny_model_cfg)
         blob = TR.encode_snapshot(params)
-        back = TR.decode_snapshot(blob)
+        back = TR.decode_snapshot(blob, M.param_shapes(tiny_model_cfg))
         for k, v in params.tensors.items():
             assert np.array_equal(back.tensors[k],
                                   v.astype(np.float32).astype(np.float64))
