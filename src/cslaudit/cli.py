@@ -218,18 +218,18 @@ def cmd_train(cfg: dict) -> None:
     ds = _read_split(_split_path(cfg, "train"))
     model_cfg = build_model_config(cfg, ds.grammar)
     train_cfg = build_train_config(cfg)
-    stored = []
+    store_dir = _path(cfg, "store")
 
     def on_epoch(epoch: int, loss: float) -> None:
-        stored.append(epoch)
         print(f"epoch {epoch}: mean loss {loss:.6f}", flush=True)
 
     try:
-        TR.train(ds, model_cfg, train_cfg, _path(cfg, "store"),
-                 on_epoch=on_epoch)
-    except KeyboardInterrupt:
-        raise KeyboardInterrupt(f"after epoch {stored[-1]} was stored"
-                                if stored else "before epoch 1 was stored")
+        TR.train(ds, model_cfg, train_cfg, store_dir, on_epoch=on_epoch)
+    except KeyboardInterrupt:  # name the last epoch the manifest on disk lists
+        manifest = SD.read_json(os.path.join(store_dir, "manifest.json"),
+                                KeyboardInterrupt, "before epoch 1 was stored")
+        raise KeyboardInterrupt(
+            f"after epoch {manifest['epochs'][-1]} was stored")
 
 
 def _audit(store: TR.CheckpointStore, ds: SD.Dataset, path: str,

@@ -5,9 +5,9 @@ intact) through every saved checkpoint in eval mode, record per-frame
 cross-entropy against the annotated labels, average over checkpoints to get
 the per-frame CSL, smooth with a truncated moving window, and flag frames
 either above a threshold (strict >) or in the per-video top-k% of smoothed
-CSL. The checkpoints are stacked along a leading axis and replayed a chunk at
-a time, one stacked forward pass per chunk, in the checkpoints' own dtype:
-float32 for a trained or loaded store. The losses are float64 throughout.
+CSL. The store holds the checkpoints stacked along a leading axis; they are
+replayed a chunk at a time, one stacked forward pass per chunk, in their own
+dtype (float32 for a loaded store). The losses are float64 throughout.
 """
 
 from __future__ import annotations
@@ -90,14 +90,9 @@ class CslProfile:
     segments: list[tuple[int, int]]
 
 
-def _stack_snapshots(store: CheckpointStore) -> M.ModelParams:
-    """The store's snapshots as one ModelParams whose tensors carry a leading
-    epoch axis (E, ...), in store order."""
-    if not store.snapshots:
-        raise DataError("checkpoint store is empty")
-    tensors = [params.tensors for _, params, _ in store.snapshots]
-    return M.ModelParams({k: np.stack([t[k] for t in tensors])
-                          for k in tensors[0]})
+def _chunk_epochs(T: int, E: int) -> int:
+    """Checkpoints per stacked replay forward of a T-frame sequence."""
+    return min(max(1, CHUNK_ROWS // max(T, 1)), E)
 
 
 # an overflow in the float32 replay ends as a non-finite loss, which
@@ -105,20 +100,16 @@ def _stack_snapshots(store: CheckpointStore) -> M.ModelParams:
 @np.errstate(over="ignore", invalid="ignore")
 def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                          cfg: DetectionConfig, *,
-                         stacked: M.ModelParams | None = None,
                          ws: M.Workspace | None = None) -> LossTrajectory:
     """Per-frame loss under every checkpoint, in epoch order.
 
-    The checkpoints are replayed in chunks of consecutive epochs, one stacked
-    eval forward pass per chunk of at most CHUNK_ROWS frame x checkpoint rows;
-    each row equals a forward under that checkpoint alone, bit for bit. The
-    forward runs in the snapshots' dtype; the loss rows are float64.
-    `stacked` is the store's snapshots already stacked, and `ws` the
-    workspace the forward passes reuse (audit_dataset passes both, so that a
-    dataset is stacked once and replayed through one workspace).
+    The checkpoints are replayed in chunks of consecutive epochs (slices of
+    store.params), one stacked eval forward pass per chunk of at most
+    CHUNK_ROWS frame x checkpoint rows; each row equals a forward under that
+    checkpoint alone, bit for bit. The forward runs in the checkpoints'
+    dtype; the loss rows are float64. `ws` is the workspace the forward
+    passes reuse (audit_dataset passes one for the whole dataset).
     """
-    if stacked is None:
-        stacked = _stack_snapshots(store)
     if ws is None:
         ws = M.Workspace()
     model_cfg = store.model_config
@@ -134,14 +125,14 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
         alpha.fill(1.0)
     epochs = store.epochs
     T = sample.num_frames
-    step = max(1, CHUNK_ROWS // max(T, 1))
+    step = _chunk_epochs(T, len(epochs))
     # Rows in C order: compute_csl's mean over epochs sums in memory order
     # (a T-major matrix would be summed pairwise), so the layout fixes its
     # last bit.
     losses = np.empty((len(epochs), T))
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
-                               for k, v in stacked.tensors.items()})
+                               for k, v in store.params.tensors.items()})
         try:
             trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
         except NumericError as e:
@@ -235,24 +226,22 @@ def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
 
 def audit_dataset(store: CheckpointStore, ds: Dataset,
                   cfg: DetectionConfig) -> list[CslProfile]:
-    """One profile per sample, in dataset order; the snapshots are stacked
-    once for the whole dataset, and one workspace serves every replay. A
-    dataset of another grammar than the store's raises FingerprintError."""
+    """One profile per sample, in dataset order; one workspace serves every
+    replay. A dataset of another grammar than the store's raises
+    FingerprintError."""
     ds_fp = grammar_fingerprint(ds.grammar)
     store_fp = store.manifest["fingerprints"]["grammar"]
     if ds_fp != store_fp:
         raise FingerprintError(f"store/dataset mismatch: store grammar "
                                f"{store_fp}, dataset grammar {ds_fp}")
-    stacked = _stack_snapshots(store)
-    # Sized up front, chunked as eval_loss_trajectory chunks, for the largest
-    # chunk and the longest T x T attention matrix: no buffer grows mid-replay.
+    # Sized up front for the largest chunk and the longest T x T attention
+    # matrix: no buffer grows mid-replay.
     ws = M.Workspace()
-    chunks = {s.num_frames: min(max(1, CHUNK_ROWS // s.num_frames),
-                                len(store.snapshots)) for s in ds.samples}
+    chunks = {s.num_frames: _chunk_epochs(s.num_frames, len(store))
+              for s in ds.samples}
     if chunks:
         for T in (max(chunks, key=lambda T: chunks[T] * T), max(chunks)):
             ws.buffers(store.model_config, (chunks[T],), T, False,
-                       stacked.tensors["enc.W"].dtype)
-    return [_profile(eval_loss_trajectory(store, s, cfg, stacked=stacked,
-                                          ws=ws), cfg)
+                       store.params.tensors["enc.W"].dtype)
+    return [_profile(eval_loss_trajectory(store, s, cfg, ws=ws), cfg)
             for s in ds.samples]

@@ -10,6 +10,7 @@ between the magic and the checksum.
 
 from __future__ import annotations
 
+import fnmatch
 import functools
 import json
 import math
@@ -145,11 +146,11 @@ def adamw_step(state: AdamWState, t: int, cfg: TrainConfig,
 @dataclass
 class CheckpointStore:
     manifest: dict
-    snapshots: list[tuple[int, M.ModelParams, float]]  # (epoch, params, mean loss)
+    params: M.ModelParams  # (E, ...) float32, row i manifest["epochs"][i]
 
     @property
     def epochs(self) -> list[int]:
-        return [e for e, _, _ in self.snapshots]
+        return list(self.manifest["epochs"])
 
     @functools.cached_property
     def model_config(self) -> M.ModelConfig:
@@ -160,15 +161,16 @@ class CheckpointStore:
         return np.asarray(self.manifest["class_weights"], dtype=np.float64)
 
     def __len__(self) -> int:
-        return len(self.snapshots)
+        return len(self.manifest["epochs"])
 
 
 def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
           store_path: str, *, on_epoch=None) -> CheckpointStore:
     """Train for E epochs, one sequence per optimizer step, snapshotting every
-    epoch. Fully deterministic given seeds; snapshots are written to disk as
-    they are produced. `on_epoch(epoch, mean_loss)`, when given, is called
-    after each checkpoint and its manifest are on disk."""
+    epoch into store_path, whose earlier manifest and ckpt files are removed
+    first. Fully deterministic given seeds. `on_epoch(epoch, mean_loss)`,
+    when given, is called after each checkpoint and its manifest are on
+    disk. Returns load_store(store_path)."""
     if not ds_train.samples:
         raise ConfigError("training dataset is empty")
     alpha = compute_class_weights(ds_train)
@@ -192,6 +194,12 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
                True)
     n = len(ds_train.samples)
     make_dir(store_path)
+    try:  # reversed, manifest.json goes before any snapshot it may list
+        for name in sorted(os.listdir(store_path), reverse=True):
+            if name == "manifest.json" or fnmatch.fnmatch(name, "ckpt_*.bin"):
+                os.remove(os.path.join(store_path, name))
+    except OSError as e:
+        raise StoreError(f"cannot write {e.filename}: {e.strerror}") from e
     manifest = {
         "format": STORE_FORMAT,
         "model": asdict(cfg_model),
@@ -204,7 +212,6 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
         "epochs": [],
         "epoch_losses": [],
     }
-    store = CheckpointStore(manifest=manifest, snapshots=[])
     step = 0
     for epoch in range(1, cfg_train.epochs + 1):
         order = rng_shuffle.permutation(n)
@@ -222,23 +229,18 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
                        context=f"(epoch {epoch}, step {step})")
             losses.append(loss)
         mean_loss = float(np.mean(losses))
-        # The stored float32 copy, equal to the one load_store decodes;
-        # training keeps its float64 parameters.
-        snap = M.ModelParams({k: v.astype(np.float32)
-                              for k, v in params.tensors.items()})
-        store.snapshots.append((epoch, snap, mean_loss))
         manifest["epochs"].append(epoch)
         manifest["epoch_losses"].append(mean_loss)
         with atomic_path(_snapshot_path(store_path, epoch)) as tmp, \
                 open(tmp, "wb") as f:
-            f.write(encode_snapshot(snap))
+            f.write(encode_snapshot(params))
         with atomic_path(os.path.join(store_path, "manifest.json")) as tmp, \
                 open(tmp, "w", encoding="utf-8") as f:
             json.dump(manifest, f, sort_keys=True, indent=1)
             f.write("\n")
         if on_epoch is not None:
             on_epoch(epoch, mean_loss)
-    return store
+    return load_store(store_path)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +266,8 @@ def encode_snapshot(params: M.ModelParams) -> bytes:
 
 
 def decode_snapshot(blob: bytes, shapes: dict) -> M.ModelParams:
-    """The tensors of `shapes` (M.param_shapes) as stored: writable float32
-    arrays. Each record's header must be the expected one, byte for byte."""
+    """The tensors of `shapes` (M.param_shapes) as stored: read-only float32
+    views of blob. Each record's header must be the expected one, exactly."""
     end = len(blob) - 4
     if end < len(MAGIC) or blob[:len(MAGIC)] != MAGIC:
         raise StoreError("bad snapshot magic")
@@ -279,8 +281,7 @@ def decode_snapshot(blob: bytes, shapes: dict) -> M.ModelParams:
         off += len(head) + 4 * n
         if off > end:
             raise StoreError("truncated snapshot")
-        tensors[name] = np.frombuffer(blob, "<f4", n, off - 4 * n).reshape(
-            shape).astype(np.float32)
+        tensors[name] = np.frombuffer(blob, "<f4", n, off - 4 * n).reshape(shape)
     if off != end:
         raise StoreError(f"{end - off} bytes after the last tensor")
     return M.ModelParams(tensors)
@@ -302,6 +303,8 @@ def load_store(path: str) -> CheckpointStore:
     check_json(manifest, MANIFEST_SHAPE, f"{manifest_path}: manifest",
                StoreError)
     epochs, losses = manifest["epochs"], manifest["epoch_losses"]
+    if not epochs:
+        raise StoreError(f"{manifest_path}: manifest.epochs is empty")
     if len(epochs) != len(losses) \
             or any(a >= b for a, b in zip(epochs, epochs[1:])):
         raise StoreError(f"{manifest_path}: manifest.epochs must increase "
@@ -315,16 +318,16 @@ def load_store(path: str) -> CheckpointStore:
     if len(weights) != cfg_model.num_classes or not all(w > 0 for w in weights):
         raise StoreError(f"{manifest_path}: manifest.class_weights must hold "
                          f"{cfg_model.num_classes} numbers, all > 0")
-    snapshots = []
-    for epoch, mean_loss in zip(epochs, losses):
+    shapes, decoded = M.param_shapes(cfg_model), []
+    for epoch in epochs:
         snap_path = _snapshot_path(path, epoch)
         try:
             with open(snap_path, "rb") as f:
-                params = decode_snapshot(f.read(), M.param_shapes(cfg_model))
+                decoded.append(decode_snapshot(f.read(), shapes).tensors)
         except OSError as e:  # missing, or a directory
             raise StoreError(f"{manifest_path}: lists epoch {epoch} but cannot "
                              f"read {snap_path} ({e.strerror})") from e
         except StoreError as e:
             raise StoreError(f"{snap_path}: {e}") from e
-        snapshots.append((epoch, params, float(mean_loss)))
-    return CheckpointStore(manifest=manifest, snapshots=snapshots)
+    return CheckpointStore(manifest, M.ModelParams(
+        {k: np.stack([t[k] for t in decoded]) for k in shapes}))

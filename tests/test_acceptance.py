@@ -246,12 +246,10 @@ def test_float32_replay_tolerance_gate(bench):
     worst_csl = worst_auc = 0.0
     for key, name in (("attn_mis", "attn"), ("cf_dis", "cf")):
         r, store = bench[key], bench["stores"][name]
-        assert all(v.dtype == np.float32 for _, p, _ in store.snapshots
-                   for v in p.tensors.values())
-        upcast = TR.CheckpointStore(store.manifest, [
-            (e, M.ModelParams({k: v.astype(np.float64)
-                               for k, v in p.tensors.items()}), loss)
-            for e, p, loss in store.snapshots])
+        assert all(v.dtype == np.float32
+                   for v in store.params.tensors.values())
+        upcast = TR.CheckpointStore(store.manifest, M.ModelParams(
+            {k: v.astype(np.float64) for k, v in store.params.tensors.items()}))
         ref = audit_dataset(upcast, ca.Dataset(grammar, r.samples, "test", 2))
         for p32, p64 in zip(r.profiles, ref.profiles):
             assert p64.trajectory.losses.dtype == np.float64

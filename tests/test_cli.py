@@ -204,7 +204,10 @@ class TestAuditCmd:
     def test_nan_checkpoint_exit_4(self, cfg_path, tmp_path, capsys):
         run_pipeline(cfg_path)
         store_dir = str(tmp_path / "run" / "store")
-        epoch, params, _ = ca.load_store(store_dir).snapshots[1]
+        store = ca.load_store(store_dir)
+        epoch = store.epochs[1]
+        params = ca.ModelParams({k: v[1] for k, v
+                                 in store.params.tensors.items()})
         params.tensors["head.W3"][0, 0] = np.nan
         with open(ca.trainer._snapshot_path(store_dir, epoch), "wb") as f:
             f.write(ca.trainer.encode_snapshot(params))
@@ -867,6 +870,9 @@ BAD_MANIFESTS = {
                           lambda m, key=key: {k: v for k, v in m.items()
                                               if k != key})
        for key in STORE_FIELDS},
+    # "checkpoint store is empty" before, naming no file
+    "empty-epochs": ("manifest.epochs is empty", lambda m: dict(
+        m, epochs=[], epoch_losses=[])),
     "epoch-count-mismatch": (EPOCHS_TEXT, lambda m: dict(
         m, epoch_losses=m["epoch_losses"][:-1])),
     "string-epoch": ('manifest.epochs[0] must be a non-negative integer, '
@@ -1280,15 +1286,20 @@ def test_closed_stdout_exits_1_without_traceback(trained_cfg, tmp_path,
             == [1]
 
 
+def fresh_store_cfg(trained_cfg, tmp_path):
+    """trained_cfg training on its train split into a new out_dir."""
+    return dict(trained_cfg, out_dir=str(tmp_path / "run"), data=dict(
+        trained_cfg["data"], train_path=os.path.join(trained_cfg["out_dir"],
+                                                     "train.jsonl")))
+
+
 def test_interrupt_exits_130_with_one_line(trained_cfg, tmp_path):
     """SIGINT (Ctrl-C) during `train`, sent once epoch 1 is reported: exit
     130 and one stderr line naming the last stored epoch (a KeyboardInterrupt
     traceback before). The store keeps the epochs it finished, and no temp
     file."""
-    cfg = dict(trained_cfg, out_dir=str(tmp_path / "run"),
+    cfg = dict(fresh_store_cfg(trained_cfg, tmp_path),
                train=dict(trained_cfg["train"], epochs=100000))
-    cfg["data"] = dict(cfg["data"], train_path=os.path.join(
-        trained_cfg["out_dir"], "train.jsonl"))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     proc = subprocess.Popen(
@@ -1318,10 +1329,31 @@ def test_interrupt_before_the_first_epoch_says_so(trained_cfg, tmp_path,
 
     monkeypatch.setattr(cli.TR, "train", interrupted)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(trained_cfg))
+    path.write_text(json.dumps(fresh_store_cfg(trained_cfg, tmp_path)))
     with pytest.raises(KeyboardInterrupt) as e:
         run_cli("train", "--config", str(path))
     assert e.value.args == ("before epoch 1 was stored",)
+
+
+def test_interrupt_names_the_epoch_the_manifest_lists(trained_cfg, tmp_path,
+                                                      monkeypatch):
+    """Ctrl-C after epoch 2's manifest is on disk but before its progress
+    line: the epoch named is 2 (1, the last one reported, before)."""
+    train = cli.TR.train
+
+    def interrupted(*args, on_epoch):
+        def stop(epoch, loss):
+            if epoch == 2:
+                raise KeyboardInterrupt
+            on_epoch(epoch, loss)
+        return train(*args, on_epoch=stop)
+
+    monkeypatch.setattr(cli.TR, "train", interrupted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fresh_store_cfg(trained_cfg, tmp_path)))
+    with pytest.raises(KeyboardInterrupt) as e:
+        run_cli("train", "--config", str(path))
+    assert e.value.args == ("after epoch 2 was stored",)
 
 
 def test_console_script_is_console_main():

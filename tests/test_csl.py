@@ -41,6 +41,19 @@ def trained(trained_on_disk):
 DET = ca.DetectionConfig(mode="percentile", k_percent=20, window=2)
 
 
+def row(store, i):
+    """The checkpoint at row i of store.params, as unstacked parameters."""
+    return ca.ModelParams({k: v[i] for k, v in store.params.tensors.items()})
+
+
+def first(store, n):
+    """The store of the first n checkpoints of store."""
+    return ca.CheckpointStore(
+        dict(store.manifest, epochs=store.epochs[:n],
+             epoch_losses=store.manifest["epoch_losses"][:n]),
+        ca.ModelParams({k: v[:n] for k, v in store.params.tensors.items()}))
+
+
 def audit_one(store, ds, sample, det):
     """The profile of one sample: audit_dataset on a one-sample Dataset."""
     [prof] = ca.audit_dataset(store, replace(ds, samples=[sample]), det)
@@ -56,10 +69,8 @@ class TestTrajectory:
 
     def test_single_snapshot_matches_direct_eval(self, trained):
         store, ds = trained
-        single = ca.CheckpointStore(manifest=store.manifest,
-                                    snapshots=store.snapshots[:1])
-        traj = ca.eval_loss_trajectory(single, ds.samples[1], DET)
-        params = store.snapshots[0][1]
+        traj = ca.eval_loss_trajectory(first(store, 1), ds.samples[1], DET)
+        params = row(store, 0)
         probs = ca.forward(params, store.model_config, ds.samples[1].frames).probs
         expected = M.per_frame_losses(probs, ds.samples[1].labels, np.ones(3))
         assert np.allclose(traj.losses[0], expected, atol=1e-15)
@@ -81,7 +92,7 @@ class TestTrajectory:
         for _ in range(5):
             e = int(rng.integers(0, len(store)))
             t = int(rng.integers(0, sample.num_frames))
-            probs = ca.forward(store.snapshots[e][1], store.model_config,
+            probs = ca.forward(row(store, e), store.model_config,
                                sample.frames).probs
             expected = weighted_ce(probs[t], int(sample.labels[t]), np.ones(3))
             assert traj.losses[e, t] == pytest.approx(expected, abs=1e-15)
@@ -116,10 +127,10 @@ class TestTrajectory:
             ca.eval_loss_trajectory(store, sample, DET)
             assert len(received) == -(-E // per_call)
             assert sum(len(p.tensors["enc.W"]) for p in received) == E
-            for name in store.snapshots[0][1].tensors:
+            for name, stacked in store.params.tensors.items():
                 assert np.array_equal(
                     np.concatenate([p.tensors[name] for p in received]),
-                    np.stack([p.tensors[name] for _, p, _ in store.snapshots]))
+                    stacked)
 
 
 class TestCsl:
@@ -321,10 +332,8 @@ class TestCurvature:
 class TestAuditSequence:
     def test_degenerate_composition(self, trained):
         store, ds = trained
-        single = ca.CheckpointStore(manifest=store.manifest,
-                                    snapshots=store.snapshots[:1])
         det = ca.DetectionConfig(mode="threshold", tau=-1.0, window=0)
-        prof = audit_one(single, ds, ds.samples[0], det)
+        prof = audit_one(first(store, 1), ds, ds.samples[0], det)
         T = ds.samples[0].num_frames
         assert prof.flags.sum() == T
         assert prof.segments == [(0, T)]
@@ -401,16 +410,25 @@ class TestAuditDataset:
 
     def test_nan_checkpoint_names_video_and_epoch(self, trained):
         store, ds = trained
-        epoch, params, loss = store.snapshots[2]
-        poisoned = ca.ModelParams({k: v.copy()
-                                    for k, v in params.tensors.items()})
-        next(iter(poisoned.tensors.values()))[...] = np.nan
-        bad = ca.CheckpointStore(
-            manifest=store.manifest,
-            snapshots=store.snapshots[:2] + [(epoch, poisoned, loss)])
+        bad = first(store, 3)
+        bad.params = ca.ModelParams({k: v.copy()
+                                     for k, v in bad.params.tensors.items()})
+        next(iter(bad.params.tensors.values()))[2] = np.nan
+        epoch = store.epochs[2]
         with pytest.raises(NumericError,
                            match=f"{ds.samples[0].id}.*epoch {epoch}"):
             ca.audit_dataset(bad, ds, DET)
+
+    def test_zero_frame_sample_refused_as_by_the_replay(self, trained):
+        """audit_dataset refuses a zero-frame sample with the error of
+        eval_loss_trajectory (it divided by zero before)."""
+        store, ds = trained
+        empty = ca.SequenceSample("e", np.zeros((0, 4)), np.zeros(0, int),
+                                  np.zeros(0, np.int8))
+        with pytest.raises(ConfigError, match="need at least one frame"):
+            ca.eval_loss_trajectory(store, empty, DET)
+        with pytest.raises(ConfigError, match="need at least one frame"):
+            ca.audit_dataset(store, replace(ds, samples=[empty]), DET)
 
 
 def reference_losses(store, sample, cfg):
@@ -418,8 +436,8 @@ def reference_losses(store, sample, cfg):
     alpha = store.class_weights if cfg.audit_loss == CSL.TRAIN_WEIGHTED \
         else np.ones(store.model_config.num_classes)
     rows = [M.per_frame_losses(
-        M.forward(params, store.model_config, sample.frames).probs,
-        sample.labels, alpha) for _, params, _ in store.snapshots]
+        M.forward(row(store, e), store.model_config, sample.frames).probs,
+        sample.labels, alpha) for e in range(len(store))]
     return np.stack(rows)
 
 
@@ -438,15 +456,16 @@ def random_store(mode, n_epochs):
                          attention_dim=4, dropout_rates=(0.0, 0.0))
     snapshots = []
     for e in range(n_epochs):
-        params = ca.init_params(cfg)
         rng = np.random.default_rng(e)
-        for k, v in params.tensors.items():
-            params.tensors[k] = v + rng.normal(0, 0.5, v.shape)
-        snapshots.append((2 * (e + 1), params, 1.0))
+        snapshots.append({k: v + rng.normal(0, 0.5, v.shape) for k, v
+                          in ca.init_params(cfg).tensors.items()})
     manifest = {"model": asdict(cfg), "class_weights": [0.5, 1.0, 1.5],
+                "epochs": list(range(2, 2 * n_epochs + 1, 2)),
+                "epoch_losses": [1.0] * n_epochs,
                 "fingerprints": {"grammar": grammar_fingerprint(
                     replay_grammar()), "train_data": "d"}}
-    return ca.CheckpointStore(manifest=manifest, snapshots=snapshots)
+    return ca.CheckpointStore(manifest, ca.ModelParams(
+        {k: np.stack([t[k] for t in snapshots]) for k in snapshots[0]}))
 
 
 @pytest.fixture(scope="module")
@@ -491,11 +510,7 @@ class TestStackedReplay:
     def test_nan_in_later_chunk_names_video_and_epoch(self, long_dataset,
                                                       monkeypatch):
         store = random_store("attention", 6)
-        epoch, params, loss = store.snapshots[3]  # chunk 2 of 3, second row
-        poisoned = ca.ModelParams({k: v.copy()
-                                    for k, v in params.tensors.items()})
-        poisoned.tensors["head.W3"][0, 0] = np.nan
-        store.snapshots[3] = (epoch, poisoned, loss)
+        store.params.tensors["head.W3"][3, 0, 0] = np.nan  # chunk 2, row 2
         ds = long_dataset
         monkeypatch.setattr(CSL, "CHUNK_ROWS", 2 * ds.samples[0].num_frames)
         with pytest.raises(NumericError,
@@ -568,14 +583,12 @@ def test_audited_video_enters_numpy_python_code_only_to_convolve(
     cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
                          head_dims=(6, 5), temporal_mode=mode, attention_dim=4)
     store = ca.train(ds, cfg, ca.TrainConfig(epochs=3), str(tmp_path))
-    stacked = CSL._stack_snapshots(store)
     ws = M.Workspace()
     numpy_dir = os.path.dirname(np.__file__) + os.sep
     entered = []
 
     def audit(sample):  # audit_dataset's work per video
-        CSL._profile(CSL.eval_loss_trajectory(store, sample, det,
-                                              stacked=stacked, ws=ws), det)
+        CSL._profile(CSL.eval_loss_trajectory(store, sample, det, ws=ws), det)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):

@@ -11,7 +11,7 @@ fails the test.
 
 The output side is fuzzed too: a directory or a regular file in place of one
 path a command writes must end that command in exit 3, and change nothing
-else."""
+else; so must a write that a file-size limit stops."""
 
 import contextlib
 import functools
@@ -22,6 +22,8 @@ import math
 import operator
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import zlib
 
@@ -355,3 +357,38 @@ def test_unwritable_output_exits_3(pipeline, target, filled):
     assert err.getvalue().count("\n") == 1
     assert [p for p in after if p.endswith(".tmp")] == []
     assert after == before
+
+
+# (command, the output whose write the file-size limit stops): gen rewrites
+# its smaller splits before test.jsonl; audit.csv, larger than profiles.json,
+# is stopped too
+FULL_DISK = [("gen", "run/test.jsonl"), ("train", "run/store/ckpt_0001.bin"),
+             ("audit", "run/profiles.json")]
+
+
+@pytest.mark.parametrize("command,name", FULL_DISK)
+def test_full_disk_exits_3(pipeline, tmp_path, command, name):
+    """A command whose write fails with EFBIG (RLIMIT_FSIZE one byte below
+    that output's size; Python ignores SIGXFSZ) exits 3 with one stderr line
+    `cannot write <path>: File too large`, leaves no *.tmp, and every other
+    file as it was: train has removed the old store first."""
+    resource = pytest.importorskip("resource")
+    work = tmp_path / "work"
+    shutil.copytree(pipeline, work)
+    before = tree(work)
+    limit = len(before[name]) - 1
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cslaudit.cli", command, "--config",
+         "config.json"], cwd=work, capture_output=True, text=True,
+        preexec_fn=limited, env=dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(cli.__file__))))
+    assert (proc.returncode, proc.stderr) == (
+        3, f"data error: cannot write {name}: File too large\n")
+    if command == "train":
+        before = {k: v for k, v in before.items()
+                  if not k.startswith("run/store/")}
+    assert tree(work) == before

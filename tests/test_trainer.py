@@ -193,7 +193,8 @@ def test_train_equals_reference_replay(small_dataset, tmp_path):
             ref_adamw_step(params.tensors, grads, m, v, step, cfg_train)
         snap = ca.ModelParams({k: x.astype(np.float32).astype(np.float64)
                                for k, x in params.tensors.items()})
-        assert store.snapshots[epoch - 1][1] == snap
+        assert ca.ModelParams({k: x[epoch - 1] for k, x
+                               in store.params.tensors.items()}) == snap
 
 
 @pytest.mark.parametrize("mode", ["context_free", "attention"])
@@ -231,7 +232,7 @@ class TestTrain:
         store = ca.train(small_dataset, tiny_model_cfg, train_cfg,
                          str(tmp_path / "store"))
         assert store.epochs == [1, 2, 3, 4, 5]
-        assert all(np.isfinite(loss) for _, _, loss in store.snapshots)
+        assert np.isfinite(store.manifest["epoch_losses"]).all()
 
     def test_on_epoch_fires_per_checkpoint_as_saved(self, small_dataset,
                                                      tiny_model_cfg, train_cfg,
@@ -247,7 +248,8 @@ class TestTrain:
 
         store = ca.train(small_dataset, tiny_model_cfg, train_cfg, str(path),
                          on_epoch=on_epoch)
-        assert calls == [(e, loss, e, True) for e, _, loss in store.snapshots]
+        assert calls == [(e, loss, e, True) for e, loss in zip(
+            store.epochs, store.manifest["epoch_losses"])]
         assert [c[0] for c in calls] == [1, 2, 3, 4, 5]
 
     def test_bitwise_deterministic_files(self, small_dataset, tiny_model_cfg,
@@ -410,23 +412,28 @@ class TestStoreIO:
             assert TR.encode_snapshot(TR.decode_snapshot(
                 blob, M.param_shapes(tiny_model_cfg))) == blob
 
-    def test_loaded_snapshots_are_the_trained_float32(self, small_dataset,
-                                                      tiny_model_cfg,
-                                                      train_cfg, tmp_path):
-        """load_store returns the stored float32 tensors, equal bit for bit
-        to the snapshots train() keeps in memory."""
+    def test_params_stack_the_snapshot_files(self, small_dataset,
+                                             tiny_model_cfg, train_cfg,
+                                             tmp_path):
+        """Each tensor of the store train returns is (E, ...) float32, row i
+        the decoded ckpt file of epoch i; train returns what load_store
+        reads."""
         store = ca.train(small_dataset, tiny_model_cfg, train_cfg,
-                         str(tmp_path / "a"))
-        loaded = ca.load_store(str(tmp_path / "a"))
-        assert len(loaded) == len(store)
-        for (e1, p1, l1), (e2, p2, l2) in zip(store.snapshots,
-                                              loaded.snapshots):
-            assert e1 == e2 and l1 == l2
-            assert p1.tensors.keys() == p2.tensors.keys()
-            for k, v in p1.tensors.items():
-                assert v.dtype == p2.tensors[k].dtype == np.float32
-                assert p2.tensors[k].flags.writeable
-                assert np.array_equal(v, p2.tensors[k])
+                         str(tmp_path))
+        loaded = ca.load_store(str(tmp_path))
+        assert store.manifest == loaded.manifest
+        assert store.params == loaded.params
+        shapes = M.param_shapes(tiny_model_cfg)
+        assert list(store.params.tensors) == list(shapes)
+        for k, v in store.params.tensors.items():
+            assert v.shape == (train_cfg.epochs, *shapes[k])
+            assert v.dtype == np.float32 and v.flags.writeable
+        for i, epoch in enumerate(store.epochs):
+            with open(TR._snapshot_path(str(tmp_path), epoch), "rb") as f:
+                snap = TR.decode_snapshot(f.read(), shapes)
+            for k, v in snap.tensors.items():
+                assert np.array_equal(store.params.tensors[k][i], v)
+                assert not v.flags.writeable  # a view of the file's bytes
 
     def test_snapshot_encoding_round_trip(self, tiny_model_cfg):
         params = ca.init_params(tiny_model_cfg)
@@ -435,6 +442,41 @@ class TestStoreIO:
         for k, v in params.tensors.items():
             assert np.array_equal(back.tensors[k],
                                   v.astype(np.float32).astype(np.float64))
+
+    def test_retrain_clears_the_previous_run(self, small_dataset,
+                                             tiny_model_cfg, tmp_path):
+        """A 2-epoch train into a 5-epoch store leaves only its own
+        snapshots; other files stay."""
+        ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=5),
+                 str(tmp_path))
+        (tmp_path / "notes.txt").write_text("kept\n")
+        ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=2),
+                 str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [
+            "ckpt_0001.bin", "ckpt_0002.bin", "manifest.json", "notes.txt"]
+
+    def test_interrupted_retrain_leaves_no_manifest(self, small_dataset,
+                                                    tiny_model_cfg, tmp_path,
+                                                    monkeypatch):
+        """A retrain stopped after its first snapshot, before its manifest:
+        the store does not load (it loaded the old manifest with the new
+        snapshot among the old ones before)."""
+        ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=3),
+                 str(tmp_path))
+        atomic_path = TR.atomic_path
+
+        def stopped(path):
+            if path.endswith("manifest.json"):
+                raise KeyboardInterrupt
+            return atomic_path(path)
+
+        monkeypatch.setattr(TR, "atomic_path", stopped)
+        with pytest.raises(KeyboardInterrupt):
+            ca.train(small_dataset, tiny_model_cfg,
+                     TR.TrainConfig(epochs=3, shuffle_seed=1), str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["ckpt_0001.bin"]
+        with pytest.raises(StoreError, match="no manifest.json"):
+            ca.load_store(str(tmp_path))
 
     def test_truncated_snapshot(self, small_dataset, tiny_model_cfg, train_cfg,
                                 tmp_path):
