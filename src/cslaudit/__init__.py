@@ -3,15 +3,16 @@
 Trains a small temporal frame classifier with a checkpoint saved every epoch,
 then audits sequences by averaging per-frame cross-entropy over all saved
 checkpoints (the cumulative sample loss). Frames that stay hard to fit across
-the whole training run are flagged as likely annotation errors. `model`,
-`trainer`, `csl` and `metrics` load on first attribute access, so each
-command compiles and runs only the modules it uses.
+the whole training run are flagged as likely annotation errors. `seqdata`,
+`model`, `trainer`, `csl` and `metrics` load on first attribute access, so
+each command compiles and runs only the modules it uses; `errors` and
+`fileio` import no numpy, so neither does `import cslaudit`.
 """
 
 import importlib.util
 import sys
 
-from . import errors, seqdata  # every command needs these
+from . import errors, fileio  # every command needs these
 
 _PUBLIC = {  # module -> the public names it defines
     "seqdata": "CorruptionSpec Dataset PhaseGrammar SequenceSample "
@@ -41,7 +42,7 @@ def _register_lazy(name: str) -> None:
     spec.loader.exec_module(module)
 
 
-for _name in ("model", "trainer", "csl", "metrics"):
+for _name in ("seqdata", "model", "trainer", "csl", "metrics"):
     _register_lazy(_name)
 
 

@@ -11,15 +11,15 @@ an unwritable output path, 4 numeric error, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
+import math
 import os
+import struct
 import sys
 
-import numpy as np
-
 from . import csl as CSL
+from . import fileio as FIO
 from . import metrics as MET
 from . import model as M
 from . import seqdata as SD
@@ -91,10 +91,10 @@ def _merge(base: dict, override: dict, prefix: str = "",
         if k not in default:
             raise ConfigError(f"config field {dotted}: unknown field")
         if isinstance(default[k], dict):
-            SD.check_json(v, {}, f"config field {dotted}:", ConfigError)
+            FIO.check_json(v, {}, f"config field {dotted}:", ConfigError)
             v = _merge(base[k], v, dotted + ".", default[k])
         elif v is not None or default[k] is not None:
-            what, _, test = SD.json_kind(_NULL_KINDS.get(dotted, default[k]))
+            what, _, test = FIO.json_kind(_NULL_KINDS.get(dotted, default[k]))
             if dotted == "corruption.split":  # no dataclass checks this one
                 what, test = '"train" or "test"', ("train", "test").__contains__
             if not test(v):
@@ -107,8 +107,8 @@ def _merge(base: dict, override: dict, prefix: str = "",
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """The default config merged with the JSON object at path, then with
     overrides (the command-line flags), every value checked on the way."""
-    user = SD.read_json(path, ConfigError, f"{path}: config file not found")
-    SD.check_json(user, {}, f"{path}: config", ConfigError)
+    user = FIO.read_json(path, ConfigError, f"{path}: config file not found")
+    FIO.check_json(user, {}, f"{path}: config", ConfigError)
     return _merge(_merge(DEFAULT_CONFIG, user), overrides or {})
 
 
@@ -125,8 +125,9 @@ def build_grammar(cfg: dict) -> SD.PhaseGrammar:
         if d < C:
             raise ConfigError(
                 "feature_dim must be >= num_classes for default class means")
-        means = np.zeros((C, d))
-        means[np.arange(C), np.arange(C)] = g["class_mean_scale"]
+        scale = g["class_mean_scale"]
+        means = [[scale if j == i else 0.0 for j in range(d)]
+                 for i in range(C)]
     return SD.PhaseGrammar(
         num_classes=C, feature_dim=d, class_means=means,
         feature_noise_sigma=float(g["feature_noise_sigma"]),
@@ -185,7 +186,7 @@ def _read_split(path: str) -> SD.Dataset:
 
 def cmd_gen(cfg: dict) -> None:
     grammar = build_grammar(cfg)
-    SD.make_dir(cfg["out_dir"])
+    FIO.make_dir(cfg["out_dir"])
     for i, split in enumerate(SD.SPLITS):
         n = cfg["data"][f"n_{split}"]
         ds = SD.generate_dataset(grammar, n, split, seed=cfg["seed"] + i)
@@ -209,7 +210,7 @@ def cmd_corrupt(cfg: dict, out_file: str | None) -> None:
         raise type(e)(f"{path}: {e}") from e
     out = out_file or _path(cfg, f"{c['split']}_{spec.kind}.jsonl")
     SD.write_dataset(corrupted, out,
-                     header_extra={"corruption_spec": dataclasses.asdict(spec)})
+                     header_extra={"corruption_spec": dict(vars(spec))})
     n_corrupt = sum(1 for s in corrupted.samples if s.corruption is not None)
     print(f"corrupted {n_corrupt}/{len(corrupted.samples)} sequences -> {out}")
 
@@ -226,8 +227,8 @@ def cmd_train(cfg: dict) -> None:
     try:
         TR.train(ds, model_cfg, train_cfg, store_dir, on_epoch=on_epoch)
     except KeyboardInterrupt:  # name the last epoch the manifest on disk lists
-        manifest = SD.read_json(os.path.join(store_dir, "manifest.json"),
-                                KeyboardInterrupt, "before epoch 1 was stored")
+        manifest = FIO.read_json(os.path.join(store_dir, "manifest.json"),
+                                 KeyboardInterrupt, "before epoch 1 was stored")
         raise KeyboardInterrupt(
             f"after epoch {manifest['epochs'][-1]} was stored")
 
@@ -253,7 +254,8 @@ def cmd_audit(cfg: dict) -> None:
         val_path = _split_path(cfg, "val")
         val = _audit(store, _read_split(val_path), val_path, det)
         tau = CSL.calibrate_tau([p.smoothed for p in val])
-        det = dataclasses.replace(det, tau=tau)
+        det = build_detection_config(
+            dict(cfg, detection=dict(cfg["detection"], tau=tau)))
 
     profiles = _audit(store, ds, path, det)  # raises before any write
     E = len(store)
@@ -267,22 +269,17 @@ def cmd_audit(cfg: dict) -> None:
         "seed": cfg["seed"],
     }
     epochs = list(store.epochs)
-    n_frames = 0
-    with SD.atomic_path(_path(cfg, "audit.csv")) as csv_tmp, \
-            SD.atomic_path(_path(cfg, "profiles.json")) as json_tmp, \
-            open(csv_tmp, "w", encoding="utf-8") as f_csv, \
-            open(json_tmp, "w", encoding="utf-8") as f_json:
-        f_csv.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"
-                    "gt_error\n")
+    # Each output has its own atomic write, so a failed write names its file
+    # and leaves no part of it.
+    with FIO.atomic_path(_path(cfg, "profiles.json")) as tmp, \
+            open(tmp, "w", encoding="utf-8") as f:
         # One json.dumps per video runs the C encoder (json.dump to a file
         # does not) without holding the whole document as one string. Keys
         # are sorted and "videos" sorts last, so the bytes equal a single
         # json.dump(..., sort_keys=True) of the full dict.
-        f_json.write(json.dumps(head, sort_keys=True)[:-1] + ', "videos": [')
+        f.write(json.dumps(head, sort_keys=True)[:-1] + ', "videos": [')
         for i, (sample, p) in enumerate(zip(ds.samples, profiles)):
-            curvature = CSL.trajectory_curvature(p.trajectory) if E >= 3 \
-                else np.full(len(p.csl), np.nan)
-            video = {
+            f.write((", " if i else "") + json.dumps({
                 "id": sample.id,
                 "epochs": epochs,
                 "losses": SD.encode_f8(p.trajectory.losses),
@@ -290,17 +287,24 @@ def cmd_audit(cfg: dict) -> None:
                 "segments": [list(s) for s in p.segments],
                 "labels": sample.labels.tolist(),
                 "gt_error": sample.error_mask.tolist(),
-            }
+            }, sort_keys=True))
+        f.write("]}\n")
+    with FIO.atomic_path(_path(cfg, "audit.csv")) as tmp, \
+            open(tmp, "w", encoding="utf-8") as f:
+        f.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"
+                "gt_error\n")
+        for sample, p in zip(ds.samples, profiles):
+            curvature = CSL.trajectory_curvature(p.trajectory).tolist() \
+                if E >= 3 else [math.nan] * len(p.csl)
             # f"{x!r}" of a Python float is its shortest round-trip decimal,
             # with no per-frame numpy indexing.
-            f_csv.write("".join(
+            f.write("".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
-                    video["labels"], p.csl.tolist(), p.smoothed.tolist(),
-                    curvature.tolist(), video["flags"], video["gt_error"]))))
-            f_json.write((", " if i else "") + json.dumps(video, sort_keys=True))
-            n_frames += len(p.csl)
-        f_json.write("]}\n")
+                    sample.labels.tolist(), p.csl.tolist(),
+                    p.smoothed.tolist(), curvature, p.flags.tolist(),
+                    sample.error_mask.tolist()))))
+    n_frames = sum(len(p.csl) for p in profiles)
     print(f"audited {len(profiles)} videos ({n_frames} frames) "
           f"over {E} checkpoints")
     if tau is not None:
@@ -313,16 +317,17 @@ PROFILES_SHAPE = {"format": "x", "detection": {"window": 0}, "videos": [
 
 
 def _load_profiles(cfg: dict) -> dict:
-    """The parsed profiles.json, each video's `losses` decoded into a
-    LossTrajectory at `trajectory`. Malformed input raises ParseError or
-    SchemaError (a non-finite loss NumericError) naming path and field."""
+    """The parsed profiles.json, each video's `losses` replaced by its
+    checked bytes: E x T little-endian float64, E = len(epochs) and
+    T = len(gt_error). Malformed input raises ParseError or SchemaError
+    naming path and field; the caller checks the loss values."""
     path = _path(cfg, "profiles.json")
-    data = SD.read_json(path, ParseError,
-                        f"no audit artifacts at {path}; run audit first")
+    data = FIO.read_json(path, ParseError,
+                         f"no audit artifacts at {path}; run audit first")
     if type(data) is dict and data.get("format") != PROFILES_FORMAT:
         raise ParseError(f"{path}: format {data.get('format')!r} is not "
                          f"{PROFILES_FORMAT!r}; re-run `cslaudit audit`")
-    SD.check_json(data, PROFILES_SHAPE, f"{path}: profiles", SchemaError)
+    FIO.check_json(data, PROFILES_SHAPE, f"{path}: profiles", SchemaError)
     if not data["videos"]:
         raise SchemaError(f"{path}: profiles.videos is empty; re-run "
                           f"`cslaudit audit`")
@@ -331,7 +336,7 @@ def _load_profiles(cfg: dict) -> dict:
         where = f"{path}: profiles.videos[{i}]"
         vid, epochs, gt = v["id"], v["epochs"], v["gt_error"]
         try:
-            SD.check_id(vid)
+            FIO.check_id(vid)
         except SchemaError as e:
             raise SchemaError(f"{where}.id: {e}") from e
         if first.setdefault(vid, i) != i:
@@ -340,25 +345,28 @@ def _load_profiles(cfg: dict) -> dict:
             raise SchemaError(f"{where}.epochs is empty")
         if any(g > 1 for g in gt):
             raise SchemaError(f"{where}.gt_error must hold 0s and 1s only")
-        losses = SD.decode_f8(v["losses"], (len(epochs), len(gt)),
-                              f"{where}.losses")
-        try:
-            v["trajectory"] = CSL.LossTrajectory(vid, losses, epochs)
-        except (DataError, NumericError) as e:
-            raise type(e)(f"{path}: {e}") from e
+        v["losses"] = FIO.f8_bytes(v["losses"], (len(epochs), len(gt)),
+                                   f"{where}.losses")
     return data
 
 
 def cmd_eval(cfg: dict) -> None:
     profiles = _load_profiles(cfg)
+    path = _path(cfg, "profiles.json")
     window = profiles["detection"]["window"]  # the audit's, not this config's
-    inputs = [MET.EvalInput(video_id=v["id"],
-                            scores=CSL.smooth_csl(
-                                CSL.compute_csl(v["trajectory"]), window),
-                            gt_mask=np.asarray(v["gt_error"], dtype=np.int8),
-                            gt_segments=CSL.frames_to_segments(
-                                np.asarray(v["gt_error"])))
-              for v in profiles["videos"]]
+    inputs = []
+    for v in profiles["videos"]:
+        shape = (len(v["epochs"]), len(v["gt_error"]))
+        try:
+            trajectory = CSL.LossTrajectory(
+                v["id"], SD.f8_array(v["losses"], shape), v["epochs"])
+        except (DataError, NumericError) as e:
+            raise type(e)(f"{path}: {e}") from e
+        inputs.append(MET.EvalInput(
+            video_id=v["id"],
+            scores=CSL.smooth_csl(CSL.compute_csl(trajectory), window),
+            gt_mask=v["gt_error"],
+            gt_segments=CSL.frames_to_segments(v["gt_error"])))
     report = MET.build_report(
         inputs, k_percent=float(cfg["detection"]["k_percent"]),
         config={"detection": cfg["detection"], "seed": cfg["seed"]})
@@ -369,7 +377,7 @@ def cmd_eval(cfg: dict) -> None:
         print("warning: EDA undefined (no ground-truth erroneous segments)",
               file=sys.stderr)
     out = _path(cfg, "report.json")
-    with SD.atomic_path(out) as tmp, open(tmp, "w", encoding="utf-8") as f:
+    with FIO.atomic_path(out) as tmp, open(tmp, "w", encoding="utf-8") as f:
         json.dump(report.to_dict(), f, sort_keys=True, indent=1)
         f.write("\n")
     auc_s = "n/a" if report.micro_auc is None else f"{report.micro_auc:.4f}"
@@ -377,29 +385,63 @@ def cmd_eval(cfg: dict) -> None:
     print(f"micro-AUC {auc_s}, EDA@{report.k_percent:g}% {eda_s} -> {out}")
 
 
-def write_pgm(losses: np.ndarray, path: str) -> None:
-    """Binary PGM (P5): width T, height E, pixel = round(255 * l / max)."""
-    losses = np.asarray(losses, dtype=np.float64)
-    peak = losses.max()
-    if peak > 0:
-        pixels = np.round(255.0 * losses / peak).astype(np.uint8)
-    else:
-        pixels = np.zeros_like(losses, dtype=np.uint8)
-    E, T = losses.shape
-    with SD.atomic_path(path) as tmp, open(tmp, "wb") as f:
+def _loss_rows(video: dict) -> list[tuple[float, ...]]:
+    """The E x T loss matrix of a video _load_profiles returned, as E rows
+    of Python floats."""
+    row = struct.Struct(f"<{len(video['gt_error'])}d")
+    return [row.unpack_from(video["losses"], e * row.size)
+            for e in range(len(video["epochs"]))]
+
+
+# The last byte of a little-endian float64 holds its sign bit and the top 7
+# bits of its exponent: below 0x7f, the value is finite and non-negative.
+_PLAIN_TOP_BYTES = bytes(range(0x7f))
+
+
+def _check_losses(path: str, video: dict) -> None:
+    """LossTrajectory's checks of a video's losses, with its texts, without
+    numpy: a non-finite loss raises NumericError naming the first epoch that
+    holds one, else a negative loss DataError."""
+    if not video["losses"][7::8].translate(None, _PLAIN_TOP_BYTES):
+        return  # every top byte below 0x7f
+    rows = _loss_rows(video)
+    for epoch, row in zip(video["epochs"], rows):
+        if not all(map(math.isfinite, row)):
+            raise NumericError(f"{path}: video {video['id']}: non-finite "
+                               f"loss at epoch {epoch}")
+    if min(map(min, rows)) < 0:
+        raise DataError(f"{path}: video {video['id']}: negative loss")
+
+
+def write_pgm(losses, path: str) -> None:
+    """Binary PGM (P5) of the E x T matrix `losses` (rows of finite,
+    non-negative floats; a 2-D array passes): width T, height E,
+    pixel = round(255 * l / max). The arithmetic is numpy's, operation for
+    operation, and round() rounds half to even as np.round does; where
+    255 * max would overflow (max above ~7e305), l / max comes first."""
+    E, T = len(losses), len(losses[0])
+    peak = max(map(max, losses))
+    if 255.0 * peak == math.inf:  # 255.0 * x may overflow: x above ~7e305
+        losses, peak = [[x / peak for x in row] for row in losses], 1.0
+    pixels = b"".join(bytes(round(255.0 * x / peak) for x in row)
+                      for row in losses) if peak > 0 else bytes(E * T)
+    with FIO.atomic_path(path) as tmp, open(tmp, "wb") as f:
         f.write(f"P5\n{T} {E}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+        f.write(pixels)
 
 
 def cmd_heatmap(cfg: dict, video: str | None) -> None:
     profiles = _load_profiles(cfg)
+    path = _path(cfg, "profiles.json")
+    for v in profiles["videos"]:  # every video is checked before any write
+        _check_losses(path, v)
     by_id = {v["id"]: v for v in profiles["videos"]}
     if video is not None and video not in by_id:
         raise DataError(f"unknown video id {video!r}")
     for vid in by_id if video is None else [video]:
-        path = _path(cfg, f"heatmap_{vid}.pgm")
-        write_pgm(by_id[vid]["trajectory"].losses, path)
-        print(f"wrote {path}")
+        out = _path(cfg, f"heatmap_{vid}.pgm")
+        write_pgm(_loss_rows(by_id[vid]), out)
+        print(f"wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +526,8 @@ def console_main() -> None:
         print(" ".join(["interrupted", *e.args]), file=sys.stderr)
         code = 130
     # Every file is closed by now. Frozen, the rest (mostly numpy's import-time
-    # heap) is skipped by the collections at exit; atexit handlers still run.
+    # heap, where the command loaded numpy) is skipped by the collections at
+    # exit; atexit handlers still run.
     gc.freeze()
     sys.exit(code)
 

@@ -12,6 +12,7 @@ dtype (float32 for a loaded store). The losses are float64 throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -193,7 +194,14 @@ def calibrate_tau(smoothed: list[np.ndarray], q: float = 0.95) -> float:
     pool = np.concatenate(smoothed) if smoothed else np.array([])
     if pool.size == 0:
         raise DataError("cannot calibrate tau from an empty validation pool")
-    return float(np.quantile(pool, q))
+    # np.quantile's default "linear" method, step for step, so the result is
+    # its bits; np.quantile itself imports numpy.ma on its first call.
+    pool.sort()
+    v = (pool.size - 1) * q
+    lo = math.floor(v)
+    g = v - lo
+    a, b = pool[lo].item(), pool[min(lo + 1, pool.size - 1)].item()
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def frames_to_segments(flags: np.ndarray) -> list[tuple[int, int]]:

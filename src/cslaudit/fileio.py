@@ -1,0 +1,146 @@
+"""The file helpers every command runs before it computes: reading and
+shape-checking JSON documents, atomic writes, video ids, and the byte level
+of the float64 base64 codec (`seqdata.encode_f8`/`decode_f8`).
+
+This module imports no numpy, so `import cslaudit` and the commands that
+only read and write documents (`heatmap`, `--help`, a config error) run
+without it.
+"""
+
+from __future__ import annotations
+
+import base64
+import contextlib
+import json
+import os
+import re
+import sys
+
+from .errors import DataError, SchemaError
+
+_BAD_ID_CHAR = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]')
+
+
+def check_id(vid) -> None:
+    """Raise SchemaError unless `vid` can name a video: the id names its
+    heatmap file and is written unquoted into audit.csv."""
+    if not isinstance(vid, str) or vid in ("", ".", "..") \
+            or _BAD_ID_CHAR.search(vid):
+        raise SchemaError(
+            f"sample id {vid!r} must be a non-empty string other than '.' or "
+            f"'..', without '/', '\\', ',', '\"' or control characters")
+
+
+# type of an example value -> (its JSON kind in words, plural, test of a value).
+# type() refuses bools; the bound refuses NaN, infinities and ints too big for
+# float().
+_KINDS = {
+    int: ("a non-negative integer", "non-negative integers",
+          lambda v: type(v) is int and v >= 0),
+    float: ("a finite number", "finite numbers",
+            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a non-empty string", "non-empty strings",
+          lambda v: type(v) is str and v != ""),
+}
+
+
+def json_kind(example) -> tuple:
+    """_KINDS entry for the kind of example, a list's built from its first
+    item's; a tuple passes for a list."""
+    if type(example) is not list:
+        return _KINDS[type(example)]
+    _, items, test = json_kind(example[0])
+    return (f"a list of {items}", f"lists of {items}",
+            lambda v: type(v) in (list, tuple) and all(map(test, v)))
+
+
+def check_json(value, example, where: str, error: type) -> None:
+    """Raise error naming the field at fault (`where`, then `.key` or `[i]`)
+    unless value has example's shape: every key of an object (others pass),
+    a list of objects like a one-object list's, else example's json_kind."""
+    if type(example) is dict:
+        if type(value) is not dict:
+            raise error(f"{where} must be a JSON object, "
+                        f"got {type(value).__name__}")
+        for k, item in example.items():
+            if k not in value:
+                raise error(f"{where} lacks {k!r}")
+            check_json(value[k], item, f"{where}.{k}", error)
+        return
+    if type(example) is list and type(example[0]) is dict:
+        what = "a list of JSON objects"
+    else:
+        what, _, test = json_kind(example)
+        if test(value):  # a list in one pass; its bad item is sought below
+            return
+    if type(example) is not list or type(value) not in (list, tuple):
+        shown = type(value).__name__ if isinstance(value, (dict, list, tuple)) \
+            else json.dumps(value)
+        raise error(f"{where} must be {what}, not {shown}")
+    for i, item in enumerate(value):
+        check_json(item, example[0], f"{where}[{i}]", error)
+
+
+def read_json(path: str, error: type, missing: str):
+    """The JSON value in the file at path: error(missing) if there is none,
+    error naming path (and line) if it is a directory, not UTF-8 or JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (FileNotFoundError, NotADirectoryError) as e:
+        raise error(missing) from e
+    except IsADirectoryError as e:
+        raise error(f"{path}: is a directory") from e
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text ({e.reason})") from e
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: line {e.lineno}: not valid JSON ({e.msg})") from e
+
+
+@contextlib.contextmanager
+def atomic_path(path: str):
+    """Yield the temp path to write path's content to: renamed over path when
+    the block ends, removed if it raises. An OSError is a DataError."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException as e:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(e, OSError):
+            raise DataError(f"cannot write {path}: {e.strerror}") from e
+        raise
+
+
+def make_dir(path: str) -> None:
+    """os.makedirs(path, exist_ok=True); an OSError raises DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror}") from e
+
+
+def f8_bytes(text, shape: tuple[int, int], name: str) -> bytes:
+    """The bytes of the rows x cols little-endian float64 array that
+    `seqdata.encode_f8` wrote into `text`, their count checked.
+
+    A rows of -1 takes as many rows as the bytes hold, at least one. A
+    SchemaError begins with `name`.
+    """
+    if not isinstance(text, str):
+        raise SchemaError(f"{name} must be a base64 string, "
+                          f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise SchemaError(f"{name} is not valid base64 ({e})") from e
+    rows, cols = shape
+    if rows < 0:
+        if not raw or len(raw) % (8 * cols):
+            raise SchemaError(f"{name} holds {len(raw)} bytes, not a positive "
+                              f"multiple of {8 * cols} (8 * {cols} columns)")
+    elif len(raw) != 8 * rows * cols:
+        raise SchemaError(f"{name} holds {len(raw)} bytes, not "
+                          f"{8 * rows * cols} (8 * {rows} x {cols})")
+    return raw

@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .seqdata import check_json
+from .fileio import check_json
 
 LN_EPS = 1e-5
 PROB_FLOOR = 1e-12

@@ -16,7 +16,7 @@ adds (`corrupt` adds `corruption_spec`). Each following line is one sample
 object:
 
 - `id`: string, non-empty, not `.` or `..`, without `/`, `\\`, `,`, `"` or
-  control characters (`check_id`);
+  control characters (`fileio.check_id`);
 - `frames`: the T x d feature matrix as one string, the padded standard
   base64 (RFC 4648) of its bytes as little-endian float64, row-major, every
   value finite; d is the grammar's `feature_dim`, so T = decoded bytes / (8 d);
@@ -28,7 +28,11 @@ object:
 Base64 of the raw bytes round-trips every float64 (NaN payloads and -0.0
 included), so a read returns exactly the arrays that were written; a read
 refuses non-finite frames, naming the line. `encode_f8`/`decode_f8` are this
-codec; the CLI's `profiles.json` stores its loss matrices with it too. Files in
+codec; the CLI's `profiles.json` stores its loss matrices with it too. The
+byte level of a read (base64 validity and byte count) is `fileio.f8_bytes`,
+which needs no numpy, so `heatmap` reads the losses without it;
+`decode_f8` views those checked bytes as an array (`f8_array`). The JSON
+reader, shape check, atomic writer and id check live in `fileio` too. Files in
 the retired `csl-seqdata/1` format, which held frames as nested lists of
 decimal numbers, are refused; regenerate them with `cslaudit gen` or write
 them again with `write_dataset`, which writes features of your own too.
@@ -37,14 +41,10 @@ them again with `write_dataset`, which writes features of your own too.
 from __future__ import annotations
 
 import base64
-import contextlib
 import gzip
 import io
 import itertools
 import json
-import os
-import re
-import sys
 import zlib
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
@@ -53,113 +53,11 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, ParseError, SchemaError,
                      SequenceTooShortError)
+from .fileio import atomic_path, check_id, check_json, f8_bytes
 
 FORMAT_TAG = "csl-seqdata/2"
 
 SPLITS = ("train", "val", "test")
-
-_BAD_ID_CHAR = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]')
-
-
-def check_id(vid) -> None:
-    """Raise SchemaError unless `vid` can name a video: the id names its
-    heatmap file and is written unquoted into audit.csv."""
-    if not isinstance(vid, str) or vid in ("", ".", "..") \
-            or _BAD_ID_CHAR.search(vid):
-        raise SchemaError(
-            f"sample id {vid!r} must be a non-empty string other than '.' or "
-            f"'..', without '/', '\\', ',', '\"' or control characters")
-
-
-# type of an example value -> (its JSON kind in words, plural, test of a value).
-# type() refuses bools; the bound refuses NaN, infinities and ints too big for
-# float().
-_KINDS = {
-    int: ("a non-negative integer", "non-negative integers",
-          lambda v: type(v) is int and v >= 0),
-    float: ("a finite number", "finite numbers",
-            lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    str: ("a non-empty string", "non-empty strings",
-          lambda v: type(v) is str and v != ""),
-}
-
-
-def json_kind(example) -> tuple:
-    """_KINDS entry for the kind of example, a list's built from its first
-    item's; a tuple passes for a list."""
-    if type(example) is not list:
-        return _KINDS[type(example)]
-    _, items, test = json_kind(example[0])
-    return (f"a list of {items}", f"lists of {items}",
-            lambda v: type(v) in (list, tuple) and all(map(test, v)))
-
-
-def check_json(value, example, where: str, error: type) -> None:
-    """Raise error naming the field at fault (`where`, then `.key` or `[i]`)
-    unless value has example's shape: every key of an object (others pass),
-    a list of objects like a one-object list's, else example's json_kind."""
-    if type(example) is dict:
-        if type(value) is not dict:
-            raise error(f"{where} must be a JSON object, "
-                        f"got {type(value).__name__}")
-        for k, item in example.items():
-            if k not in value:
-                raise error(f"{where} lacks {k!r}")
-            check_json(value[k], item, f"{where}.{k}", error)
-        return
-    if type(example) is list and type(example[0]) is dict:
-        what = "a list of JSON objects"
-    else:
-        what, _, test = json_kind(example)
-        if test(value):  # a list in one pass; its bad item is sought below
-            return
-    if type(example) is not list or type(value) not in (list, tuple):
-        shown = type(value).__name__ if isinstance(value, (dict, list, tuple)) \
-            else json.dumps(value)
-        raise error(f"{where} must be {what}, not {shown}")
-    for i, item in enumerate(value):
-        check_json(item, example[0], f"{where}[{i}]", error)
-
-
-def read_json(path: str, error: type, missing: str):
-    """The JSON value in the file at path: error(missing) if there is none,
-    error naming path (and line) if it is a directory, not UTF-8 or JSON."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
-    except (FileNotFoundError, NotADirectoryError) as e:
-        raise error(missing) from e
-    except IsADirectoryError as e:
-        raise error(f"{path}: is a directory") from e
-    except UnicodeDecodeError as e:
-        raise error(f"{path}: not UTF-8 text ({e.reason})") from e
-    except json.JSONDecodeError as e:
-        raise error(f"{path}: line {e.lineno}: not valid JSON ({e.msg})") from e
-
-
-@contextlib.contextmanager
-def atomic_path(path: str):
-    """Yield the temp path to write path's content to: renamed over path when
-    the block ends, removed if it raises. An OSError is a DataError."""
-    tmp = path + ".tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(e, OSError):
-            raise DataError(f"cannot write {path}: {e.strerror}") from e
-        raise
-
-
-def make_dir(path: str) -> None:
-    """os.makedirs(path, exist_ok=True); an OSError raises DataError."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e.strerror}") from e
-
 
 @dataclass(frozen=True)
 class PhaseGrammar:
@@ -329,16 +227,24 @@ def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
     return runs
 
 
-def _phase_means(grammar: PhaseGrammar, durations: list[int]) -> np.ndarray:
-    """Per-frame mean vectors for one sequence, with linear boundary blending:
-    the 2 * blend rows around each phase boundary step from the previous
-    phase's mean to the next one's, a later boundary's rows written last."""
+def _phase_rows(grammar: PhaseGrammar) -> tuple[np.ndarray, np.ndarray]:
+    """The grammar's mean vector of each phase in order (C, d), and the
+    2 * blend rows around each phase boundary, which step linearly from the
+    previous phase's mean to the next one's (C-1, 2 * blend, d)."""
     mus = grammar.class_means[list(grammar.phase_order)]
-    means = np.repeat(mus, durations, axis=0)
     b = grammar.boundary_blend
+    w = (np.arange(1, 2 * b + 1) / (2 * b + 1))[:, None]
+    return mus, (1 - w) * mus[:-1, None] + w * mus[1:, None]
+
+
+def _phase_means(mus: np.ndarray, blends: np.ndarray,
+                 durations: list[int]) -> np.ndarray:
+    """Per-frame mean vectors for one sequence from _phase_rows' arrays: each
+    phase's mean repeated over its duration, then each boundary's blend
+    rows, a later boundary's rows written last."""
+    means = np.repeat(mus, durations, axis=0)
+    b = blends.shape[1] // 2
     if b > 0:
-        w = (np.arange(1, 2 * b + 1) / (2 * b + 1))[:, None]
-        blends = (1 - w) * mus[:-1, None] + w * mus[1:, None]  # (C-1, 2b, d)
         for lo, rows in zip(np.cumsum(durations[:-1]) - b, blends):
             means[lo:lo + 2 * b] = rows
     return means
@@ -350,16 +256,18 @@ def generate_dataset(grammar: PhaseGrammar, n_videos: int, split: str,
     if n_videos < 1:
         raise ConfigError("n_videos must be >= 1")
     rng = np.random.default_rng(seed)
+    mus, blends = _phase_rows(grammar)
+    order = np.array(grammar.phase_order, dtype=np.int64)
     samples = []
     for i in range(n_videos):
         durations = [int(rng.integers(grammar.duration_min, grammar.duration_max + 1))
                      for _ in range(grammar.num_classes)]
-        means = _phase_means(grammar, durations)
+        means = _phase_means(mus, blends, durations)
         T = means.shape[0]
         noise = rng.normal(0.0, grammar.feature_noise_sigma, size=means.shape) \
             if grammar.feature_noise_sigma > 0 else 0.0
         frames = means + noise
-        labels = np.repeat(np.array(grammar.phase_order, dtype=np.int64), durations)
+        labels = np.repeat(order, durations)
         samples.append(SequenceSample(
             id=f"{split}-{i:04d}",
             frames=frames,
@@ -468,27 +376,15 @@ def encode_f8(arr: np.ndarray) -> str:
 
 
 def decode_f8(text, shape: tuple[int, int], name: str) -> np.ndarray:
-    """The rows x cols float64 array that encode_f8 wrote into `text`.
+    """The rows x cols float64 array that encode_f8 wrote into `text`, its
+    bytes checked by fileio.f8_bytes (a rows of -1 takes as many rows as the
+    bytes hold). A SchemaError begins with `name`."""
+    return f8_array(f8_bytes(text, shape, name), shape)
 
-    A rows of -1 takes as many rows as the bytes hold, at least one. The
-    array is a writable, C-contiguous copy. A SchemaError begins with `name`.
-    """
-    if not isinstance(text, str):
-        raise SchemaError(f"{name} must be a base64 string, "
-                          f"got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise SchemaError(f"{name} is not valid base64 ({e})") from e
-    rows, cols = shape
-    if rows < 0:
-        if not raw or len(raw) % (8 * cols):
-            raise SchemaError(f"{name} holds {len(raw)} bytes, not a positive "
-                              f"multiple of {8 * cols} (8 * {cols} columns)")
-    elif len(raw) != 8 * rows * cols:
-        raise SchemaError(f"{name} holds {len(raw)} bytes, not "
-                          f"{8 * rows * cols} (8 * {rows} x {cols})")
-    # astype copies, so the array is writable and owns its memory
+
+def f8_array(raw: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """The float64 array of f8_bytes' checked bytes: a writable, C-contiguous
+    copy."""
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 

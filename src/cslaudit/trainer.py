@@ -23,8 +23,8 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, CoverageError, NumericError, StoreError
-from .seqdata import (Dataset, atomic_path, check_json, dataset_fingerprint,
-                      grammar_fingerprint, make_dir, read_json)
+from .fileio import atomic_path, check_json, make_dir, read_json
+from .seqdata import Dataset, dataset_fingerprint, grammar_fingerprint
 
 STORE_FORMAT = "csl-ckpt-store/1"
 MAGIC = b"CSLCKPT1"

@@ -14,6 +14,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cslaudit as ca
 from conftest import set_frame
@@ -271,6 +273,93 @@ class TestHeatmap:
         body = path.read_bytes().split(b"\n", 3)[3]
         assert body == bytes(12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 9), st.data())
+    @example(1, 2, None)  # 127.5 rounds half to even, to 128
+    def test_pixels_equal_numpy_render(self, tmp_path_factory, E, T, data):
+        """The render in Python floats gives numpy's bytes: the same
+        operations on float64, both roundings half to even."""
+        if data is None:
+            losses = np.array([[2.0, 1.0]])
+        else:
+            losses = np.array(data.draw(st.lists(
+                st.floats(0, 1e300), min_size=E * T,
+                max_size=E * T))).reshape(E, T)
+        path = tmp_path_factory.mktemp("pgm") / "h.pgm"
+        cli.write_pgm(losses.tolist(), str(path))
+        peak = losses.max()
+        want = np.round(255.0 * losses / peak).astype(np.uint8) if peak > 0 \
+            else np.zeros((E, T), np.uint8)
+        assert path.read_bytes() == f"P5\n{T} {E}\n255\n".encode() \
+            + want.tobytes()
+
+    def test_loss_beyond_overflow_renders(self, tmp_path):
+        """255 * l overflows above ~7e305, where numpy's cast of the inf to
+        a byte is undefined; write_pgm divides first, so the largest loss
+        is 255."""
+        path = tmp_path / "h.pgm"
+        cli.write_pgm([[2.0 ** 1020, 2.0 ** 1019, 0.0]], str(path))
+        assert path.read_bytes() == b"P5\n3 1\n255\n" + bytes([255, 128, 0])
+
+
+@pytest.mark.parametrize("command", ["eval", "heatmap", "heatmap-video"])
+@pytest.mark.parametrize("value,text,code", [
+    (math.nan, "non-finite loss at epoch {epoch}", 4),
+    (-math.inf, "non-finite loss at epoch {epoch}", 4),
+    (-0.5, "negative loss", 3)])
+def test_bad_loss_value_refused_before_any_write(trained_cfg, tmp_path,
+                                                 capsys, command, value,
+                                                 text, code):
+    """A non-finite or negative loss in any video ends eval and heatmap
+    (--video of another video too) with LossTrajectory's text, naming
+    profiles.json, and no output written."""
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    profiles = os.path.join(cfg["out_dir"], "profiles.json")
+    data = json.loads(open(profiles).read())
+    video = data["videos"][2]
+    losses = decode_losses(video)
+    losses[1, 3] = value
+    losses[2, 0] = -1.0  # a negative loss after the non-finite one
+    video["losses"] = encode_losses(losses)
+    open(profiles, "w").write(json.dumps(data))
+    before = sorted(os.listdir(cfg["out_dir"]))
+    args = [command.split("-")[0], "--config", path]
+    if command == "heatmap-video":
+        args += ["--video", data["videos"][0]["id"]]
+    capsys.readouterr()
+    assert run_cli(*args) == code
+    kind = "numeric" if code == 4 else "data"
+    detail = text.format(epoch=video["epochs"][1])
+    assert capsys.readouterr().err == (
+        f"{kind} error: {profiles}: video {video['id']}: {detail}\n")
+    assert sorted(os.listdir(cfg["out_dir"])) == before
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_heatmap_loss_check_is_loss_trajectorys(E, T, data):
+    """heatmap's check of a video's losses (on the bytes where every value
+    is plainly finite and non-negative, else on floats) raises what
+    LossTrajectory raises, with its text."""
+    special = st.sampled_from([-0.0, 2.0 ** 1009, 2.0 ** 1008, -1e-300,
+                               math.inf, -math.inf, math.nan])
+    values = data.draw(st.lists(st.floats() | special, min_size=E * T,
+                                max_size=E * T))
+    losses = np.array(values, dtype=np.float64).reshape(E, T)
+    epochs = list(range(2, 2 + E))
+    video = {"id": "v", "epochs": epochs, "gt_error": [0] * T,
+             "losses": losses.astype("<f8").tobytes()}
+
+    def outcome(check):
+        try:
+            check()
+        except (ca.errors.DataError, ca.errors.NumericError) as e:
+            return type(e), str(e)
+
+    want = outcome(lambda: ca.LossTrajectory("v", losses, epochs))
+    got = outcome(lambda: cli._check_losses("p", video))
+    assert got == (want and (want[0], f"p: {want[1]}"))
+
 
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(ca.__file__))
@@ -406,15 +495,19 @@ def library_profiles(path):
 @pytest.mark.parametrize("mode", ["percentile", "threshold"])
 def test_profiles_losses_bit_equal_library(trained_cfg, tmp_path, mode):
     path, cfg = audited_copy(trained_cfg, tmp_path, mode=mode, tau=None)
+    text = json.loads(open(os.path.join(cfg["out_dir"],
+                                        "profiles.json")).read())["videos"]
     videos = cli._load_profiles(cfg)["videos"]
     profiles = library_profiles(path)
     assert [v["id"] for v in videos] == [p.video_id for p in profiles]
-    for v, p in zip(videos, profiles):
-        got = v["trajectory"].losses
+    for v, t, p in zip(videos, text, profiles):
+        assert v["losses"] == p.trajectory.losses.astype("<f8").tobytes()
+        got = ca.seqdata.f8_array(v["losses"], p.trajectory.losses.shape)
         assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.flags.writeable
         assert np.array_equal(got.view("<u8"),
                               p.trajectory.losses.view("<u8"))
-        assert np.array_equal(decode_losses(v), got)
+        assert np.array_equal(decode_losses(t), got)
 
 
 @pytest.mark.parametrize("mode", ["percentile", "threshold"])
@@ -1178,52 +1271,73 @@ def test_duplicate_video_ids_exit_3(trained_cfg, tmp_path, capsys, command):
     assert not any(f.endswith(".pgm") for f in os.listdir(cfg["out_dir"]))
 
 
-# The cslaudit modules each command loads in a fresh interpreter; the rest
-# stay unloaded lazy modules.
-BASE_MODULES = {"cli", "errors", "seqdata"}
+# The cslaudit modules each command line loads in a fresh interpreter, and
+# its exit code; the other modules stay unloaded lazy modules.
+BASE_MODULES = {"cli", "errors", "fileio"}
+DATA_MODULES = BASE_MODULES | {"seqdata"}
 LOADED = {
-    None: BASE_MODULES,  # a bare `import cslaudit.cli`
-    "gen": BASE_MODULES,
-    "corrupt": BASE_MODULES,
-    "train": BASE_MODULES | {"model", "trainer"},
-    "audit": BASE_MODULES | {"csl", "model", "trainer"},
-    "eval": BASE_MODULES | {"csl", "metrics"},
-    "heatmap": BASE_MODULES | {"csl"},
+    "import": ([], 0, BASE_MODULES),  # a bare `import cslaudit.cli`
+    "help": (["--help"], 0, BASE_MODULES),
+    "usage-error": (["gen", "--no-such-flag"], 2, BASE_MODULES),
+    "config-error": (["gen", "--config", "{bad}"], 2, BASE_MODULES),
+    "gen": (["gen"], 0, DATA_MODULES),
+    "corrupt": (["corrupt"], 0, DATA_MODULES),
+    "train": (["train"], 0, DATA_MODULES | {"model", "trainer"}),
+    "audit": (["audit"], 0, DATA_MODULES | {"csl", "model", "trainer"}),
+    "eval": (["eval"], 0, DATA_MODULES | {"csl", "metrics"}),
+    "heatmap": (["heatmap"], 0, BASE_MODULES),
+    "heatmap-video": (["heatmap", "--video", "test-0001"], 0, BASE_MODULES),
 }
-LAZY = {"model", "trainer", "csl", "metrics"}
-# Commands that hash nothing and so load no OpenSSL (gen, corrupt and train
-# load it through numpy.random).
-HASH_FREE = {None, "eval", "heatmap"}
+LAZY = {"seqdata", "model", "trainer", "csl", "metrics"}
+# Command lines that compute nothing, and so load neither numpy nor
+# dataclasses (which imports inspect)
+NUMPY_FREE = {"import", "help", "usage-error", "config-error", "heatmap",
+              "heatmap-video"}
+# Command lines that hash nothing and so load no OpenSSL (gen, corrupt and
+# train load it through numpy.random).
+HASH_FREE = NUMPY_FREE | {"eval"}
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
+    """The cslaudit modules, numpy, numpy.ma, dataclasses and OpenSSL each
+    command line loads. No command loads numpy.ma (np.quantile would)."""
     cfg = base_config(tmp_path / "run")
     cfg["train"]["epochs"] = 3
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"seed": -1}))
     src = os.path.dirname(os.path.dirname(ca.__file__))
-    # Prints {module: still lazy} for every cslaudit submodule and whether
-    # OpenSSL's _hashlib is loaded, last.
+    # Prints, last, {module: still lazy} for every cslaudit submodule and
+    # which of OpenSSL's _hashlib, numpy, numpy.ma and dataclasses loaded.
     probe = ("import importlib.util, json, sys\n"
              "from cslaudit import cli\n"
-             "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "try:\n"
+             "    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+             "except SystemExit as e:  # --help, a usage error\n"
+             "    code = e.code\n"
              "print(json.dumps([{m.split('.')[1]: type(v) is "
              "importlib.util._LazyModule for m, v in sys.modules.items() "
-             "if m.startswith('cslaudit.')}, '_hashlib' in sys.modules]))\n"
+             "if m.startswith('cslaudit.')}, {m: m in sys.modules for m in "
+             "('_hashlib', 'numpy', 'numpy.ma', 'dataclasses')}]))\n"
              "sys.exit(code)\n")
-    for command, loaded in LOADED.items():
-        args = [command, "--config", str(cfg_path)] if command else []
+    seen = {}
+    for name, (args, code, loaded) in LOADED.items():
+        if args and args[0] != "--help" and "--config" not in args:
+            args = args[:1] + ["--config", str(cfg_path)] + args[1:]
+        args = [a.format(bad=bad) for a in args]
         proc = subprocess.run([sys.executable, "-c", probe, *args], text=True,
                               capture_output=True,
                               env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        modules, hashlib_loaded = json.loads(proc.stdout.splitlines()[-1])
-        if command in HASH_FREE:
-            assert not hashlib_loaded, command
-        assert {m for m, lazy in modules.items() if not lazy} == loaded, \
-            command
+        assert proc.returncode == code, (name, proc.stderr)
+        modules, seen[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert {m for m, lazy in modules.items() if not lazy} == loaded, name
         assert {m for m, lazy in modules.items() if lazy} == LAZY - loaded, \
-            command
+            name
+    assert {n for n, s in seen.items() if s["numpy.ma"]} == set()
+    assert {n for n, s in seen.items() if not s["numpy"]} == NUMPY_FREE
+    assert {n for n, s in seen.items() if not s["dataclasses"]} == NUMPY_FREE
+    assert {n for n, s in seen.items() if not s["_hashlib"]} == HASH_FREE
 
 
 def test_console_runs_match_in_process_runs(tmp_path, monkeypatch, capsys):

@@ -285,6 +285,21 @@ class TestCalibration:
         with pytest.raises(DataError):
             ca.calibrate_tau([], 0.95)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.floats(-1e300, 1e300), min_size=1,
+                             max_size=40), min_size=1, max_size=4),
+           st.one_of(st.just(0.95), st.floats(1e-9, 1 - 1e-9)))
+    @example([[0.0, 1.0]], 0.5)  # g == 0.5 takes the upper formula
+    @example([[2.0]], 0.95)
+    def test_equals_numpy_quantile_bit_for_bit(self, pools, q):
+        smoothed = [np.array(p) for p in pools]
+        before = [p.copy() for p in smoothed]
+        want = np.quantile(np.concatenate(smoothed), q)
+        got = ca.calibrate_tau(smoothed, q)
+        assert type(got) is float
+        assert np.float64(got).view("<u8") == want.view("<u8")
+        assert all(np.array_equal(a, b) for a, b in zip(smoothed, before))
+
 
 class TestSegments:
     def test_basic(self):

@@ -360,10 +360,11 @@ def test_unwritable_output_exits_3(pipeline, target, filled):
 
 
 # (command, the output whose write the file-size limit stops): gen rewrites
-# its smaller splits before test.jsonl; audit.csv, larger than profiles.json,
-# is stopped too
+# its smaller splits before test.jsonl; audit writes profiles.json before
+# the larger audit.csv, so a limit between their sizes stops audit.csv alone
+# and the error must name audit.csv
 FULL_DISK = [("gen", "run/test.jsonl"), ("train", "run/store/ckpt_0001.bin"),
-             ("audit", "run/profiles.json")]
+             ("audit", "run/profiles.json"), ("audit", "run/audit.csv")]
 
 
 @pytest.mark.parametrize("command,name", FULL_DISK)

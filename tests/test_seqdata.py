@@ -16,10 +16,10 @@ import cslaudit as ca
 from conftest import set_frame
 from cslaudit.errors import (ConfigError, DataError, ParseError,
                              SchemaError, SequenceTooShortError)
-from cslaudit.seqdata import (FORMAT_TAG, _phase_means, dataset_fingerprint,
-                              decode_f8, encode_f8, grammar_fingerprint,
-                              inject_disordering, inject_mislabeling,
-                              label_runs)
+from cslaudit.seqdata import (FORMAT_TAG, _phase_means, _phase_rows,
+                              dataset_fingerprint, decode_f8, encode_f8,
+                              grammar_fingerprint, inject_disordering,
+                              inject_mislabeling, label_runs)
 
 
 def fixed_grammar(C=2, d=3, dur=5, noise=0.0, blend=0):
@@ -79,7 +79,7 @@ class TestGenerate:
         means = np.random.default_rng(C * 10 + d).normal(size=(C, d))
         g = ca.PhaseGrammar(C, d, means, 0.0, tuple(np.random.default_rng(
             blend).permutation(C)), blend + 1, blend + 9, blend)
-        got = _phase_means(g, durations)
+        got = _phase_means(*_phase_rows(g), durations)
         want = np.empty((sum(durations), d))
         starts = np.cumsum([0] + durations)
         for j, dur in enumerate(durations):
@@ -541,10 +541,10 @@ class TestJsonShape:
             "other": "keys pass"}
 
     def test_good_document_passes(self):
-        ca.seqdata.check_json(self.GOOD, self.SHAPE, "doc", SchemaError)
+        ca.fileio.check_json(self.GOOD, self.SHAPE, "doc", SchemaError)
         # a tuple passes for a list, as asdict() writes one
-        ca.seqdata.check_json({"sizes": (1, 2)}, {"sizes": [0]}, "doc",
-                              SchemaError)
+        ca.fileio.check_json({"sizes": (1, 2)}, {"sizes": [0]}, "doc",
+                             SchemaError)
 
     @pytest.mark.parametrize("edit,text", [
         (lambda d: d.pop("rate"), "doc lacks 'rate'"),
@@ -573,16 +573,16 @@ class TestJsonShape:
         doc = json.loads(json.dumps(self.GOOD))
         edit(doc)
         with pytest.raises(SchemaError) as e:
-            ca.seqdata.check_json(doc, self.SHAPE, "doc", SchemaError)
+            ca.fileio.check_json(doc, self.SHAPE, "doc", SchemaError)
         assert str(e.value) == text
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError, match="^f: config must be a JSON "
                            "object, got list$"):
-            ca.seqdata.check_json([], {}, "f: config", ConfigError)
+            ca.fileio.check_json([], {}, "f: config", ConfigError)
 
     def test_read_json(self, tmp_path):
-        read = ca.seqdata.read_json
+        read = ca.fileio.read_json
         good = tmp_path / "good.json"
         good.write_text('{"a": [1, 2.5]}')
         assert read(str(good), ParseError, "gone") == {"a": [1, 2.5]}
@@ -614,12 +614,12 @@ class TestJsonShape:
 
     def test_atomic_path(self, tmp_path):
         path = tmp_path / "out.txt"
-        with ca.seqdata.atomic_path(str(path)) as tmp:
+        with ca.fileio.atomic_path(str(path)) as tmp:
             assert tmp == f"{path}.tmp"
             open(tmp, "w").write("one")
         assert os.listdir(tmp_path) == ["out.txt"]
         with pytest.raises(KeyError):  # any failure: the target stays
-            with ca.seqdata.atomic_path(str(path)) as tmp:
+            with ca.fileio.atomic_path(str(path)) as tmp:
                 open(tmp, "w").write("two")
                 raise KeyError("x")
         assert os.listdir(tmp_path) == ["out.txt"]
@@ -634,10 +634,10 @@ class TestJsonShape:
             path = str(tmp_path / target)
             with pytest.raises(DataError, match=f"^cannot write "
                                f"{re.escape(path)}: {reason}$"):
-                with ca.seqdata.atomic_path(path) as tmp:
+                with ca.fileio.atomic_path(path) as tmp:
                     open(tmp, "w").write("x")
         with pytest.raises(DataError, match="^cannot write .*file: File "
                            "exists$"):
-            ca.seqdata.make_dir(str(tmp_path / "file"))
+            ca.fileio.make_dir(str(tmp_path / "file"))
         assert sorted(os.listdir(tmp_path)) == ["dir", "file"]
         assert os.listdir(tmp_path / "dir") == []
