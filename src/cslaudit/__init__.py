@@ -5,8 +5,8 @@ then audits sequences by averaging per-frame cross-entropy over all saved
 checkpoints (the cumulative sample loss). Frames that stay hard to fit across
 the whole training run are flagged as likely annotation errors. `seqdata`,
 `model`, `trainer`, `csl` and `metrics` load on first attribute access, so
-each command compiles and runs only the modules it uses; `errors` and
-`fileio` import no numpy, so neither does `import cslaudit`.
+each command compiles and runs only the modules it uses; `errors`, `fileio`
+and `metrics` import no numpy, so neither does `import cslaudit` or `eval`.
 """
 
 import importlib.util
@@ -21,10 +21,10 @@ _PUBLIC = {  # module -> the public names it defines
     "trainer": "CheckpointStore TrainConfig "
                "compute_class_weights load_store train",
     "csl": "CslProfile DetectionConfig LossTrajectory audit_dataset "
-           "calibrate_tau compute_csl eval_loss_trajectory flag_percentile "
-           "flag_threshold frames_to_segments smooth_csl trajectory_curvature",
-    "metrics": "EvalInput MetricsReport auc_bruteforce build_report eda "
-               "micro_auc",
+           "compute_csl eval_loss_trajectory flag_percentile flag_threshold "
+           "smooth_csl trajectory_curvature",
+    "metrics": "EvalInput auc_bruteforce build_report calibrate_tau eda "
+               "frames_to_segments micro_auc",
 }
 _HOME = {n: mod for mod, names in _PUBLIC.items() for n in names.split()}
 __all__ = list(_HOME)

@@ -253,7 +253,7 @@ def cmd_audit(cfg: dict) -> None:
         # calibrate on the (assumed clean) validation split
         val_path = _split_path(cfg, "val")
         val = _audit(store, _read_split(val_path), val_path, det)
-        tau = CSL.calibrate_tau([p.smoothed for p in val])
+        tau = MET.calibrate_tau([p.smoothed for p in val])
         det = build_detection_config(
             dict(cfg, detection=dict(cfg["detection"], tau=tau)))
 
@@ -350,67 +350,51 @@ def _load_profiles(cfg: dict) -> dict:
     return data
 
 
-def cmd_eval(cfg: dict) -> None:
-    profiles = _load_profiles(cfg)
-    path = _path(cfg, "profiles.json")
-    window = profiles["detection"]["window"]  # the audit's, not this config's
-    inputs = []
-    for v in profiles["videos"]:
-        shape = (len(v["epochs"]), len(v["gt_error"]))
-        try:
-            trajectory = CSL.LossTrajectory(
-                v["id"], SD.f8_array(v["losses"], shape), v["epochs"])
-        except (DataError, NumericError) as e:
-            raise type(e)(f"{path}: {e}") from e
-        inputs.append(MET.EvalInput(
-            video_id=v["id"],
-            scores=CSL.smooth_csl(CSL.compute_csl(trajectory), window),
-            gt_mask=v["gt_error"],
-            gt_segments=CSL.frames_to_segments(v["gt_error"])))
-    report = MET.build_report(
-        inputs, k_percent=float(cfg["detection"]["k_percent"]),
-        config={"detection": cfg["detection"], "seed": cfg["seed"]})
-    if report.micro_auc is None:
-        print("warning: micro-AUC undefined (single-class ground truth)",
-              file=sys.stderr)
-    if report.eda is None:
-        print("warning: EDA undefined (no ground-truth erroneous segments)",
-              file=sys.stderr)
-    out = _path(cfg, "report.json")
-    with FIO.atomic_path(out) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, sort_keys=True, indent=1)
-        f.write("\n")
-    auc_s = "n/a" if report.micro_auc is None else f"{report.micro_auc:.4f}"
-    eda_s = "n/a" if report.eda is None else f"{report.eda:.4f}"
-    print(f"micro-AUC {auc_s}, EDA@{report.k_percent:g}% {eda_s} -> {out}")
-
-
-def _loss_rows(video: dict) -> list[tuple[float, ...]]:
-    """The E x T loss matrix of a video _load_profiles returned, as E rows
-    of Python floats."""
-    row = struct.Struct(f"<{len(video['gt_error'])}d")
-    return [row.unpack_from(video["losses"], e * row.size)
-            for e in range(len(video["epochs"]))]
-
-
 # The last byte of a little-endian float64 holds its sign bit and the top 7
 # bits of its exponent: below 0x7f, the value is finite and non-negative.
 _PLAIN_TOP_BYTES = bytes(range(0x7f))
 
 
-def _check_losses(path: str, video: dict) -> None:
-    """LossTrajectory's checks of a video's losses, with its texts, without
-    numpy: a non-finite loss raises NumericError naming the first epoch that
-    holds one, else a negative loss DataError."""
-    if not video["losses"][7::8].translate(None, _PLAIN_TOP_BYTES):
-        return  # every top byte below 0x7f
-    rows = _loss_rows(video)
-    for epoch, row in zip(video["epochs"], rows):
-        if not all(map(math.isfinite, row)):
-            raise NumericError(f"{path}: video {video['id']}: non-finite "
-                               f"loss at epoch {epoch}")
-    if min(map(min, rows)) < 0:
-        raise DataError(f"{path}: video {video['id']}: negative loss")
+def _loss_rows(path: str, video: dict) -> list[tuple[float, ...]]:
+    """The E x T loss matrix of a video _load_profiles returned, as E rows of
+    floats, checked as LossTrajectory checks it, with its error texts."""
+    row = struct.Struct(f"<{len(video['gt_error'])}d")
+    rows = [row.unpack_from(video["losses"], e * row.size)
+            for e in range(len(video["epochs"]))]
+    if video["losses"][7::8].translate(None, _PLAIN_TOP_BYTES):
+        for epoch, values in zip(video["epochs"], rows):
+            if not all(map(math.isfinite, values)):
+                raise NumericError(f"{path}: video {video['id']}: non-finite "
+                                   f"loss at epoch {epoch}")
+        if min(map(min, rows)) < 0:
+            raise DataError(f"{path}: video {video['id']}: negative loss")
+    return rows
+
+
+def cmd_eval(cfg: dict) -> None:
+    profiles = _load_profiles(cfg)
+    path = _path(cfg, "profiles.json")
+    window = profiles["detection"]["window"]  # the audit's, not this config's
+    inputs = [MET.EvalInput(v["id"], MET.smooth(MET.mean_over_epochs(
+                  _loss_rows(path, v)), window), v["gt_error"])
+              for v in profiles["videos"]]
+    report = MET.build_report(
+        inputs, k_percent=float(cfg["detection"]["k_percent"]),
+        config={"detection": cfg["detection"], "seed": cfg["seed"]})
+    auc, eda = report["micro_auc"], report["eda"]
+    if auc is None:
+        print("warning: micro-AUC undefined (single-class ground truth)",
+              file=sys.stderr)
+    if eda is None:
+        print("warning: EDA undefined (no ground-truth erroneous segments)",
+              file=sys.stderr)
+    out = _path(cfg, "report.json")
+    with FIO.atomic_path(out) as tmp, open(tmp, "w", encoding="utf-8") as f:
+        json.dump(report, f, sort_keys=True, indent=1)
+        f.write("\n")
+    auc_s = "n/a" if auc is None else f"{auc:.4f}"
+    eda_s = "n/a" if eda is None else f"{eda:.4f}"
+    print(f"micro-AUC {auc_s}, EDA@{report['k_percent']:g}% {eda_s} -> {out}")
 
 
 def write_pgm(losses, path: str) -> None:
@@ -433,14 +417,13 @@ def write_pgm(losses, path: str) -> None:
 def cmd_heatmap(cfg: dict, video: str | None) -> None:
     profiles = _load_profiles(cfg)
     path = _path(cfg, "profiles.json")
-    for v in profiles["videos"]:  # every video is checked before any write
-        _check_losses(path, v)
-    by_id = {v["id"]: v for v in profiles["videos"]}
-    if video is not None and video not in by_id:
+    # every video is checked before any write
+    rows = {v["id"]: _loss_rows(path, v) for v in profiles["videos"]}
+    if video is not None and video not in rows:
         raise DataError(f"unknown video id {video!r}")
-    for vid in by_id if video is None else [video]:
+    for vid in rows if video is None else [video]:
         out = _path(cfg, f"heatmap_{vid}.pgm")
-        write_pgm(_loss_rows(by_id[vid]), out)
+        write_pgm(rows[vid], out)
         print(f"wrote {out}")
 
 

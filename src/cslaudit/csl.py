@@ -7,20 +7,24 @@ the per-frame CSL, smooth with a truncated moving window, and flag frames
 either above a threshold (strict >) or in the per-video top-k% of smoothed
 CSL. The store holds the checkpoints stacked along a leading axis; they are
 replayed a chunk at a time, one stacked forward pass per chunk, in their own
-dtype (float32 for a loaded store). The losses are float64 throughout.
+dtype (float32 for a loaded store). The losses are float64 throughout. The
+CSL, smoothing, flags and segments are `metrics`' numpy-free core, which
+`eval` runs too; the array functions here convert around it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import metrics as MET
 from . import model as M
 from .errors import ConfigError, DataError, FingerprintError, NumericError
-from .seqdata import Dataset, SequenceSample, grammar_fingerprint, label_runs
+# calibrate_tau too: bench/tracing.py times it under its csl name
+from .metrics import calibrate_tau, frames_to_segments  # noqa: F401
+from .seqdata import Dataset, SequenceSample, grammar_fingerprint
 if TYPE_CHECKING:  # annotations only: eval and heatmap never load trainer
     from .trainer import CheckpointStore
 
@@ -97,7 +101,7 @@ def _chunk_epochs(T: int, E: int) -> int:
 
 
 # an overflow in the float32 replay ends as a non-finite loss, which
-# LossTrajectory reports
+# LossTrajectory reports and eval_loss_trajectory names as an overflow
 @np.errstate(over="ignore", invalid="ignore")
 def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                          cfg: DetectionConfig, *,
@@ -127,9 +131,6 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     epochs = store.epochs
     T = sample.num_frames
     step = _chunk_epochs(T, len(epochs))
-    # Rows in C order: compute_csl's mean over epochs sums in memory order
-    # (a T-major matrix would be summed pairwise), so the layout fixes its
-    # last bit.
     losses = np.empty((len(epochs), T))
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
@@ -140,73 +141,36 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
             raise NumericError(f"video {sample.id}: {e}") from e
         losses[lo:lo + step] = M.per_frame_losses(trace.probs, sample.labels,
                                                   alpha)
-    return LossTrajectory(video_id=sample.id, losses=losses, epochs=epochs)
+    try:
+        return LossTrajectory(video_id=sample.id, losses=losses, epochs=epochs)
+    except NumericError as e:
+        tensors = store.params.tensors.values()
+        if not all(np.isfinite(v).all() for v in tensors):
+            raise  # the weights themselves (load_store refuses such a store)
+        raise NumericError(f"{e}: the {next(iter(tensors)).dtype} replay "
+                           f"overflowed; the weights are finite") from e
 
 
 def compute_csl(traj: LossTrajectory) -> np.ndarray:
     """Columnwise mean over epochs."""
-    return np.add.reduce(traj.losses, axis=0) / traj.losses.shape[0]
+    return np.array(MET.mean_over_epochs(traj.losses.tolist()))
 
 
 def smooth_csl(csl: np.ndarray, w: int) -> np.ndarray:
-    """Moving average with radius w; windows truncate at sequence edges and
-    divide by the actual in-range count."""
-    if w < 0:
-        raise ConfigError("window radius must be >= 0")
-    csl = np.asarray(csl, dtype=np.float64)
-    if w == 0:
-        return csl.copy()
-    # Slice "full" to T: mode="same" gives max(T, 2w+1) values.
-    T = len(csl)
-    ones = np.empty(2 * w + 1)
-    ones.fill(1.0)
-    sums = np.convolve(csl, ones, mode="full")[w:w + T]
-    # Frames in range of window t, min(t + w, T - 1) - max(t - w, 0) + 1:
-    # min(t, w) before t and min(T - 1 - t, w) after it, exact in float64.
-    before = np.minimum(np.arange(T, dtype=np.float64), w)
-    return sums / (before + before[::-1] + 1.0)
+    """metrics.smooth, as an array."""
+    return np.array(MET.smooth(np.asarray(csl, dtype=np.float64).tolist(), w))
 
 
 def flag_threshold(smoothed: np.ndarray, tau: float) -> np.ndarray:
-    if not np.isfinite(tau):
-        raise ConfigError("tau must be finite")
-    return (np.asarray(smoothed) > tau).astype(np.int8)
+    """metrics.flags_above, as an int8 array."""
+    return np.array(MET.flags_above(np.asarray(smoothed).tolist(), tau),
+                    dtype=np.int8)
 
 
 def flag_percentile(smoothed: np.ndarray, k_percent: float) -> np.ndarray:
-    """Flag the ceil(k/100 * T) highest values; ties broken by lower index."""
-    if not 0 < k_percent <= 100:
-        raise ConfigError("k_percent must lie in (0, 100]")
-    smoothed = np.asarray(smoothed)
-    T = len(smoothed)
-    m = int(np.ceil(k_percent / 100.0 * T))
-    order = (-smoothed).argsort(kind="stable")
-    flags = np.zeros(T, dtype=np.int8)
-    flags[order[:m]] = 1
-    return flags
-
-
-def calibrate_tau(smoothed: list[np.ndarray], q: float = 0.95) -> float:
-    """Empirical q-quantile (linear interpolation) of smoothed CSL over all
-    validation frames together. Assumes the validation set is clean."""
-    if not 0 < q < 1:
-        raise ConfigError("quantile must lie in (0, 1)")
-    pool = np.concatenate(smoothed) if smoothed else np.array([])
-    if pool.size == 0:
-        raise DataError("cannot calibrate tau from an empty validation pool")
-    # np.quantile's default "linear" method, step for step, so the result is
-    # its bits; np.quantile itself imports numpy.ma on its first call.
-    pool.sort()
-    v = (pool.size - 1) * q
-    lo = math.floor(v)
-    g = v - lo
-    a, b = pool[lo].item(), pool[min(lo + 1, pool.size - 1)].item()
-    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
-
-
-def frames_to_segments(flags: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of 1s as half-open intervals."""
-    return [(start, end) for value, start, end in label_runs(flags) if value]
+    """metrics.flags_top, as an int8 array."""
+    return np.array(MET.flags_top(np.asarray(smoothed).tolist(), k_percent),
+                    dtype=np.int8)
 
 
 def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
@@ -221,15 +185,12 @@ def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
 
 def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
     """CSL -> smoothing -> flagging -> segments of one trajectory."""
-    csl = compute_csl(traj)
-    smoothed = smooth_csl(csl, cfg.window)
-    if cfg.mode == THRESHOLD:
-        flags = flag_threshold(smoothed, cfg.tau)
-    else:
-        flags = flag_percentile(smoothed, cfg.k_percent)
-    return CslProfile(video_id=traj.video_id, trajectory=traj, csl=csl,
-                      smoothed=smoothed, flags=flags,
-                      segments=frames_to_segments(flags))
+    csl = MET.mean_over_epochs(traj.losses.tolist())
+    smoothed = MET.smooth(csl, cfg.window)
+    flags = MET.flags_above(smoothed, cfg.tau) if cfg.mode == THRESHOLD \
+        else MET.flags_top(smoothed, cfg.k_percent)
+    return CslProfile(traj.video_id, traj, np.array(csl), np.array(smoothed),
+                      np.array(flags, np.int8), frames_to_segments(flags))
 
 
 def audit_dataset(store: CheckpointStore, ds: Dataset,

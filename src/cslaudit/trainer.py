@@ -164,6 +164,8 @@ class CheckpointStore:
         return len(self.manifest["epochs"])
 
 
+# an overflow ends as a NumericError, which numpy's warnings would only repeat
+@np.errstate(over="ignore", invalid="ignore")
 def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
           store_path: str, *, on_epoch=None) -> CheckpointStore:
     """Train for E epochs, one sequence per optimizer step, snapshotting every
@@ -228,12 +230,18 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
             adamw_step(state, step, cfg_train,
                        context=f"(epoch {epoch}, step {step})")
             losses.append(loss)
+        snapshot = encode_snapshot(params)
+        try:  # load_store's check, before any write: earlier epochs stay
+            decode_snapshot(snapshot, M.param_shapes(cfg_model))
+        except NumericError as e:  # a value beyond float32 range
+            raise NumericError(f"epoch {epoch}: {e} in float32; its snapshot "
+                               f"is not written") from e
         mean_loss = float(np.mean(losses))
         manifest["epochs"].append(epoch)
         manifest["epoch_losses"].append(mean_loss)
         with atomic_path(_snapshot_path(store_path, epoch)) as tmp, \
                 open(tmp, "wb") as f:
-            f.write(encode_snapshot(params))
+            f.write(snapshot)
         with atomic_path(os.path.join(store_path, "manifest.json")) as tmp, \
                 open(tmp, "w", encoding="utf-8") as f:
             json.dump(manifest, f, sort_keys=True, indent=1)
@@ -282,6 +290,8 @@ def decode_snapshot(blob: bytes, shapes: dict) -> M.ModelParams:
         if off > end:
             raise StoreError("truncated snapshot")
         tensors[name] = np.frombuffer(blob, "<f4", n, off - 4 * n).reshape(shape)
+        if not np.logical_and.reduce(np.isfinite(tensors[name]), axis=None):
+            raise NumericError(f"tensor {name} holds a non-finite value")
     if off != end:
         raise StoreError(f"{end - off} bytes after the last tensor")
     return M.ModelParams(tensors)
@@ -329,5 +339,7 @@ def load_store(path: str) -> CheckpointStore:
                              f"read {snap_path} ({e.strerror})") from e
         except StoreError as e:
             raise StoreError(f"{snap_path}: {e}") from e
+        except NumericError as e:
+            raise NumericError(f"{snap_path}: epoch {epoch}: {e}") from e
     return CheckpointStore(manifest, M.ModelParams(
         {k: np.stack([t[k] for t in decoded]) for k in shapes}))

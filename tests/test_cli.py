@@ -357,7 +357,7 @@ def test_heatmap_loss_check_is_loss_trajectorys(E, T, data):
             return type(e), str(e)
 
     want = outcome(lambda: ca.LossTrajectory("v", losses, epochs))
-    got = outcome(lambda: cli._check_losses("p", video))
+    got = outcome(lambda: cli._loss_rows("p", video))
     assert got == (want and (want[0], f"p: {want[1]}"))
 
 
@@ -1283,19 +1283,20 @@ LOADED = {
     "gen": (["gen"], 0, DATA_MODULES),
     "corrupt": (["corrupt"], 0, DATA_MODULES),
     "train": (["train"], 0, DATA_MODULES | {"model", "trainer"}),
-    "audit": (["audit"], 0, DATA_MODULES | {"csl", "model", "trainer"}),
-    "eval": (["eval"], 0, DATA_MODULES | {"csl", "metrics"}),
+    "audit": (["audit"], 0,
+              DATA_MODULES | {"csl", "metrics", "model", "trainer"}),
+    "eval": (["eval"], 0, BASE_MODULES | {"metrics"}),
     "heatmap": (["heatmap"], 0, BASE_MODULES),
     "heatmap-video": (["heatmap", "--video", "test-0001"], 0, BASE_MODULES),
 }
 LAZY = {"seqdata", "model", "trainer", "csl", "metrics"}
-# Command lines that compute nothing, and so load neither numpy nor
-# dataclasses (which imports inspect)
-NUMPY_FREE = {"import", "help", "usage-error", "config-error", "heatmap",
-              "heatmap-video"}
+# Command lines that compute nothing numpy computes (eval scores in plain
+# Python), and so load neither numpy nor dataclasses (which imports inspect)
+NUMPY_FREE = {"import", "help", "usage-error", "config-error", "eval",
+              "heatmap", "heatmap-video"}
 # Command lines that hash nothing and so load no OpenSSL (gen, corrupt and
 # train load it through numpy.random).
-HASH_FREE = NUMPY_FREE | {"eval"}
+HASH_FREE = NUMPY_FREE
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
@@ -1368,6 +1369,41 @@ def test_console_runs_match_in_process_runs(tmp_path, monkeypatch, capsys):
         return {p.relative_to(root): p.read_bytes()
                 for p in root.rglob("*") if p.is_file()}
     assert tree(tmp_path / "console") == tree(tmp_path / "lib") != {}
+
+
+@pytest.mark.parametrize("field,value,err", [
+    ("weight_decay", 1e10, "numeric error: epoch 2: tensor enc.W holds a "
+     "non-finite value in float32; its snapshot is not written\n"),
+    ("learning_rate", 1e6, "numeric error: non-finite loss at epoch 3, "
+     "step 12\n")], ids=["weight-decay", "learning-rate"])
+def test_training_overflow_is_one_stderr_line(tmp_path, monkeypatch, capsys,
+                                              field, value, err):
+    """Training that overflows ends in exit 4 and one stderr line, without
+    numpy's warnings: with a huge weight decay, epoch 2's parameters leave
+    float32 range, and train refuses that snapshot before writing it. The
+    epoch 1 snapshot stays, finite, but its float32 replay overflows, and
+    audit says so."""
+    from test_fuzz import CONFIG
+    cfg = dict(CONFIG, train=dict(CONFIG["train"], **{field: value}))
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path)
+    for stage in ("gen", "corrupt"):
+        assert run_cli(stage, "--config", "config.json") == 0
+    src = os.path.dirname(os.path.dirname(ca.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cslaudit.cli", "train", "--config",
+         "config.json"], text=True, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (4, err)
+    stored = sorted(os.listdir(tmp_path / "run" / "store"))
+    assert stored[0] == "ckpt_0001.bin" and "ckpt_0003.bin" not in stored
+    if field == "weight_decay":
+        assert stored == ["ckpt_0001.bin", "manifest.json"]
+    capsys.readouterr()
+    assert run_cli("audit", "--config", "config.json") == 4
+    assert capsys.readouterr().err.endswith(
+        "non-finite loss at epoch 1: the float32 replay overflowed; the "
+        "weights are finite\n")
 
 
 @pytest.mark.parametrize("command", ["heatmap", "train"])
@@ -1479,7 +1515,7 @@ def test_console_script_is_console_main():
 
 
 # The package's public names before its submodules loaded lazily, less the
-# deleted audit_sequence, ClassWeights and save_store.
+# deleted audit_sequence, ClassWeights, save_store and MetricsReport.
 PUBLIC = {
     "CorruptionSpec", "Dataset", "PhaseGrammar", "SequenceSample",
     "corrupt_dataset", "generate_dataset", "read_dataset", "write_dataset",
@@ -1490,7 +1526,7 @@ PUBLIC = {
     "calibrate_tau", "compute_csl", "eval_loss_trajectory", "flag_percentile",
     "flag_threshold", "frames_to_segments", "smooth_csl",
     "trajectory_curvature",
-    "EvalInput", "MetricsReport", "auc_bruteforce", "build_report", "eda",
+    "EvalInput", "auc_bruteforce", "build_report", "eda",
     "micro_auc",
 }
 

@@ -158,6 +158,27 @@ class TestCsl:
                           for t in range(100)])
         assert np.abs(csl - brute).max() < 1e-12
 
+    @pytest.mark.parametrize("E", [1, 2, 7, 8, 9, 50])
+    def test_sums_epoch_rows_in_order(self, E):
+        """The CSL adds the epoch rows in order, starting from 0.0: numpy's
+        add.reduce over epochs bit for bit wherever T >= 2, where numpy too
+        adds row after row. A lone frame's column numpy sums pairwise; the
+        CSL keeps the epoch order there as well."""
+        rng = np.random.default_rng(E)
+        for T in (1, 2, 3, 9, 70):
+            losses = rng.uniform(0, 5, (E, T)) * rng.choice([1e-6, 1.0, 1e6],
+                                                            (E, T))
+            losses[rng.random((E, T)) < 0.2] = -0.0
+            got = ca.compute_csl(self.traj(losses))
+            ordered = np.zeros(T)
+            for row in losses:
+                ordered += row
+            assert got.tobytes() == (ordered / E).tobytes()
+            if T >= 2:
+                assert got.tobytes() == (np.add.reduce(losses, 0) / E).tobytes()
+        assert ca.compute_csl(self.traj(np.full((E, 3), -0.0))).tobytes() \
+            == np.zeros(3).tobytes()
+
 
 class TestTrajectoryErrors:
     """Faults in the losses are data or numeric faults, not config ones."""
@@ -209,14 +230,57 @@ class TestSmoothing:
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=80),
            st.integers(1, 90))
     @example([1.0, 2.0], 5)  # w >= T: every window holds the whole sequence
+    @example([0.5] * 20, 8)  # the smallest window past the exact pin
     def test_counts_equal_the_convolution(self, values, w):
-        """The in-range counts come from their closed form, bit for bit the
-        convolution of ones that they once were, w >= T included."""
+        """Each window's sum is the term-by-term sum of the oracle, bit for
+        bit, and its count comes from the closed form. Up to w = 7 (15 terms)
+        that is np.convolve's sum and count of ones exactly; from w = 8 on,
+        np.convolve sums in the order of the BLAS kernel the CPU picks, and
+        the two agree within 1e-14 relative."""
         x = np.array(values)
+        got = ca.smooth_csl(x, w)
+        assert got.tobytes() == np.array(window_oracle(values, w)).tobytes()
         T, kernel = len(x), np.ones(2 * w + 1)
         sums = np.convolve(x, kernel, mode="full")[w:w + T]
         counts = np.convolve(np.ones_like(x), kernel, mode="full")[w:w + T]
-        assert ca.smooth_csl(x, w).tobytes() == (sums / counts).tobytes()
+        if w <= 7:
+            assert got.tobytes() == (sums / counts).tobytes()
+        else:
+            assert np.all(np.abs(got - sums / counts)
+                          <= 1e-14 * np.abs(sums / counts))
+
+    @pytest.mark.parametrize("w", range(1, 8))
+    def test_equals_the_convolution_bit_for_bit(self, w):
+        """Exact pins against np.convolve for every T from 1 to past 2w+1
+        (below 2w+1 np.convolve swaps its operands and sums in descending
+        order), with -0.0 losses (-log 1.0) in the mix and all-(-0.0) runs:
+        a window of -0.0s smooths to 0.0, as np.convolve's sums from 0.0."""
+        rng = np.random.default_rng(w)
+        for T in range(1, 2 * w + 4):
+            for _ in range(20):
+                x = rng.uniform(0, 5, T) * rng.choice([1e-6, 1.0, 1e6], T)
+                x[rng.random(T) < 0.3] = -0.0
+                want = np.convolve(x, np.ones(2 * w + 1), mode="full")[w:w + T]
+                before = np.minimum(np.arange(T, dtype=np.float64), w)
+                want /= before + before[::-1] + 1.0
+                assert ca.smooth_csl(x, w).tobytes() == want.tobytes(), T
+            zeros = np.full(T, -0.0)
+            assert ca.smooth_csl(zeros, w).tobytes() == np.zeros(T).tobytes()
+
+
+def window_oracle(values, w):
+    """Each truncated window summed term by term from 0.0, skipping
+    out-of-range frames: ascending, or descending when T < 2w+1."""
+    T, out = len(values), []
+    for t in range(T):
+        terms = [values[j] for j in range(t - w, t + w + 1) if 0 <= j < T]
+        if T < 2 * w + 1:
+            terms.reverse()
+        total = 0.0
+        for v in terms:
+            total += v
+        out.append(total / len(terms))
+    return out
 
 
 class TestFlagging:
@@ -291,6 +355,7 @@ class TestCalibration:
            st.one_of(st.just(0.95), st.floats(1e-9, 1 - 1e-9)))
     @example([[0.0, 1.0]], 0.5)  # g == 0.5 takes the upper formula
     @example([[2.0]], 0.95)
+    @example([[-0.0]], 0.95)  # one value: numpy takes it as is, sign and all
     def test_equals_numpy_quantile_bit_for_bit(self, pools, q):
         smoothed = [np.array(p) for p in pools]
         before = [p.copy() for p in smoothed]
@@ -588,12 +653,12 @@ def test_workspace_sized_before_replay(monkeypatch, mode, chunk_rows):
 @pytest.mark.parametrize("mode,det", [
     ("context_free", DET),
     ("attention", replace(DET, mode="threshold", tau=1.0))])
-def test_audited_video_enters_numpy_python_code_only_to_convolve(
+def test_audited_video_enters_numpy_python_code_only_through_errstate(
         trained, tmp_path, mode, det):
     """Auditing one video calls numpy's ufuncs and ufunc methods directly:
     after a warm-up it enters no function defined in numpy's Python files
-    but the errstate wrapper of eval_loss_trajectory and smooth_csl's
-    np.convolve (with its dispatcher)."""
+    but the errstate wrapper of eval_loss_trajectory. The CSL, smoothing and
+    flags are the metrics core's, in plain Python."""
     _, ds = trained
     cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
                          head_dims=(6, 5), temporal_mode=mode, attention_dim=4)
@@ -615,4 +680,4 @@ def test_audited_video_enters_numpy_python_code_only_to_convolve(
         audit(ds.samples[0])
     finally:
         sys.setprofile(None)
-    assert entered == ["inner", "_convolve_dispatcher", "convolve"]
+    assert entered == ["inner"]

@@ -435,6 +435,49 @@ class TestStoreIO:
                 assert np.array_equal(store.params.tensors[k][i], v)
                 assert not v.flags.writeable  # a view of the file's bytes
 
+    def test_non_finite_snapshot_refused_naming_it(self, small_dataset,
+                                                   tiny_model_cfg, train_cfg,
+                                                   tmp_path):
+        """A snapshot holding a non-finite float32 value is a numeric fault
+        of the store: load_store names the file, its epoch and the tensor."""
+        store = ca.train(small_dataset, tiny_model_cfg, train_cfg,
+                         str(tmp_path))
+        params = M.ModelParams({k: v[1].copy()
+                                for k, v in store.params.tensors.items()})
+        params.tensors["head.W3"][0, 0] = np.inf
+        path = TR._snapshot_path(str(tmp_path), 2)
+        with open(path, "wb") as f:
+            f.write(TR.encode_snapshot(params))
+        with pytest.raises(NumericError, match=re.escape(
+                f"{path}: epoch 2: tensor head.W3 holds a non-finite value")):
+            ca.load_store(str(tmp_path))
+
+    def test_snapshot_beyond_float32_not_written(self, small_dataset,
+                                                 tiny_model_cfg, tmp_path,
+                                                 monkeypatch):
+        """An epoch whose parameters overflow float32 ends training with a
+        NumericError naming the epoch and the tensor before its snapshot is
+        written; the epochs before it stay stored and load."""
+        encode = TR.encode_snapshot
+        calls = []
+
+        def overflowing(params):  # epoch 2's parameters grow past float32
+            calls.append(1)
+            if len(calls) == 2:
+                params = M.ModelParams(dict(params.tensors))
+                params.tensors["enc.W"] = params.tensors["enc.W"] * 1e300
+            return encode(params)
+
+        monkeypatch.setattr(TR, "encode_snapshot", overflowing)
+        with pytest.raises(NumericError, match="^epoch 2: tensor enc.W holds "
+                           "a non-finite value in float32; its snapshot is "
+                           "not written$"):
+            ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=3),
+                     str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["ckpt_0001.bin",
+                                                "manifest.json"]
+        assert ca.load_store(str(tmp_path)).epochs == [1]
+
     def test_snapshot_encoding_round_trip(self, tiny_model_cfg):
         params = ca.init_params(tiny_model_cfg)
         blob = TR.encode_snapshot(params)
