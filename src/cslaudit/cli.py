@@ -343,16 +343,11 @@ def _load_profiles(cfg: dict) -> dict:
             raise SchemaError(f"{where}.id repeats videos[{first[vid]}].id")
         if not epochs:
             raise SchemaError(f"{where}.epochs is empty")
-        if any(g > 1 for g in gt):
+        if not FIO.ints_within(gt, 0, 2):
             raise SchemaError(f"{where}.gt_error must hold 0s and 1s only")
         v["losses"] = FIO.f8_bytes(v["losses"], (len(epochs), len(gt)),
                                    f"{where}.losses")
     return data
-
-
-# The last byte of a little-endian float64 holds its sign bit and the top 7
-# bits of its exponent: below 0x7f, the value is finite and non-negative.
-_PLAIN_TOP_BYTES = bytes(range(0x7f))
 
 
 def _loss_rows(path: str, video: dict) -> list[tuple[float, ...]]:
@@ -361,7 +356,7 @@ def _loss_rows(path: str, video: dict) -> list[tuple[float, ...]]:
     row = struct.Struct(f"<{len(video['gt_error'])}d")
     rows = [row.unpack_from(video["losses"], e * row.size)
             for e in range(len(video["epochs"]))]
-    if video["losses"][7::8].translate(None, _PLAIN_TOP_BYTES):
+    if video["losses"][7::8].translate(None, FIO.PLAIN_TOP_BYTES):
         for epoch, values in zip(video["epochs"], rows):
             if not all(map(math.isfinite, values)):
                 raise NumericError(f"{path}: video {video['id']}: non-finite "

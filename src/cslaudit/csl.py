@@ -136,10 +136,10 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in store.params.tensors.items()})
         try:
-            trace = M.forward(chunk, model_cfg, sample.frames, ws=ws)
+            probs, _ = M.forward(chunk, model_cfg, sample.frames, ws=ws)
         except NumericError as e:
             raise NumericError(f"video {sample.id}: {e}") from e
-        losses[lo:lo + step] = M.per_frame_losses(trace.probs, sample.labels,
+        losses[lo:lo + step] = M.per_frame_losses(probs, sample.labels,
                                                   alpha)
     try:
         return LossTrajectory(video_id=sample.id, losses=losses, epochs=epochs)

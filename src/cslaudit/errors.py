@@ -13,10 +13,6 @@ class ConfigError(AuditToolError):
     """Invalid configuration: bad grammar, out-of-range fractions, bad dims."""
 
 
-class CoverageError(ConfigError):
-    """A class required by the training set never appears in the labels."""
-
-
 class DataError(AuditToolError):
     """Malformed or inconsistent data files / inputs."""
 
@@ -41,10 +37,6 @@ class StoreError(DataError):
 
 class FingerprintError(DataError):
     """Checkpoint store and audited dataset do not belong together."""
-
-
-class SequenceTooShortError(DataError):
-    """Sequence too short (or too few label runs) for the requested corruption."""
 
 
 class MetricUndefinedError(DataError):

@@ -1,10 +1,10 @@
 """The file helpers every command runs before it computes: reading and
 shape-checking JSON documents, atomic writes, video ids, and the byte level
-of the float64 base64 codec (`seqdata.encode_f8`/`decode_f8`).
+of the float64 base64 codec (`seqdata.encode_f8`/`f8_array`).
 
 This module imports no numpy, so `import cslaudit` and the commands that
-only read and write documents (`heatmap`, `--help`, a config error) run
-without it.
+only read and write documents (`corrupt`, `heatmap`, `--help`, a config
+error) run without it.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
+import math
 import os
 import re
+import struct
 import sys
 
 from .errors import DataError, SchemaError
@@ -44,12 +46,22 @@ _KINDS = {
 }
 
 
+def ints_within(v, lo, hi) -> bool:
+    """Whether v is a list (or tuple) of ints i with lo <= i < hi, tested in
+    C, with no Python function call per item; type() refuses bools."""
+    return type(v) in (list, tuple) and set(map(type, v)) <= {int} \
+        and (not v or lo <= min(v) and max(v) < hi)
+
+
 def json_kind(example) -> tuple:
     """_KINDS entry for the kind of example, a list's built from its first
     item's; a tuple passes for a list."""
     if type(example) is not list:
         return _KINDS[type(example)]
     _, items, test = json_kind(example[0])
+    if type(example[0]) is int:  # epochs and 0/1 masks: long lists
+        return (f"a list of {items}", f"lists of {items}",
+                lambda v: ints_within(v, 0, math.inf))
     return (f"a list of {items}", f"lists of {items}",
             lambda v: type(v) in (list, tuple) and all(map(test, v)))
 
@@ -144,3 +156,17 @@ def f8_bytes(text, shape: tuple[int, int], name: str) -> bytes:
         raise SchemaError(f"{name} holds {len(raw)} bytes, not "
                           f"{8 * rows * cols} (8 * {rows} x {cols})")
     return raw
+
+
+# The last byte of a little-endian float64 holds its sign bit and the top 7
+# bits of its exponent: below 0x7f, the value is finite and non-negative;
+# unless it is 0x7f or 0xff, it is finite.
+PLAIN_TOP_BYTES = bytes(range(0x7f))
+_FINITE_TOP_BYTES = PLAIN_TOP_BYTES + bytes(range(0x80, 0xff))
+
+
+def f8_finite(raw: bytes) -> bool:
+    """Whether every little-endian float64 in raw is finite; values near the
+    top of the range (top byte 0x7f or 0xff) are unpacked to tell."""
+    return not raw[7::8].translate(None, _FINITE_TOP_BYTES) or all(map(
+        math.isfinite, struct.unpack(f"<{len(raw) // 8}d", raw)))

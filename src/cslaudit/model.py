@@ -28,7 +28,7 @@ and the audit replays the float32 checkpoints in float32.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -183,7 +183,7 @@ class Workspace:
     buffers, `A` and `dA`, and a (min(T, _ROW_BLOCK), T) scratch.
 
     Ownership: a workspace belongs to one caller, and the arrays a call
-    returns (`ForwardTrace.probs` and `.cache`) are views into it, valid
+    returns (forward's probabilities and cache) are views into it, valid
     until the next call with the same workspace. A call without one makes
     a fresh workspace, so its results are the caller's alone.
     """
@@ -340,18 +340,12 @@ def _dropout(R: np.ndarray, rate: float, rng: np.random.Generator | None,
     return mask
 
 
-@dataclass
-class ForwardTrace:
-    """Per-frame probabilities plus cached activations for the backward pass."""
-
-    probs: np.ndarray            # (..., T, C), rows on the simplex
-    cache: dict = field(repr=False, default_factory=dict)
-
-
 def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
             train: bool = False, rng: np.random.Generator | None = None,
-            ws: Workspace | None = None) -> ForwardTrace:
-    """Run the classifier over a full sequence.
+            ws: Workspace | None = None) -> tuple[np.ndarray, dict]:
+    """Run the classifier over a full sequence: the per-frame probabilities
+    (..., T, C), rows on the simplex, and the activations the backward pass
+    reads (empty for a stacked call).
 
     Eval mode is a pure function of (params, frames); train mode consumes
     `rng` for the two dropout masks.
@@ -390,7 +384,7 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     if cache is not None:
         cache["Hp"] = H
     probs = _head(p, cfg, H, train, rng, buf, cache)
-    return ForwardTrace(probs=probs, cache=cache or {})
+    return probs, cache or {}
 
 
 # The three stages of forward(). Each writes its activations into the
@@ -479,8 +473,7 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     `out` (name -> float64 array), else into new arrays.
     """
     ws = ws or Workspace()
-    trace = forward(params, cfg, frames, train=train, rng=rng, ws=ws)
-    c = trace.cache
+    probs, c = forward(params, cfg, frames, train=train, rng=rng, ws=ws)
     p = params.tensors
     labels = np.asarray(labels, dtype=np.int64)
     T = len(labels)
@@ -488,14 +481,14 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         raise ConfigError("labels length does not match frames")
     buf = ws.buffers(cfg, (), T, True)  # forward's views plus temporaries
     alpha = np.asarray(alpha, dtype=np.float64)
-    losses = per_frame_losses(trace.probs, labels, alpha)
+    losses = per_frame_losses(probs, labels, alpha)
     loss = float(np.add.reduce(losses) / T)  # the operations of np.mean
     grads = out if out is not None else {
         k: np.empty(shape) for k, shape in param_shapes(cfg).items()}
 
     # softmax + weighted CE: dZ[t] = alpha[y_t]/T * (p_t - onehot(y_t))
     w = alpha[labels][:, None] / T
-    dZ = np.multiply(trace.probs, w, out=buf["dZ"])
+    dZ = np.multiply(probs, w, out=buf["dZ"])
     dZ[np.arange(T), labels] -= w[:, 0]
 
     np.matmul(dZ.T, c["D2"], out=grads["head.W3"])

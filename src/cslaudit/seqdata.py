@@ -26,16 +26,18 @@ object:
 - `corruption`: the injected corruption's parameters, or null.
 
 Base64 of the raw bytes round-trips every float64 (NaN payloads and -0.0
-included), so a read returns exactly the arrays that were written; a read
-refuses non-finite frames, naming the line. `encode_f8`/`decode_f8` are this
-codec; the CLI's `profiles.json` stores its loss matrices with it too. The
-byte level of a read (base64 validity and byte count) is `fileio.f8_bytes`,
-which needs no numpy, so `heatmap` reads the losses without it;
-`decode_f8` views those checked bytes as an array (`f8_array`). The JSON
-reader, shape check, atomic writer and id check live in `fileio` too. Files in
-the retired `csl-seqdata/1` format, which held frames as nested lists of
-decimal numbers, are refused; regenerate them with `cslaudit gen` or write
-them again with `write_dataset`, which writes features of your own too.
+included); a read refuses non-finite frames, naming the line. `encode_f8` and
+`f8_array` are this codec (the CLI's `profiles.json` stores its losses with it
+too); `fileio` holds its byte level, the JSON reader, shape check, atomic
+writer and id check. Files in the retired `csl-seqdata/1` format (frames as
+decimal text) are refused; regenerate them with `cslaudit gen`.
+
+Reading, checking, corrupting and writing a dataset need no numpy, so
+`corrupt` never loads it: a sample holds its frames as bytes, its labels as
+a list and its mask as a byte array until its arrays are first used
+(`SequenceSample`). The
+corruption stream is numpy's `default_rng(spec.seed)`, drawn in pure Python
+(`DefaultRng`): the same draws, so the same files.
 """
 
 from __future__ import annotations
@@ -45,19 +47,23 @@ import gzip
 import io
 import itertools
 import json
+import math
 import zlib
+from array import array
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .errors import (ConfigError, DataError, ParseError, SchemaError,
-                     SequenceTooShortError)
-from .fileio import atomic_path, check_id, check_json, f8_bytes
+from .errors import ConfigError, DataError, ParseError, SchemaError
+from .fileio import atomic_path, check_id, check_json, f8_bytes, f8_finite, \
+    ints_within
 
 FORMAT_TAG = "csl-seqdata/2"
 
 SPLITS = ("train", "val", "test")
+
+# Exclusive upper bound of a drawn integer: numpy's integers() is int64.
+INT64_END = 2**63
+
 
 @dataclass(frozen=True)
 class PhaseGrammar:
@@ -65,7 +71,7 @@ class PhaseGrammar:
 
     num_classes: int
     feature_dim: int
-    class_means: np.ndarray  # (C, d)
+    class_means: tuple[tuple[float, ...], ...]  # C rows of d floats
     feature_noise_sigma: float
     phase_order: tuple[int, ...]
     duration_min: int
@@ -73,10 +79,12 @@ class PhaseGrammar:
     boundary_blend: int = 3
 
     def __post_init__(self):
-        try:
-            means = np.asarray(self.class_means, dtype=np.float64)
-        except ValueError as e:  # a ragged nested list
+        try:  # floats, as a float64 array's .tolist() held them
+            means = tuple(tuple(map(float, row)) for row in self.class_means)
+        except (TypeError, ValueError) as e:
             raise ConfigError("class_means must be a numeric matrix") from e
+        if len({len(row) for row in means}) > 1:  # a ragged nested list
+            raise ConfigError("class_means must be a numeric matrix")
         object.__setattr__(self, "class_means", means)
         object.__setattr__(self, "phase_order", tuple(self.phase_order))
         self.validate()
@@ -87,12 +95,13 @@ class PhaseGrammar:
             raise ConfigError(f"num_classes must be >= 2, got {C}")
         if d < 1:
             raise ConfigError(f"feature_dim must be >= 1, got {d}")
-        if self.class_means.shape != (C, d):
-            raise ConfigError(
-                f"class_means shape {self.class_means.shape} != ({C}, {d})")
-        if not np.isfinite(self.class_means).all():
+        means = self.class_means
+        shape = (len(means), *{len(row) for row in means})
+        if shape != (C, d):
+            raise ConfigError(f"class_means shape {shape} != ({C}, {d})")
+        if not all(map(math.isfinite, itertools.chain(*means))):
             raise ConfigError("class_means must be finite")
-        if not 0 <= self.feature_noise_sigma < np.inf:  # false for NaN
+        if not 0 <= self.feature_noise_sigma < math.inf:  # false for NaN
             raise ConfigError("feature_noise_sigma must be finite and "
                               "nonnegative")
         if sorted(self.phase_order) != list(range(C)):
@@ -102,16 +111,18 @@ class PhaseGrammar:
             raise ConfigError("duration_min must be >= 1")
         if self.duration_min > self.duration_max:
             raise ConfigError("duration_min must be <= duration_max")
+        if self.duration_max >= INT64_END:
+            raise ConfigError("duration_max must be below 2**63")
         if not 0 <= self.boundary_blend < self.duration_min:
             raise ConfigError("boundary_blend must satisfy 0 <= blend < duration_min")
         for a in range(C):
             for b in range(a + 1, C):
-                if np.array_equal(self.class_means[a], self.class_means[b]):
+                if means[a] == means[b]:
                     raise ConfigError(f"class_means {a} and {b} coincide")
 
     def to_dict(self) -> dict:
         """The fields in declaration order, as JSON values."""
-        return dict(asdict(self), class_means=self.class_means.tolist(),
+        return dict(asdict(self), class_means=list(map(list, self.class_means)),
                     phase_order=list(self.phase_order))
 
     @classmethod
@@ -128,45 +139,76 @@ class PhaseGrammar:
         except ConfigError as e:  # from validate(): the data is at fault
             raise SchemaError(f"grammar is invalid ({e})") from e
 
-    def __eq__(self, other):
-        if not isinstance(other, PhaseGrammar):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
+
+def _array(value, dtype: str):
+    import numpy as np
+    return np.asarray(value, dtype=dtype)
 
 
-@dataclass
+def _ints(v) -> list:
+    """A label or mask vector as a list of ints: a list as it is, an array's
+    (numpy's or array.array's) .tolist()."""
+    return v if type(v) is list else v.tolist()
+
+
 class SequenceSample:
-    """One annotated sequence with its ground-truth corruption mask."""
+    """One annotated sequence: `frames` (T x d float64), `labels` (T int64)
+    and `error_mask` (T int8, 1 = ground-truth annotation error) read as numpy
+    arrays. Given frames as bytes (rows of `dim` little-endian float64s) and
+    the labels and mask as lists of ints, as a read or a corruption gives
+    them, it keeps them so until an array is read (the mask as an int8
+    `array.array`, a byte per frame, as numpy held it). Samples are equal
+    when every field is, the frames bit for bit."""
 
-    id: str
-    frames: np.ndarray       # (T, d) float64
-    labels: np.ndarray       # (T,) int64
-    error_mask: np.ndarray   # (T,) int8, 1 = ground-truth annotation error
-    corruption: dict | None = None
-
-    def __post_init__(self):
-        check_id(self.id)
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.error_mask = np.asarray(self.error_mask, dtype=np.int8)
-        T = self.frames.shape[0]
-        if not (len(self.labels) == len(self.error_mask) == T):
+    def __init__(self, id: str, frames, labels, error_mask,
+                 corruption: dict | None = None, dim: int | None = None):
+        check_id(id)
+        self.id, self.corruption = id, corruption
+        if type(frames) is bytes:
+            self._frames, self.dim = frames, dim
+            T = len(frames) // (8 * dim)
+        else:
+            self._frames = _array(frames, "f8")
+            T, self.dim = self._frames.shape
+        self._labels = labels if type(labels) is list else _array(labels, "i8")
+        self._mask = array("b", error_mask) if type(error_mask) is list \
+            else _array(error_mask, "i1")
+        if not (len(self._labels) == len(self._mask) == T):
             raise SchemaError(
-                f"sample {self.id}: frames ({T}), labels ({len(self.labels)}) "
-                f"and error_mask ({len(self.error_mask)}) lengths disagree")
+                f"sample {self.id}: frames ({T}), labels ({len(self._labels)}) "
+                f"and error_mask ({len(self._mask)}) lengths disagree")
+        self.num_frames = T
 
     @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
+    def frames(self):
+        if type(self._frames) is bytes:
+            self._frames = f8_array(self._frames, (-1, self.dim))
+        return self._frames
+
+    @property
+    def labels(self):
+        if type(self._labels) is list:
+            self._labels = _array(self._labels, "i8")
+        return self._labels
+
+    @property
+    def error_mask(self):
+        if type(self._mask) is array:
+            self._mask = _array(self._mask, "i1")
+        return self._mask
+
+    def frame_bytes(self) -> bytes:
+        """The frames as little-endian float64 bytes, row-major."""
+        f = self._frames
+        return f if type(f) is bytes else f.astype("<f8").tobytes()
+
+    def _fields(self) -> tuple:
+        return (self.id, self.dim, self.frame_bytes(), _ints(self._labels),
+                _ints(self._mask), self.corruption)
 
     def __eq__(self, other):
-        if not isinstance(other, SequenceSample):
-            return NotImplemented
-        return (self.id == other.id
-                and np.array_equal(self.frames, other.frames)
-                and np.array_equal(self.labels, other.labels)
-                and np.array_equal(self.error_mask, other.error_mask)
-                and self.corruption == other.corruption)
+        return self._fields() == other._fields() \
+            if isinstance(other, SequenceSample) else NotImplemented
 
 
 @dataclass
@@ -184,12 +226,11 @@ class Dataset:
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate sample ids in dataset")
         for s in self.samples:
-            if s.frames.shape[1] != self.grammar.feature_dim:
+            if s.dim != self.grammar.feature_dim:
                 raise SchemaError(
-                    f"sample {s.id}: feature dim {s.frames.shape[1]} "
+                    f"sample {s.id}: feature dim {s.dim} "
                     f"!= grammar feature_dim {self.grammar.feature_dim}")
-            if s.labels.size and (s.labels.min() < 0
-                                  or s.labels.max() >= self.grammar.num_classes):
+            if not ints_within(_ints(s._labels), 0, self.grammar.num_classes):
                 raise SchemaError(f"sample {s.id}: labels out of range")
 
     def __len__(self) -> int:
@@ -213,35 +254,140 @@ class CorruptionSpec:
             raise ConfigError("segment_len_min must be <= segment_len_max")
         if self.segment_len_min < 1:
             raise ConfigError("segment_len_min must be >= 1")
+        check_json(self.seed, 0, "seed", ConfigError)  # default_rng's seeds
+        if self.segment_len_max >= INT64_END:
+            raise ConfigError("segment_len_max must be below 2**63")
 
 
-def label_runs(labels: np.ndarray) -> list[tuple[int, int, int]]:
-    """Maximal constant runs of a label vector as (class, start, end) triples."""
-    labels = np.asarray(labels).tolist()  # Python ints index and compare faster
+# ---------------------------------------------------------------------------
+# the corruption stream
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+class DefaultRng:
+    """numpy.random.default_rng(seed) in pure Python: `integers` and `choice`
+    return what numpy's Generator returns, call for call, in any order.
+
+    SeedSequence(seed) hashes the seed into PCG64's 128-bit state and
+    increment; a 64-bit draw is the XSL-RR output of the next state; a
+    32-bit draw takes a word's low half and keeps its high half for the next
+    32-bit draw (64-bit draws leave it there)."""
+
+    MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit multiplier
+
+    def __init__(self, seed: int):
+        h = 0x43b0d7e5
+
+        def hashmix(v: int) -> int:
+            nonlocal h
+            h, v = h * 0x931e8875 & _M32, v ^ h
+            v = v * h & _M32
+            return v ^ v >> 16
+
+        def mix(x: int, y: int) -> int:
+            r = 0xca01f9dd * x - 0x4973f715 * y & _M32
+            return r ^ r >> 16
+
+        words = [seed >> i & _M32 for i in range(0, seed.bit_length() or 1, 32)]
+        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+        for src, dst in itertools.product(range(4), repeat=2):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w, dst in itertools.product(words[4:], range(4)):
+            pool[dst] = mix(pool[dst], hashmix(w))
+        h, out = 0x8b51f9dd, []  # generate_state(4, np.uint64)
+        for w in pool * 2:
+            h, w = h * 0x58f38ded & _M32, w ^ h
+            w = w * h & _M32
+            out.append(w ^ w >> 16)
+        # four uint64, low word first: two for the state, two for the stream
+        u = [lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])]
+        self._inc = (u[2] << 64 | u[3]) << 1 & _M128 | 1
+        self._state = ((u[0] << 64 | u[1]) + self._inc) * self.MULT \
+            + self._inc & _M128
+        self._half = None
+
+    def _next64(self) -> int:
+        s = self._state = self._state * self.MULT + self._inc & _M128
+        w, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (w >> r | w << 64 - r) & _M64
+
+    def _next32(self) -> int:
+        if self._half is None:
+            w = self._next64()
+            self._half = w >> 32
+            return w & _M32
+        w, self._half = self._half, None
+        return w
+
+    def _bounded(self, rng: int) -> int:
+        """An int in [0, rng]: Lemire's method on 32-bit draws for rng below
+        2**32 - 1, one raw 32-bit draw at it, on 64-bit draws above it."""
+        if rng == 0 or rng == _M32:
+            return rng and self._next32()
+        bits, draw = (32, self._next32) if rng < _M32 else (64, self._next64)
+        n = rng + 1
+        m = draw() * n
+        while m % 2**bits < 2**bits % n:  # the low bits: rejection
+            m = draw() * n
+        return m >> bits
+
+    def integers(self, low: int, high: int) -> int:
+        """An int in [low, high), high - low <= 2**64 - 1."""
+        return low + self._bounded(high - 1 - low)
+
+    def choice(self, n: int, k: int) -> list[int]:
+        """k distinct ints of range(n) (replace=False): Floyd's sampling,
+        then a Fisher-Yates shuffle of the k; for n above 10000 and k above
+        n // 50, the last k of a partial shuffle of range(n)."""
+        if n > 10000 and k > n // 50:
+            out, first = list(range(n)), max(n - k, 1)
+        else:
+            out, first, seen = [], 1, set()
+            for j in range(n - k, n):
+                v = self._bounded(j)
+                out.append(j if v in seen else v)
+                seen.add(out[-1])
+        for i in reversed(range(first, len(out))):
+            j = self._bounded(i)
+            out[i], out[j] = out[j], out[i]
+        return out[len(out) - k:]
+
+
+# ---------------------------------------------------------------------------
+# generation and corruption
+
+
+def label_runs(labels) -> list[tuple[int, int, int]]:
+    """Maximal constant runs of a label vector (a list of ints or an array)
+    as (class, start, end) triples."""
+    labels = _ints(labels)
     runs = []
     start = 0
     for t in range(1, len(labels) + 1):
         if t == len(labels) or labels[t] != labels[start]:
-            runs.append((int(labels[start]), start, t))
+            runs.append((labels[start], start, t))
             start = t
     return runs
 
 
-def _phase_rows(grammar: PhaseGrammar) -> tuple[np.ndarray, np.ndarray]:
+def _phase_rows(grammar: PhaseGrammar):
     """The grammar's mean vector of each phase in order (C, d), and the
     2 * blend rows around each phase boundary, which step linearly from the
     previous phase's mean to the next one's (C-1, 2 * blend, d)."""
-    mus = grammar.class_means[list(grammar.phase_order)]
+    import numpy as np
+    mus = np.array(grammar.class_means)[list(grammar.phase_order)]
     b = grammar.boundary_blend
     w = (np.arange(1, 2 * b + 1) / (2 * b + 1))[:, None]
     return mus, (1 - w) * mus[:-1, None] + w * mus[1:, None]
 
 
-def _phase_means(mus: np.ndarray, blends: np.ndarray,
-                 durations: list[int]) -> np.ndarray:
+def _phase_means(mus, blends, durations: list[int]):
     """Per-frame mean vectors for one sequence from _phase_rows' arrays: each
     phase's mean repeated over its duration, then each boundary's blend
     rows, a later boundary's rows written last."""
+    import numpy as np
     means = np.repeat(mus, durations, axis=0)
     b = blends.shape[1] // 2
     if b > 0:
@@ -253,6 +399,7 @@ def _phase_means(mus: np.ndarray, blends: np.ndarray,
 def generate_dataset(grammar: PhaseGrammar, n_videos: int, split: str,
                      seed: int) -> Dataset:
     """Generate clean sequences: every video runs through all phases in order."""
+    import numpy as np
     if n_videos < 1:
         raise ConfigError("n_videos must be >= 1")
     rng = np.random.default_rng(seed)
@@ -266,19 +413,23 @@ def generate_dataset(grammar: PhaseGrammar, n_videos: int, split: str,
         T = means.shape[0]
         noise = rng.normal(0.0, grammar.feature_noise_sigma, size=means.shape) \
             if grammar.feature_noise_sigma > 0 else 0.0
-        frames = means + noise
-        labels = np.repeat(order, durations)
         samples.append(SequenceSample(
             id=f"{split}-{i:04d}",
-            frames=frames,
-            labels=labels,
-            error_mask=np.zeros(T, dtype=np.int8),
+            frames=means + noise,
+            labels=np.repeat(order, durations).tolist(),
+            error_mask=[0] * T,
         ))
     return Dataset(grammar=grammar, samples=samples, split=split, seed=seed)
 
 
+def _swap(seq, a: int, b: int, c: int, row: int = 1):
+    """seq with its row blocks [a, b) and [b, c) swapped."""
+    a, b, c = a * row, b * row, c * row
+    return seq[:a] + seq[b:c] + seq[a:b] + seq[c:]
+
+
 def inject_mislabeling(sample: SequenceSample, spec: CorruptionSpec,
-                       num_classes: int, rng: np.random.Generator) -> SequenceSample:
+                       num_classes: int, rng: DefaultRng) -> SequenceSample:
     """Relabel one contiguous segment with a single wrong class."""
     if spec.kind != "mislabel":
         raise ConfigError("inject_mislabeling requires a mislabel spec")
@@ -286,28 +437,28 @@ def inject_mislabeling(sample: SequenceSample, spec: CorruptionSpec,
         raise SchemaError(f"sample {sample.id} is already corrupted")
     T = sample.num_frames
     if T < spec.segment_len_min:
-        raise SequenceTooShortError(
+        raise DataError(
             f"sample {sample.id}: T={T} < segment_len_min={spec.segment_len_min}")
     length = int(rng.integers(spec.segment_len_min, spec.segment_len_max + 1))
     length = min(length, T)
     start = int(rng.integers(0, T - length + 1))
     end = start + length
-    from_class = int(sample.labels[start])
+    labels = _ints(sample._labels)
+    from_class = labels[start]
     # uniform over Y \ {from_class}
     draw = int(rng.integers(0, num_classes - 1))
     to_class = draw if draw < from_class else draw + 1
-    labels = sample.labels.copy()
-    labels[start:end] = to_class
-    mask = np.zeros(T, dtype=np.int8)
-    mask[start:end] = 1
     return SequenceSample(
-        id=sample.id, frames=sample.frames, labels=labels, error_mask=mask,
+        sample.id, sample._frames,
+        labels[:start] + [to_class] * length + labels[end:],
+        [0] * start + [1] * length + [0] * (T - end),
         corruption={"kind": "mislabel", "start": start, "end": end,
-                    "from_class": from_class, "to_class": to_class})
+                    "from_class": from_class, "to_class": to_class},
+        dim=sample.dim)
 
 
 def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
-                       rng: np.random.Generator) -> SequenceSample:
+                       rng: DefaultRng) -> SequenceSample:
     """Swap two adjacent phase blocks as units (frames together with labels).
 
     Each block stays internally self-consistent, so per-frame label semantics
@@ -318,34 +469,33 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
         raise ConfigError("inject_disordering requires a disorder spec")
     if sample.corruption is not None:
         raise SchemaError(f"sample {sample.id} is already corrupted")
-    runs = label_runs(sample.labels)
+    labels = _ints(sample._labels)
+    runs = label_runs(labels)
     if len(runs) < 2:
-        raise SequenceTooShortError(
+        raise DataError(
             f"sample {sample.id}: needs >= 2 label runs, has {len(runs)}")
     j = int(rng.integers(0, len(runs) - 1))
     _, start_a, end_a = runs[j]
     _, start_b, end_b = runs[j + 1]
-    perm = np.concatenate([np.arange(start_b, end_b), np.arange(start_a, end_a)])
-    frames = sample.frames.copy()
-    labels = sample.labels.copy()
-    frames[start_a:end_b] = sample.frames[perm]
-    labels[start_a:end_b] = sample.labels[perm]
-    mask = np.zeros(sample.num_frames, dtype=np.int8)
-    mask[start_a:end_b] = 1
     return SequenceSample(
-        id=sample.id, frames=frames, labels=labels, error_mask=mask,
+        sample.id, _swap(sample.frame_bytes(), start_a, start_b, end_b,
+                         8 * sample.dim),
+        _swap(labels, start_a, start_b, end_b),
+        [0] * start_a + [1] * (end_b - start_a)
+        + [0] * (sample.num_frames - end_b),
         corruption={"kind": "disorder", "start_a": start_a, "end_a": end_a,
-                    "start_b": start_b, "end_b": end_b})
+                    "start_b": start_b, "end_b": end_b},
+        dim=sample.dim)
 
 
 def corrupt_dataset(ds: Dataset, spec: CorruptionSpec) -> Dataset:
-    """Corrupt round(fraction * N) videos, chosen without replacement."""
+    """Corrupt round(fraction * N) videos, chosen without replacement, with
+    the draws of numpy's default_rng(spec.seed) (DefaultRng)."""
     if ds.split == "val":
         raise ConfigError("corruption targets train or test splits, not val")
     n = len(ds.samples)
-    n_corrupt = int(np.floor(spec.video_fraction * n + 0.5))
-    rng = np.random.default_rng(spec.seed)
-    chosen = set(rng.choice(n, size=n_corrupt, replace=False).tolist())
+    rng = DefaultRng(spec.seed)
+    chosen = set(rng.choice(n, math.floor(spec.video_fraction * n + 0.5)))
     out = []
     for i, s in enumerate(ds.samples):
         if i not in chosen:
@@ -369,31 +519,26 @@ def _header_dict(ds: Dataset, extra: dict | None = None) -> dict:
     return header
 
 
-def encode_f8(arr: np.ndarray) -> str:
+def encode_f8(arr) -> str:
     """An array as one string: the padded standard base64 (RFC 4648) of its
     bytes as little-endian float64, row-major."""
+    import numpy as np
     return base64.b64encode(np.asarray(arr).astype("<f8").tobytes()).decode("ascii")
 
 
-def decode_f8(text, shape: tuple[int, int], name: str) -> np.ndarray:
-    """The rows x cols float64 array that encode_f8 wrote into `text`, its
-    bytes checked by fileio.f8_bytes (a rows of -1 takes as many rows as the
-    bytes hold). A SchemaError begins with `name`."""
-    return f8_array(f8_bytes(text, shape, name), shape)
-
-
-def f8_array(raw: bytes, shape: tuple[int, int]) -> np.ndarray:
-    """The float64 array of f8_bytes' checked bytes: a writable, C-contiguous
-    copy."""
+def f8_array(raw: bytes, shape: tuple[int, int]):
+    """The rows x cols float64 array of encode_f8's bytes (fileio.f8_bytes
+    checks them; rows -1 takes all): a writable, C-contiguous copy."""
+    import numpy as np
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def _sample_dict(s: SequenceSample) -> dict:
-    if not np.isfinite(s.frames).all():  # read_dataset would refuse it
+    raw = s.frame_bytes()
+    if not f8_finite(raw):  # read_dataset would refuse it
         raise SchemaError(f"sample {s.id}: frames hold a non-finite value")
-    return {"id": s.id, "frames": encode_f8(s.frames),
-            "labels": s.labels.tolist(),
-            "error_mask": s.error_mask.tolist(),
+    return {"id": s.id, "frames": base64.b64encode(raw).decode("ascii"),
+            "labels": _ints(s._labels), "error_mask": _ints(s._mask),
             "corruption": s.corruption}
 
 
@@ -421,24 +566,22 @@ def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
     for key in ("id", "frames", "labels", "error_mask"):
         if key not in obj:
             raise SchemaError(f"line {ln}: sample is missing field {key!r}")
-    frames = decode_f8(obj["frames"], (-1, d), f"line {ln}: frames")
-    if not np.isfinite(frames).all():
+    raw = f8_bytes(obj["frames"], (-1, d), f"line {ln}: frames")
+    if not f8_finite(raw):
         raise SchemaError(f"line {ln}: frames hold a non-finite value")
-    ints = {}
-    for key in ("labels", "error_mask"):
-        try:
-            arr = np.asarray(obj[key])
-        except ValueError:  # ragged nesting
-            arr = None
-        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise SchemaError(f"line {ln}: {key} must be a list of integers")
-        ints[key] = arr
-    if np.any((ints["error_mask"] != 0) & (ints["error_mask"] != 1)):
+    labels, mask = obj["labels"], obj["error_mask"]
+    # non-empty lists of int64s, as numpy read them (and, unlike numpy, no
+    # bools); Dataset checks the labels' range
+    if not (labels and ints_within(labels, -INT64_END, INT64_END)):
+        raise SchemaError(f"line {ln}: labels must be a list of integers")
+    if not (mask and ints_within(mask, 0, 2)):
+        if not (mask and ints_within(mask, -INT64_END, INT64_END)):
+            raise SchemaError(f"line {ln}: error_mask must be a list of "
+                              f"integers")
         raise SchemaError(f"line {ln}: error_mask values must be 0 or 1")
     try:
-        return SequenceSample(id=obj["id"], frames=frames, labels=ints["labels"],
-                              error_mask=ints["error_mask"],
-                              corruption=obj.get("corruption"))
+        return SequenceSample(obj["id"], raw, labels, mask,
+                              obj.get("corruption"), dim=d)
     except SchemaError as e:
         raise SchemaError(f"line {ln}: {e}") from e
 
@@ -530,8 +673,8 @@ def dataset_fingerprint(ds: Dataset) -> str:
     put(json.dumps(_header_dict(ds), sort_keys=True).encode())
     for s in ds.samples:
         put(s.id.encode())
-        put(np.array(s.frames.shape, dtype="<u8").tobytes())
-        put(s.frames.astype("<f8").tobytes())
+        put(s.num_frames.to_bytes(8, "little") + s.dim.to_bytes(8, "little"))
+        put(s.frame_bytes())
         put(s.labels.astype("<i8").tobytes())
         put(s.error_mask.astype("i1").tobytes())
         put(json.dumps(s.corruption, sort_keys=True).encode())

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import model as M
-from .errors import ConfigError, CoverageError, NumericError, StoreError
+from .errors import ConfigError, NumericError, StoreError
 from .fileio import atomic_path, check_json, make_dir, read_json
 from .seqdata import Dataset, dataset_fingerprint, grammar_fingerprint
 
@@ -39,7 +39,7 @@ def compute_class_weights(ds: Dataset) -> np.ndarray:
         counts += np.bincount(s.labels, minlength=C)
     missing = np.flatnonzero(counts == 0)
     if missing.size:
-        raise CoverageError(
+        raise ConfigError(
             f"class {int(missing[0])} never appears in the dataset labels")
     raw = 1.0 / counts
     return raw * (C / raw.sum())
@@ -190,9 +190,10 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
     state = AdamWState(params)
     # Every step's activations and temporaries, sized for the longest
     # sequence up front: buffers that grew mid-run would leave their old
-    # storage behind as holes in the heap.
+    # storage behind as holes in the heap. For the same reason each sample's
+    # frame array (built on first use) is built here, before the buffers.
     ws = M.Workspace()
-    ws.buffers(cfg_model, (), max(s.num_frames for s in ds_train.samples),
+    ws.buffers(cfg_model, (), max(len(s.frames) for s in ds_train.samples),
                True)
     n = len(ds_train.samples)
     make_dir(store_path)

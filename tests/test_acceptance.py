@@ -223,14 +223,14 @@ def test_criterion_8_invariant_suite(small_grammar, tiny_model_cfg):
 
     params = ca.init_params(tiny_model_cfg)
     X = rng.normal(size=(9, 4))
-    probs = ca.forward(params, tiny_model_cfg, X).probs
+    probs = ca.forward(params, tiny_model_cfg, X)[0]
     ok = ok and np.abs(probs.sum(axis=1) - 1).max() < 1e-9
 
     ds = ca.generate_dataset(small_grammar, 5, "train", seed=21)
     ok = ok and abs(ca.compute_class_weights(ds).mean() - 1) < 1e-9
 
     perm = rng.permutation(9)
-    ok = ok and np.allclose(ca.forward(params, tiny_model_cfg, X[perm]).probs,
+    ok = ok and np.allclose(ca.forward(params, tiny_model_cfg, X[perm])[0],
                             probs[perm])
 
     report(8, "invariant suite (CSL, smoothing, flags, EDA, softmax, weights)",

@@ -1,6 +1,7 @@
 import base64
 import gc
 import gzip
+import hashlib
 import importlib.util
 import json
 import math
@@ -397,6 +398,10 @@ MALFORMED = {
         frames=[], labels=[], error_mask=[])),
     "non-object-sample": (4, lambda rows: rows.__setitem__(3, [1, 2])),
     "float-label": (2, lambda rows: rows[1]["labels"].__setitem__(0, 0.5)),
+    # numpy read a true among integers as 1
+    "bool-label": (2, lambda rows: rows[1]["labels"].__setitem__(0, True)),
+    "bool-in-error-mask": (3, lambda rows: rows[2]["error_mask"].__setitem__(
+        1, False)),
     # an id names the heatmap file and is written unquoted into audit.csv
     "id-not-a-string": (3, lambda rows: rows[2].update(id=7)),
     "id-with-slash": (3, lambda rows: rows[2].update(id="../x")),
@@ -642,6 +647,28 @@ def test_wrong_typed_config_field_exit_2(trained_cfg, tmp_path, capsys,
     capsys.readouterr()
     assert run_cli(command, "--config", str(path)) == 2
     assert f"config field {field}:" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+# (command, field numpy drew an int64 bound from): from 2**63 up, each ended
+# in numpy's "ValueError: high is out of bounds for int64" traceback
+INT64_FIELDS = [("gen", "grammar.duration_max"),
+                ("corrupt", "corruption.segment_len_max")]
+
+
+@pytest.mark.parametrize("value", [2**63, 2**64])
+@pytest.mark.parametrize("command,field", INT64_FIELDS,
+                         ids=[f[1] for f in INT64_FIELDS])
+def test_field_beyond_int64_exit_2(tmp_path, capsys, command, field, value):
+    cfg = base_config(tmp_path / "run")
+    section, key = field.split(".")
+    cfg[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(path)) == 2
+    assert capsys.readouterr().err == f"config error: {key} must be below " \
+                                      "2**63\n"
     assert os.listdir(tmp_path) == ["config.json"]
 
 
@@ -1271,6 +1298,47 @@ def test_duplicate_video_ids_exit_3(trained_cfg, tmp_path, capsys, command):
     assert not any(f.endswith(".pgm") for f in os.listdir(cfg["out_dir"]))
 
 
+# sha256 of the file `corrupt --kind K --split S` writes for base_config,
+# recorded when numpy.random drew the corruption: (kind, split, gzipped)
+CORRUPT_SHA256 = {
+    ("mislabel", "test", False): "d194f526a1fbcccd1664a74291dc1a35"
+                                 "9ca1e1e938a3b5a48f8cae4731ad9fcd",
+    ("mislabel", "test", True): "41cf065458556af4e3846fec02613ca4"
+                                "040541ac05ddd9c913a76e87366f2e67",
+    ("mislabel", "train", False): "d83e849fe3aa8e1bea6fbc4d893de33e"
+                                  "f677d6805d2e4d6593e35c2beb0ff572",
+    ("mislabel", "train", True): "ac80aff40c0507ff25f351b4db5245e6"
+                                 "c222f980ba83e46650cc7eb37c18f2d9",
+    ("disorder", "test", False): "26685facb4fe328d1616bc0c51c1e73d"
+                                 "c7d90340718cae06431860a502040bd3",
+    ("disorder", "test", True): "2200063cc83e421fe781d8031e04e475"
+                                "140576780c37b65b0c958a25899fa0c5",
+    ("disorder", "train", False): "0a47f9805d4a83f4648a070250ba8d15"
+                                  "41ea1eeb1886205acaec16f4c668ddea",
+    ("disorder", "train", True): "03184bb17eb9548f8566999da501f124"
+                                 "e11be6fb7bc5b0b4f937f364e9939cb2",
+}
+
+
+@pytest.mark.parametrize("kind,split,gz", list(CORRUPT_SHA256),
+                         ids=["-".join(map(str, k)) for k in CORRUPT_SHA256])
+def test_corrupt_writes_the_recorded_bytes(tmp_path, kind, split, gz):
+    """corrupt draws numpy's stream in plain Python: the files it writes, a
+    gzipped one read from a gzipped train split included, are the bytes
+    numpy's draws gave."""
+    cfg = base_config(tmp_path / "run")
+    if gz:
+        cfg["data"]["train_path"] = str(tmp_path / "run" / "train.jsonl.gz")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{split}_{kind}.jsonl{'.gz' if gz else ''}"
+    assert run_cli("gen", "--config", str(path)) == 0
+    assert run_cli("corrupt", "--config", str(path), "--kind", kind,
+                   "--split", split, "--out-file", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == CORRUPT_SHA256[kind, split, gz]
+
+
 # The cslaudit modules each command line loads in a fresh interpreter, and
 # its exit code; the other modules stay unloaded lazy modules.
 BASE_MODULES = {"cli", "errors", "fileio"}
@@ -1291,11 +1359,14 @@ LOADED = {
 }
 LAZY = {"seqdata", "model", "trainer", "csl", "metrics"}
 # Command lines that compute nothing numpy computes (eval scores in plain
-# Python), and so load neither numpy nor dataclasses (which imports inspect)
-NUMPY_FREE = {"import", "help", "usage-error", "config-error", "eval",
-              "heatmap", "heatmap-video"}
-# Command lines that hash nothing and so load no OpenSSL (gen, corrupt and
-# train load it through numpy.random).
+# Python, corrupt draws numpy's stream in plain Python) and so load no numpy
+NUMPY_FREE = {"import", "help", "usage-error", "config-error", "corrupt",
+              "eval", "heatmap", "heatmap-video"}
+# ... nor dataclasses (which imports inspect), but for corrupt: seqdata's
+# grammar, dataset and corruption spec are dataclasses
+DATACLASS_FREE = NUMPY_FREE - {"corrupt"}
+# Command lines that hash nothing and so load no OpenSSL (gen and train load
+# it through numpy.random).
 HASH_FREE = NUMPY_FREE
 
 
@@ -1337,7 +1408,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
             name
     assert {n for n, s in seen.items() if s["numpy.ma"]} == set()
     assert {n for n, s in seen.items() if not s["numpy"]} == NUMPY_FREE
-    assert {n for n, s in seen.items() if not s["dataclasses"]} == NUMPY_FREE
+    assert {n for n, s in seen.items() if not s["dataclasses"]} \
+        == DATACLASS_FREE
     assert {n for n, s in seen.items() if not s["_hashlib"]} == HASH_FREE
 
 

@@ -71,7 +71,7 @@ class TestTrajectory:
         store, ds = trained
         traj = ca.eval_loss_trajectory(first(store, 1), ds.samples[1], DET)
         params = row(store, 0)
-        probs = ca.forward(params, store.model_config, ds.samples[1].frames).probs
+        probs = ca.forward(params, store.model_config, ds.samples[1].frames)[0]
         expected = M.per_frame_losses(probs, ds.samples[1].labels, np.ones(3))
         assert np.allclose(traj.losses[0], expected, atol=1e-15)
 
@@ -93,7 +93,7 @@ class TestTrajectory:
             e = int(rng.integers(0, len(store)))
             t = int(rng.integers(0, sample.num_frames))
             probs = ca.forward(row(store, e), store.model_config,
-                               sample.frames).probs
+                               sample.frames)[0]
             expected = weighted_ce(probs[t], int(sample.labels[t]), np.ones(3))
             assert traj.losses[e, t] == pytest.approx(expected, abs=1e-15)
 
@@ -475,7 +475,7 @@ class TestAuditDataset:
             other = replace(g, num_classes=4, class_means=np.eye(4) * 3.0,
                             phase_order=(0, 1, 2, 3))
         else:
-            other = replace(g, class_means=g.class_means * 2)
+            other = replace(g, class_means=np.array(g.class_means) * 2)
         foreign = ca.generate_dataset(other, 2, "val", seed=1)
         with pytest.raises(FingerprintError, match="store/dataset mismatch"):
             ca.audit_dataset(store, foreign, DET)
@@ -516,7 +516,7 @@ def reference_losses(store, sample, cfg):
     alpha = store.class_weights if cfg.audit_loss == CSL.TRAIN_WEIGHTED \
         else np.ones(store.model_config.num_classes)
     rows = [M.per_frame_losses(
-        M.forward(row(store, e), store.model_config, sample.frames).probs,
+        M.forward(row(store, e), store.model_config, sample.frames)[0],
         sample.labels, alpha) for e in range(len(store))]
     return np.stack(rows)
 

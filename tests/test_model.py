@@ -29,11 +29,11 @@ def flat_gradcheck(cfg, seed, h=1e-4, kink_margin=None):
     X = rng.normal(0, 1, (5, cfg.feature_dim))
     y = rng.integers(0, cfg.num_classes, 5)
     alpha = rng.uniform(0.5, 2.0, cfg.num_classes)
-    trace = ca.forward(params, cfg, X)
+    _, cache = ca.forward(params, cfg, X)
     if kink_margin is not None:
-        margin = min(np.abs(trace.cache["pre_enc"]).min(),
-                     np.abs(trace.cache["L1"]).min(),
-                     np.abs(trace.cache["L2"]).min())
+        margin = min(np.abs(cache["pre_enc"]).min(),
+                     np.abs(cache["L1"]).min(),
+                     np.abs(cache["L2"]).min())
         if margin < kink_margin:
             return None
     _, grads = ca.backward(params, cfg, X, y, alpha)
@@ -44,10 +44,10 @@ def flat_gradcheck(cfg, seed, h=1e-4, kink_margin=None):
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            lp = M.per_frame_losses(ca.forward(params, cfg, X).probs, y,
+            lp = M.per_frame_losses(ca.forward(params, cfg, X)[0], y,
                                      alpha).mean()
             arr[idx] = orig - h
-            lm = M.per_frame_losses(ca.forward(params, cfg, X).probs, y,
+            lm = M.per_frame_losses(ca.forward(params, cfg, X)[0], y,
                                      alpha).mean()
             arr[idx] = orig
             num = (lp - lm) / (2 * h)
@@ -87,14 +87,14 @@ class TestForward:
     def test_eval_deterministic(self, tiny_model_cfg):
         p = ca.init_params(tiny_model_cfg)
         X = np.random.default_rng(0).normal(size=(7, 4))
-        a = ca.forward(p, tiny_model_cfg, X).probs
-        b = ca.forward(p, tiny_model_cfg, X).probs
+        a = ca.forward(p, tiny_model_cfg, X)[0]
+        b = ca.forward(p, tiny_model_cfg, X)[0]
         assert np.array_equal(a, b)
 
     def test_rows_sum_to_one(self, tiny_model_cfg):
         p = perturbed_params(tiny_model_cfg, 1)
         X = np.random.default_rng(1).normal(size=(9, 4))
-        probs = ca.forward(p, tiny_model_cfg, X).probs
+        probs = ca.forward(p, tiny_model_cfg, X)[0]
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
         assert (probs > 0).all() and (probs < 1).all()
 
@@ -103,8 +103,8 @@ class TestForward:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(8, 4))
         perm = rng.permutation(8)
-        assert np.allclose(ca.forward(p, tiny_model_cfg, X[perm]).probs,
-                           ca.forward(p, tiny_model_cfg, X).probs[perm])
+        assert np.allclose(ca.forward(p, tiny_model_cfg, X[perm])[0],
+                           ca.forward(p, tiny_model_cfg, X)[0][perm])
 
     def test_attention_is_order_sensitive(self):
         cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
@@ -115,8 +115,8 @@ class TestForward:
         X = np.random.default_rng(3).normal(size=(8, 4))
         swapped = X.copy()
         swapped[[0, 5]] = swapped[[5, 0]]
-        a = ca.forward(p, cfg, X).probs
-        b = ca.forward(p, cfg, swapped).probs
+        a = ca.forward(p, cfg, X)[0]
+        b = ca.forward(p, cfg, swapped)[0]
         assert not np.allclose(a[[0, 5]], b[[5, 0]], atol=1e-12) \
             or not np.allclose(np.delete(a, [0, 5], 0), np.delete(b, [0, 5], 0))
 
@@ -125,9 +125,9 @@ class TestForward:
         cfg = replace(tiny_model_cfg, dropout_rates=(0.5, 0.3))
         p = perturbed_params(cfg, 4)
         X = np.random.default_rng(4).normal(size=(6, 4))
-        a = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9)).probs
-        b = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9)).probs
-        c = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(10)).probs
+        a = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9))[0]
+        b = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9))[0]
+        c = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(10))[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         with pytest.raises(ConfigError):
@@ -248,9 +248,10 @@ class TestBackward:
         y = np.random.default_rng(8).integers(0, 3, 5)
         loss, _ = ca.backward(p, cfg, X, y, np.ones(3), train=True,
                               rng=np.random.default_rng(11))
-        trace = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(11))
+        probs, _ = ca.forward(p, cfg, X, train=True,
+                              rng=np.random.default_rng(11))
         assert loss == pytest.approx(
-            M.per_frame_losses(trace.probs, y, np.ones(3)).mean(), abs=1e-12)
+            M.per_frame_losses(probs, y, np.ones(3)).mean(), abs=1e-12)
 
 
 def test_sinusoidal_encoding_shape_and_range():
@@ -465,11 +466,11 @@ class TestStackedForward:
         stacked = M.ModelParams({k: np.stack([p.tensors[k] for p in snaps])
                                  for k in snaps[0].tensors})
         X = np.random.default_rng(T).normal(0, 1, (T, 5))
-        trace = ca.forward(stacked, cfg, X)
-        assert trace.probs.shape == (3, T, 4)
-        assert trace.cache == {}  # a stacked replay keeps no activations
+        probs, cache = ca.forward(stacked, cfg, X)
+        assert probs.shape == (3, T, 4)
+        assert cache == {}  # a stacked replay keeps no activations
         for e, p in enumerate(snaps):
-            assert np.array_equal(trace.probs[e], ca.forward(p, cfg, X).probs)
+            assert np.array_equal(probs[e], ca.forward(p, cfg, X)[0])
 
 
 class TestWorkspace:
@@ -494,8 +495,8 @@ class TestWorkspace:
             assert loss == loss0
             for k in grads0:
                 assert np.array_equal(grads[k], grads0[k])
-            assert np.array_equal(ca.forward(p, cfg, X, ws=ws).probs,
-                                  ca.forward(p, cfg, X).probs)
+            assert np.array_equal(ca.forward(p, cfg, X, ws=ws)[0],
+                                  ca.forward(p, cfg, X)[0])
 
     @pytest.mark.parametrize("T", [65, 415])
     def test_train_attention_holds_two_t_by_t_buffers(self, T):
@@ -515,20 +516,20 @@ class TestWorkspace:
         rng = np.random.default_rng(9)
         X1, X2 = rng.normal(size=(2, 11, 4))
         y, alpha = rng.integers(0, 3, 11), np.ones(3)
-        trace = ca.forward(p, cfg, X1, train=True,
-                           rng=np.random.default_rng(1))
+        out, cache = ca.forward(p, cfg, X1, train=True,
+                                rng=np.random.default_rng(1))
         _, grads = ca.backward(p, cfg, X1, y, alpha)
-        kept = {k: v.copy() for k, v in trace.cache.items()
+        kept = {k: v.copy() for k, v in cache.items()
                 if isinstance(v, np.ndarray)}
-        probs, kept_grads = trace.probs.copy(), {
+        probs, kept_grads = out.copy(), {
             k: g.copy() for k, g in grads.items()}
         ca.forward(p, cfg, X2, train=True, rng=np.random.default_rng(2))
         ca.backward(p, cfg, X2, y, alpha, train=True,
                     rng=np.random.default_rng(2))
-        assert np.array_equal(trace.probs, probs)
+        assert np.array_equal(out, probs)
         assert kept.keys() >= {"pre_enc", "L1", "L2", "D1", "D2"}
         for k, v in kept.items():
-            assert np.array_equal(trace.cache[k], v)
+            assert np.array_equal(cache[k], v)
         for k, g in kept_grads.items():
             assert np.array_equal(grads[k], g)
 
@@ -550,12 +551,12 @@ class TestDtype:
                              for k, v in p64.tensors.items()})
         X = np.random.default_rng(1).normal(size=(13, 4))  # float64 frames
         ws = M.Workspace()
-        probs = ca.forward(p32, cfg, X, ws=ws).probs
+        probs = ca.forward(p32, cfg, X, ws=ws)[0]
         assert probs.dtype == np.float32 and probs.shape == lead + (13, 3)
         assert ws._flat and all(b.dtype == np.float32 for b in ws._flat.values())
         up = M.ModelParams({k: v.astype(np.float64)
                             for k, v in p32.tensors.items()})
-        assert np.abs(probs - ca.forward(up, cfg, X).probs).max() < 1e-5
+        assert np.abs(probs - ca.forward(up, cfg, X)[0]).max() < 1e-5
 
     @pytest.mark.parametrize("mode", ["context_free", "attention"])
     def test_float64_step_uses_frames_as_given(self, mode):
@@ -565,9 +566,9 @@ class TestDtype:
         p = perturbed_params(cfg, 2)
         X = np.random.default_rng(2).normal(size=(9, 4))
         ws = M.Workspace()
-        trace = ca.forward(p, cfg, X, train=True,
-                           rng=np.random.default_rng(0), ws=ws)
-        assert trace.cache["X"] is X and trace.probs.dtype == np.float64
+        probs, cache = ca.forward(p, cfg, X, train=True,
+                                  rng=np.random.default_rng(0), ws=ws)
+        assert cache["X"] is X and probs.dtype == np.float64
         ca.backward(p, cfg, X, np.zeros(9, dtype=int), np.ones(3), train=True,
                     rng=np.random.default_rng(0), ws=ws)
         assert all(b.dtype == np.float64 for b in ws._flat.values())

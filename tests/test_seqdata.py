@@ -2,24 +2,26 @@ import base64
 import gzip
 import hashlib
 import json
+import math
 import os
+import random
 import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslaudit as ca
 from conftest import set_frame
-from cslaudit.errors import (ConfigError, DataError, ParseError,
-                             SchemaError, SequenceTooShortError)
-from cslaudit.seqdata import (FORMAT_TAG, _phase_means, _phase_rows,
-                              dataset_fingerprint, decode_f8, encode_f8,
-                              grammar_fingerprint, inject_disordering,
-                              inject_mislabeling, label_runs)
+from cslaudit.errors import ConfigError, DataError, ParseError, SchemaError
+from cslaudit.seqdata import (FORMAT_TAG, DefaultRng, _phase_means,
+                              _phase_rows, dataset_fingerprint, encode_f8,
+                              f8_array, grammar_fingerprint,
+                              inject_disordering, inject_mislabeling,
+                              label_runs)
 
 
 def fixed_grammar(C=2, d=3, dur=5, noise=0.0, blend=0):
@@ -177,7 +179,7 @@ class TestMislabel:
 
     def test_too_short(self):
         spec = ca.CorruptionSpec("mislabel", 1.0, 20, 30, 0)
-        with pytest.raises(SequenceTooShortError):
+        with pytest.raises(DataError, match="T=10 < segment_len_min=20"):
             inject_mislabeling(self.make_sample(10), spec, 3,
                                np.random.default_rng(0))
 
@@ -215,11 +217,54 @@ class TestDisorder:
     def test_single_run_rejected(self):
         s = ca.SequenceSample("s0", np.zeros((4, 2)),
                               np.zeros(4, dtype=int), np.zeros(4, dtype=np.int8))
-        with pytest.raises(SequenceTooShortError):
+        with pytest.raises(DataError, match="needs >= 2 label runs, has 1"):
             inject_disordering(s, self.SPEC, np.random.default_rng(0))
 
 
 class TestCorruptDataset:
+    @pytest.mark.parametrize("spec", [
+        ca.CorruptionSpec("mislabel", 0.5, 2, 4, 9),
+        ca.CorruptionSpec("mislabel", 1.0, 1, 2**63 - 1, 5),
+        ca.CorruptionSpec("mislabel", 0.7, 3, 2**32 + 5, 2**64 + 1),
+        ca.CorruptionSpec("disorder", 0.3, seed=11),
+        ca.CorruptionSpec("disorder", 1.0, seed=2**40)],
+        ids=["mislabel", "segment-len-max-2**63-1", "segment-above-2**32",
+             "disorder", "disorder-all"])
+    def test_draws_are_numpys(self, small_grammar, spec):
+        """corrupt_dataset equals its recipe run on numpy's default_rng:
+        choose the videos, then corrupt them in order from the same stream."""
+        ds = ca.generate_dataset(small_grammar, 24, "test", seed=2)
+        rng = np.random.default_rng(spec.seed)
+        n = len(ds.samples)
+        chosen = set(rng.choice(n, size=math.floor(spec.video_fraction * n
+                                                   + 0.5),
+                                replace=False).tolist())
+        want = [s if i not in chosen
+                else inject_mislabeling(s, spec, 3, rng)
+                if spec.kind == "mislabel" else inject_disordering(s, spec, rng)
+                for i, s in enumerate(ds.samples)]
+        assert ca.corrupt_dataset(ds, spec).samples == want
+
+    @pytest.mark.parametrize("make", [
+        lambda v: ca.CorruptionSpec("mislabel", 0.5, 1, v),
+        lambda v: ca.PhaseGrammar(2, 3, [[1, 0, 0], [0, 1, 0]], 0.1,
+                                  (0, 1), 5, v, 0)],
+        ids=["segment_len_max", "duration_max"])
+    def test_int64_bound(self, make):
+        """The largest bound numpy's int64 integers() takes is valid; one
+        more is a ConfigError naming the field."""
+        make(2**63 - 1)
+        for value in (2**63, 2**70):
+            with pytest.raises(ConfigError, match=r"_max must be below 2\*\*63$"):
+                make(value)
+
+    @pytest.mark.parametrize("seed,shown", [(-1, "-1"), (True, "true"),
+                                            (2.0, "2.0")])
+    def test_spec_refuses_a_seed_default_rng_refuses(self, seed, shown):
+        with pytest.raises(ConfigError, match=f"^seed must be a non-negative "
+                           f"integer, not {shown}$"):
+            ca.CorruptionSpec("disorder", 0.5, seed=seed)
+
     def test_half_of_twenty(self):
         g = fixed_grammar(C=3, dur=6)
         ds = ca.generate_dataset(g, 20, "test", seed=0)
@@ -258,6 +303,50 @@ class TestCorruptDataset:
             if new.corruption is None:
                 assert orig == new
                 assert not new.error_mask.any()
+
+
+class TestDefaultRng:
+    """The pure-Python stream against numpy's Generator(PCG64(seed)), the
+    generator default_rng(seed) returns."""
+
+    # integers() ranges below, at and above 2**32 - 1 (the 32-bit Lemire
+    # draw, one raw 32-bit draw, the 64-bit Lemire draw), up to 2**63
+    SPANS = [1, 2, 3, 7, 1000, 2**31 + 5, 2**32 - 1, 2**32, 2**32 + 1,
+             2**33 + 3, 2**52 + 1, 2**62 + 7, 2**63 - 1]
+    SEEDS = [*range(400), 2**32 - 1, 2**32, 2**32 + 7, 2**63 + 1, 2**64,
+             2**64 + 3, 2**100 + 9, 2**128 + 1]
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_equals_numpy_call_for_call(self, chunk):
+        """A script of interleaved integers() and choice() calls per seed:
+        32-bit draws around 64-bit ones cross the buffered half-word."""
+        for seed in self.SEEDS[chunk::4]:
+            want = np.random.Generator(np.random.PCG64(seed))
+            got = DefaultRng(seed)
+            script = random.Random(seed)
+            for _ in range(24):
+                if script.random() < 0.75:
+                    low = script.randrange(0, 50)
+                    high = min(low + script.choice(self.SPANS), 2**63)
+                    assert got.integers(low, high) == want.integers(low, high)
+                else:
+                    n = script.randrange(0, 120)
+                    k = script.randrange(0, n + 1)
+                    assert got.choice(n, k) == want.choice(
+                        n, size=k, replace=False).tolist()
+
+    @pytest.mark.parametrize("n,k", [(10001, 200), (10001, 201),
+                                     (12000, 12000), (20000, 399),
+                                     (20000, 401), (10500, 0)])
+    def test_choice_takes_numpys_path(self, n, k):
+        """Above n = 10000, k > n // 50 draws from a partial shuffle of
+        range(n); otherwise Floyd's algorithm, then a shuffle of the k."""
+        for seed in (3, 2**64 + 1):
+            want = np.random.default_rng(seed)
+            got = DefaultRng(seed)
+            assert got.choice(n, k) == want.choice(n, size=k,
+                                                   replace=False).tolist()
+            assert got.integers(0, 2**40) == want.integers(0, 2**40)
 
 
 class TestIO:
@@ -363,7 +452,8 @@ class TestIO:
         back = ca.read_dataset(str(path)).samples[0].frames
         assert np.array_equal(back.view("<u8"), vals.view("<u8"))
         odd = np.array([[np.nan, np.inf, -np.inf, -0.0]])
-        back = decode_f8(encode_f8(odd), (-1, 4), "x")
+        back = f8_array(ca.fileio.f8_bytes(encode_f8(odd), (-1, 4), "x"),
+                        (-1, 4))
         assert np.array_equal(back.view("<u8"), odd.view("<u8"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -575,6 +665,30 @@ class TestJsonShape:
         with pytest.raises(SchemaError) as e:
             ca.fileio.check_json(doc, self.SHAPE, "doc", SchemaError)
         assert str(e.value) == text
+
+    @pytest.mark.parametrize("v,lo,hi,want", [
+        ([], 0, 2, True), ((0, 1, 1), 0, 2, True), ([0, 2], 0, 2, False),
+        ([-1, 0], 0, 2, False), ([1, True], 0, 2, False),
+        ([0, 1.0], 0, 2, False), ([2**70], 0, math.inf, True),
+        ([-2**63, 2**63 - 1], -2**63, 2**63, True), ([2**63], -2**63, 2**63,
+                                                     False),
+        ("01", 0, 2, False), ([[0]], 0, 2, False), (None, 0, 2, False),
+        ({0: 1}, 0, 2, False)])
+    def test_ints_within(self, v, lo, hi, want):
+        assert ca.fileio.ints_within(v, lo, hi) is want
+
+    # a value's top byte 0x7f or 0xff: inf, -inf, NaN, and the largest finite
+    # values, which the fast test passes on to isfinite
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    @example([0x7ff0000000000000])
+    @example([0x3ff0000000000000, 0xfff0000000000000])
+    @example([0x7ff8000000000001])
+    @example([0x7fefffffffffffff, 0xffefffffffffffff, 0x7f00000000000000])
+    def test_f8_finite_equals_isfinite(self, bits):
+        raw = struct.pack(f"<{len(bits)}Q", *bits)
+        want = all(map(math.isfinite, struct.unpack(f"<{len(bits)}d", raw)))
+        assert ca.fileio.f8_finite(raw) is want
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError, match="^f: config must be a JSON "

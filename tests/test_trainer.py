@@ -11,13 +11,13 @@ import pytest
 import cslaudit as ca
 from cslaudit import model as M
 from cslaudit import trainer as TR
-from cslaudit.errors import ConfigError, CoverageError, NumericError, StoreError
+from cslaudit.errors import ConfigError, NumericError, StoreError
 
 
 def counts_dataset(counts, grammar):
     """Single sample whose label histogram matches `counts`."""
     labels = np.repeat(np.arange(len(counts)), counts)
-    frames = grammar.class_means[labels]
+    frames = np.array(grammar.class_means)[labels]
     s = ca.SequenceSample("s0", frames, labels,
                           np.zeros(len(labels), dtype=np.int8))
     return ca.Dataset(grammar, [s], "train", 0)
@@ -53,7 +53,7 @@ class TestClassWeights:
 
     def test_missing_class(self):
         ds = counts_dataset([10, 20], self.grammar(3))
-        with pytest.raises(CoverageError, match="2"):
+        with pytest.raises(ConfigError, match="class 2 never appears"):
             ca.compute_class_weights(ds)
 
 
