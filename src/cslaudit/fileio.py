@@ -59,9 +59,6 @@ def json_kind(example) -> tuple:
     if type(example) is not list:
         return _KINDS[type(example)]
     _, items, test = json_kind(example[0])
-    if type(example[0]) is int:  # epochs and 0/1 masks: long lists
-        return (f"a list of {items}", f"lists of {items}",
-                lambda v: ints_within(v, 0, math.inf))
     return (f"a list of {items}", f"lists of {items}",
             lambda v: type(v) in (list, tuple) and all(map(test, v)))
 

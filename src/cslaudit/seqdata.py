@@ -33,11 +33,10 @@ writer and id check. Files in the retired `csl-seqdata/1` format (frames as
 decimal text) are refused; regenerate them with `cslaudit gen`.
 
 Reading, checking, corrupting and writing a dataset need no numpy, so
-`corrupt` never loads it: a sample holds its frames as bytes, its labels as
-a list and its mask as a byte array until its arrays are first used
-(`SequenceSample`). The
-corruption stream is numpy's `default_rng(spec.seed)`, drawn in pure Python
-(`DefaultRng`): the same draws, so the same files.
+`corrupt` never loads it: a sample holds its frames as bytes and its labels
+and mask as lists of ints until its arrays are first read
+(`SequenceSample`). The corruption stream is numpy's `default_rng(spec.seed)`,
+drawn in pure Python (`DefaultRng`): the same draws, so the same files.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import itertools
 import json
 import math
 import zlib
-from array import array
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
@@ -145,69 +143,68 @@ def _array(value, dtype: str):
     return np.asarray(value, dtype=dtype)
 
 
-def _ints(v) -> list:
-    """A label or mask vector as a list of ints: a list as it is, an array's
-    (numpy's or array.array's) .tolist()."""
-    return v if type(v) is list else v.tolist()
+def _int_list(v, dtype: str) -> list:
+    """A label or mask vector as a list of ints: a list of ints as it is,
+    anything else (an array, a list of numpy ints) as a numpy array of
+    `dtype` holds it."""
+    return v if type(v) is list and set(map(type, v)) <= {int} \
+        else _array(v, dtype).tolist()
+
+
+_DTYPES = {"frames": "f8", "labels": "i8", "error_mask": "i1"}
 
 
 class SequenceSample:
     """One annotated sequence: `frames` (T x d float64), `labels` (T int64)
     and `error_mask` (T int8, 1 = ground-truth annotation error) read as numpy
-    arrays. Given frames as bytes (rows of `dim` little-endian float64s) and
-    the labels and mask as lists of ints, as a read or a corruption gives
-    them, it keeps them so until an array is read (the mask as an int8
-    `array.array`, a byte per frame, as numpy held it). Samples are equal
-    when every field is, the frames bit for bit."""
+    arrays. Until one is first read the sample holds that field raw, as a
+    file does: the frames as bytes (rows of `dim` little-endian float64s),
+    the labels and mask as lists of ints (an array given is converted). The
+    array, once built, replaces the raw form, so edits to it are kept
+    (`raw`). Samples are equal when every field is, the frames bit for bit."""
 
     def __init__(self, id: str, frames, labels, error_mask,
                  corruption: dict | None = None, dim: int | None = None):
         check_id(id)
-        self.id, self.corruption = id, corruption
         if type(frames) is bytes:
-            self._frames, self.dim = frames, dim
             T = len(frames) // (8 * dim)
         else:
-            self._frames = _array(frames, "f8")
-            T, self.dim = self._frames.shape
-        self._labels = labels if type(labels) is list else _array(labels, "i8")
-        self._mask = array("b", error_mask) if type(error_mask) is list \
-            else _array(error_mask, "i1")
-        if not (len(self._labels) == len(self._mask) == T):
+            frames = _array(frames, "<f8")
+            (T, dim), frames = frames.shape, frames.tobytes()
+        labels, mask = _int_list(labels, "i8"), _int_list(error_mask, "i1")
+        if not (len(labels) == len(mask) == T):
             raise SchemaError(
-                f"sample {self.id}: frames ({T}), labels ({len(self._labels)}) "
-                f"and error_mask ({len(self._mask)}) lengths disagree")
-        self.num_frames = T
+                f"sample {id}: frames ({T}), labels ({len(labels)}) "
+                f"and error_mask ({len(mask)}) lengths disagree")
+        self.id, self.num_frames, self.dim = id, T, dim
+        self.corruption = corruption
+        self._held = {"frames": frames, "labels": labels, "error_mask": mask}
 
-    @property
-    def frames(self):
-        if type(self._frames) is bytes:
-            self._frames = f8_array(self._frames, (-1, self.dim))
-        return self._frames
+    frames = property(lambda self: self._built("frames"))
+    labels = property(lambda self: self._built("labels"))
+    error_mask = property(lambda self: self._built("error_mask"))
 
-    @property
-    def labels(self):
-        if type(self._labels) is list:
-            self._labels = _array(self._labels, "i8")
-        return self._labels
+    def _built(self, name: str):
+        v = self._held[name]
+        if type(v) is bytes:
+            v = self._held[name] = f8_array(v, (self.num_frames, self.dim))
+        elif type(v) is list:
+            v = self._held[name] = _array(v, _DTYPES[name])
+        return v
 
-    @property
-    def error_mask(self):
-        if type(self._mask) is array:
-            self._mask = _array(self._mask, "i1")
-        return self._mask
+    def raw(self, name: str):
+        """A field as a file holds it: the frames' little-endian float64
+        bytes, row-major, or the list of ints of the labels or the mask."""
+        v = self._held[name]
+        if type(v) in (bytes, list):
+            return v
+        return v.astype("<f8").tobytes() if name == "frames" else v.tolist()
 
-    def frame_bytes(self) -> bytes:
-        """The frames as little-endian float64 bytes, row-major."""
-        f = self._frames
-        return f if type(f) is bytes else f.astype("<f8").tobytes()
-
-    def _fields(self) -> tuple:
-        return (self.id, self.dim, self.frame_bytes(), _ints(self._labels),
-                _ints(self._mask), self.corruption)
+    def _key(self) -> tuple:
+        return (self.id, self.dim, self.corruption, *map(self.raw, _DTYPES))
 
     def __eq__(self, other):
-        return self._fields() == other._fields() \
+        return self._key() == other._key() \
             if isinstance(other, SequenceSample) else NotImplemented
 
 
@@ -230,7 +227,7 @@ class Dataset:
                 raise SchemaError(
                     f"sample {s.id}: feature dim {s.dim} "
                     f"!= grammar feature_dim {self.grammar.feature_dim}")
-            if not ints_within(_ints(s._labels), 0, self.grammar.num_classes):
+            if not ints_within(s.raw("labels"), 0, self.grammar.num_classes):
                 raise SchemaError(f"sample {s.id}: labels out of range")
 
     def __len__(self) -> int:
@@ -254,7 +251,9 @@ class CorruptionSpec:
             raise ConfigError("segment_len_min must be <= segment_len_max")
         if self.segment_len_min < 1:
             raise ConfigError("segment_len_min must be >= 1")
-        check_json(self.seed, 0, "seed", ConfigError)  # default_rng's seeds
+        if hasattr(self.seed, "__index__"):  # a numpy int seeds default_rng
+            object.__setattr__(self, "seed", self.seed.__index__())
+        check_json(self.seed, 0, "seed", ConfigError)
         if self.segment_len_max >= INT64_END:
             raise ConfigError("segment_len_max must be below 2**63")
 
@@ -362,7 +361,7 @@ class DefaultRng:
 def label_runs(labels) -> list[tuple[int, int, int]]:
     """Maximal constant runs of a label vector (a list of ints or an array)
     as (class, start, end) triples."""
-    labels = _ints(labels)
+    labels = labels if type(labels) is list else labels.tolist()
     runs = []
     start = 0
     for t in range(1, len(labels) + 1):
@@ -443,13 +442,13 @@ def inject_mislabeling(sample: SequenceSample, spec: CorruptionSpec,
     length = min(length, T)
     start = int(rng.integers(0, T - length + 1))
     end = start + length
-    labels = _ints(sample._labels)
+    labels = sample.raw("labels")
     from_class = labels[start]
     # uniform over Y \ {from_class}
     draw = int(rng.integers(0, num_classes - 1))
     to_class = draw if draw < from_class else draw + 1
     return SequenceSample(
-        sample.id, sample._frames,
+        sample.id, sample.raw("frames"),
         labels[:start] + [to_class] * length + labels[end:],
         [0] * start + [1] * length + [0] * (T - end),
         corruption={"kind": "mislabel", "start": start, "end": end,
@@ -469,7 +468,7 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
         raise ConfigError("inject_disordering requires a disorder spec")
     if sample.corruption is not None:
         raise SchemaError(f"sample {sample.id} is already corrupted")
-    labels = _ints(sample._labels)
+    labels = sample.raw("labels")
     runs = label_runs(labels)
     if len(runs) < 2:
         raise DataError(
@@ -478,7 +477,7 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
     _, start_a, end_a = runs[j]
     _, start_b, end_b = runs[j + 1]
     return SequenceSample(
-        sample.id, _swap(sample.frame_bytes(), start_a, start_b, end_b,
+        sample.id, _swap(sample.raw("frames"), start_a, start_b, end_b,
                          8 * sample.dim),
         _swap(labels, start_a, start_b, end_b),
         [0] * start_a + [1] * (end_b - start_a)
@@ -534,11 +533,11 @@ def f8_array(raw: bytes, shape: tuple[int, int]):
 
 
 def _sample_dict(s: SequenceSample) -> dict:
-    raw = s.frame_bytes()
+    raw = s.raw("frames")
     if not f8_finite(raw):  # read_dataset would refuse it
         raise SchemaError(f"sample {s.id}: frames hold a non-finite value")
     return {"id": s.id, "frames": base64.b64encode(raw).decode("ascii"),
-            "labels": _ints(s._labels), "error_mask": _ints(s._mask),
+            "labels": s.raw("labels"), "error_mask": s.raw("error_mask"),
             "corruption": s.corruption}
 
 
@@ -674,7 +673,7 @@ def dataset_fingerprint(ds: Dataset) -> str:
     for s in ds.samples:
         put(s.id.encode())
         put(s.num_frames.to_bytes(8, "little") + s.dim.to_bytes(8, "little"))
-        put(s.frame_bytes())
+        put(s.raw("frames"))
         put(s.labels.astype("<i8").tobytes())
         put(s.error_mask.astype("i1").tobytes())
         put(json.dumps(s.corruption, sort_keys=True).encode())

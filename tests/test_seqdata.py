@@ -258,12 +258,24 @@ class TestCorruptDataset:
             with pytest.raises(ConfigError, match=r"_max must be below 2\*\*63$"):
                 make(value)
 
-    @pytest.mark.parametrize("seed,shown", [(-1, "-1"), (True, "true"),
-                                            (2.0, "2.0")])
+    @pytest.mark.parametrize("seed,shown", [(-1, "-1"), (2.0, "2.0"),
+                                            ("3", '"3"')])
     def test_spec_refuses_a_seed_default_rng_refuses(self, seed, shown):
         with pytest.raises(ConfigError, match=f"^seed must be a non-negative "
                            f"integer, not {shown}$"):
             ca.CorruptionSpec("disorder", 0.5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), True],
+                             ids=["int64", "uint32", "bool"])
+    def test_spec_takes_the_ints_default_rng_takes(self, small_grammar, seed):
+        """A numpy integer (or a bool) seeds the stream as the Python int it
+        equals, as it seeds numpy's default_rng."""
+        spec = ca.CorruptionSpec("mislabel", 0.5, 2, 4, seed)
+        assert type(spec.seed) is int and spec.seed == seed
+        ds = ca.generate_dataset(small_grammar, 12, "test", seed=2)
+        want = ca.corrupt_dataset(
+            ds, ca.CorruptionSpec("mislabel", 0.5, 2, 4, int(seed)))
+        assert ca.corrupt_dataset(ds, spec).samples == want.samples
 
     def test_half_of_twenty(self):
         g = fixed_grammar(C=3, dur=6)
@@ -402,6 +414,38 @@ class TestIO:
     def test_sample_id_accepted(self, good_id):
         assert ca.SequenceSample(good_id, np.zeros((2, 2)), [0, 0],
                                  [0, 0]).id == good_id
+
+    @pytest.mark.parametrize("convert", [
+        list, lambda a: a.astype(float).tolist(), lambda a: a.tolist()],
+        ids=["numpy-ints", "floats", "ints"])
+    def test_labels_as_any_int_list(self, tmp_path, convert):
+        """Labels and a mask given as a list of numpy ints or of floats hold
+        what the int arrays of them hold, and are written as plain ints."""
+        labels, mask = np.arange(6) % 2, np.array([0, 1, 1, 0, 0, 0], np.int8)
+        s = ca.SequenceSample("s0", np.ones((6, 3)), convert(labels),
+                              convert(mask))
+        ds = ca.Dataset(fixed_grammar(), [s], "test", 0)  # no array read yet
+        path = tmp_path / "ds.jsonl"
+        ca.write_dataset(ds, str(path))
+        row = json.loads(path.read_text().splitlines()[1])
+        assert (row["labels"], row["error_mask"]) == (labels.tolist(),
+                                                      mask.tolist())
+        assert ca.read_dataset(str(path)).samples == [s]
+        assert s.labels.dtype == np.int64 and s.error_mask.dtype == np.int8
+        assert s.labels.tolist() == labels.tolist()
+        assert s.error_mask.tolist() == mask.tolist()
+
+    def test_edits_to_an_array_are_kept(self, small_dataset):
+        """A sample's array, once read, is the field: an edit to it is what
+        the sample compares and writes."""
+        s = small_dataset.samples[0]
+        other = ca.SequenceSample(s.id, s.frames.copy(), s.labels,
+                                  s.error_mask)
+        assert other == s
+        s.labels[0], s.error_mask[0], s.frames[0, 0] = 1, 1, -0.0
+        assert s.raw("labels")[0] == s.raw("error_mask")[0] == 1
+        assert s.raw("frames")[:8] == struct.pack("<d", -0.0)
+        assert other != s
 
     def test_write_is_atomic(self, small_dataset, tmp_path):
         path = tmp_path / "ds.jsonl"
