@@ -21,8 +21,7 @@ _PUBLIC = {  # module -> the public names it defines
     "trainer": "CheckpointStore TrainConfig "
                "compute_class_weights load_store train",
     "csl": "CslProfile DetectionConfig LossTrajectory audit_dataset "
-           "compute_csl eval_loss_trajectory flag_percentile flag_threshold "
-           "smooth_csl trajectory_curvature",
+           "eval_loss_trajectory trajectory_curvature",
     "metrics": "EvalInput auc_bruteforce build_report calibrate_tau eda "
                "frames_to_segments micro_auc",
 }

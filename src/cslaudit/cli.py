@@ -15,7 +15,6 @@ import gc
 import json
 import math
 import os
-import struct
 import sys
 
 from . import csl as CSL
@@ -283,7 +282,7 @@ def cmd_audit(cfg: dict) -> None:
                 "id": sample.id,
                 "epochs": epochs,
                 "losses": SD.encode_f8(p.trajectory.losses),
-                "flags": p.flags.tolist(),
+                "flags": p.flags,
                 "segments": [list(s) for s in p.segments],
                 "labels": sample.labels.tolist(),
                 "gt_error": sample.error_mask.tolist(),
@@ -301,9 +300,8 @@ def cmd_audit(cfg: dict) -> None:
             f.write("".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
-                    sample.labels.tolist(), p.csl.tolist(),
-                    p.smoothed.tolist(), curvature, p.flags.tolist(),
-                    sample.error_mask.tolist()))))
+                    sample.labels.tolist(), p.csl, p.smoothed, curvature,
+                    p.flags, sample.error_mask.tolist()))))
     n_frames = sum(len(p.csl) for p in profiles)
     print(f"audited {len(profiles)} videos ({n_frames} frames) "
           f"over {E} checkpoints")
@@ -318,9 +316,9 @@ PROFILES_SHAPE = {"format": "x", "detection": {"window": 0}, "videos": [
 
 def _load_profiles(cfg: dict) -> dict:
     """The parsed profiles.json, each video's `losses` replaced by its
-    checked bytes: E x T little-endian float64, E = len(epochs) and
+    checked E x T matrix as rows (`fileio.loss_rows`), E = len(epochs) and
     T = len(gt_error). Malformed input raises ParseError or SchemaError
-    naming path and field; the caller checks the loss values."""
+    naming path and field; a bad loss value's error names path and video."""
     path = _path(cfg, "profiles.json")
     data = FIO.read_json(path, ParseError,
                          f"no audit artifacts at {path}; run audit first")
@@ -347,31 +345,20 @@ def _load_profiles(cfg: dict) -> dict:
             raise SchemaError(f"{where}.gt_error must hold 0s and 1s only")
         v["losses"] = FIO.f8_bytes(v["losses"], (len(epochs), len(gt)),
                                    f"{where}.losses")
+    for v in data["videos"]:  # values last, once every field has its form
+        try:
+            v["losses"] = FIO.loss_rows(v["losses"], v["epochs"],
+                                        len(v["gt_error"]), v["id"])
+        except (DataError, NumericError) as e:
+            raise type(e)(f"{path}: {e}") from e
     return data
-
-
-def _loss_rows(path: str, video: dict) -> list[tuple[float, ...]]:
-    """The E x T loss matrix of a video _load_profiles returned, as E rows of
-    floats, checked as LossTrajectory checks it, with its error texts."""
-    row = struct.Struct(f"<{len(video['gt_error'])}d")
-    rows = [row.unpack_from(video["losses"], e * row.size)
-            for e in range(len(video["epochs"]))]
-    if video["losses"][7::8].translate(None, FIO.PLAIN_TOP_BYTES):
-        for epoch, values in zip(video["epochs"], rows):
-            if not all(map(math.isfinite, values)):
-                raise NumericError(f"{path}: video {video['id']}: non-finite "
-                                   f"loss at epoch {epoch}")
-        if min(map(min, rows)) < 0:
-            raise DataError(f"{path}: video {video['id']}: negative loss")
-    return rows
 
 
 def cmd_eval(cfg: dict) -> None:
     profiles = _load_profiles(cfg)
-    path = _path(cfg, "profiles.json")
     window = profiles["detection"]["window"]  # the audit's, not this config's
     inputs = [MET.EvalInput(v["id"], MET.smooth(MET.mean_over_epochs(
-                  _loss_rows(path, v)), window), v["gt_error"])
+                  v["losses"]), window), v["gt_error"])
               for v in profiles["videos"]]
     report = MET.build_report(
         inputs, k_percent=float(cfg["detection"]["k_percent"]),
@@ -410,10 +397,8 @@ def write_pgm(losses, path: str) -> None:
 
 
 def cmd_heatmap(cfg: dict, video: str | None) -> None:
-    profiles = _load_profiles(cfg)
-    path = _path(cfg, "profiles.json")
     # every video is checked before any write
-    rows = {v["id"]: _loss_rows(path, v) for v in profiles["videos"]}
+    rows = {v["id"]: v["losses"] for v in _load_profiles(cfg)["videos"]}
     if video is not None and video not in rows:
         raise DataError(f"unknown video id {video!r}")
     for vid in rows if video is None else [video]:

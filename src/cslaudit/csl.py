@@ -7,9 +7,9 @@ the per-frame CSL, smooth with a truncated moving window, and flag frames
 either above a threshold (strict >) or in the per-video top-k% of smoothed
 CSL. The store holds the checkpoints stacked along a leading axis; they are
 replayed a chunk at a time, one stacked forward pass per chunk, in their own
-dtype (float32 for a loaded store). The losses are float64 throughout. The
-CSL, smoothing, flags and segments are `metrics`' numpy-free core, which
-`eval` runs too; the array functions here convert around it.
+dtype (float32 for a loaded store). The losses are float64, checked by
+`fileio.loss_rows` as `eval` checks them. A profile holds the lists of
+`metrics`' numpy-free core (CSL, smoothing, flags, segments), which `eval` runs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import fileio as FIO
 from . import metrics as MET
 from . import model as M
 from .errors import ConfigError, DataError, FingerprintError, NumericError
@@ -69,7 +70,7 @@ class LossTrajectory:
     epochs: list[int]
 
     def __post_init__(self):
-        self.losses = np.asarray(self.losses, dtype=np.float64)
+        self.losses = np.asarray(self.losses, dtype="<f8")
         if self.losses.ndim != 2:
             raise DataError(f"video {self.video_id}: losses must be a 2-D "
                             f"(epochs x frames) matrix, got "
@@ -77,21 +78,17 @@ class LossTrajectory:
         if self.losses.shape[0] != len(self.epochs):
             raise DataError(f"video {self.video_id}: {self.losses.shape[0]} "
                             f"loss rows for {len(self.epochs)} epochs")
-        finite = np.logical_and.reduce(np.isfinite(self.losses), axis=1)
-        if not np.logical_and.reduce(finite):
-            raise NumericError(f"video {self.video_id}: non-finite loss at "
-                               f"epoch {self.epochs[int(finite.argmin())]}")
-        if np.logical_or.reduce(self.losses < 0, axis=None):
-            raise DataError(f"video {self.video_id}: negative loss")
+        FIO.loss_rows(self.losses.tobytes(), self.epochs, self.losses.shape[1],
+                      self.video_id)
 
 
 @dataclass
 class CslProfile:
     video_id: str
     trajectory: LossTrajectory
-    csl: np.ndarray        # (T,)
-    smoothed: np.ndarray   # (T,)
-    flags: np.ndarray      # (T,) int
+    csl: list[float]
+    smoothed: list[float]
+    flags: list[int]
     segments: list[tuple[int, int]]
 
 
@@ -151,28 +148,6 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                            f"overflowed; the weights are finite") from e
 
 
-def compute_csl(traj: LossTrajectory) -> np.ndarray:
-    """Columnwise mean over epochs."""
-    return np.array(MET.mean_over_epochs(traj.losses.tolist()))
-
-
-def smooth_csl(csl: np.ndarray, w: int) -> np.ndarray:
-    """metrics.smooth, as an array."""
-    return np.array(MET.smooth(np.asarray(csl, dtype=np.float64).tolist(), w))
-
-
-def flag_threshold(smoothed: np.ndarray, tau: float) -> np.ndarray:
-    """metrics.flags_above, as an int8 array."""
-    return np.array(MET.flags_above(np.asarray(smoothed).tolist(), tau),
-                    dtype=np.int8)
-
-
-def flag_percentile(smoothed: np.ndarray, k_percent: float) -> np.ndarray:
-    """metrics.flags_top, as an int8 array."""
-    return np.array(MET.flags_top(np.asarray(smoothed).tolist(), k_percent),
-                    dtype=np.int8)
-
-
 def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
     """Mean absolute discrete second difference of each frame's loss over
     epochs; requires at least 3 checkpoints."""
@@ -189,8 +164,8 @@ def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
     smoothed = MET.smooth(csl, cfg.window)
     flags = MET.flags_above(smoothed, cfg.tau) if cfg.mode == THRESHOLD \
         else MET.flags_top(smoothed, cfg.k_percent)
-    return CslProfile(traj.video_id, traj, np.array(csl), np.array(smoothed),
-                      np.array(flags, np.int8), frames_to_segments(flags))
+    return CslProfile(traj.video_id, traj, csl, smoothed, flags,
+                      frames_to_segments(flags))
 
 
 def audit_dataset(store: CheckpointStore, ds: Dataset,

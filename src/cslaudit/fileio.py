@@ -1,6 +1,6 @@
 """The file helpers every command runs before it computes: reading and
-shape-checking JSON documents, atomic writes, video ids, and the byte level
-of the float64 base64 codec (`seqdata.encode_f8`/`f8_array`).
+shape-checking JSON documents, atomic writes, video ids, the byte level of
+the float64 base64 codec (`seqdata.encode_f8`/`f8_array`) and the loss check.
 
 This module imports no numpy, so `import cslaudit` and the commands that
 only read and write documents (`corrupt`, `heatmap`, `--help`, a config
@@ -18,7 +18,7 @@ import re
 import struct
 import sys
 
-from .errors import DataError, SchemaError
+from .errors import DataError, NumericError, SchemaError
 
 _BAD_ID_CHAR = re.compile(r'[/\\,"\x00-\x1f\x7f-\x9f]')
 
@@ -158,8 +158,8 @@ def f8_bytes(text, shape: tuple[int, int], name: str) -> bytes:
 # The last byte of a little-endian float64 holds its sign bit and the top 7
 # bits of its exponent: below 0x7f, the value is finite and non-negative;
 # unless it is 0x7f or 0xff, it is finite.
-PLAIN_TOP_BYTES = bytes(range(0x7f))
-_FINITE_TOP_BYTES = PLAIN_TOP_BYTES + bytes(range(0x80, 0xff))
+_PLAIN_TOP_BYTES = bytes(range(0x7f))
+_FINITE_TOP_BYTES = _PLAIN_TOP_BYTES + bytes(range(0x80, 0xff))
 
 
 def f8_finite(raw: bytes) -> bool:
@@ -167,3 +167,21 @@ def f8_finite(raw: bytes) -> bool:
     top of the range (top byte 0x7f or 0xff) are unpacked to tell."""
     return not raw[7::8].translate(None, _FINITE_TOP_BYTES) or all(map(
         math.isfinite, struct.unpack(f"<{len(raw) // 8}d", raw)))
+
+
+def loss_rows(raw: bytes, epochs, T: int, vid) -> list:
+    """The len(epochs) rows of T little-endian float64 losses in raw, as
+    sequences of floats; NumericError names a non-finite loss's first epoch,
+    then DataError a negative loss. Top bytes all below 0x7f need no test."""
+    # a view of raw makes no float object until a value is read
+    values = memoryview(raw).cast("d") if sys.byteorder == "little" \
+        else struct.unpack(f"<{len(raw) // 8}d", raw)
+    rows = [values[e * T:e * T + T] for e in range(len(epochs))]
+    if raw[7::8].translate(None, _PLAIN_TOP_BYTES):
+        for epoch, row in zip(epochs, rows):
+            if not all(map(math.isfinite, row)):
+                raise NumericError(
+                    f"video {vid}: non-finite loss at epoch {epoch}")
+        if min(map(min, rows)) < 0:
+            raise DataError(f"video {vid}: negative loss")
+    return rows

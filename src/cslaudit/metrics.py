@@ -34,12 +34,14 @@ def smooth(csl, w: int) -> list[float]:
     """Moving average with radius w; windows truncate at sequence edges and
     divide by the actual in-range count. Each window sums its frames in
     ascending order, or descending when T < 2w+1: np.convolve's orders, its
-    bits for w <= 7. The padded zeros add nothing to a sum from 0.0."""
+    bits for w <= 7. The padded zeros add nothing to a sum from 0.0. A radius
+    above max(1, T - 1), whose windows all span the sequence, is cut to it."""
     if w < 0:
         raise ConfigError("window radius must be >= 0")
     if w == 0:
         return list(csl)
     T = len(csl)
+    w = min(w, max(1, T - 1))
     padded = [*[0.0] * w, *csl, *[0.0] * w]
     offsets = range(2 * w + 1) if T >= 2 * w + 1 else range(2 * w, -1, -1)
     sums = _sums((padded[o:o + T] for o in offsets), T)

@@ -192,20 +192,20 @@ def test_criterion_8_invariant_suite(small_grammar, tiny_model_cfg):
 
     losses = rng.uniform(0, 3, (6, 40))
     traj = CSL.LossTrajectory("v", losses, list(range(1, 7)))
-    csl = ca.compute_csl(traj)
+    csl = np.array(MET.mean_over_epochs(traj.losses.tolist()))
     ok = ok and np.abs(csl - losses.sum(axis=0) / 6).max() < 1e-12
 
-    ok = ok and np.array_equal(ca.smooth_csl(csl, 0), csl)
-    sm = ca.smooth_csl(csl, 5)
+    ok = ok and np.array_equal(MET.smooth(csl.tolist(), 0), csl)
+    sm = np.array(MET.smooth(csl.tolist(), 5))
     ok = ok and csl.min() - 1e-12 <= sm.min() and sm.max() <= csl.max() + 1e-12
 
     x = np.array([0.1, 0.5, 0.5, 0.9])
-    ok = ok and list(ca.flag_threshold(x, 0.5)) == [0, 0, 0, 1]
+    ok = ok and list(MET.flags_above(x.tolist(), 0.5)) == [0, 0, 0, 1]
     for k in (10.0, 37.0, 100.0):
-        flags = ca.flag_percentile(csl, k)
+        flags = np.array(MET.flags_top(csl.tolist(), k))
         ok = ok and flags.sum() == int(np.ceil(k / 100 * len(csl)))
-    ok = ok and np.array_equal(ca.flag_percentile(csl, 25),
-                               ca.flag_percentile(csl ** 3 + 5 * csl, 25))
+    ok = ok and np.array_equal(MET.flags_top(csl.tolist(), 25),
+                               MET.flags_top((csl ** 3 + 5 * csl).tolist(), 25))
 
     gt = np.zeros(40, dtype=int)
     gt[3:9] = 1
@@ -254,7 +254,8 @@ def test_float32_replay_tolerance_gate(bench):
         for p32, p64 in zip(r.profiles, ref.profiles):
             assert p64.trajectory.losses.dtype == np.float64
             assert np.array_equal(p32.flags, p64.flags), p32.video_id
-            worst_csl = max(worst_csl, float(np.abs(p32.csl - p64.csl).max()))
+            worst_csl = max(worst_csl, float(np.abs(np.array(p32.csl)
+                                                    - p64.csl).max()))
         worst_auc = max(worst_auc, abs(r.auc - ref.auc))
     print(f"float32 replay: max |dCSL| {worst_csl:.1e}, |dAUC| {worst_auc:.1e}")
     # 0 < : the two replays did run in different precisions

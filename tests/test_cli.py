@@ -336,32 +336,6 @@ def test_bad_loss_value_refused_before_any_write(trained_cfg, tmp_path,
     assert sorted(os.listdir(cfg["out_dir"])) == before
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 4), st.data())
-def test_heatmap_loss_check_is_loss_trajectorys(E, T, data):
-    """heatmap's check of a video's losses (on the bytes where every value
-    is plainly finite and non-negative, else on floats) raises what
-    LossTrajectory raises, with its text."""
-    special = st.sampled_from([-0.0, 2.0 ** 1009, 2.0 ** 1008, -1e-300,
-                               math.inf, -math.inf, math.nan])
-    values = data.draw(st.lists(st.floats() | special, min_size=E * T,
-                                max_size=E * T))
-    losses = np.array(values, dtype=np.float64).reshape(E, T)
-    epochs = list(range(2, 2 + E))
-    video = {"id": "v", "epochs": epochs, "gt_error": [0] * T,
-             "losses": losses.astype("<f8").tobytes()}
-
-    def outcome(check):
-        try:
-            check()
-        except (ca.errors.DataError, ca.errors.NumericError) as e:
-            return type(e), str(e)
-
-    want = outcome(lambda: ca.LossTrajectory("v", losses, epochs))
-    got = outcome(lambda: cli._loss_rows("p", video))
-    assert got == (want and (want[0], f"p: {want[1]}"))
-
-
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(ca.__file__))
     code = ("import sys, cslaudit.cli; "
@@ -506,8 +480,11 @@ def test_profiles_losses_bit_equal_library(trained_cfg, tmp_path, mode):
     profiles = library_profiles(path)
     assert [v["id"] for v in videos] == [p.video_id for p in profiles]
     for v, t, p in zip(videos, text, profiles):
-        assert v["losses"] == p.trajectory.losses.astype("<f8").tobytes()
-        got = ca.seqdata.f8_array(v["losses"], p.trajectory.losses.shape)
+        want = p.trajectory.losses.astype("<f8").tobytes()
+        assert np.array(v["losses"], "<f8").tobytes() == want
+        shape = p.trajectory.losses.shape
+        got = ca.seqdata.f8_array(ca.fileio.f8_bytes(t["losses"], shape, "x"),
+                                  shape)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.flags.writeable
         assert np.array_equal(got.view("<u8"),
@@ -550,6 +527,26 @@ def test_eval_uses_the_audit_window(trained_cfg, tmp_path):
     after["config"]["detection"]["window"] = window
     assert (json.dumps(after, sort_keys=True, indent=1) + "\n").encode() \
         == before
+
+
+@pytest.mark.parametrize("mode", ["percentile", "threshold"])
+def test_window_wider_than_every_video(trained_cfg, tmp_path, mode):
+    """audit and eval with a radius of 2**62 exit 0 (they ran out of memory)
+    and score as a radius as long as the longest video: audit.csv and the
+    report's values are the same."""
+    test = ca.read_dataset(os.path.join(trained_cfg["out_dir"],
+                                        "test_mislabel.jsonl"))
+    longest = max(s.num_frames for s in test.samples)
+    outputs = []
+    for window in (2 ** 62, longest):
+        path, cfg = audited_copy(trained_cfg, tmp_path / str(window),
+                                 mode=mode, tau=None, window=window)
+        assert run_cli("eval", "--config", path) == 0
+        out = cfg["out_dir"]
+        report = json.loads(open(os.path.join(out, "report.json")).read())
+        outputs.append((open(os.path.join(out, "audit.csv"), "rb").read(),
+                        [report[k] for k in ("micro_auc", "eda", "per_video")]))
+    assert outputs[0] == outputs[1]
 
 
 def _make_dir(path, clean):
@@ -1587,7 +1584,9 @@ def test_console_script_is_console_main():
 
 
 # The package's public names before its submodules loaded lazily, less the
-# deleted audit_sequence, ClassWeights, save_store and MetricsReport.
+# deleted audit_sequence, ClassWeights, save_store, MetricsReport and the array
+# forms of the scoring core (compute_csl, smooth_csl, flag_threshold,
+# flag_percentile).
 PUBLIC = {
     "CorruptionSpec", "Dataset", "PhaseGrammar", "SequenceSample",
     "corrupt_dataset", "generate_dataset", "read_dataset", "write_dataset",
@@ -1595,8 +1594,7 @@ PUBLIC = {
     "CheckpointStore", "TrainConfig", "compute_class_weights",
     "load_store", "train",
     "CslProfile", "DetectionConfig", "LossTrajectory", "audit_dataset",
-    "calibrate_tau", "compute_csl", "eval_loss_trajectory", "flag_percentile",
-    "flag_threshold", "frames_to_segments", "smooth_csl",
+    "calibrate_tau", "eval_loss_trajectory", "frames_to_segments",
     "trajectory_curvature",
     "EvalInput", "auc_bruteforce", "build_report", "eda",
     "micro_auc",

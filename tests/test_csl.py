@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cslaudit as ca
 from cslaudit import csl as CSL
+from cslaudit import metrics as MET
 from cslaudit import model as M
 from cslaudit.errors import ConfigError, DataError, FingerprintError, NumericError
 from cslaudit.seqdata import grammar_fingerprint
@@ -134,26 +135,21 @@ class TestTrajectory:
 
 
 class TestCsl:
-    def traj(self, losses):
-        return ca.LossTrajectory("v", np.asarray(losses, dtype=float),
-                                 list(range(1, len(losses) + 1)))
-
     def test_columnwise_mean(self):
-        assert ca.compute_csl(self.traj([[0.9], [0.5], [0.1]]))[0] \
+        assert MET.mean_over_epochs([[0.9], [0.5], [0.1]])[0] \
             == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_column(self):
-        assert np.allclose(ca.compute_csl(self.traj([[3.0, 7.0]] * 4)),
-                           [3.0, 7.0])
+        assert np.allclose(MET.mean_over_epochs([[3.0, 7.0]] * 4), [3.0, 7.0])
 
     def test_single_epoch_identity(self):
         row = [[0.2, 0.4, 0.8]]
-        assert np.array_equal(ca.compute_csl(self.traj(row)), row[0])
+        assert np.array_equal(MET.mean_over_epochs(row), row[0])
 
     def test_bruteforce_mean_exactness(self):
         rng = np.random.default_rng(1)
         losses = rng.uniform(0, 5, size=(40, 100))
-        csl = ca.compute_csl(self.traj(losses))
+        csl = np.array(MET.mean_over_epochs(losses.tolist()))
         brute = np.array([sum(losses[e][t] for e in range(40)) / 40
                           for t in range(100)])
         assert np.abs(csl - brute).max() < 1e-12
@@ -169,14 +165,14 @@ class TestCsl:
             losses = rng.uniform(0, 5, (E, T)) * rng.choice([1e-6, 1.0, 1e6],
                                                             (E, T))
             losses[rng.random((E, T)) < 0.2] = -0.0
-            got = ca.compute_csl(self.traj(losses))
+            got = np.array(MET.mean_over_epochs(losses.tolist()))
             ordered = np.zeros(T)
             for row in losses:
                 ordered += row
             assert got.tobytes() == (ordered / E).tobytes()
             if T >= 2:
                 assert got.tobytes() == (np.add.reduce(losses, 0) / E).tobytes()
-        assert ca.compute_csl(self.traj(np.full((E, 3), -0.0))).tobytes() \
+        assert np.array(MET.mean_over_epochs([[-0.0] * 3] * E)).tobytes() \
             == np.zeros(3).tobytes()
 
 
@@ -202,15 +198,15 @@ class TestTrajectoryErrors:
 
 class TestSmoothing:
     def test_zero_window_identity(self):
-        x = np.array([4.0, 1.0, 3.0])
-        assert np.array_equal(ca.smooth_csl(x, 0), x)
+        x = [4.0, 1.0, 3.0]
+        assert MET.smooth(x, 0) == x
 
     def test_interior_mean(self):
-        assert ca.smooth_csl(np.array([1.0, 2.0, 3.0]), 1)[1] \
+        assert MET.smooth([1.0, 2.0, 3.0], 1)[1] \
             == pytest.approx(2.0, abs=1e-15)
 
     def test_truncated_boundary(self):
-        out = ca.smooth_csl(np.array([4.0, 2.0, 2.0, 2.0]), 1)
+        out = MET.smooth([4.0, 2.0, 2.0, 2.0], 1)
         assert out[0] == pytest.approx(3.0, abs=1e-15)
 
     @settings(max_examples=50, deadline=None)
@@ -219,7 +215,7 @@ class TestSmoothing:
     @example([0.0, 1.0, 1.0, 1.0, 1.0], 3)
     def test_window_bounds(self, values, w):
         x = np.array(values)
-        out = ca.smooth_csl(x, w)
+        out = MET.smooth(values, w)
         assert len(out) == len(x)
         for t in range(len(x)):
             lo, hi = max(0, t - w), min(len(x), t + w + 1)
@@ -238,7 +234,7 @@ class TestSmoothing:
         np.convolve sums in the order of the BLAS kernel the CPU picks, and
         the two agree within 1e-14 relative."""
         x = np.array(values)
-        got = ca.smooth_csl(x, w)
+        got = np.array(MET.smooth(values, w))
         assert got.tobytes() == np.array(window_oracle(values, w)).tobytes()
         T, kernel = len(x), np.ones(2 * w + 1)
         sums = np.convolve(x, kernel, mode="full")[w:w + T]
@@ -263,9 +259,26 @@ class TestSmoothing:
                 want = np.convolve(x, np.ones(2 * w + 1), mode="full")[w:w + T]
                 before = np.minimum(np.arange(T, dtype=np.float64), w)
                 want /= before + before[::-1] + 1.0
-                assert ca.smooth_csl(x, w).tobytes() == want.tobytes(), T
-            zeros = np.full(T, -0.0)
-            assert ca.smooth_csl(zeros, w).tobytes() == np.zeros(T).tobytes()
+                got = np.array(MET.smooth(x.tolist(), w))
+                assert got.tobytes() == want.tobytes(), T
+            zeros = [-0.0] * T
+            assert np.array(MET.smooth(zeros, w)).tobytes() \
+                == np.zeros(T).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 100) | st.just(-0.0), max_size=40),
+           st.integers(0, 2 ** 62))
+    @example([], 2 ** 62)
+    @example([-0.0], 2 ** 62)
+    @example([3.0, -0.0, 1.5], 2 ** 62)
+    def test_radius_past_the_sequence_is_cut(self, values, extra):
+        """A radius of T - 1 (1 for T <= 2) already spans the whole sequence
+        from every frame: any wider one, up to 2**62, smooths to the same
+        bits, in the time and memory of that one."""
+        cut = max(1, len(values) - 1)
+        w = min(cut + extra, 2 ** 62)
+        assert np.array(MET.smooth(values, w)).tobytes() \
+            == np.array(MET.smooth(values, cut)).tobytes()
 
 
 def window_oracle(values, w):
@@ -285,39 +298,39 @@ def window_oracle(values, w):
 
 class TestFlagging:
     def test_threshold_basic(self):
-        assert ca.flag_threshold(np.array([0.1, 0.9]), 0.5).tolist() == [0, 1]
+        assert MET.flags_above([0.1, 0.9], 0.5) == [0, 1]
 
     def test_threshold_strict(self):
-        assert ca.flag_threshold(np.array([0.5]), 0.5).tolist() == [0]
+        assert MET.flags_above([0.5], 0.5) == [0]
 
     def test_threshold_below_min(self):
-        x = np.array([0.3, 0.2, 0.9])
-        assert ca.flag_threshold(x, x.min() - 1).tolist() == [1, 1, 1]
+        x = [0.3, 0.2, 0.9]
+        assert MET.flags_above(x, min(x) - 1) == [1, 1, 1]
 
     def test_threshold_monotone(self):
         rng = np.random.default_rng(2)
-        x = rng.uniform(0, 1, 30)
+        x = rng.uniform(0, 1, 30).tolist()
         for tau1, tau2 in [(0.2, 0.5), (0.0, 0.9), (0.4, 0.4)]:
-            f1 = set(np.flatnonzero(ca.flag_threshold(x, tau1)))
-            f2 = set(np.flatnonzero(ca.flag_threshold(x, tau2)))
+            f1 = set(np.flatnonzero(MET.flags_above(x, tau1)))
+            f2 = set(np.flatnonzero(MET.flags_above(x, tau2)))
             assert f2 <= f1
 
     def test_percentile_count(self):
-        x = np.random.default_rng(3).uniform(size=10)
-        assert ca.flag_percentile(x, 20).sum() == 2
+        x = np.random.default_rng(3).uniform(size=10).tolist()
+        assert sum(MET.flags_top(x, 20)) == 2
 
     def test_percentile_tie_break(self):
-        assert ca.flag_percentile(np.ones(5), 40).tolist() == [1, 1, 0, 0, 0]
+        assert MET.flags_top([1.0] * 5, 40) == [1, 1, 0, 0, 0]
 
     def test_percentile_full(self):
-        assert ca.flag_percentile(np.arange(7.0), 100).sum() == 7
+        assert sum(MET.flags_top([float(t) for t in range(7)], 100)) == 7
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=40),
            st.floats(0.5, 100))
     def test_percentile_count_exact(self, values, k):
-        flags = ca.flag_percentile(np.array(values), k)
-        assert flags.sum() == int(np.ceil(k / 100 * len(values)))
+        flags = MET.flags_top(values, k)
+        assert sum(flags) == int(np.ceil(k / 100 * len(values)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=30),
@@ -326,8 +339,8 @@ class TestFlagging:
         # x -> x^3 + 5x is strictly increasing and exact on small integers,
         # so it preserves the full order including ties
         x = np.array(values, dtype=float)
-        assert np.array_equal(ca.flag_percentile(x, k),
-                              ca.flag_percentile(x ** 3 + 5 * x, k))
+        assert MET.flags_top(x.tolist(), k) \
+            == MET.flags_top((x ** 3 + 5 * x).tolist(), k)
 
 
 class TestCalibration:
@@ -415,7 +428,7 @@ class TestAuditSequence:
         det = ca.DetectionConfig(mode="threshold", tau=-1.0, window=0)
         prof = audit_one(first(store, 1), ds, ds.samples[0], det)
         T = ds.samples[0].num_frames
-        assert prof.flags.sum() == T
+        assert sum(prof.flags) == T
         assert prof.segments == [(0, T)]
 
     def test_pipeline_decomposition(self, trained):
@@ -423,10 +436,10 @@ class TestAuditSequence:
         det = ca.DetectionConfig(mode="percentile", k_percent=15, window=3)
         prof = audit_one(store, ds, ds.samples[3], det)
         traj = ca.eval_loss_trajectory(store, ds.samples[3], det)
-        csl = ca.compute_csl(traj)
-        assert np.array_equal(prof.csl, csl)
-        assert np.array_equal(prof.smoothed, ca.smooth_csl(csl, 3))
-        assert np.array_equal(prof.flags, ca.flag_percentile(prof.smoothed, 15))
+        csl = MET.mean_over_epochs(traj.losses.tolist())
+        assert prof.csl == csl
+        assert prof.smoothed == MET.smooth(csl, 3)
+        assert prof.flags == MET.flags_top(prof.smoothed, 15)
 
     def test_clean_validation_flags_bounded(self):
         # zero-noise separable data: tau from clean validation flags at most
@@ -448,9 +461,9 @@ class TestAuditSequence:
         tau = ca.calibrate_tau(
             [p.smoothed for p in ca.audit_dataset(store, val_ds, det)], 0.95)
         clean = val_ds.samples[0]
-        flags = ca.flag_threshold(
+        flags = MET.flags_above(
             audit_one(store, val_ds, clean, det).smoothed, tau)
-        assert flags.mean() <= 0.10  # ~5% expected, margin for pooling
+        assert np.mean(flags) <= 0.10  # ~5% expected, margin for pooling
 
 
 class TestAuditDataset:
@@ -460,9 +473,8 @@ class TestAuditDataset:
         assert [p.video_id for p in profiles] == [s.id for s in ds.samples]
         for p, s in zip(profiles, ds.samples):
             assert p.trajectory.losses.shape == (len(store), s.num_frames)
-            assert np.array_equal(p.csl, ca.compute_csl(p.trajectory))
-            assert np.array_equal(
-                p.flags, audit_one(store, ds, s, DET).flags)
+            assert p.csl == MET.mean_over_epochs(p.trajectory.losses.tolist())
+            assert p.flags == audit_one(store, ds, s, DET).flags
 
     @pytest.mark.parametrize("change", ["more-classes", "class-mean-scale"])
     def test_foreign_grammar_refused(self, trained, change):
@@ -486,7 +498,7 @@ class TestAuditDataset:
         for a, b in zip(ca.audit_dataset(store, ds, DET),
                         ca.audit_dataset(loaded, ds, DET)):
             assert np.array_equal(a.trajectory.losses, b.trajectory.losses)
-            assert np.array_equal(a.flags, b.flags)
+            assert a.flags == b.flags
 
     def test_nan_checkpoint_names_video_and_epoch(self, trained):
         store, ds = trained
@@ -584,8 +596,7 @@ class TestStackedReplay:
             assert np.array_equal(prof.trajectory.losses, want)
             csl = want.mean(axis=0)
             assert np.array_equal(prof.csl, csl)
-            assert np.array_equal(
-                prof.flags, ca.flag_percentile(ca.smooth_csl(csl, 2), 20))
+            assert prof.flags == MET.flags_top(MET.smooth(csl.tolist(), 2), 20)
 
     def test_nan_in_later_chunk_names_video_and_epoch(self, long_dataset,
                                                       monkeypatch):

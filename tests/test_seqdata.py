@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import cslaudit as ca
 from conftest import set_frame
-from cslaudit.errors import ConfigError, DataError, ParseError, SchemaError
+from cslaudit.errors import (ConfigError, DataError, NumericError, ParseError,
+                             SchemaError)
 from cslaudit.seqdata import (FORMAT_TAG, DefaultRng, _phase_means,
                               _phase_rows, dataset_fingerprint, encode_f8,
                               f8_array, grammar_fingerprint,
@@ -733,6 +734,44 @@ class TestJsonShape:
         raw = struct.pack(f"<{len(bits)}Q", *bits)
         want = all(map(math.isfinite, struct.unpack(f"<{len(bits)}d", raw)))
         assert ca.fileio.f8_finite(raw) is want
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 4), st.data())
+    def test_loss_rows_equals_numpy_check(self, E, T, data):
+        """The loss check (on the bytes where every value is plainly finite
+        and non-negative, else on floats) raises what a numpy check of the
+        E x T matrix raises, with its text, for LossTrajectory and on its
+        own, and otherwise returns the rows. An empty matrix passes."""
+        special = st.sampled_from([-0.0, 2.0 ** 1009, 2.0 ** 1008, -1e-300,
+                                   math.inf, -math.inf, math.nan])
+        values = data.draw(st.lists(st.floats() | special, min_size=E * T,
+                                    max_size=E * T))
+        losses = np.array(values, dtype=np.float64).reshape(E, T)
+        epochs = list(range(2, 2 + E))
+        raw = losses.astype("<f8").tobytes()
+
+        def numpy_check():
+            finite = np.logical_and.reduce(np.isfinite(losses), axis=1)
+            if not np.logical_and.reduce(finite):
+                raise NumericError(f"video v: non-finite loss at "
+                                   f"epoch {epochs[int(finite.argmin())]}")
+            if np.logical_or.reduce(losses < 0, axis=None):
+                raise DataError("video v: negative loss")
+
+        def outcome(check):
+            try:
+                check()
+            except (DataError, NumericError) as e:
+                return type(e), str(e)
+
+        want = outcome(numpy_check)
+        assert outcome(lambda: ca.LossTrajectory("v", losses, epochs)) == want
+        rows = []
+        assert outcome(lambda: rows.extend(
+            ca.fileio.loss_rows(raw, epochs, T, "v"))) == want
+        if want is None:
+            assert len(rows) == E
+            assert b"".join(struct.pack(f"<{T}d", *r) for r in rows) == raw
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError, match="^f: config must be a JSON "
