@@ -271,23 +271,23 @@ def cmd_audit(cfg: dict) -> None:
     # Each output has its own atomic write, so a failed write names its file
     # and leaves no part of it.
     with FIO.atomic_path(_path(cfg, "profiles.json")) as tmp, \
-            open(tmp, "w", encoding="utf-8") as f:
-        # One json.dumps per video runs the C encoder (json.dump to a file
-        # does not) without holding the whole document as one string. Keys
-        # are sorted and "videos" sorts last, so the bytes equal a single
+            open(tmp, "wb") as f:
+        # One object per video, its losses' base64 spliced in, without
+        # holding the whole document as one string. Keys are sorted and
+        # "videos" sorts last, so the bytes equal a single
         # json.dump(..., sort_keys=True) of the full dict.
-        f.write(json.dumps(head, sort_keys=True)[:-1] + ', "videos": [')
+        f.write(json.dumps(head, sort_keys=True)[:-1].encode()
+                + b', "videos": [')
         for i, (sample, p) in enumerate(zip(ds.samples, profiles)):
-            f.write((", " if i else "") + json.dumps({
+            f.write((b", " if i else b"") + FIO.json_b64({
                 "id": sample.id,
                 "epochs": epochs,
-                "losses": SD.encode_f8(p.trajectory.losses),
                 "flags": p.flags,
                 "segments": [list(s) for s in p.segments],
                 "labels": sample.labels.tolist(),
                 "gt_error": sample.error_mask.tolist(),
-            }, sort_keys=True))
-        f.write("]}\n")
+            }, "losses", p.trajectory.losses.astype("<f8").tobytes()))
+        f.write(b"]}\n")
     with FIO.atomic_path(_path(cfg, "audit.csv")) as tmp, \
             open(tmp, "w", encoding="utf-8") as f:
         f.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"

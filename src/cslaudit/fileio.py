@@ -1,6 +1,11 @@
 """The file helpers every command runs before it computes: reading and
 shape-checking JSON documents, atomic writes, video ids, the byte level of
-the float64 base64 codec (`seqdata.encode_f8`/`f8_array`) and the loss check.
+the float64 base64 codec (`seqdata.f8_array`) and the loss check.
+
+`json_b64` writes a JSON object with one base64 field, a dataset's sample
+line or a `profiles.json` video: base64 needs no JSON escape, so the field is
+spliced between the dumps of the keys around it, and only the small fields
+pass through the string escaper.
 
 This module imports no numpy, so `import cslaudit` and the commands that
 only read and write documents (`corrupt`, `heatmap`, `--help`, a config
@@ -130,9 +135,25 @@ def make_dir(path: str) -> None:
         raise DataError(f"cannot write {path}: {e.strerror}") from e
 
 
+def json_b64(obj: dict, key: str, raw: bytes) -> bytes:
+    """json.dumps(obj with key: the base64 of raw, sort_keys=True) as bytes.
+
+    Base64's alphabet needs no JSON escape, so the string is spliced in at
+    its sorted place between the dumps of the keys before and after it; only
+    the small fields pass through the escaper. `key` must not be in obj.
+    """
+    head = json.dumps({k: v for k, v in obj.items() if k < key},
+                      sort_keys=True)[:-1]
+    tail = json.dumps({k: v for k, v in obj.items() if k > key},
+                      sort_keys=True)[1:]
+    return b"".join((head.encode(), b", " * (head != "{"),
+                     json.dumps(key).encode(), b': "', base64.b64encode(raw),
+                     b'"', b", " * (tail != "}"), tail.encode()))
+
+
 def f8_bytes(text, shape: tuple[int, int], name: str) -> bytes:
-    """The bytes of the rows x cols little-endian float64 array that
-    `seqdata.encode_f8` wrote into `text`, their count checked.
+    """The bytes of the rows x cols little-endian float64 array whose
+    base64 is `text` (as json_b64 writes it), their count checked.
 
     A rows of -1 takes as many rows as the bytes hold, at least one. A
     SchemaError begins with `name`.

@@ -26,34 +26,37 @@ object:
 - `corruption`: the injected corruption's parameters, or null.
 
 Base64 of the raw bytes round-trips every float64 (NaN payloads and -0.0
-included); a read refuses non-finite frames, naming the line. `encode_f8` and
-`f8_array` are this codec (the CLI's `profiles.json` stores its losses with it
-too); `fileio` holds its byte level, the JSON reader, shape check, atomic
-writer and id check. Files in the retired `csl-seqdata/1` format (frames as
-decimal text) are refused; regenerate them with `cslaudit gen`.
+included); a read refuses non-finite frames, naming the line, and a write
+refuses them, naming the sample. A sample line is written as bytes by
+`fileio.json_b64`: json.dumps of the small fields with the frames' base64
+spliced in at its sorted place, so the escaper never scans the frames; the
+CLI's `profiles.json` writes its losses the same way. `fileio` also holds the
+codec's decoding, the JSON reader, shape check, atomic writer and id check.
+Files in the retired `csl-seqdata/1` format (frames as decimal text) are
+refused; regenerate them with `cslaudit gen`.
 
 Reading, checking, corrupting and writing a dataset need no numpy, so
 `corrupt` never loads it: a sample holds its frames as bytes and its labels
 and mask as lists of ints until its arrays are first read
 (`SequenceSample`). The corruption stream is numpy's `default_rng(spec.seed)`,
-drawn in pure Python (`DefaultRng`): the same draws, so the same files.
+drawn in pure Python (`DefaultRng`): the same draws, so the same files. The
+grammar, dataset and corruption spec are plain classes, not dataclasses:
+`dataclasses` imports `inspect`, which no other part of `corrupt` needs.
 """
 
 from __future__ import annotations
 
-import base64
+import contextlib
 import gzip
-import io
 import itertools
 import json
 import math
 import zlib
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, DataError, ParseError, SchemaError
 from .fileio import atomic_path, check_id, check_json, f8_bytes, f8_finite, \
-    ints_within
+    ints_within, json_b64
 
 FORMAT_TAG = "csl-seqdata/2"
 
@@ -63,28 +66,37 @@ SPLITS = ("train", "val", "test")
 INT64_END = 2**63
 
 
-@dataclass(frozen=True)
-class PhaseGrammar:
-    """Generative recipe for one family of phase-annotated sequences."""
+class _Record:
+    """A record of named fields, its attributes in declaration order:
+    equal to a record of its class with equal fields."""
 
-    num_classes: int
-    feature_dim: int
-    class_means: tuple[tuple[float, ...], ...]  # C rows of d floats
-    feature_noise_sigma: float
-    phase_order: tuple[int, ...]
-    duration_min: int
-    duration_max: int
-    boundary_blend: int = 3
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) \
+            else NotImplemented
 
-    def __post_init__(self):
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class PhaseGrammar(_Record):
+    """Generative recipe for one family of phase-annotated sequences:
+    `class_means` is C rows of d floats, `phase_order` a tuple."""
+
+    def __init__(self, num_classes: int, feature_dim: int, class_means,
+                 feature_noise_sigma: float, phase_order, duration_min: int,
+                 duration_max: int, boundary_blend: int = 3):
         try:  # floats, as a float64 array's .tolist() held them
-            means = tuple(tuple(map(float, row)) for row in self.class_means)
+            means = tuple(tuple(map(float, row)) for row in class_means)
         except (TypeError, ValueError) as e:
             raise ConfigError("class_means must be a numeric matrix") from e
         if len({len(row) for row in means}) > 1:  # a ragged nested list
             raise ConfigError("class_means must be a numeric matrix")
-        object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "phase_order", tuple(self.phase_order))
+        self.num_classes, self.feature_dim = num_classes, feature_dim
+        self.class_means, self.feature_noise_sigma = means, feature_noise_sigma
+        self.phase_order = tuple(phase_order)
+        self.duration_min, self.duration_max = duration_min, duration_max
+        self.boundary_blend = boundary_blend
         self.validate()
 
     def validate(self) -> None:
@@ -120,7 +132,7 @@ class PhaseGrammar:
 
     def to_dict(self) -> dict:
         """The fields in declaration order, as JSON values."""
-        return dict(asdict(self), class_means=list(map(list, self.class_means)),
+        return dict(vars(self), class_means=list(map(list, self.class_means)),
                     phase_order=list(self.phase_order))
 
     @classmethod
@@ -208,54 +220,56 @@ class SequenceSample:
             if isinstance(other, SequenceSample) else NotImplemented
 
 
-@dataclass
-class Dataset:
-    grammar: PhaseGrammar
-    samples: list[SequenceSample]
-    split: str
-    seed: int
+class Dataset(_Record):
+    """One split's samples, each of the grammar's dim and classes."""
 
-    def __post_init__(self):
-        if self.split not in SPLITS:
-            raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
-        check_json(self.seed, 0, "seed", ConfigError)  # as read_dataset does
-        ids = [s.id for s in self.samples]
+    def __init__(self, grammar: PhaseGrammar, samples: list[SequenceSample],
+                 split: str, seed: int):
+        if split not in SPLITS:
+            raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
+        check_json(seed, 0, "seed", ConfigError)  # as read_dataset does
+        ids = [s.id for s in samples]
         if len(set(ids)) != len(ids):
             raise SchemaError("duplicate sample ids in dataset")
-        for s in self.samples:
-            if s.dim != self.grammar.feature_dim:
+        for s in samples:
+            if s.dim != grammar.feature_dim:
                 raise SchemaError(
                     f"sample {s.id}: feature dim {s.dim} "
-                    f"!= grammar feature_dim {self.grammar.feature_dim}")
-            if not ints_within(s.raw("labels"), 0, self.grammar.num_classes):
+                    f"!= grammar feature_dim {grammar.feature_dim}")
+            if not ints_within(s.raw("labels"), 0, grammar.num_classes):
                 raise SchemaError(f"sample {s.id}: labels out of range")
+        self.grammar, self.samples, self.split, self.seed = \
+            grammar, samples, split, seed
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    kind: str                 # "mislabel" | "disorder"
-    video_fraction: float
-    segment_len_min: int = 1  # mislabel only
-    segment_len_max: int = 1
-    seed: int = 0
+class CorruptionSpec(_Record):
+    """What to corrupt: `kind` "mislabel" or "disorder", the share of videos,
+    the segment length range (mislabel only) and the stream's seed; vars()
+    holds these five fields."""
 
-    def __post_init__(self):
-        if self.kind not in ("mislabel", "disorder"):
-            raise ConfigError(f"unknown corruption kind {self.kind!r}")
-        if not 0 < self.video_fraction <= 1:
+    def __init__(self, kind: str, video_fraction: float,
+                 segment_len_min: int = 1, segment_len_max: int = 1,
+                 seed: int = 0):
+        if kind not in ("mislabel", "disorder"):
+            raise ConfigError(f"unknown corruption kind {kind!r}")
+        if not 0 < video_fraction <= 1:
             raise ConfigError("video_fraction must lie in (0, 1]")
-        if self.segment_len_min > self.segment_len_max:
+        if segment_len_min > segment_len_max:
             raise ConfigError("segment_len_min must be <= segment_len_max")
-        if self.segment_len_min < 1:
+        if segment_len_min < 1:
             raise ConfigError("segment_len_min must be >= 1")
-        if hasattr(self.seed, "__index__"):  # a numpy int seeds default_rng
-            object.__setattr__(self, "seed", self.seed.__index__())
-        check_json(self.seed, 0, "seed", ConfigError)
-        if self.segment_len_max >= INT64_END:
+        if hasattr(seed, "__index__"):  # a numpy int seeds default_rng
+            seed = seed.__index__()
+        check_json(seed, 0, "seed", ConfigError)
+        if segment_len_max >= INT64_END:
             raise ConfigError("segment_len_max must be below 2**63")
+        self.kind, self.video_fraction = kind, video_fraction
+        self.segment_len_min, self.segment_len_max = \
+            segment_len_min, segment_len_max
+        self.seed = seed
 
 
 # ---------------------------------------------------------------------------
@@ -518,43 +532,38 @@ def _header_dict(ds: Dataset, extra: dict | None = None) -> dict:
     return header
 
 
-def encode_f8(arr) -> str:
-    """An array as one string: the padded standard base64 (RFC 4648) of its
-    bytes as little-endian float64, row-major."""
-    import numpy as np
-    return base64.b64encode(np.asarray(arr).astype("<f8").tobytes()).decode("ascii")
-
-
 def f8_array(raw: bytes, shape: tuple[int, int]):
-    """The rows x cols float64 array of encode_f8's bytes (fileio.f8_bytes
-    checks them; rows -1 takes all): a writable, C-contiguous copy."""
+    """The rows x cols float64 array of little-endian float64 bytes
+    (fileio.f8_bytes checks them; rows -1 takes all): a writable,
+    C-contiguous copy."""
     import numpy as np
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
-def _sample_dict(s: SequenceSample) -> dict:
+def _sample_line(s: SequenceSample) -> bytes:
     raw = s.raw("frames")
     if not f8_finite(raw):  # read_dataset would refuse it
         raise SchemaError(f"sample {s.id}: frames hold a non-finite value")
-    return {"id": s.id, "frames": base64.b64encode(raw).decode("ascii"),
-            "labels": s.raw("labels"), "error_mask": s.raw("error_mask"),
-            "corruption": s.corruption}
+    return json_b64({"id": s.id, "labels": s.raw("labels"),
+                     "error_mask": s.raw("error_mask"),
+                     "corruption": s.corruption}, "frames", raw) + b"\n"
 
 
 def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
     """Write JSONL atomically (atomic_path), one line at a time. An unwritable
     path raises DataError, a NaN or inf frame SchemaError; a failed write
     leaves neither the temp file nor a changed `path`."""
-    rows = itertools.chain([_header_dict(ds, header_extra)],
-                           map(_sample_dict, ds.samples))
-    with atomic_path(path) as tmp, open(tmp, "wb") as f:
-        if path.endswith(".gz"):
-            # a header without the write time or the temp name: a rerun
-            # writes the same bytes
-            f = gzip.GzipFile(path, "wb", fileobj=f, mtime=0)
-        with io.TextIOWrapper(f, encoding="utf-8") as text:
-            text.writelines(json.dumps(row, sort_keys=True) + "\n"
-                            for row in rows)
+    header = json.dumps(_header_dict(ds, header_extra), sort_keys=True)
+    with atomic_path(path) as tmp, open(tmp, "wb") as f, \
+            (gzip.GzipFile(path, "wb", fileobj=f, mtime=0)
+             if path.endswith(".gz") else contextlib.nullcontext(f)) as out:
+        # a gzip header without the write time or the temp name: a rerun
+        # writes the same bytes; the GzipFile closes before its file
+        out.write(header.encode() + b"\n")
+        out.writelines(map(_sample_line, ds.samples))
+        # GzipFile.flush ends a deflate block, as the recorded .gz bytes
+        # (tests/test_cli.py CORRUPT_SHA256) do before the last block
+        out.flush()
 
 
 def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:

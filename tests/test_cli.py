@@ -136,6 +136,8 @@ class TestCorrupt:
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
         spec = header["corruption_spec"]
+        assert list(spec) == ["kind", "seed", "segment_len_max",
+                              "segment_len_min", "video_fraction"]
         assert spec["kind"] == "mislabel"
         assert spec["video_fraction"] == 0.5
         corrupted = sum(1 for ln in lines[1:]
@@ -1359,17 +1361,19 @@ LAZY = {"seqdata", "model", "trainer", "csl", "metrics"}
 # Python, corrupt draws numpy's stream in plain Python) and so load no numpy
 NUMPY_FREE = {"import", "help", "usage-error", "config-error", "corrupt",
               "eval", "heatmap", "heatmap-video"}
-# ... nor dataclasses (which imports inspect), but for corrupt: seqdata's
-# grammar, dataset and corruption spec are dataclasses
-DATACLASS_FREE = NUMPY_FREE - {"corrupt"}
+# ... nor inspect (numpy imports it, and dataclasses does); seqdata's grammar,
+# dataset and corruption spec are plain classes, so gen loads no dataclasses
+INSPECT_FREE = NUMPY_FREE
+DATACLASS_FREE = NUMPY_FREE | {"gen"}
 # Command lines that hash nothing and so load no OpenSSL (gen and train load
 # it through numpy.random).
 HASH_FREE = NUMPY_FREE
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
-    """The cslaudit modules, numpy, numpy.ma, dataclasses and OpenSSL each
-    command line loads. No command loads numpy.ma (np.quantile would)."""
+    """The cslaudit modules, numpy, numpy.ma, dataclasses, inspect and
+    OpenSSL each command line loads. No command loads numpy.ma (np.quantile
+    would)."""
     cfg = base_config(tmp_path / "run")
     cfg["train"]["epochs"] = 3
     cfg_path = tmp_path / "config.json"
@@ -1378,7 +1382,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
     bad.write_text(json.dumps({"seed": -1}))
     src = os.path.dirname(os.path.dirname(ca.__file__))
     # Prints, last, {module: still lazy} for every cslaudit submodule and
-    # which of OpenSSL's _hashlib, numpy, numpy.ma and dataclasses loaded.
+    # which of OpenSSL's _hashlib, numpy, numpy.ma, dataclasses and inspect
+    # loaded.
     probe = ("import importlib.util, json, sys\n"
              "from cslaudit import cli\n"
              "try:\n"
@@ -1388,7 +1393,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
              "print(json.dumps([{m.split('.')[1]: type(v) is "
              "importlib.util._LazyModule for m, v in sys.modules.items() "
              "if m.startswith('cslaudit.')}, {m: m in sys.modules for m in "
-             "('_hashlib', 'numpy', 'numpy.ma', 'dataclasses')}]))\n"
+             "('_hashlib', 'numpy', 'numpy.ma', 'dataclasses', 'inspect')"
+             "}]))\n"
              "sys.exit(code)\n")
     seen = {}
     for name, (args, code, loaded) in LOADED.items():
@@ -1407,6 +1413,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
     assert {n for n, s in seen.items() if not s["numpy"]} == NUMPY_FREE
     assert {n for n, s in seen.items() if not s["dataclasses"]} \
         == DATACLASS_FREE
+    assert {n for n, s in seen.items() if not s["inspect"]} == INSPECT_FREE
     assert {n for n, s in seen.items() if not s["_hashlib"]} == HASH_FREE
 
 

@@ -57,7 +57,8 @@ def first(store, n):
 
 def audit_one(store, ds, sample, det):
     """The profile of one sample: audit_dataset on a one-sample Dataset."""
-    [prof] = ca.audit_dataset(store, replace(ds, samples=[sample]), det)
+    [prof] = ca.audit_dataset(
+        store, ca.Dataset(ds.grammar, [sample], ds.split, ds.seed), det)
     return prof
 
 
@@ -484,10 +485,12 @@ class TestAuditDataset:
         store, ds = trained
         g = ds.grammar
         if change == "more-classes":
-            other = replace(g, num_classes=4, class_means=np.eye(4) * 3.0,
-                            phase_order=(0, 1, 2, 3))
+            other = ca.PhaseGrammar(**dict(
+                g.to_dict(), num_classes=4, class_means=np.eye(4) * 3.0,
+                phase_order=(0, 1, 2, 3)))
         else:
-            other = replace(g, class_means=np.array(g.class_means) * 2)
+            other = ca.PhaseGrammar(**dict(
+                g.to_dict(), class_means=np.array(g.class_means) * 2))
         foreign = ca.generate_dataset(other, 2, "val", seed=1)
         with pytest.raises(FingerprintError, match="store/dataset mismatch"):
             ca.audit_dataset(store, foreign, DET)
@@ -520,7 +523,8 @@ class TestAuditDataset:
         with pytest.raises(ConfigError, match="need at least one frame"):
             ca.eval_loss_trajectory(store, empty, DET)
         with pytest.raises(ConfigError, match="need at least one frame"):
-            ca.audit_dataset(store, replace(ds, samples=[empty]), DET)
+            ca.audit_dataset(
+                store, ca.Dataset(ds.grammar, [empty], ds.split, ds.seed), DET)
 
 
 def reference_losses(store, sample, cfg):

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -19,10 +20,9 @@ from conftest import set_frame
 from cslaudit.errors import (ConfigError, DataError, NumericError, ParseError,
                              SchemaError)
 from cslaudit.seqdata import (FORMAT_TAG, DefaultRng, _phase_means,
-                              _phase_rows, dataset_fingerprint, encode_f8,
-                              f8_array, grammar_fingerprint,
-                              inject_disordering, inject_mislabeling,
-                              label_runs)
+                              _phase_rows, dataset_fingerprint, f8_array,
+                              grammar_fingerprint, inject_disordering,
+                              inject_mislabeling, label_runs)
 
 
 def fixed_grammar(C=2, d=3, dur=5, noise=0.0, blend=0):
@@ -497,8 +497,8 @@ class TestIO:
         back = ca.read_dataset(str(path)).samples[0].frames
         assert np.array_equal(back.view("<u8"), vals.view("<u8"))
         odd = np.array([[np.nan, np.inf, -np.inf, -0.0]])
-        back = f8_array(ca.fileio.f8_bytes(encode_f8(odd), (-1, 4), "x"),
-                        (-1, 4))
+        text = base64.b64encode(odd.astype("<f8").tobytes()).decode()
+        back = f8_array(ca.fileio.f8_bytes(text, (-1, 4), "x"), (-1, 4))
         assert np.array_equal(back.view("<u8"), odd.view("<u8"))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -580,6 +580,27 @@ def cf_short_test_split():
     return ca.generate_dataset(g, 200, "test", seed=3)
 
 
+# ids check_id accepts, non-ASCII ones among them
+IDS = st.text(st.characters(blacklist_categories=("Cc", "Cs"),
+                            blacklist_characters='/\\,"'),
+              min_size=1, max_size=6).filter(lambda v: v not in (".", ".."))
+JSON_LEAVES = st.none() | st.booleans() | st.integers() \
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4)
+INTS = st.integers(0, 2**63 - 1)
+CORRUPTIONS = st.none() | st.fixed_dictionaries(
+    {"kind": st.just("mislabel"), "start": INTS, "end": INTS,
+     "from_class": INTS, "to_class": INTS}) | st.fixed_dictionaries(
+    {"kind": st.just("disorder"), "start_a": INTS, "end_a": INTS,
+     "start_b": INTS, "end_b": INTS})
+# (id, frames as a flat list of 2 columns, labels, mask, corruption) of a
+# sample of fixed_grammar(C=3, d=2)
+SAMPLE_PARTS = st.integers(1, 4).flatmap(lambda T: st.tuples(
+    IDS, st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=2 * T, max_size=2 * T),
+    st.lists(st.integers(0, 2), min_size=T, max_size=T),
+    st.lists(st.integers(0, 1), min_size=T, max_size=T), CORRUPTIONS))
+
+
 class TestStreamingIO:
     def test_memory_does_not_grow_with_file_size(self, tmp_path):
         """Reading and writing hold one line at a time: the transient memory
@@ -608,22 +629,68 @@ class TestStreamingIO:
         assert read_peak - arrays < 0.25 * size
 
     @pytest.mark.parametrize("name", ["ds.jsonl", "ds.jsonl.gz"])
-    def test_bytes_equal_one_shot_recipe(self, small_dataset, tmp_path, name):
-        ds = ca.corrupt_dataset(small_dataset, ca.CorruptionSpec(
-            "mislabel", 0.5, 2, 3, seed=1))
-        path = tmp_path / name
-        ca.write_dataset(ds, str(path), header_extra={"note": "x"})
-        header = {"format": FORMAT_TAG, "grammar": ds.grammar.to_dict(),
-                  "split": ds.split, "seed": ds.seed, "note": "x"}
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(parts=st.lists(SAMPLE_PARTS, min_size=1, max_size=4,
+                          unique_by=lambda p: p[0]),
+           extra=st.none() | st.dictionaries(st.text(max_size=4),
+                                             JSON_LEAVES, max_size=3))
+    @example(parts=[("vidéo-€-漢", [0.5, -0.0], [2], [1], None)],
+             extra={"note": "é"})
+    def test_bytes_equal_one_shot_recipe(self, name, parts, extra):
+        """Each written line is the json.dumps(row, sort_keys=True) of the
+        header or of a sample's dict with its frames' base64, non-ASCII as
+        \\uXXXX escapes, in a .jsonl or a .jsonl.gz file."""
+        g = fixed_grammar(C=3, d=2)
+        ds = ca.Dataset(g, [ca.SequenceSample(
+            vid, np.array(frames).reshape(-1, 2), labels, mask, corruption)
+            for vid, frames, labels, mask, corruption in parts], "test", 4)
+        header = {"format": FORMAT_TAG, "grammar": g.to_dict(),
+                  "split": "test", "seed": 4, **(extra or {})}
         rows = [header] + [
             {"id": s.id, "frames": base64.b64encode(
                 s.frames.astype("<f8").tobytes()).decode(),
              "labels": s.labels.tolist(), "error_mask": s.error_mask.tolist(),
              "corruption": s.corruption} for s in ds.samples]
-        want = ("\n".join(json.dumps(r, sort_keys=True) for r in rows)
-                + "\n").encode()
-        raw = path.read_bytes()
-        assert (gzip.decompress(raw) if name.endswith(".gz") else raw) == want
+        want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            ca.write_dataset(ds, path, header_extra=extra)
+            with open(path, "rb") as f:
+                raw = f.read()
+        assert (gzip.decompress(raw) if name.endswith(".gz") else raw) \
+            == want.encode()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(IDS, st.lists(st.integers(1, 9), max_size=3),
+           st.lists(st.floats(allow_nan=False), max_size=6),
+           st.lists(st.integers(0, 1), max_size=6),
+           st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                    max_size=2))
+    @example("vidéo-漢", [1, 2], [0.25, -0.0], [0, 1], [(0, 1)])
+    def test_profiles_video_equals_json_dumps(self, vid, epochs, losses,
+                                              flags, segments):
+        """json_b64 of a profiles.json video object equals json.dumps of it
+        with its losses' base64, as one json.dump of the document wrote it."""
+        raw = struct.pack(f"<{len(losses)}d", *losses)
+        video = {"id": vid, "epochs": epochs, "flags": flags,
+                 "segments": [list(s) for s in segments],
+                 "labels": flags[::-1], "gt_error": flags}
+        want = json.dumps(dict(video, losses=base64.b64encode(raw).decode()),
+                          sort_keys=True)
+        assert ca.fileio.json_b64(video, "losses", raw) == want.encode()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.dictionaries(st.text(max_size=3), JSON_LEAVES, max_size=4),
+           st.text(max_size=3), st.binary(max_size=12))
+    def test_json_b64_equals_json_dumps(self, obj, key, raw):
+        """The splice holds for any key's place: first, last, alone."""
+        obj.pop(key, None)
+        want = json.dumps(dict(obj, **{key: base64.b64encode(raw).decode()}),
+                          sort_keys=True)
+        assert ca.fileio.json_b64(obj, key, raw) == want.encode()
 
     @pytest.mark.parametrize("name", ["ds.jsonl", "ds.jsonl.gz"])
     def test_failed_write_leaves_target_alone(self, small_dataset, tmp_path,
