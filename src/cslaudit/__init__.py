@@ -20,7 +20,7 @@ _PUBLIC = {  # module -> the public names it defines
     "model": "ModelConfig ModelParams backward forward init_params",
     "trainer": "CheckpointStore TrainConfig "
                "compute_class_weights load_store train",
-    "csl": "CslProfile DetectionConfig LossTrajectory audit_dataset "
+    "csl": "CslProfile DetectionConfig audit_dataset "
            "eval_loss_trajectory trajectory_curvature",
     "metrics": "EvalInput auc_bruteforce build_report calibrate_tau eda "
                "frames_to_segments micro_auc",

@@ -284,24 +284,24 @@ def cmd_audit(cfg: dict) -> None:
                 "epochs": epochs,
                 "flags": p.flags,
                 "segments": [list(s) for s in p.segments],
-                "labels": sample.labels.tolist(),
-                "gt_error": sample.error_mask.tolist(),
-            }, "losses", p.trajectory.losses.astype("<f8").tobytes()))
+                "labels": sample.raw("labels"),
+                "gt_error": sample.raw("error_mask"),
+            }, "losses", p.losses.tobytes()))
         f.write(b"]}\n")
     with FIO.atomic_path(_path(cfg, "audit.csv")) as tmp, \
             open(tmp, "w", encoding="utf-8") as f:
         f.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"
                 "gt_error\n")
         for sample, p in zip(ds.samples, profiles):
-            curvature = CSL.trajectory_curvature(p.trajectory).tolist() \
+            curvature = CSL.trajectory_curvature(p.losses).tolist() \
                 if E >= 3 else [math.nan] * len(p.csl)
             # f"{x!r}" of a Python float is its shortest round-trip decimal,
             # with no per-frame numpy indexing.
             f.write("".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
-                    sample.labels.tolist(), p.csl, p.smoothed, curvature,
-                    p.flags, sample.error_mask.tolist()))))
+                    sample.raw("labels"), p.csl, p.smoothed, curvature,
+                    p.flags, sample.raw("error_mask")))))
     n_frames = sum(len(p.csl) for p in profiles)
     print(f"audited {len(profiles)} videos ({n_frames} frames) "
           f"over {E} checkpoints")

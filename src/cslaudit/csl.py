@@ -7,9 +7,10 @@ the per-frame CSL, smooth with a truncated moving window, and flag frames
 either above a threshold (strict >) or in the per-video top-k% of smoothed
 CSL. The store holds the checkpoints stacked along a leading axis; they are
 replayed a chunk at a time, one stacked forward pass per chunk, in their own
-dtype (float32 for a loaded store). The losses are float64, checked by
-`fileio.loss_rows` as `eval` checks them. A profile holds the lists of
-`metrics`' numpy-free core (CSL, smoothing, flags, segments), which `eval` runs.
+dtype (float32 for a loaded store). The losses are float64, checked once
+by `fileio.loss_rows`, whose rows feed `metrics`' numpy-free core (CSL,
+smoothing, flags, segments) as they do in `eval`. A profile holds the (E, T)
+loss matrix and the core's lists.
 """
 
 from __future__ import annotations
@@ -64,28 +65,9 @@ class DetectionConfig:
 
 
 @dataclass
-class LossTrajectory:
-    video_id: str
-    losses: np.ndarray   # (E, T), entry (e, t) = loss of frame t at epoch e
-    epochs: list[int]
-
-    def __post_init__(self):
-        self.losses = np.asarray(self.losses, dtype="<f8")
-        if self.losses.ndim != 2:
-            raise DataError(f"video {self.video_id}: losses must be a 2-D "
-                            f"(epochs x frames) matrix, got "
-                            f"{self.losses.ndim}-D")
-        if self.losses.shape[0] != len(self.epochs):
-            raise DataError(f"video {self.video_id}: {self.losses.shape[0]} "
-                            f"loss rows for {len(self.epochs)} epochs")
-        FIO.loss_rows(self.losses.tobytes(), self.epochs, self.losses.shape[1],
-                      self.video_id)
-
-
-@dataclass
 class CslProfile:
     video_id: str
-    trajectory: LossTrajectory
+    losses: np.ndarray   # (E, T), entry (e, t) = loss of frame t at epoch e
     csl: list[float]
     smoothed: list[float]
     flags: list[int]
@@ -98,19 +80,21 @@ def _chunk_epochs(T: int, E: int) -> int:
 
 
 # an overflow in the float32 replay ends as a non-finite loss, which
-# LossTrajectory reports and eval_loss_trajectory names as an overflow
+# loss_rows reports and eval_loss_trajectory names as an overflow
 @np.errstate(over="ignore", invalid="ignore")
 def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
                          cfg: DetectionConfig, *,
-                         ws: M.Workspace | None = None) -> LossTrajectory:
-    """Per-frame loss under every checkpoint, in epoch order.
+                         ws: M.Workspace | None = None) -> CslProfile:
+    """The sample's profile: per-frame loss under every checkpoint, in epoch
+    order, and its CSL, smoothing, flags and segments.
 
     The checkpoints are replayed in chunks of consecutive epochs (slices of
     store.params), one stacked eval forward pass per chunk of at most
     CHUNK_ROWS frame x checkpoint rows; each row equals a forward under that
     checkpoint alone, bit for bit. The forward runs in the checkpoints'
-    dtype; the loss rows are float64. `ws` is the workspace the forward
-    passes reuse (audit_dataset passes one for the whole dataset).
+    dtype; the loss rows are float64, checked and scored as `eval` checks
+    and scores them. `ws` is the workspace the forward passes reuse
+    (audit_dataset passes one for the whole dataset).
     """
     if ws is None:
         ws = M.Workspace()
@@ -128,7 +112,7 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     epochs = store.epochs
     T = sample.num_frames
     step = _chunk_epochs(T, len(epochs))
-    losses = np.empty((len(epochs), T))
+    losses = np.empty((len(epochs), T), "<f8")
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in store.params.tensors.items()})
@@ -139,33 +123,29 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
         losses[lo:lo + step] = M.per_frame_losses(probs, sample.labels,
                                                   alpha)
     try:
-        return LossTrajectory(video_id=sample.id, losses=losses, epochs=epochs)
+        rows = FIO.loss_rows(losses.tobytes(), epochs, T, sample.id)
     except NumericError as e:
         tensors = store.params.tensors.values()
         if not all(np.isfinite(v).all() for v in tensors):
             raise  # the weights themselves (load_store refuses such a store)
         raise NumericError(f"{e}: the {next(iter(tensors)).dtype} replay "
                            f"overflowed; the weights are finite") from e
-
-
-def trajectory_curvature(traj: LossTrajectory) -> np.ndarray:
-    """Mean absolute discrete second difference of each frame's loss over
-    epochs; requires at least 3 checkpoints."""
-    E = traj.losses.shape[0]
-    if E < 3:
-        raise DataError(f"curvature needs >= 3 checkpoints, store has {E}")
-    d1 = traj.losses[1:] - traj.losses[:-1]
-    return np.add.reduce(np.abs(d1[1:] - d1[:-1]), axis=0) / (E - 2)
-
-
-def _profile(traj: LossTrajectory, cfg: DetectionConfig) -> CslProfile:
-    """CSL -> smoothing -> flagging -> segments of one trajectory."""
-    csl = MET.mean_over_epochs(traj.losses.tolist())
+    csl = MET.mean_over_epochs(rows)
     smoothed = MET.smooth(csl, cfg.window)
     flags = MET.flags_above(smoothed, cfg.tau) if cfg.mode == THRESHOLD \
         else MET.flags_top(smoothed, cfg.k_percent)
-    return CslProfile(traj.video_id, traj, csl, smoothed, flags,
+    return CslProfile(sample.id, losses, csl, smoothed, flags,
                       frames_to_segments(flags))
+
+
+def trajectory_curvature(losses: np.ndarray) -> np.ndarray:
+    """Mean absolute discrete second difference of each frame's loss over
+    the E epochs of an (E, T) loss matrix; requires at least 3 checkpoints."""
+    E = losses.shape[0]
+    if E < 3:
+        raise DataError(f"curvature needs >= 3 checkpoints, store has {E}")
+    d1 = losses[1:] - losses[:-1]
+    return np.add.reduce(np.abs(d1[1:] - d1[:-1]), axis=0) / (E - 2)
 
 
 def audit_dataset(store: CheckpointStore, ds: Dataset,
@@ -187,5 +167,4 @@ def audit_dataset(store: CheckpointStore, ds: Dataset,
         for T in (max(chunks, key=lambda T: chunks[T] * T), max(chunks)):
             ws.buffers(store.model_config, (chunks[T],), T, False,
                        store.params.tensors["enc.W"].dtype)
-    return [_profile(eval_loss_trajectory(store, s, cfg, ws=ws), cfg)
-            for s in ds.samples]
+    return [eval_loss_trajectory(store, s, cfg, ws=ws) for s in ds.samples]

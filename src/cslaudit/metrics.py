@@ -1,8 +1,9 @@
 """Scoring core: CSL, smoothing, flagging, segments, tau calibration, EDA
 and micro-AUC, over plain Python sequences. It imports neither numpy nor
 dataclasses, so `eval` runs without them; `audit` runs the same functions
-through `csl._profile`. micro_auc is the rank-sum (Mann-Whitney) form with
-0.5 credit for ties; auc_bruteforce is the O(n^2) oracle kept for testing.
+on the same loss rows, in `csl.eval_loss_trajectory`. micro_auc is the
+rank-sum (Mann-Whitney) form with 0.5 credit for ties; auc_bruteforce is the
+O(n^2) oracle kept for testing.
 """
 
 from __future__ import annotations
@@ -96,16 +97,14 @@ def calibrate_tau(smoothed, q: float = 0.95) -> float:
 class EvalInput:
     """Per-video scoring input: smoothed CSL scores plus ground truth."""
 
-    def __init__(self, video_id: str, scores, gt_mask,
-                 gt_segments: list[tuple[int, int]] | None = None):
+    def __init__(self, video_id: str, scores, gt_mask):
         self.video_id = video_id
         self.scores = list(map(float, scores))
         self.gt_mask = list(map(int, gt_mask))
         if len(self.scores) != len(self.gt_mask):
             raise DataError(
                 f"video {self.video_id}: scores and gt_mask lengths disagree")
-        self.gt_segments = frames_to_segments(self.gt_mask) \
-            if gt_segments is None else gt_segments
+        self.gt_segments = frames_to_segments(self.gt_mask)
 
     @classmethod
     def from_profile(cls, profile, gt_mask) -> "EvalInput":

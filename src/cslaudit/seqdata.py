@@ -372,10 +372,9 @@ class DefaultRng:
 # generation and corruption
 
 
-def label_runs(labels) -> list[tuple[int, int, int]]:
-    """Maximal constant runs of a label vector (a list of ints or an array)
-    as (class, start, end) triples."""
-    labels = labels if type(labels) is list else labels.tolist()
+def label_runs(labels: list[int]) -> list[tuple[int, int, int]]:
+    """Maximal constant runs of a list of labels as (class, start, end)
+    triples."""
     runs = []
     start = 0
     for t in range(1, len(labels) + 1):

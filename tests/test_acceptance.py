@@ -177,7 +177,7 @@ def test_criterion_7_curvature_property(bench):
     corrupted, clean = [], []
     for s in bench["attn_mis"].samples:
         traj = CSL.eval_loss_trajectory(store, s, DETECTION)
-        curv = ca.trajectory_curvature(traj)
+        curv = ca.trajectory_curvature(traj.losses)
         corrupted.append(curv[s.error_mask == 1])
         clean.append(curv[s.error_mask == 0])
     mean_bad = float(np.concatenate(corrupted).mean())
@@ -191,8 +191,8 @@ def test_criterion_8_invariant_suite(small_grammar, tiny_model_cfg):
     ok = True
 
     losses = rng.uniform(0, 3, (6, 40))
-    traj = CSL.LossTrajectory("v", losses, list(range(1, 7)))
-    csl = np.array(MET.mean_over_epochs(traj.losses.tolist()))
+    csl = np.array(MET.mean_over_epochs(
+        ca.fileio.loss_rows(losses.tobytes(), range(1, 7), 40, "v")))
     ok = ok and np.abs(csl - losses.sum(axis=0) / 6).max() < 1e-12
 
     ok = ok and np.array_equal(MET.smooth(csl.tolist(), 0), csl)
@@ -210,8 +210,7 @@ def test_criterion_8_invariant_suite(small_grammar, tiny_model_cfg):
     gt = np.zeros(40, dtype=int)
     gt[3:9] = 1
     gt[20:24] = 1
-    ei = MET.EvalInput("v", rng.normal(size=40), gt,
-                       ca.frames_to_segments(gt))
+    ei = MET.EvalInput("v", rng.normal(size=40), gt)
     values = [ca.eda([ei], k) for k in (5, 20, 60, 100)]
     ok = ok and values == sorted(values)
 
@@ -252,7 +251,7 @@ def test_float32_replay_tolerance_gate(bench):
             {k: v.astype(np.float64) for k, v in store.params.tensors.items()}))
         ref = audit_dataset(upcast, ca.Dataset(grammar, r.samples, "test", 2))
         for p32, p64 in zip(r.profiles, ref.profiles):
-            assert p64.trajectory.losses.dtype == np.float64
+            assert p64.losses.dtype == np.float64
             assert np.array_equal(p32.flags, p64.flags), p32.video_id
             worst_csl = max(worst_csl, float(np.abs(np.array(p32.csl)
                                                     - p64.csl).max()))

@@ -314,8 +314,8 @@ def test_bad_loss_value_refused_before_any_write(trained_cfg, tmp_path,
                                                  capsys, command, value,
                                                  text, code):
     """A non-finite or negative loss in any video ends eval and heatmap
-    (--video of another video too) with LossTrajectory's text, naming
-    profiles.json, and no output written."""
+    (--video of another video too) with the text of the loss check
+    (`fileio.loss_rows`), naming profiles.json, and no output written."""
     path, cfg = audited_copy(trained_cfg, tmp_path)
     profiles = os.path.join(cfg["out_dir"], "profiles.json")
     data = json.loads(open(profiles).read())
@@ -482,15 +482,15 @@ def test_profiles_losses_bit_equal_library(trained_cfg, tmp_path, mode):
     profiles = library_profiles(path)
     assert [v["id"] for v in videos] == [p.video_id for p in profiles]
     for v, t, p in zip(videos, text, profiles):
-        want = p.trajectory.losses.astype("<f8").tobytes()
+        want = p.losses.astype("<f8").tobytes()
         assert np.array(v["losses"], "<f8").tobytes() == want
-        shape = p.trajectory.losses.shape
+        shape = p.losses.shape
         got = ca.seqdata.f8_array(ca.fileio.f8_bytes(t["losses"], shape, "x"),
                                   shape)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.flags.writeable
         assert np.array_equal(got.view("<u8"),
-                              p.trajectory.losses.view("<u8"))
+                              p.losses.view("<u8"))
         assert np.array_equal(decode_losses(t), got)
 
 
@@ -1600,7 +1600,7 @@ PUBLIC = {
     "ModelConfig", "ModelParams", "backward", "forward", "init_params",
     "CheckpointStore", "TrainConfig", "compute_class_weights",
     "load_store", "train",
-    "CslProfile", "DetectionConfig", "LossTrajectory", "audit_dataset",
+    "CslProfile", "DetectionConfig", "audit_dataset",
     "calibrate_tau", "eval_loss_trajectory", "frames_to_segments",
     "trajectory_curvature",
     "EvalInput", "auc_bruteforce", "build_report", "eda",

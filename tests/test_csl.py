@@ -67,7 +67,7 @@ class TestTrajectory:
         store, ds = trained
         traj = ca.eval_loss_trajectory(store, ds.samples[0], DET)
         assert traj.losses.shape == (len(store), ds.samples[0].num_frames)
-        assert traj.epochs == store.epochs
+        assert traj.video_id == ds.samples[0].id
 
     def test_single_snapshot_matches_direct_eval(self, trained):
         store, ds = trained
@@ -176,6 +176,28 @@ class TestCsl:
         assert np.array(MET.mean_over_epochs([[-0.0] * 3] * E)).tobytes() \
             == np.zeros(3).tobytes()
 
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.integers(1, 66), st.integers(1, 6), st.integers(0, 7),
+           st.data())
+    def test_loss_rows_score_as_tolist(self, E, T, w, data):
+        """The rows loss_rows checks out of a loss matrix's bytes give the
+        CSL and smoothing of the matrix's tolist(), bit for bit: the same
+        float64 values, added in the same epoch order."""
+        special = st.sampled_from([-0.0, 0.0, 5e-324, 2.0 ** -1022 - 2.0 **
+                                   -1074, 2.0 ** 1009, 2.0 ** 1009 * 1.75,
+                                   2.0 ** 1008])
+        values = data.draw(st.lists(
+            st.floats(0, 2.0 ** 1010, allow_subnormal=True) | special,
+            min_size=E * T, max_size=E * T))
+        losses = np.array(values, "<f8").reshape(E, T)
+        rows = ca.fileio.loss_rows(losses.tobytes(), range(E), T, "v")
+        csl, want = (MET.mean_over_epochs(rows),
+                     MET.mean_over_epochs(losses.tolist()))
+        assert np.array(csl).tobytes() == np.array(want).tobytes()
+        assert np.array(MET.smooth(csl, w)).tobytes() \
+            == np.array(MET.smooth(want, w)).tobytes()
+
 
 class TestTrajectoryErrors:
     """Faults in the losses are data or numeric faults, not config ones."""
@@ -185,16 +207,14 @@ class TestTrajectoryErrors:
         losses = np.ones((3, 4))
         losses[1, 2] = value
         with pytest.raises(NumericError, match="video v: .* epoch 20"):
-            ca.LossTrajectory("v", losses, [10, 20, 30])
+            ca.fileio.loss_rows(losses.tobytes(), [10, 20, 30], 4, "v")
 
     @pytest.mark.parametrize("losses,epochs", [
         (-np.ones((2, 3)), [1, 2]),     # negative
-        (np.ones(3), [1]),              # not 2-D
-        (np.ones((2, 3)), [1, 2, 3]),   # rows != epochs
-    ], ids=["negative", "one-d", "epoch-count-mismatch"])
+    ], ids=["negative"])
     def test_bad_shape_or_sign_is_data_error(self, losses, epochs):
         with pytest.raises(DataError, match="video v"):
-            ca.LossTrajectory("v", losses, epochs)
+            ca.fileio.loss_rows(losses.tobytes(), epochs, 3, "v")
 
 
 class TestSmoothing:
@@ -399,28 +419,23 @@ class TestSegments:
 
 
 class TestCurvature:
-    def traj(self, cols):
-        arr = np.asarray(cols, dtype=float)
-        return ca.LossTrajectory("v", arr, list(range(1, arr.shape[0] + 1)))
-
     def test_linear_column(self):
-        assert ca.trajectory_curvature(self.traj([[3.0], [2.0], [1.0]]))[0] == 0.0
+        assert ca.trajectory_curvature(np.array([[3.0], [2.0], [1.0]]))[0] == 0.0
 
     def test_spike(self):
-        assert ca.trajectory_curvature(self.traj([[0.0], [1.0], [0.0]]))[0] == 2.0
+        assert ca.trajectory_curvature(np.array([[0.0], [1.0], [0.0]]))[0] == 2.0
 
     def test_constant(self):
-        assert ca.trajectory_curvature(self.traj([[5.0]] * 6))[0] == 0.0
+        assert ca.trajectory_curvature(np.array([[5.0]] * 6))[0] == 0.0
 
     def test_affine_in_epoch_is_flat(self):
         e = np.arange(10.0)[:, None]
         slope = np.array([[0.3, -0.2, 1.5]])
-        traj = self.traj(10.0 + e * slope)
-        assert np.abs(ca.trajectory_curvature(traj)).max() < 1e-12
+        assert np.abs(ca.trajectory_curvature(10.0 + e * slope)).max() < 1e-12
 
     def test_needs_three_epochs(self):
         with pytest.raises(DataError):
-            ca.trajectory_curvature(self.traj([[1.0], [2.0]]))
+            ca.trajectory_curvature(np.array([[1.0], [2.0]]))
 
 
 class TestAuditSequence:
@@ -473,8 +488,8 @@ class TestAuditDataset:
         profiles = ca.audit_dataset(store, ds, DET)
         assert [p.video_id for p in profiles] == [s.id for s in ds.samples]
         for p, s in zip(profiles, ds.samples):
-            assert p.trajectory.losses.shape == (len(store), s.num_frames)
-            assert p.csl == MET.mean_over_epochs(p.trajectory.losses.tolist())
+            assert p.losses.shape == (len(store), s.num_frames)
+            assert p.csl == MET.mean_over_epochs(p.losses.tolist())
             assert p.flags == audit_one(store, ds, s, DET).flags
 
     @pytest.mark.parametrize("change", ["more-classes", "class-mean-scale"])
@@ -500,7 +515,7 @@ class TestAuditDataset:
         loaded = ca.load_store(path)
         for a, b in zip(ca.audit_dataset(store, ds, DET),
                         ca.audit_dataset(loaded, ds, DET)):
-            assert np.array_equal(a.trajectory.losses, b.trajectory.losses)
+            assert np.array_equal(a.losses, b.losses)
             assert a.flags == b.flags
 
     def test_nan_checkpoint_names_video_and_epoch(self, trained):
@@ -597,7 +612,7 @@ class TestStackedReplay:
             prof = ca.audit_dataset(
                 store, ca.Dataset(long_dataset.grammar, [sample], "test", 0),
                 det)[0]
-            assert np.array_equal(prof.trajectory.losses, want)
+            assert np.array_equal(prof.losses, want)
             csl = want.mean(axis=0)
             assert np.array_equal(prof.csl, csl)
             assert prof.flags == MET.flags_top(MET.smooth(csl.tolist(), 2), 20)
@@ -634,7 +649,7 @@ def test_one_workspace_across_lengths(monkeypatch, mode, chunk_rows):
             store, ca.Dataset(grammar, [s], "test", 0), DET)[0]
         for field in ("csl", "smoothed", "flags"):
             assert np.array_equal(getattr(prof, field), getattr(want, field))
-        assert np.array_equal(prof.trajectory.losses, want.trajectory.losses)
+        assert np.array_equal(prof.losses, want.losses)
 
 
 @pytest.mark.parametrize("mode", ["context_free", "attention"])
@@ -683,7 +698,7 @@ def test_audited_video_enters_numpy_python_code_only_through_errstate(
     entered = []
 
     def audit(sample):  # audit_dataset's work per video
-        CSL._profile(CSL.eval_loss_trajectory(store, sample, det, ws=ws), det)
+        CSL.eval_loss_trajectory(store, sample, det, ws=ws)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):

@@ -13,8 +13,7 @@ from cslaudit.errors import ConfigError, MetricUndefinedError, NumericError
 def make_input(video_id, scores, gt):
     gt = np.asarray(gt, dtype=np.int8)
     return MET.EvalInput(video_id=video_id, scores=np.asarray(scores, float),
-                         gt_mask=gt,
-                         gt_segments=ca.frames_to_segments(gt))
+                         gt_mask=gt)
 
 
 class TestMicroAuc:
@@ -226,8 +225,7 @@ class TestReport:
 
     def test_identical_videos_pool_equals_per_video(self):
         ei = self.inputs()[0]
-        twin = MET.EvalInput("v_twin", ei.scores.copy(), ei.gt_mask.copy(),
-                             list(ei.gt_segments))
+        twin = MET.EvalInput("v_twin", ei.scores.copy(), ei.gt_mask.copy())
         rep = ca.build_report([ei, twin], 10.0)
         assert rep["micro_auc"] == pytest.approx(rep["per_video"][0]["auc"],
                                                  abs=1e-12)

@@ -60,7 +60,7 @@ class TestGenerate:
         ds = ca.generate_dataset(g, 10, "train", seed=5)
         for s in ds.samples:
             assert 240 <= s.num_frames <= 480
-            runs = label_runs(s.labels)
+            runs = label_runs(s.raw("labels"))
             assert len(runs) == 6
             assert [r[0] for r in runs] == list(range(6))
 
@@ -211,7 +211,7 @@ class TestDisorder:
         order = list(small_dataset.grammar.phase_order)
         for s in small_dataset.samples:
             out = inject_disordering(s, self.SPEC, rng)
-            transcript = [r[0] for r in label_runs(out.labels)]
+            transcript = [r[0] for r in label_runs(out.raw("labels"))]
             positions = [order.index(c) for c in transcript]
             assert positions != sorted(positions)
 
@@ -807,8 +807,8 @@ class TestJsonShape:
     def test_loss_rows_equals_numpy_check(self, E, T, data):
         """The loss check (on the bytes where every value is plainly finite
         and non-negative, else on floats) raises what a numpy check of the
-        E x T matrix raises, with its text, for LossTrajectory and on its
-        own, and otherwise returns the rows. An empty matrix passes."""
+        E x T matrix raises, with its text, and otherwise returns the
+        rows. An empty matrix passes."""
         special = st.sampled_from([-0.0, 2.0 ** 1009, 2.0 ** 1008, -1e-300,
                                    math.inf, -math.inf, math.nan])
         values = data.draw(st.lists(st.floats() | special, min_size=E * T,
@@ -832,7 +832,6 @@ class TestJsonShape:
                 return type(e), str(e)
 
         want = outcome(numpy_check)
-        assert outcome(lambda: ca.LossTrajectory("v", losses, epochs)) == want
         rows = []
         assert outcome(lambda: rows.extend(
             ca.fileio.loss_rows(raw, epochs, T, "v"))) == want
