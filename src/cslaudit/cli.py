@@ -284,8 +284,8 @@ def cmd_audit(cfg: dict) -> None:
                 "epochs": epochs,
                 "flags": p.flags,
                 "segments": [list(s) for s in p.segments],
-                "labels": sample.raw("labels"),
-                "gt_error": sample.raw("error_mask"),
+                "labels": sample.labels,
+                "gt_error": sample.error_mask,
             }, "losses", p.losses.tobytes()))
         f.write(b"]}\n")
     with FIO.atomic_path(_path(cfg, "audit.csv")) as tmp, \
@@ -300,8 +300,8 @@ def cmd_audit(cfg: dict) -> None:
             f.write("".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
-                    sample.raw("labels"), p.csl, p.smoothed, curvature,
-                    p.flags, sample.raw("error_mask")))))
+                    sample.labels, p.csl, p.smoothed, curvature,
+                    p.flags, sample.error_mask))))
     n_frames = sum(len(p.csl) for p in profiles)
     print(f"audited {len(profiles)} videos ({n_frames} frames) "
           f"over {E} checkpoints")

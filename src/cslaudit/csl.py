@@ -26,7 +26,7 @@ from . import model as M
 from .errors import ConfigError, DataError, FingerprintError, NumericError
 # calibrate_tau too: bench/tracing.py times it under its csl name
 from .metrics import calibrate_tau, frames_to_segments  # noqa: F401
-from .seqdata import Dataset, SequenceSample, grammar_fingerprint
+from .seqdata import Dataset, SequenceSample, f8_array, grammar_fingerprint
 if TYPE_CHECKING:  # annotations only: eval and heatmap never load trainer
     from .trainer import CheckpointStore
 
@@ -99,9 +99,9 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     if ws is None:
         ws = M.Workspace()
     model_cfg = store.model_config
-    if sample.frames.shape[1] != model_cfg.feature_dim:
+    if sample.dim != model_cfg.feature_dim:
         raise FingerprintError(
-            f"sample {sample.id}: feature dim {sample.frames.shape[1]} != model "
+            f"sample {sample.id}: feature dim {sample.dim} != model "
             f"feature_dim {model_cfg.feature_dim} "
             f"(store grammar {store.manifest['fingerprints']['grammar']})")
     if cfg.audit_loss == TRAIN_WEIGHTED:
@@ -111,17 +111,18 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
         alpha.fill(1.0)
     epochs = store.epochs
     T = sample.num_frames
+    frames = f8_array(sample.frames, (T, sample.dim))
+    labels = np.array(sample.labels, np.int64)
     step = _chunk_epochs(T, len(epochs))
     losses = np.empty((len(epochs), T), "<f8")
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in store.params.tensors.items()})
         try:
-            probs, _ = M.forward(chunk, model_cfg, sample.frames, ws=ws)
+            probs, _ = M.forward(chunk, model_cfg, frames, ws=ws)
         except NumericError as e:
             raise NumericError(f"video {sample.id}: {e}") from e
-        losses[lo:lo + step] = M.per_frame_losses(probs, sample.labels,
-                                                  alpha)
+        losses[lo:lo + step] = M.per_frame_losses(probs, labels, alpha)
     try:
         rows = FIO.loss_rows(losses.tobytes(), epochs, T, sample.id)
     except NumericError as e:

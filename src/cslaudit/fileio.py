@@ -1,6 +1,7 @@
 """The file helpers every command runs before it computes: reading and
 shape-checking JSON documents, atomic writes, video ids, the byte level of
-the float64 base64 codec (`seqdata.f8_array`) and the loss check.
+the float64 base64 codec (`seqdata.f8_array` views its bytes as an array)
+and the loss check.
 
 `json_b64` writes a JSON object with one base64 field, a dataset's sample
 line or a `profiles.json` video: base64 needs no JSON escape, so the field is

@@ -36,9 +36,10 @@ Files in the retired `csl-seqdata/1` format (frames as decimal text) are
 refused; regenerate them with `cslaudit gen`.
 
 Reading, checking, corrupting and writing a dataset need no numpy, so
-`corrupt` never loads it: a sample holds its frames as bytes and its labels
-and mask as lists of ints until its arrays are first read
-(`SequenceSample`). The corruption stream is numpy's `default_rng(spec.seed)`,
+`corrupt` never loads it: a sample holds its fields as a file does, the
+frames as bytes and the labels and mask as lists of ints
+(`SequenceSample`), and `train` and the replay build arrays of them where
+they compute. The corruption stream is numpy's `default_rng(spec.seed)`,
 drawn in pure Python (`DefaultRng`): the same draws, so the same files. The
 grammar, dataset and corruption spec are plain classes, not dataclasses:
 `dataclasses` imports `inspect`, which no other part of `corrupt` needs.
@@ -51,6 +52,7 @@ import gzip
 import itertools
 import json
 import math
+import struct
 import zlib
 from collections.abc import Iterator
 
@@ -163,17 +165,14 @@ def _int_list(v, dtype: str) -> list:
         else _array(v, dtype).tolist()
 
 
-_DTYPES = {"frames": "f8", "labels": "i8", "error_mask": "i1"}
-
-
-class SequenceSample:
-    """One annotated sequence: `frames` (T x d float64), `labels` (T int64)
-    and `error_mask` (T int8, 1 = ground-truth annotation error) read as numpy
-    arrays. Until one is first read the sample holds that field raw, as a
-    file does: the frames as bytes (rows of `dim` little-endian float64s),
-    the labels and mask as lists of ints (an array given is converted). The
-    array, once built, replaces the raw form, so edits to it are kept
-    (`raw`). Samples are equal when every field is, the frames bit for bit."""
+class SequenceSample(_Record):
+    """One annotated sequence, each field as a dataset file holds it:
+    `frames` the T x `dim` feature matrix as row-major little-endian float64
+    bytes, `labels` and `error_mask` (1 = ground-truth annotation error)
+    lists of T ints, `corruption` the injected corruption's parameters or
+    None. An array given for a field is converted once; where numpy
+    computes, `f8_array` views the frames without a copy. Samples are equal
+    when every field is, the frames bit for bit."""
 
     def __init__(self, id: str, frames, labels, error_mask,
                  corruption: dict | None = None, dim: int | None = None):
@@ -188,36 +187,9 @@ class SequenceSample:
             raise SchemaError(
                 f"sample {id}: frames ({T}), labels ({len(labels)}) "
                 f"and error_mask ({len(mask)}) lengths disagree")
-        self.id, self.num_frames, self.dim = id, T, dim
-        self.corruption = corruption
-        self._held = {"frames": frames, "labels": labels, "error_mask": mask}
-
-    frames = property(lambda self: self._built("frames"))
-    labels = property(lambda self: self._built("labels"))
-    error_mask = property(lambda self: self._built("error_mask"))
-
-    def _built(self, name: str):
-        v = self._held[name]
-        if type(v) is bytes:
-            v = self._held[name] = f8_array(v, (self.num_frames, self.dim))
-        elif type(v) is list:
-            v = self._held[name] = _array(v, _DTYPES[name])
-        return v
-
-    def raw(self, name: str):
-        """A field as a file holds it: the frames' little-endian float64
-        bytes, row-major, or the list of ints of the labels or the mask."""
-        v = self._held[name]
-        if type(v) in (bytes, list):
-            return v
-        return v.astype("<f8").tobytes() if name == "frames" else v.tolist()
-
-    def _key(self) -> tuple:
-        return (self.id, self.dim, self.corruption, *map(self.raw, _DTYPES))
-
-    def __eq__(self, other):
-        return self._key() == other._key() \
-            if isinstance(other, SequenceSample) else NotImplemented
+        self.id, self.frames, self.labels, self.error_mask = \
+            id, frames, labels, mask
+        self.corruption, self.num_frames, self.dim = corruption, T, dim
 
 
 class Dataset(_Record):
@@ -236,7 +208,7 @@ class Dataset(_Record):
                 raise SchemaError(
                     f"sample {s.id}: feature dim {s.dim} "
                     f"!= grammar feature_dim {grammar.feature_dim}")
-            if not ints_within(s.raw("labels"), 0, grammar.num_classes):
+            if not ints_within(s.labels, 0, grammar.num_classes):
                 raise SchemaError(f"sample {s.id}: labels out of range")
         self.grammar, self.samples, self.split, self.seed = \
             grammar, samples, split, seed
@@ -455,13 +427,13 @@ def inject_mislabeling(sample: SequenceSample, spec: CorruptionSpec,
     length = min(length, T)
     start = int(rng.integers(0, T - length + 1))
     end = start + length
-    labels = sample.raw("labels")
+    labels = sample.labels
     from_class = labels[start]
     # uniform over Y \ {from_class}
     draw = int(rng.integers(0, num_classes - 1))
     to_class = draw if draw < from_class else draw + 1
     return SequenceSample(
-        sample.id, sample.raw("frames"),
+        sample.id, sample.frames,
         labels[:start] + [to_class] * length + labels[end:],
         [0] * start + [1] * length + [0] * (T - end),
         corruption={"kind": "mislabel", "start": start, "end": end,
@@ -481,7 +453,7 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
         raise ConfigError("inject_disordering requires a disorder spec")
     if sample.corruption is not None:
         raise SchemaError(f"sample {sample.id} is already corrupted")
-    labels = sample.raw("labels")
+    labels = sample.labels
     runs = label_runs(labels)
     if len(runs) < 2:
         raise DataError(
@@ -490,7 +462,7 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
     _, start_a, end_a = runs[j]
     _, start_b, end_b = runs[j + 1]
     return SequenceSample(
-        sample.id, _swap(sample.raw("frames"), start_a, start_b, end_b,
+        sample.id, _swap(sample.frames, start_a, start_b, end_b,
                          8 * sample.dim),
         _swap(labels, start_a, start_b, end_b),
         [0] * start_a + [1] * (end_b - start_a)
@@ -533,19 +505,18 @@ def _header_dict(ds: Dataset, extra: dict | None = None) -> dict:
 
 def f8_array(raw: bytes, shape: tuple[int, int]):
     """The rows x cols float64 array of little-endian float64 bytes
-    (fileio.f8_bytes checks them; rows -1 takes all): a writable,
-    C-contiguous copy."""
+    (fileio.f8_bytes checks them; rows -1 takes all): a read-only view that
+    shares raw's memory, so it copies nothing and lives as long as raw."""
     import numpy as np
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def _sample_line(s: SequenceSample) -> bytes:
-    raw = s.raw("frames")
-    if not f8_finite(raw):  # read_dataset would refuse it
+    if not f8_finite(s.frames):  # read_dataset would refuse it
         raise SchemaError(f"sample {s.id}: frames hold a non-finite value")
-    return json_b64({"id": s.id, "labels": s.raw("labels"),
-                     "error_mask": s.raw("error_mask"),
-                     "corruption": s.corruption}, "frames", raw) + b"\n"
+    return json_b64({"id": s.id, "labels": s.labels,
+                     "error_mask": s.error_mask,
+                     "corruption": s.corruption}, "frames", s.frames) + b"\n"
 
 
 def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> None:
@@ -660,7 +631,7 @@ def grammar_fingerprint(grammar: PhaseGrammar) -> str:
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
-    """sha256 of a dataset's content, hashed from its arrays.
+    """sha256 of a dataset's content, hashed from its fields' bytes.
 
     Recipe: a sequence of length-framed fields, each its byte length as a
     little-endian uint64 followed by the bytes. First the header JSON (keys
@@ -681,8 +652,8 @@ def dataset_fingerprint(ds: Dataset) -> str:
     for s in ds.samples:
         put(s.id.encode())
         put(s.num_frames.to_bytes(8, "little") + s.dim.to_bytes(8, "little"))
-        put(s.raw("frames"))
-        put(s.labels.astype("<i8").tobytes())
-        put(s.error_mask.astype("i1").tobytes())
+        put(s.frames)
+        put(struct.pack(f"<{s.num_frames}q", *s.labels))
+        put(struct.pack(f"<{s.num_frames}b", *s.error_mask))
         put(json.dumps(s.corruption, sort_keys=True).encode())
     return h.hexdigest()

@@ -24,7 +24,8 @@ import numpy as np
 from . import model as M
 from .errors import ConfigError, NumericError, StoreError
 from .fileio import atomic_path, check_json, make_dir, read_json
-from .seqdata import Dataset, dataset_fingerprint, grammar_fingerprint
+from .seqdata import Dataset, dataset_fingerprint, f8_array, \
+    grammar_fingerprint
 
 STORE_FORMAT = "csl-ckpt-store/1"
 MAGIC = b"CSLCKPT1"
@@ -191,9 +192,11 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
     # Every step's activations and temporaries, sized for the longest
     # sequence up front: buffers that grew mid-run would leave their old
     # storage behind as holes in the heap. For the same reason each sample's
-    # frame array (built on first use) is built here, before the buffers.
+    # frame view and label array are built here, before the buffers.
+    data = [(f8_array(s.frames, (s.num_frames, s.dim)),
+             np.array(s.labels, np.int64)) for s in ds_train.samples]
     ws = M.Workspace()
-    ws.buffers(cfg_model, (), max(len(s.frames) for s in ds_train.samples),
+    ws.buffers(cfg_model, (), max(s.num_frames for s in ds_train.samples),
                True)
     n = len(ds_train.samples)
     make_dir(store_path)
@@ -220,10 +223,9 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
         order = rng_shuffle.permutation(n)
         losses = []
         for idx in order:
-            sample = ds_train.samples[idx]
             step += 1
             loss, _ = M.backward(
-                params, cfg_model, sample.frames, sample.labels, alpha,
+                params, cfg_model, *data[idx], alpha,
                 train=True, rng=rng_dropout, ws=ws, out=state.grads)
             if not math.isfinite(loss):
                 raise NumericError(

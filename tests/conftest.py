@@ -43,6 +43,12 @@ def make_benchmark_grammar():
         duration_min=40, duration_max=80, boundary_blend=3)
 
 
+def frames_of(sample):
+    """The sample's frames as a (T, d) float64 array: a read-only view of
+    its bytes."""
+    return ca.seqdata.f8_array(sample.frames, (sample.num_frames, sample.dim))
+
+
 def set_frame(path, line, index, value):
     """Edit the dataset file at path in place: frames[index] of the sample
     on `line` (1-based) becomes value. Only that line's base64 `frames`

@@ -178,8 +178,9 @@ def test_criterion_7_curvature_property(bench):
     for s in bench["attn_mis"].samples:
         traj = CSL.eval_loss_trajectory(store, s, DETECTION)
         curv = ca.trajectory_curvature(traj.losses)
-        corrupted.append(curv[s.error_mask == 1])
-        clean.append(curv[s.error_mask == 0])
+        mask = np.array(s.error_mask)
+        corrupted.append(curv[mask == 1])
+        clean.append(curv[mask == 0])
     mean_bad = float(np.concatenate(corrupted).mean())
     mean_ok = float(np.concatenate(clean).mean())
     report(7, f"curvature corrupted {mean_bad:.4f} > clean {mean_ok:.4f}",

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslaudit as ca
-from conftest import set_frame
+from conftest import frames_of, set_frame
 from cslaudit import cli
 
 
@@ -488,7 +488,7 @@ def test_profiles_losses_bit_equal_library(trained_cfg, tmp_path, mode):
         got = ca.seqdata.f8_array(ca.fileio.f8_bytes(t["losses"], shape, "x"),
                                   shape)
         assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.flags.writeable
+        assert not got.flags.writeable
         assert np.array_equal(got.view("<u8"),
                               p.losses.view("<u8"))
         assert np.array_equal(decode_losses(t), got)
@@ -967,7 +967,10 @@ def test_frame_beyond_float32_range_exit_4(trained_cfg, tmp_path, capsys,
     float64 but beyond float32 range, or one whose square overflows float32
     in a LayerNorm (a silent 0 before), is a numeric error naming the video."""
     ds = ca.read_dataset(os.path.join(trained_cfg["out_dir"], "test.jsonl"))
-    ds.samples[1].frames[3, 0] = value
+    s = ds.samples[1]
+    frames = frames_of(s).copy()
+    frames[3, 0] = value
+    ds.samples[1] = ca.SequenceSample(s.id, frames, s.labels, s.error_mask)
     big = tmp_path / "big.jsonl"
     ca.write_dataset(ds, str(big))
     code, err = audit_file(trained_cfg, tmp_path, capsys, big)

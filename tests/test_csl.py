@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslaudit as ca
+from conftest import frames_of
 from cslaudit import csl as CSL
 from cslaudit import metrics as MET
 from cslaudit import model as M
@@ -73,7 +74,8 @@ class TestTrajectory:
         store, ds = trained
         traj = ca.eval_loss_trajectory(first(store, 1), ds.samples[1], DET)
         params = row(store, 0)
-        probs = ca.forward(params, store.model_config, ds.samples[1].frames)[0]
+        probs = ca.forward(params, store.model_config,
+                           frames_of(ds.samples[1]))[0]
         expected = M.per_frame_losses(probs, ds.samples[1].labels, np.ones(3))
         assert np.allclose(traj.losses[0], expected, atol=1e-15)
 
@@ -95,7 +97,7 @@ class TestTrajectory:
             e = int(rng.integers(0, len(store)))
             t = int(rng.integers(0, sample.num_frames))
             probs = ca.forward(row(store, e), store.model_config,
-                               sample.frames)[0]
+                               frames_of(sample))[0]
             expected = weighted_ce(probs[t], int(sample.labels[t]), np.ones(3))
             assert traj.losses[e, t] == pytest.approx(expected, abs=1e-15)
 
@@ -492,6 +494,25 @@ class TestAuditDataset:
             assert p.csl == MET.mean_over_epochs(p.losses.tolist())
             assert p.flags == audit_one(store, ds, s, DET).flags
 
+    @pytest.mark.parametrize("mode", ["context_free", "attention"])
+    def test_samples_keep_the_file_form(self, small_dataset, tiny_model_cfg,
+                                        tmp_path, mode):
+        """train and the replay view each sample's fields where they compute
+        and leave the sample as read: equal to a fresh read of its file, its
+        frames bytes and its labels and mask lists, nothing else held."""
+        path = str(tmp_path / "train.jsonl")
+        ca.write_dataset(small_dataset, path)
+        ds = ca.read_dataset(path)
+        store = ca.train(ds, replace(tiny_model_cfg, temporal_mode=mode),
+                         ca.TrainConfig(epochs=2), str(tmp_path / "store"))
+        ca.audit_dataset(store, ds, DET)
+        assert ds.samples == ca.read_dataset(path).samples
+        for s in ds.samples:
+            assert type(s.frames) is bytes
+            assert type(s.labels) is list and type(s.error_mask) is list
+            assert list(vars(s)) == ["id", "frames", "labels", "error_mask",
+                                     "corruption", "num_frames", "dim"]
+
     @pytest.mark.parametrize("change", ["more-classes", "class-mean-scale"])
     def test_foreign_grammar_refused(self, trained, change):
         """A dataset of another grammar than the store's is refused before
@@ -547,7 +568,7 @@ def reference_losses(store, sample, cfg):
     alpha = store.class_weights if cfg.audit_loss == CSL.TRAIN_WEIGHTED \
         else np.ones(store.model_config.num_classes)
     rows = [M.per_frame_losses(
-        M.forward(row(store, e), store.model_config, sample.frames)[0],
+        M.forward(row(store, e), store.model_config, frames_of(sample))[0],
         sample.labels, alpha) for e in range(len(store))]
     return np.stack(rows)
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cslaudit as ca
-from conftest import set_frame
+from conftest import frames_of, set_frame
 from cslaudit.errors import (ConfigError, DataError, NumericError, ParseError,
                              SchemaError)
 from cslaudit.seqdata import (FORMAT_TAG, DefaultRng, _phase_means,
@@ -38,10 +38,11 @@ class TestGenerate:
         g = fixed_grammar()
         ds = ca.generate_dataset(g, 1, "train", seed=0)
         s = ds.samples[0]
-        assert s.labels.tolist() == [0] * 5 + [1] * 5
-        assert np.array_equal(s.frames[:5], np.tile(g.class_means[0], (5, 1)))
-        assert np.array_equal(s.frames[5:], np.tile(g.class_means[1], (5, 1)))
-        assert not s.error_mask.any()
+        assert s.labels == [0] * 5 + [1] * 5
+        frames = frames_of(s)
+        assert np.array_equal(frames[:5], np.tile(g.class_means[0], (5, 1)))
+        assert np.array_equal(frames[5:], np.tile(g.class_means[1], (5, 1)))
+        assert not any(s.error_mask)
 
     def test_determinism(self, small_grammar):
         a = ca.generate_dataset(small_grammar, 4, "test", seed=42)
@@ -60,7 +61,7 @@ class TestGenerate:
         ds = ca.generate_dataset(g, 10, "train", seed=5)
         for s in ds.samples:
             assert 240 <= s.num_frames <= 480
-            runs = label_runs(s.raw("labels"))
+            runs = label_runs(s.labels)
             assert len(runs) == 6
             assert [r[0] for r in runs] == list(range(6))
 
@@ -68,8 +69,8 @@ class TestGenerate:
         g = fixed_grammar(C=3, dur=4)
         ds = ca.generate_dataset(g, 3, "train", seed=1)
         for s in ds.samples:
-            for t in range(s.num_frames):
-                assert np.array_equal(s.frames[t], g.class_means[s.labels[t]])
+            for t, row in enumerate(frames_of(s)):
+                assert np.array_equal(row, g.class_means[s.labels[t]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 7), st.integers(1, 5), st.integers(0, 6),
@@ -140,8 +141,8 @@ class TestMislabel:
             out = inject_mislabeling(self.make_sample(), self.SPEC, 3, rng)
             c = out.corruption
             if c["start"] == 3 and c["to_class"] == 2:
-                assert out.labels.tolist() == [0, 0, 0, 2, 2, 2, 0, 0, 0, 0]
-                assert out.error_mask.tolist() == [0, 0, 0, 1, 1, 1, 0, 0, 0, 0]
+                assert out.labels == [0, 0, 0, 2, 2, 2, 0, 0, 0, 0]
+                assert out.error_mask == [0, 0, 0, 1, 1, 1, 0, 0, 0, 0]
                 return
         pytest.fail("draw (start=3, to_class=2) never occurred in 500 seeds")
 
@@ -154,12 +155,11 @@ class TestMislabel:
             assert 0 <= c["to_class"] < 4
 
     def test_frames_untouched(self):
-        s = self.make_sample()
-        s.frames[:] = np.random.default_rng(2).normal(size=s.frames.shape)
-        before = s.frames.copy()
+        before = np.random.default_rng(2).normal(size=(10, 2))
+        s = ca.SequenceSample("s0", before, [0] * 10, [0] * 10)
         out = inject_mislabeling(s, self.SPEC, 3, np.random.default_rng(3))
-        assert np.array_equal(out.frames, before)
-        assert np.array_equal(s.frames, before)
+        assert np.array_equal(frames_of(out), before)
+        assert np.array_equal(frames_of(s), before)
 
     def test_mask_matches_segment(self):
         rng = np.random.default_rng(4)
@@ -167,8 +167,8 @@ class TestMislabel:
         for _ in range(100):
             out = inject_mislabeling(self.make_sample(12), spec, 3, rng)
             c = out.corruption
-            assert out.error_mask.sum() == c["end"] - c["start"]
-            assert out.error_mask[c["start"]:c["end"]].all()
+            assert sum(out.error_mask) == c["end"] - c["start"]
+            assert all(out.error_mask[c["start"]:c["end"]])
 
     def test_already_corrupted_rejected(self):
         out = inject_mislabeling(self.make_sample(), self.SPEC, 3,
@@ -193,10 +193,10 @@ class TestDisorder:
         s = ca.SequenceSample("s0", frames, np.array([0, 0, 0, 1, 1]),
                               np.zeros(5, dtype=np.int8))
         out = inject_disordering(s, self.SPEC, np.random.default_rng(0))
-        assert out.labels.tolist() == [1, 1, 0, 0, 0]
-        assert out.error_mask.tolist() == [1, 1, 1, 1, 1]
+        assert out.labels == [1, 1, 0, 0, 0]
+        assert out.error_mask == [1, 1, 1, 1, 1]
         # blocks move as units: frames follow their labels
-        assert np.array_equal(out.frames, frames[[3, 4, 0, 1, 2]])
+        assert np.array_equal(frames_of(out), frames[[3, 4, 0, 1, 2]])
 
     def test_label_multiset_preserved(self, small_dataset):
         rng = np.random.default_rng(1)
@@ -204,14 +204,15 @@ class TestDisorder:
             out = inject_disordering(s, self.SPEC, rng)
             assert sorted(out.labels) == sorted(s.labels)
             # frame rows are a permutation of the originals
-            assert sorted(map(tuple, out.frames)) == sorted(map(tuple, s.frames))
+            assert sorted(map(tuple, frames_of(out))) \
+                == sorted(map(tuple, frames_of(s)))
 
     def test_order_violation(self, small_dataset):
         rng = np.random.default_rng(2)
         order = list(small_dataset.grammar.phase_order)
         for s in small_dataset.samples:
             out = inject_disordering(s, self.SPEC, rng)
-            transcript = [r[0] for r in label_runs(out.raw("labels"))]
+            transcript = [r[0] for r in label_runs(out.labels)]
             positions = [order.index(c) for c in transcript]
             assert positions != sorted(positions)
 
@@ -294,7 +295,7 @@ class TestCorruptDataset:
         g = fixed_grammar(C=3, dur=6)
         ds = ca.generate_dataset(g, 7, "test", seed=0)
         out = ca.corrupt_dataset(ds, ca.CorruptionSpec("mislabel", 1.0, 2, 4, 9))
-        assert all(s.error_mask.any() for s in out.samples)
+        assert all(any(s.error_mask) for s in out.samples)
 
     def test_deterministic(self):
         g = fixed_grammar(C=3, dur=6)
@@ -315,7 +316,7 @@ class TestCorruptDataset:
         for orig, new in zip(ds.samples, out.samples):
             if new.corruption is None:
                 assert orig == new
-                assert not new.error_mask.any()
+                assert not any(new.error_mask)
 
 
 class TestDefaultRng:
@@ -425,28 +426,15 @@ class TestIO:
         labels, mask = np.arange(6) % 2, np.array([0, 1, 1, 0, 0, 0], np.int8)
         s = ca.SequenceSample("s0", np.ones((6, 3)), convert(labels),
                               convert(mask))
-        ds = ca.Dataset(fixed_grammar(), [s], "test", 0)  # no array read yet
+        ds = ca.Dataset(fixed_grammar(), [s], "test", 0)
         path = tmp_path / "ds.jsonl"
         ca.write_dataset(ds, str(path))
         row = json.loads(path.read_text().splitlines()[1])
         assert (row["labels"], row["error_mask"]) == (labels.tolist(),
                                                       mask.tolist())
         assert ca.read_dataset(str(path)).samples == [s]
-        assert s.labels.dtype == np.int64 and s.error_mask.dtype == np.int8
-        assert s.labels.tolist() == labels.tolist()
-        assert s.error_mask.tolist() == mask.tolist()
-
-    def test_edits_to_an_array_are_kept(self, small_dataset):
-        """A sample's array, once read, is the field: an edit to it is what
-        the sample compares and writes."""
-        s = small_dataset.samples[0]
-        other = ca.SequenceSample(s.id, s.frames.copy(), s.labels,
-                                  s.error_mask)
-        assert other == s
-        s.labels[0], s.error_mask[0], s.frames[0, 0] = 1, 1, -0.0
-        assert s.raw("labels")[0] == s.raw("error_mask")[0] == 1
-        assert s.raw("frames")[:8] == struct.pack("<d", -0.0)
-        assert other != s
+        assert s.labels == labels.tolist() and s.error_mask == mask.tolist()
+        assert {type(x) for x in s.labels + s.error_mask} == {int}
 
     def test_write_is_atomic(self, small_dataset, tmp_path):
         path = tmp_path / "ds.jsonl"
@@ -468,9 +456,9 @@ class TestIO:
                               "split": "train", "seed": 7},
                              sort_keys=True).encode()]
         for s in corrupted.samples:
-            T, d = s.frames.shape
+            T, d = frames_of(s).shape
             fields += [s.id.encode(), struct.pack("<2Q", T, d),
-                       struct.pack(f"<{T * d}d", *s.frames.ravel()),
+                       struct.pack(f"<{T * d}d", *frames_of(s).ravel()),
                        struct.pack(f"<{T}q", *s.labels),
                        struct.pack(f"<{T}b", *s.error_mask),
                        json.dumps(s.corruption, sort_keys=True).encode()]
@@ -494,7 +482,7 @@ class TestIO:
         ds = ca.Dataset(g, [s], "train", 0)
         path = tmp_path / "f.jsonl"
         ca.write_dataset(ds, str(path))
-        back = ca.read_dataset(str(path)).samples[0].frames
+        back = frames_of(ca.read_dataset(str(path)).samples[0])
         assert np.array_equal(back.view("<u8"), vals.view("<u8"))
         odd = np.array([[np.nan, np.inf, -np.inf, -0.0]])
         text = base64.b64encode(odd.astype("<f8").tobytes()).decode()
@@ -554,21 +542,29 @@ class TestIO:
             T = len(raw) // (8 * d)
             assert len(raw) == 8 * d * T
             frames = struct.unpack(f"<{T * d}d", raw)
-            assert frames == tuple(s.frames.ravel())
+            assert frames == tuple(frames_of(s).ravel())
             for key in ("labels", "error_mask"):
                 assert len(row[key]) == T
                 assert all(type(x) is int for x in row[key])
-            assert row["labels"] == s.labels.tolist()
-            assert row["error_mask"] == s.error_mask.tolist()
+            assert row["labels"] == s.labels
+            assert row["error_mask"] == s.error_mask
             assert row["id"] == s.id and row["corruption"] == s.corruption
 
-    def test_frames_are_writable_owned_float64(self, small_dataset, tmp_path):
+    def test_frames_view_shares_the_bytes(self, small_dataset, tmp_path):
+        """A read sample holds each field as the file does, and f8_array
+        views its frames without a copy; the view cannot be written."""
         path = tmp_path / "ds.jsonl"
         ca.write_dataset(small_dataset, str(path))
         for s in ca.read_dataset(str(path)).samples:
-            f = s.frames
+            assert type(s.frames) is bytes
+            assert type(s.labels) is list and type(s.error_mask) is list
+            f = f8_array(s.frames, (s.num_frames, s.dim))
             assert f.dtype == np.float64 and f.flags.c_contiguous
-            assert f.flags.writeable and f.flags.owndata
+            assert not f.flags.writeable and not f.flags.owndata
+            assert np.shares_memory(f, np.frombuffer(s.frames, np.uint8))
+            assert f.tobytes() == s.frames
+            with pytest.raises(ValueError, match="read-only"):
+                f[0, 0] = 1.0
 
 
 def cf_short_test_split():
@@ -622,11 +618,12 @@ class TestStreamingIO:
             read_peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        arrays = sum(s.frames.nbytes + s.labels.nbytes + s.error_mask.nbytes
-                     for s in back.samples)
+        # the samples' payload: 8 bytes a frame value and a label, 1 a mask
+        # entry, as int64 and int8 arrays of the fields hold them
+        held = sum(len(s.frames) + 9 * s.num_frames for s in back.samples)
         assert size >= 2_000_000
         assert write_peak < 0.25 * size
-        assert read_peak - arrays < 0.25 * size
+        assert read_peak - held < 0.25 * size
 
     @pytest.mark.parametrize("name", ["ds.jsonl", "ds.jsonl.gz"])
     @settings(max_examples=40, deadline=None, derandomize=True,
@@ -648,9 +645,8 @@ class TestStreamingIO:
         header = {"format": FORMAT_TAG, "grammar": g.to_dict(),
                   "split": "test", "seed": 4, **(extra or {})}
         rows = [header] + [
-            {"id": s.id, "frames": base64.b64encode(
-                s.frames.astype("<f8").tobytes()).decode(),
-             "labels": s.labels.tolist(), "error_mask": s.error_mask.tolist(),
+            {"id": s.id, "frames": base64.b64encode(s.frames).decode(),
+             "labels": s.labels, "error_mask": s.error_mask,
              "corruption": s.corruption} for s in ds.samples]
         want = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
         with tempfile.TemporaryDirectory() as tmp:
@@ -700,9 +696,10 @@ class TestStreamingIO:
         before = path.read_bytes()
         bad = ca.Dataset(small_dataset.grammar, list(small_dataset.samples),
                          "train", 0)
+        s3 = bad.samples[3]
         bad.samples[3] = ca.SequenceSample(
-            "s3", bad.samples[3].frames, bad.samples[3].labels,
-            bad.samples[3].error_mask, corruption={"kind": {1, 2}})
+            "s3", s3.frames, s3.labels, s3.error_mask,
+            corruption={"kind": {1, 2}}, dim=s3.dim)
         with pytest.raises(TypeError):  # a set is no JSON value
             ca.write_dataset(bad, str(path))
         assert os.listdir(tmp_path) == [name]
@@ -720,7 +717,7 @@ class TestStreamingIO:
         bad = ca.Dataset(small_dataset.grammar, list(small_dataset.samples),
                          "train", 0)
         s3 = bad.samples[3]
-        frames = s3.frames.copy()
+        frames = frames_of(s3).copy()
         frames[2, 0] = value
         bad.samples[3] = ca.SequenceSample(s3.id, frames, s3.labels,
                                            s3.error_mask)

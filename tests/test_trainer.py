@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cslaudit as ca
+from conftest import frames_of
 from cslaudit import model as M
 from cslaudit import trainer as TR
 from cslaudit.errors import ConfigError, NumericError, StoreError
@@ -188,8 +189,8 @@ def test_train_equals_reference_replay(small_dataset, tmp_path):
         for idx in rng_shuffle.permutation(len(small_dataset.samples)):
             s = small_dataset.samples[idx]
             step += 1
-            _, grads = M.backward(params, cfg_model, s.frames, s.labels, alpha,
-                                  train=True, rng=rng_dropout)
+            _, grads = M.backward(params, cfg_model, frames_of(s), s.labels,
+                                  alpha, train=True, rng=rng_dropout)
             ref_adamw_step(params.tensors, grads, m, v, step, cfg_train)
         snap = ca.ModelParams({k: x.astype(np.float32).astype(np.float64)
                                for k, x in params.tensors.items()})
