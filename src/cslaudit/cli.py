@@ -34,18 +34,12 @@ PROFILES_FORMAT = "csl-profiles/2"
 
 
 DEFAULT_CONFIG = {
-    "seed": 0,
-    "out_dir": ".",
+    "seed": 0, "out_dir": ".",
     "grammar": {
-        "num_classes": 6,
-        "feature_dim": 16,
-        "feature_noise_sigma": 1.0,
+        "num_classes": 6, "feature_dim": 16, "feature_noise_sigma": 1.0,
         "class_mean_scale": 2.8284271247461903,   # pairwise distance 4.0
-        "class_means": None,
-        "phase_order": None,                      # default 0..C-1
-        "duration_min": 40,
-        "duration_max": 80,
-        "boundary_blend": 3,
+        "class_means": None, "phase_order": None,  # default 0..C-1
+        "duration_min": 40, "duration_max": 80, "boundary_blend": 3,
     },
     "data": {
         "n_train": 40, "n_val": 10, "n_test": 20,

@@ -36,9 +36,16 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .fileio import check_json
 
+try:  # the C-level ufunc state that np.setbufsize sets, without its frame
+    from numpy._core.umath import _extobj_contextvar, _make_extobj
+except ImportError:  # then the broadcasts keep numpy's buffer: same bits
+    _extobj_contextvar = None
+
 LN_EPS = 1e-5
 PROB_FLOOR = 1e-12
 _ROW_BLOCK = 64  # rows per block of the softmax backward's row sums
+# the row softmax's paths by shape, measured (README: Where the time goes)
+_UNBUFFERED_MIN, _SMALL_BUFFER, _CHAIN_ROWS = 128, 16, 15
 
 CONTEXT_FREE = "context_free"
 ATTENTION = "attention"
@@ -298,13 +305,33 @@ def _layernorm_backward(dy, xhat, inv_std, g, dx=None, tmp=None, dg=None,
     return dxhat, dg, db
 
 
+def _by_rows(ufunc, z: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """ufunc(z, col, out=z), col (..., R, 1); rows of _UNBUFFERED_MIN or more
+    with a ufunc buffer of _SMALL_BUFFER, in the same error state."""
+    if z.shape[-1] < _UNBUFFERED_MIN or _extobj_contextvar is None:
+        return ufunc(z, col, out=z)
+    token = _extobj_contextvar.set(_make_extobj(bufsize=_SMALL_BUFFER))
+    try:
+        return ufunc(z, col, out=z)
+    finally:
+        _extobj_contextvar.reset(token)
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis computed in place: overwrites z and
-    returns it."""
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    returns it. From _CHAIN_ROWS rows a column the row max chains np.maximum
+    over the columns: exact in any order, up to a zero max's sign (which
+    exp(z - max) loses) or which of several NaN payloads a row yields."""
+    n = z.shape[-1]
+    if not n or z.size < _CHAIN_ROWS * n * n:
+        m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    else:
+        m = np.maximum(z[..., :1], z[..., -1:])
+        for k in range(1, n - 1):
+            np.maximum(m, z[..., k:k + 1], out=m)
+    _by_rows(np.subtract, z, m)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+    return _by_rows(np.divide, z, np.add.reduce(z, axis=-1, keepdims=True))
 
 
 def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray,
@@ -314,15 +341,13 @@ def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray,
     returns it. Each whole row's sum of dA * A goes through `tmp`, of up to
     _ROW_BLOCK rows, into `rowsum`, (R, 1); new arrays when not given."""
     R, n = A.shape
-    if tmp is None:
-        tmp = np.empty((min(R, _ROW_BLOCK), n))
-    if rowsum is None:
-        rowsum = np.empty((R, 1))
+    tmp = np.empty((min(R, _ROW_BLOCK), n)) if tmp is None else tmp
+    rowsum = np.empty((R, 1)) if rowsum is None else rowsum
     for i in range(0, R, _ROW_BLOCK):
         j = min(i + _ROW_BLOCK, R)
         np.add.reduce(np.multiply(dA[i:j], A[i:j], out=tmp[:j - i]),
                       axis=1, keepdims=True, out=rowsum[i:j])
-    dA -= rowsum
+    _by_rows(np.subtract, dA, rowsum)
     dA *= A
     return dA
 

@@ -177,11 +177,16 @@ class SequenceSample(_Record):
     def __init__(self, id: str, frames, labels, error_mask,
                  corruption: dict | None = None, dim: int | None = None):
         check_id(id)
-        if type(frames) is bytes:
-            T = len(frames) // (8 * dim)
-        else:
+        if type(frames) is not bytes:
             frames = _array(frames, "<f8")
-            (T, dim), frames = frames.shape, frames.tobytes()
+            if frames.ndim != 2:
+                raise SchemaError(f"sample {id}: frames must be a T x dim "
+                                  f"matrix, not of shape {frames.shape}")
+            dim, frames = frames.shape[1], frames.tobytes()
+        if type(dim) is not int or dim < 1 or len(frames) % (8 * dim):
+            raise SchemaError(f"sample {id}: {len(frames)} frame bytes are "
+                              f"not rows of dim={dim!r} float64s")
+        T = len(frames) // (8 * dim)
         labels, mask = _int_list(labels, "i8"), _int_list(error_mask, "i1")
         if not (len(labels) == len(mask) == T):
             raise SchemaError(

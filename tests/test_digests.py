@@ -1,13 +1,15 @@
-"""Byte identity to recorded digests: the six stages, run in process on two
+"""Byte identity to recorded digests: the six stages, run in process on three
 small configs, must leave every file under out_dir with the sha256 recorded
 in digests.json, and each stage must print the recorded stdout and stderr
 (the run directory written as `<out>`) and return the recorded exit code.
 
-The two configs cover both temporal modes (attention, context-free), both
+The configs cover both temporal modes (attention, context-free), both
 detection modes (percentile; threshold with tau calibrated on val), both
-audit losses and both corruption kinds. The bits of gen, train and audit
-depend on numpy and the BLAS, so digests.json records those too, and on
-another environment the test fails naming the difference.
+audit losses, both corruption kinds, and T x T attention rows on both sides
+of the width from which the softmax changes its numpy path. The bits of
+gen, train and audit depend on numpy and the BLAS, so digests.json records
+those too, and on another environment the test fails naming the
+difference.
 
 A change that alters bytes on purpose re-records the digests and lists each
 changed one with its reason:
@@ -61,6 +63,22 @@ RUNS = {
         "train": {"epochs": 4, "learning_rate": 1e-3},
         "detection": {"mode": "threshold", "tau": None, "window": 2,
                       "audit_loss": "train_weighted"},
+    },
+    # attention on videos of T ~200-260, so that the T x T softmax rows are
+    # well past model._UNBUFFERED_MIN columns
+    "attention-long-rows": {
+        "seed": 7,
+        "grammar": {"num_classes": 4, "feature_dim": 6,
+                    "feature_noise_sigma": 0.5, "class_mean_scale": 2.0,
+                    "duration_min": 50, "duration_max": 65,
+                    "boundary_blend": 3},
+        "data": {"n_train": 3, "n_val": 2, "n_test": 3},
+        "corruption": {"kind": "mislabel", "fraction": 0.5,
+                       "segment_len_min": 5, "segment_len_max": 20},
+        "model": {"hidden_dim": 12, "head_dims": [8, 6],
+                  "temporal_mode": "attention", "attention_dim": 6},
+        "train": {"epochs": 3, "learning_rate": 1e-3},
+        "detection": {"mode": "percentile", "k_percent": 10.0, "window": 2},
     },
 }
 

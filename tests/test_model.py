@@ -430,6 +430,123 @@ class TestKernelsBitIdentical:
             M.sinusoidal_encoding(3, 7)[0, 0] = 1.0
 
 
+def parent_softmax_rows(z):
+    """_softmax_rows as it was before it chose numpy paths by shape: one
+    max reduce and the default ufunc buffer. The reference for the oracle."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+def parent_softmax_rows_backward(A, dA):
+    """_softmax_rows_backward as it was before, with new temporaries."""
+    R, n = A.shape
+    tmp, rowsum = np.empty((min(R, M._ROW_BLOCK), n)), np.empty((R, 1))
+    for i in range(0, R, M._ROW_BLOCK):
+        j = min(i + M._ROW_BLOCK, R)
+        np.add.reduce(np.multiply(dA[i:j], A[i:j], out=tmp[:j - i]),
+                      axis=1, keepdims=True, out=rowsum[i:j])
+    dA -= rowsum
+    dA *= A
+    return dA
+
+
+# ±0, subnormals, infinities, one NaN, and values whose differences overflow
+SPECIALS = {np.float64: [0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf,
+                         np.nan, 1.7e308, -1.7e308],
+            np.float32: [0.0, -0.0, 1e-45, -3e-39, np.inf, -np.inf,
+                         np.nan, 3.4e38, -3.4e38]}
+
+
+@st.composite
+def softmax_cases(draw):
+    """(dtype, shape, seed, scale, specials): rows of n on either side of
+    _UNBUFFERED_MIN, and (E x) T rows on either side of _CHAIN_ROWS * n."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    u = M._UNBUFFERED_MIN
+    n = draw(st.one_of(st.integers(1, 9), st.sampled_from([u - 1, u, u + 9])))
+    lead = draw(st.sampled_from([(), (1,), (3,)]))
+    E, rows = (lead or (1,))[0], M._CHAIN_ROWS * n
+    if draw(st.booleans()):  # fewer rows than the chain needs
+        T = draw(st.integers(1, max(1, (rows - 1) // E)))
+    else:
+        T = draw(st.integers(-(-rows // E), -(-rows // E) + 5))
+    specials = draw(st.lists(st.sampled_from(SPECIALS[dtype]), max_size=6))
+    return (dtype, lead + (T, n), draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from([1.0, 40.0])), specials)
+
+
+def case_array(dtype, shape, seed, scale, specials):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, scale, shape).astype(dtype)
+    x.flat[rng.integers(0, x.size, len(specials))] = specials
+    return x
+
+
+def same_outcome(kernel, reference, *args):
+    """Run both on copies of args: equal bits, or the same FloatingPointError;
+    the ufunc buffer size and error state are as they were after each."""
+    state = np.geterr(), np.getbufsize()
+    results = []
+    for f in (kernel, reference):
+        try:
+            out = f(*(a.copy() for a in args))
+            results.append(out.view(f"u{out.itemsize}").tobytes())
+        except FloatingPointError as e:
+            results.append(str(e))
+        assert (np.geterr(), np.getbufsize()) == state
+    assert results[0] == results[1]
+
+
+class TestKernelOracle:
+    """Both softmax kernels, next to the formulas they replaced, bit for bit
+    on every path model._softmax_rows* take, and with numpy's ufunc state
+    left as it was, also when a kernel raises."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(softmax_cases())
+    def test_softmax_rows_match_parent(self, case):
+        z = case_array(*case)
+        with np.errstate(all="ignore"):
+            same_outcome(M._softmax_rows, parent_softmax_rows, z)
+        with np.errstate(all="raise"):
+            same_outcome(M._softmax_rows, parent_softmax_rows, z)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(softmax_cases(), st.integers(0, 2**32 - 1))
+    def test_softmax_rows_backward_matches_parent(self, case, seed):
+        dtype, shape, _, scale, specials = case
+        A = case_array(*case).reshape(-1, shape[-1])
+        dA = case_array(dtype, A.shape, seed, scale, specials[::-1])
+        with np.errstate(all="ignore"):
+            same_outcome(M._softmax_rows_backward,
+                         parent_softmax_rows_backward, A, dA)
+        with np.errstate(all="raise"):
+            same_outcome(M._softmax_rows_backward,
+                         parent_softmax_rows_backward, A, dA)
+
+    @pytest.mark.parametrize("kernel", ["forward", "backward"])
+    def test_raise_restores_buffer(self, kernel):
+        """An overflow in a column broadcast of the long-row path, under
+        errstate(all="raise"), leaves its small buffer behind neither inside
+        the errstate nor after it."""
+        x = np.zeros((4, M._UNBUFFERED_MIN))
+        x[:, 0], x[:, 1] = -1.7e308, 1.7e308  # x[:, 1] - x[:, 0] overflows
+        A = np.zeros_like(x)
+        A[:, 0] = 1.0  # the row sums of x * A are x[:, 0]
+        bufsize = np.getbufsize()
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                if kernel == "forward":
+                    M._softmax_rows(-x)
+                else:
+                    M._softmax_rows_backward(A, x)
+            assert np.getbufsize() == bufsize
+            assert set(np.geterr().values()) == {"raise"}
+        assert np.getbufsize() == bufsize
+
+
 class TestBackwardBitIdentical:
     @pytest.mark.parametrize("mode", ["context_free", "attention"])
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])

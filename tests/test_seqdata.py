@@ -417,6 +417,25 @@ class TestIO:
         assert ca.SequenceSample(good_id, np.zeros((2, 2)), [0, 0],
                                  [0, 0]).id == good_id
 
+    @pytest.mark.parametrize("frames,dim", [
+        (bytes(16), None), (bytes(16), 0), (bytes(16), -1), (bytes(16), 2.0),
+        (bytes(16), True), (bytes(17), 2), (bytes(24), 2), (bytes(8), 2),
+        (np.zeros(4), None), (np.zeros((1, 2, 2)), None), (np.float64(0), None),
+        (bytearray(16), 2)],
+        ids=["no-dim", "dim-0", "dim-negative", "dim-float", "dim-bool",
+             "odd-bytes", "partial-row", "short-row", "1-d", "3-d", "0-d",
+             "bytearray"])
+    def test_frames_not_a_matrix_refused(self, frames, dim):
+        """Frames that are no T x dim float64 matrix raise SchemaError
+        naming the sample, not a bare TypeError, ZeroDivisionError or
+        ValueError, and never floor T."""
+        with pytest.raises(SchemaError, match="^sample s9: .*frame"):
+            ca.SequenceSample("s9", frames, [0], [0], dim=dim)
+
+    def test_frame_bytes_of_whole_rows_accepted(self):
+        s = ca.SequenceSample("s0", bytes(32), [0, 1], [0, 0], dim=2)
+        assert (s.num_frames, s.dim) == (2, 2)
+
     @pytest.mark.parametrize("convert", [
         list, lambda a: a.astype(float).tolist(), lambda a: a.tolist()],
         ids=["numpy-ints", "floats", "ints"])
