@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 from . import csl as CSL
 from . import fileio as FIO
@@ -227,13 +228,22 @@ def cmd_train(cfg: dict) -> None:
 
 
 def _audit(store: TR.CheckpointStore, ds: SD.Dataset, path: str,
-           det: CSL.DetectionConfig) -> list:
+           det: CSL.DetectionConfig) -> Iterator[CSL.CslProfile]:
     """audit_dataset of the dataset read from path; one of another grammar
     than the store's raises FingerprintError naming path."""
     try:
         return CSL.audit_dataset(store, ds, det)
     except FingerprintError as e:
         raise FingerprintError(f"{path}: {e}") from e
+
+
+def _writes_to(path: str, call, *args):
+    """call(*args); an OSError raises DataError naming the output path, as
+    FIO.atomic_path(path) reports it."""
+    try:
+        call(*args)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror}") from e
 
 
 def cmd_audit(cfg: dict) -> None:
@@ -250,54 +260,48 @@ def cmd_audit(cfg: dict) -> None:
         det = build_detection_config(
             dict(cfg, detection=dict(cfg["detection"], tau=tau)))
 
-    profiles = _audit(store, ds, path, det)  # raises before any write
+    profiles = _audit(store, ds, path, det)  # raises before any output opens
     E = len(store)
-    head = {
-        "format": PROFILES_FORMAT,
-        "store_fingerprints": store.manifest["fingerprints"],
-        # eval recomputes the smoothed CSL with this window
-        "detection": dict(cfg["detection"], tau=det.tau
-                          if det.mode == CSL.THRESHOLD
-                          else cfg["detection"]["tau"]),
-        "seed": cfg["seed"],
-    }
-    epochs = list(store.epochs)
-    # Each output has its own atomic write, so a failed write names its file
-    # and leaves no part of it.
-    with FIO.atomic_path(_path(cfg, "profiles.json")) as tmp, \
+    head = {"format": PROFILES_FORMAT, "seed": cfg["seed"],
+            "store_fingerprints": store.manifest["fingerprints"],
+            # eval recomputes the smoothed CSL with this window
+            "detection": dict(cfg["detection"], tau=det.tau
+                              if det.mode == CSL.THRESHOLD
+                              else cfg["detection"]["tau"])}
+    epochs = store.epochs
+    # One pass: each video's profiles.json object and audit.csv rows are
+    # written before the next replay. Both outputs are opened first and are
+    # atomic. profiles.json is renamed first, so a fault in it leaves
+    # audit.csv as it was; its atomic_path would report an OSError of
+    # audit.csv as its own, so audit.csv's writes name it themselves.
+    csv_path = _path(cfg, "audit.csv")
+    with FIO.atomic_path(csv_path) as tmp, open(tmp, "wb") as csv, \
+            FIO.atomic_path(_path(cfg, "profiles.json")) as tmp, \
             open(tmp, "wb") as f:
-        # One object per video, its losses' base64 spliced in, without
-        # holding the whole document as one string. Keys are sorted and
-        # "videos" sorts last, so the bytes equal a single
-        # json.dump(..., sort_keys=True) of the full dict.
+        _writes_to(csv_path, csv.write, b"video_id,frame,label,csl,"
+                   b"csl_smoothed,curvature,flag,gt_error\n")
+        # Keys are sorted and "videos" sorts last, so the bytes equal a
+        # single json.dump(..., sort_keys=True) of the full dict.
         f.write(json.dumps(head, sort_keys=True)[:-1].encode()
                 + b', "videos": [')
-        for i, (sample, p) in enumerate(zip(ds.samples, profiles)):
-            f.write((b", " if i else b"") + FIO.json_b64({
-                "id": sample.id,
-                "epochs": epochs,
-                "flags": p.flags,
-                "segments": [list(s) for s in p.segments],
-                "labels": sample.labels,
-                "gt_error": sample.error_mask,
-            }, "losses", p.losses.tobytes()))
-        f.write(b"]}\n")
-    with FIO.atomic_path(_path(cfg, "audit.csv")) as tmp, \
-            open(tmp, "w", encoding="utf-8") as f:
-        f.write("video_id,frame,label,csl,csl_smoothed,curvature,flag,"
-                "gt_error\n")
-        for sample, p in zip(ds.samples, profiles):
+        # zip outermost: no cached tuple holds a profile into the next replay
+        for (i, sample), p in zip(enumerate(ds.samples), profiles):
+            f.write(b", " * (i > 0) + FIO.json_b64({
+                "id": sample.id, "epochs": epochs, "flags": p.flags,
+                "segments": p.segments, "labels": sample.labels,
+                "gt_error": sample.error_mask}, "losses", p.losses.tobytes()))
             curvature = CSL.trajectory_curvature(p.losses).tolist() \
                 if E >= 3 else [math.nan] * len(p.csl)
             # f"{x!r}" of a Python float is its shortest round-trip decimal,
             # with no per-frame numpy indexing.
-            f.write("".join(
+            _writes_to(csv_path, csv.write, "".join(
                 f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
                 for t, (y, c, sm, k, fl, g) in enumerate(zip(
                     sample.labels, p.csl, p.smoothed, curvature,
-                    p.flags, sample.error_mask))))
-    n_frames = sum(len(p.csl) for p in profiles)
-    print(f"audited {len(profiles)} videos ({n_frames} frames) "
+                    p.flags, sample.error_mask))).encode())
+        f.write(b"]}\n")
+    n_frames = sum(s.num_frames for s in ds.samples)
+    print(f"audited {len(ds.samples)} videos ({n_frames} frames) "
           f"over {E} checkpoints")
     if tau is not None:
         print(f"calibrated tau = {tau!r}")

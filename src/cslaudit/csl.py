@@ -15,6 +15,7 @@ loss matrix and the core's lists.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -150,10 +151,11 @@ def trajectory_curvature(losses: np.ndarray) -> np.ndarray:
 
 
 def audit_dataset(store: CheckpointStore, ds: Dataset,
-                  cfg: DetectionConfig) -> list[CslProfile]:
-    """One profile per sample, in dataset order; one workspace serves every
-    replay. A dataset of another grammar than the store's raises
-    FingerprintError."""
+                  cfg: DetectionConfig) -> Iterator[CslProfile]:
+    """Yield one profile per sample, in dataset order, replaying each when
+    the next is asked for; one workspace serves every replay. A dataset of
+    another grammar than the store's raises FingerprintError at the call,
+    before any replay."""
     ds_fp = grammar_fingerprint(ds.grammar)
     store_fp = store.manifest["fingerprints"]["grammar"]
     if ds_fp != store_fp:
@@ -168,4 +170,4 @@ def audit_dataset(store: CheckpointStore, ds: Dataset,
         for T in (max(chunks, key=lambda T: chunks[T] * T), max(chunks)):
             ws.buffers(store.model_config, (chunks[T],), T, False,
                        store.params.tensors["enc.W"].dtype)
-    return [eval_loss_trajectory(store, s, cfg, ws=ws) for s in ds.samples]
+    return (eval_loss_trajectory(store, s, cfg, ws=ws) for s in ds.samples)

@@ -168,14 +168,6 @@ def sinusoidal_encoding(T: int, dim: int, dtype=np.float64) -> np.ndarray:
     return table[:T]
 
 
-# A stacked call keeps no activations, so these take the storage of one that
-# is dead by the time they are written: each ReLU runs in place, and Z2 and Z
-# overwrite Z1, the normalized input of a LayerNorm already computed. Fewer
-# buffers touched per call keep a replay's working set in cache.
-_STACKED_SHARED = {"H": "pre_enc", "D1": "L1", "D2": "L2",
-                   "Z2": "Z1", "Z": "Z1"}
-
-
 class Workspace:
     """Scratch buffers that `forward` and `backward` reuse.
 
@@ -207,17 +199,14 @@ class Workspace:
         key = (cfg, lead, T, train, dtype)
         views = self._views.get(key)
         if views is None:
-            sizes = {name: (shape, math.prod(shape)) for name, shape
-                     in _buffer_shapes(cfg, lead, T, train).items()}
-            alias = _STACKED_SHARED if lead else {}
-            for name, (_, n) in sizes.items():
-                name = alias.get(name, name)
+            views = {}
+            for name, shape in _buffer_shapes(cfg, lead, T, train).items():
+                n = math.prod(shape)
                 flat = self._flat.get(name)
                 if flat is None or flat.dtype != dtype or flat.size < n:
-                    self._flat[name] = np.empty(n, dtype)
+                    flat = self._flat[name] = np.empty(n, dtype)
                     self._views.clear()
-            views = {name: self._flat[alias.get(name, name)][:n].reshape(shape)
-                     for name, (shape, n) in sizes.items()}
+                views[name] = flat[:n].reshape(shape)
             self._views[key] = views
         return views
 

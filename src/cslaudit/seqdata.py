@@ -178,7 +178,11 @@ class SequenceSample(_Record):
                  corruption: dict | None = None, dim: int | None = None):
         check_id(id)
         if type(frames) is not bytes:
-            frames = _array(frames, "<f8")
+            try:
+                frames = _array(frames, "<f8")
+            except (TypeError, ValueError) as e:  # ragged rows, non-numbers
+                raise SchemaError(f"sample {id}: frames must be a T x dim "
+                                  f"matrix of numbers ({e})") from e
             if frames.ndim != 2:
                 raise SchemaError(f"sample {id}: frames must be a T x dim "
                                   f"matrix, not of shape {frames.shape}")

@@ -54,7 +54,7 @@ class AuditResult:
 
 
 def audit_dataset(store, ds):
-    profiles = ca.audit_dataset(store, ds, DETECTION)
+    profiles = list(ca.audit_dataset(store, ds, DETECTION))
     inputs = [MET.EvalInput.from_profile(p, s.error_mask)
               for p, s in zip(profiles, ds.samples)]
     scores = np.concatenate([ei.scores for ei in inputs])

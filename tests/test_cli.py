@@ -11,6 +11,7 @@ import signal
 import struct
 import subprocess
 import sys
+import weakref
 import zlib
 
 import numpy as np
@@ -190,9 +191,18 @@ class TestAuditCmd:
         other = tmp_path / "other.json"
         other.write_text(json.dumps(cfg))
         assert run_cli("gen", "--config", str(other)) == 0
+        run = tmp_path / "run"
+        # refused before any output opens: an unwritable audit.csv is not hit
+        os.mkdir(run / "audit.csv.tmp")
+        before = {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+        capsys.readouterr()
         assert run_cli("audit", "--config", str(other)) == 3
         err = capsys.readouterr().err
+        assert err.startswith(f"data error: {run / 'test.jsonl'}: ")
+        assert err.count("\n") == 1
         assert err.count("grammar") >= 2  # both fingerprints named
+        assert {p.name: p.read_bytes() for p in run.iterdir()
+                if p.is_file()} == before
 
     def test_threshold_mode_with_calibration(self, cfg_path, tmp_path, capsys):
         run_pipeline(cfg_path)
@@ -470,7 +480,7 @@ def library_profiles(path):
     cfg = cli.load_config(path)
     store = ca.load_store(os.path.join(cfg["out_dir"], "store"))
     ds = ca.read_dataset(cfg["data"]["audit_path"])
-    return ca.audit_dataset(store, ds, cli.build_detection_config(cfg))
+    return list(ca.audit_dataset(store, ds, cli.build_detection_config(cfg)))
 
 
 @pytest.mark.parametrize("mode", ["percentile", "threshold"])
@@ -977,6 +987,87 @@ def test_frame_beyond_float32_range_exit_4(trained_cfg, tmp_path, capsys,
     assert code == 4
     assert err.startswith(f"numeric error: video {ds.samples[1].id}: ")
     assert text in err
+
+
+def test_audit_holds_one_profile_at_a_time(trained_cfg, tmp_path,
+                                          monkeypatch):
+    """audit writes each video's profiles.json object and audit.csv rows
+    before the next replay, and calibrating tau keeps only the smoothed
+    CSL: when a replay starts, at most one earlier profile is alive."""
+    replay, made, alive = ca.csl.eval_loss_trajectory, [], []
+
+    def counted(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        prof = replay(*args, **kwargs)
+        made.append(weakref.ref(prof))
+        return prof
+
+    monkeypatch.setattr(ca.csl, "eval_loss_trajectory", counted)
+    audited_copy(trained_cfg, tmp_path, mode="threshold", tau=None)
+    n = trained_cfg["data"]
+    assert len(alive) == n["n_val"] + n["n_test"]
+    assert max(alive) <= 1, alive
+
+
+@pytest.mark.parametrize("earlier", ["none", "outputs", "unwritable"])
+def test_overflow_in_a_later_video_writes_nothing(trained_cfg, tmp_path,
+                                                  capsys, earlier):
+    """A replay overflow in the third video exits 4 with one stderr line
+    naming it, and leaves no output and no .tmp: earlier outputs stay as
+    they were. Both outputs are opened before the first replay, so an
+    unwritable one ends the audit with exit 3 first."""
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    run = tmp_path / "run"
+    if earlier == "none":
+        for name in ("profiles.json", "audit.csv"):
+            os.remove(run / name)
+    elif earlier == "unwritable":
+        os.mkdir(run / "audit.csv.tmp")
+    before = {p.name: p.read_bytes() for p in run.iterdir() if p.is_file()}
+    ds = ca.read_dataset(cfg["data"]["audit_path"])
+    s = ds.samples[2]
+    frames = frames_of(s).copy()
+    frames[3, 0] = 1e20
+    ds.samples[2] = ca.SequenceSample(s.id, frames, s.labels, s.error_mask)
+    ca.write_dataset(ds, str(tmp_path / "big.jsonl"))
+    cfg["data"]["audit_path"] = str(tmp_path / "big.jsonl")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(cfg, f)
+    capsys.readouterr()
+    code = run_cli("audit", "--config", path)
+    if earlier == "unwritable":
+        assert (code, capsys.readouterr().err) == (
+            3, f"data error: cannot write {run / 'audit.csv'}: Is a "
+            f"directory\n")
+    else:
+        assert (code, capsys.readouterr().err) == (
+            4, f"numeric error: video {s.id}: non-finite loss at epoch 1: "
+            f"the float32 replay overflowed; the weights are finite\n")
+    assert {p.name: p.read_bytes() for p in run.iterdir()
+            if p.is_file()} == before
+    assert sorted(p.name for p in run.iterdir() if p.name.endswith(".tmp")) \
+        == (["audit.csv.tmp"] if earlier == "unwritable" else [])
+
+
+def test_unwritable_profiles_leave_audit_csv(trained_cfg, tmp_path, capsys):
+    """profiles.json is renamed before audit.csv, so when it cannot be
+    written audit.csv keeps its old rows, as when profiles.json was written
+    first."""
+    path, cfg = audited_copy(trained_cfg, tmp_path)
+    run = tmp_path / "run"
+    before = (run / "audit.csv").read_bytes()
+    os.remove(run / "profiles.json")
+    os.mkdir(run / "profiles.json")
+    cfg["detection"]["window"] += 1  # other smoothed values in every row
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(cfg, f)
+    capsys.readouterr()
+    assert run_cli("audit", "--config", path) == 3
+    assert capsys.readouterr().err == (
+        f"data error: cannot write {run / 'profiles.json'}: Is a directory\n")
+    assert (run / "audit.csv").read_bytes() == before
+    assert not [p for p in run.iterdir() if p.name.endswith(".tmp")]
 
 
 STORE_FIELDS = ("model", "epochs", "epoch_losses", "class_weights",

@@ -487,7 +487,7 @@ class TestAuditSequence:
 class TestAuditDataset:
     def test_one_profile_per_sample_in_order(self, trained):
         store, ds = trained
-        profiles = ca.audit_dataset(store, ds, DET)
+        profiles = list(ca.audit_dataset(store, ds, DET))
         assert [p.video_id for p in profiles] == [s.id for s in ds.samples]
         for p, s in zip(profiles, ds.samples):
             assert p.losses.shape == (len(store), s.num_frames)
@@ -505,7 +505,7 @@ class TestAuditDataset:
         ds = ca.read_dataset(path)
         store = ca.train(ds, replace(tiny_model_cfg, temporal_mode=mode),
                          ca.TrainConfig(epochs=2), str(tmp_path / "store"))
-        ca.audit_dataset(store, ds, DET)
+        list(ca.audit_dataset(store, ds, DET))
         assert ds.samples == ca.read_dataset(path).samples
         for s in ds.samples:
             assert type(s.frames) is bytes
@@ -548,7 +548,7 @@ class TestAuditDataset:
         epoch = store.epochs[2]
         with pytest.raises(NumericError,
                            match=f"{ds.samples[0].id}.*epoch {epoch}"):
-            ca.audit_dataset(bad, ds, DET)
+            list(ca.audit_dataset(bad, ds, DET))
 
     def test_zero_frame_sample_refused_as_by_the_replay(self, trained):
         """audit_dataset refuses a zero-frame sample with the error of
@@ -559,8 +559,8 @@ class TestAuditDataset:
         with pytest.raises(ConfigError, match="need at least one frame"):
             ca.eval_loss_trajectory(store, empty, DET)
         with pytest.raises(ConfigError, match="need at least one frame"):
-            ca.audit_dataset(
-                store, ca.Dataset(ds.grammar, [empty], ds.split, ds.seed), DET)
+            list(ca.audit_dataset(store, ca.Dataset(
+                ds.grammar, [empty], ds.split, ds.seed), DET))
 
 
 def reference_losses(store, sample, cfg):
@@ -630,9 +630,9 @@ class TestStackedReplay:
             got = ca.eval_loss_trajectory(store, sample, det).losses
             assert got.flags.c_contiguous  # mean over epochs sums in order
             assert np.array_equal(got, want)
-            prof = ca.audit_dataset(
+            [prof] = ca.audit_dataset(
                 store, ca.Dataset(long_dataset.grammar, [sample], "test", 0),
-                det)[0]
+                det)
             assert np.array_equal(prof.losses, want)
             csl = want.mean(axis=0)
             assert np.array_equal(prof.csl, csl)
@@ -647,7 +647,7 @@ class TestStackedReplay:
         with pytest.raises(NumericError,
                            match=f"video {ds.samples[0].id}: non-finite loss at "
                            "epoch 8$"):
-            ca.audit_dataset(store, ds, DET)
+            list(ca.audit_dataset(store, ds, DET))
 
 
 @pytest.mark.parametrize("mode", ["context_free", "attention"])
@@ -666,8 +666,8 @@ def test_one_workspace_across_lengths(monkeypatch, mode, chunk_rows):
                for i, T in enumerate([70, 9, 1, 50, 70, 23])]
     got = ca.audit_dataset(store, ca.Dataset(grammar, samples, "test", 0), DET)
     for s, prof in zip(samples, got):
-        want = ca.audit_dataset(
-            store, ca.Dataset(grammar, [s], "test", 0), DET)[0]
+        [want] = ca.audit_dataset(
+            store, ca.Dataset(grammar, [s], "test", 0), DET)
         for field in ("csl", "smoothed", "flags"):
             assert np.array_equal(getattr(prof, field), getattr(want, field))
         assert np.array_equal(prof.losses, want.losses)
@@ -694,7 +694,7 @@ def test_workspace_sized_before_replay(monkeypatch, mode, chunk_rows):
         return forward(*args, ws=ws, **kwargs)
 
     monkeypatch.setattr(M, "forward", spy)
-    ca.audit_dataset(store, ca.Dataset(grammar, samples, "test", 0), DET)
+    list(ca.audit_dataset(store, ca.Dataset(grammar, samples, "test", 0), DET))
     assert len(seen) >= len(samples)
     for flat in seen:
         assert flat.keys() == seen[0].keys()

@@ -1,15 +1,15 @@
-"""Byte identity to recorded digests: the six stages, run in process on three
+"""Byte identity to recorded digests: the six stages, run in process on four
 small configs, must leave every file under out_dir with the sha256 recorded
 in digests.json, and each stage must print the recorded stdout and stderr
 (the run directory written as `<out>`) and return the recorded exit code.
 
 The configs cover both temporal modes (attention, context-free), both
 detection modes (percentile; threshold with tau calibrated on val), both
-audit losses, both corruption kinds, and T x T attention rows on both sides
-of the width from which the softmax changes its numpy path. The bits of
-gen, train and audit depend on numpy and the BLAS, so digests.json records
-those too, and on another environment the test fails naming the
-difference.
+audit losses, both corruption kinds, T x T attention rows on both sides of
+the width from which the softmax changes its numpy path, and videos whose
+checkpoints replay in one chunk and in two. The bits of gen, train and
+audit depend on numpy and the BLAS, so digests.json records those too, and
+on another environment the test fails naming the difference.
 
 A change that alters bytes on purpose re-records the digests and lists each
 changed one with its reason:
@@ -79,6 +79,23 @@ RUNS = {
                   "temporal_mode": "attention", "attention_dim": 6},
         "train": {"epochs": 3, "learning_rate": 1e-3},
         "detection": {"mode": "percentile", "k_percent": 10.0, "window": 2},
+    },
+    # attention on videos of T ~300-390 under 8 checkpoints: csl.CHUNK_ROWS
+    # // T is 5 or 6, so every video, val's too, replays in two chunks and
+    # the second is partial
+    "attention-split-chunks": {
+        "seed": 11,
+        "grammar": {"num_classes": 4, "feature_dim": 6,
+                    "feature_noise_sigma": 0.5, "class_mean_scale": 2.0,
+                    "duration_min": 75, "duration_max": 97,
+                    "boundary_blend": 3},
+        "data": {"n_train": 2, "n_val": 2, "n_test": 3},
+        "corruption": {"kind": "mislabel", "fraction": 0.5,
+                       "segment_len_min": 5, "segment_len_max": 20},
+        "model": {"hidden_dim": 12, "head_dims": [8, 6],
+                  "temporal_mode": "attention", "attention_dim": 6},
+        "train": {"epochs": 8, "learning_rate": 1e-3},
+        "detection": {"mode": "threshold", "tau": None, "window": 2},
     },
 }
 

@@ -359,25 +359,47 @@ def test_unwritable_output_exits_3(pipeline, target, filled):
     assert after == before
 
 
+@pytest.fixture(scope="session")
+def wide_pipeline(pipeline, tmp_path_factory):
+    """The pipeline retrained on 10 epochs and audited: each frame's ten
+    base64 losses make profiles.json larger than audit.csv."""
+    root = tmp_path_factory.mktemp("wide")
+    shutil.copytree(pipeline, root, dirs_exist_ok=True)
+    (root / "config.json").write_text(json.dumps(
+        dict(CONFIG, train=dict(CONFIG["train"], epochs=10))))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for stage in ("train", "audit"):
+            assert cli.main([stage, "--config", "config.json"]) == 0
+    finally:
+        os.chdir(cwd)
+    return root
+
+
 # (command, the output whose write the file-size limit stops): gen rewrites
-# its smaller splits before test.jsonl; audit writes profiles.json before
-# the larger audit.csv, so a limit between their sizes stops audit.csv alone
-# and the error must name audit.csv
+# its smaller splits before test.jsonl. audit writes both outputs side by
+# side, so the limit stops whichever crosses it first: profiles.json is the
+# larger one in wide_pipeline, and audit.csv in pipeline
 FULL_DISK = [("gen", "run/test.jsonl"), ("train", "run/store/ckpt_0001.bin"),
              ("audit", "run/profiles.json"), ("audit", "run/audit.csv")]
 
 
 @pytest.mark.parametrize("command,name", FULL_DISK)
-def test_full_disk_exits_3(pipeline, tmp_path, command, name):
+def test_full_disk_exits_3(pipeline, wide_pipeline, tmp_path, command, name):
     """A command whose write fails with EFBIG (RLIMIT_FSIZE one byte below
     that output's size; Python ignores SIGXFSZ) exits 3 with one stderr line
     `cannot write <path>: File too large`, leaves no *.tmp, and every other
     file as it was: train has removed the old store first."""
     resource = pytest.importorskip("resource")
     work = tmp_path / "work"
-    shutil.copytree(pipeline, work)
+    shutil.copytree(wide_pipeline if name == "run/profiles.json"
+                    else pipeline, work)
     before = tree(work)
     limit = len(before[name]) - 1
+    if command == "audit":  # no other output of audit crosses the limit
+        assert max(map(len, (before["run/profiles.json"],
+                             before["run/audit.csv"]))) == limit + 1
 
     def limited():
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))

@@ -421,14 +421,16 @@ class TestIO:
         (bytes(16), None), (bytes(16), 0), (bytes(16), -1), (bytes(16), 2.0),
         (bytes(16), True), (bytes(17), 2), (bytes(24), 2), (bytes(8), 2),
         (np.zeros(4), None), (np.zeros((1, 2, 2)), None), (np.float64(0), None),
-        (bytearray(16), 2)],
+        (bytearray(16), 2), ([[0.0, 1.0], [2.0]], None), ([["a", "b"]], None),
+        ([[1 + 2j, 0.0]], None)],
         ids=["no-dim", "dim-0", "dim-negative", "dim-float", "dim-bool",
              "odd-bytes", "partial-row", "short-row", "1-d", "3-d", "0-d",
-             "bytearray"])
+             "bytearray", "ragged-rows", "strings", "complex"])
     def test_frames_not_a_matrix_refused(self, frames, dim):
         """Frames that are no T x dim float64 matrix raise SchemaError
         naming the sample, not a bare TypeError, ZeroDivisionError or
-        ValueError, and never floor T."""
+        ValueError (numpy's, for rows it cannot convert), and never floor
+        T."""
         with pytest.raises(SchemaError, match="^sample s9: .*frame"):
             ca.SequenceSample("s9", frames, [0], [0], dim=dim)
 

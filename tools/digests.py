@@ -1,9 +1,14 @@
 """A digest manifest of the benchmark workloads: for each workload in
-BENCHMARK.json at benchmark seeds 0 and 5, the six stages run as fresh
-`python -m cslaudit.cli` processes on this checkout's `src/`, in a temporary
-directory. Printed: each stage's exit code and the sha256 of its stdout and
-stderr (the run directory written as `<out>`), then one sha256 per output
-file, by its path under the run directory.
+BENCHMARK.json at benchmark seeds 0 and 5, then for `long-audit` at seed 0,
+the six stages run as fresh `python -m cslaudit.cli` processes on this
+checkout's `src/`, in a temporary directory. `long-audit` is not a
+BENCHMARK.json workload, but at seed 0 each of its 14 audited videos
+(T 1,026 to 1,287, 24 checkpoints) replays one checkpoint per chunk, and
+its profiles hold the most loss memory of any workload: it covers the
+audit's many-chunk path and its largest outputs. Printed: each stage's exit
+code and the sha256 of its stdout and stderr (the run directory written as
+`<out>`), then one sha256 per output file, by its path under the run
+directory.
 
 Two checkouts that make the same bytes print the same manifest, so a change
 that claims byte identity can show the manifests of both sides:
@@ -27,6 +32,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads as W  # noqa: E402
 
 SEEDS = (0, 5)
+EXTRA = (("long-audit", 0),)  # (workload, seed) run after BENCHMARK.json's
 
 
 def sha(data: bytes) -> str:
@@ -61,10 +67,10 @@ def run_workload(name: str, seed: int, work: str) -> list[str]:
 def main() -> None:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
         names = [w["name"] for w in json.load(f)["workloads"]]
+    runs = [(name, seed) for name in names for seed in SEEDS] + list(EXTRA)
     with tempfile.TemporaryDirectory() as work:
-        for name in names:
-            for seed in SEEDS:
-                print("\n".join(run_workload(name, seed, work)), flush=True)
+        for name, seed in runs:
+            print("\n".join(run_workload(name, seed, work)), flush=True)
 
 
 if __name__ == "__main__":
