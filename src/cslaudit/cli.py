@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
 
 from . import csl as CSL
 from . import fileio as FIO
@@ -198,10 +197,8 @@ def cmd_corrupt(cfg: dict, out_file: str | None) -> None:
         seed=_seed(cfg, c["seed"], 10))
     path = _split_path(cfg, c["split"])
     ds = _read_split(path)
-    try:
+    with FIO.naming(path, DataError):  # a sample corrupted already or short
         corrupted = SD.corrupt_dataset(ds, spec)
-    except DataError as e:  # a sample corrupted already, or too short
-        raise type(e)(f"{path}: {e}") from e
     out = out_file or _path(cfg, f"{c['split']}_{spec.kind}.jsonl")
     SD.write_dataset(corrupted, out,
                      header_extra={"corruption_spec": dict(vars(spec))})
@@ -227,25 +224,6 @@ def cmd_train(cfg: dict) -> None:
             f"after epoch {manifest['epochs'][-1]} was stored")
 
 
-def _audit(store: TR.CheckpointStore, ds: SD.Dataset, path: str,
-           det: CSL.DetectionConfig) -> Iterator[CSL.CslProfile]:
-    """audit_dataset of the dataset read from path; one of another grammar
-    than the store's raises FingerprintError naming path."""
-    try:
-        return CSL.audit_dataset(store, ds, det)
-    except FingerprintError as e:
-        raise FingerprintError(f"{path}: {e}") from e
-
-
-def _writes_to(path: str, call, *args):
-    """call(*args); an OSError raises DataError naming the output path, as
-    FIO.atomic_path(path) reports it."""
-    try:
-        call(*args)
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e.strerror}") from e
-
-
 def cmd_audit(cfg: dict) -> None:
     det = build_detection_config(cfg)
     store = TR.load_store(_path(cfg, "store"))
@@ -255,12 +233,14 @@ def cmd_audit(cfg: dict) -> None:
     if det.mode == CSL.THRESHOLD and cfg["detection"]["tau"] is None:
         # calibrate on the (assumed clean) validation split
         val_path = _split_path(cfg, "val")
-        val = _audit(store, _read_split(val_path), val_path, det)
+        with FIO.naming(val_path, FingerprintError):  # another grammar's
+            val = CSL.audit_dataset(store, _read_split(val_path), det)
         tau = MET.calibrate_tau([p.smoothed for p in val])
         det = build_detection_config(
             dict(cfg, detection=dict(cfg["detection"], tau=tau)))
 
-    profiles = _audit(store, ds, path, det)  # raises before any output opens
+    with FIO.naming(path, FingerprintError):  # before any output opens
+        profiles = CSL.audit_dataset(store, ds, det)
     E = len(store)
     head = {"format": PROFILES_FORMAT, "seed": cfg["seed"],
             "store_fingerprints": store.manifest["fingerprints"],
@@ -273,13 +253,14 @@ def cmd_audit(cfg: dict) -> None:
     # written before the next replay. Both outputs are opened first and are
     # atomic. profiles.json is renamed first, so a fault in it leaves
     # audit.csv as it was; its atomic_path would report an OSError of
-    # audit.csv as its own, so audit.csv's writes name it themselves.
+    # audit.csv as its own, so audit.csv's writes are under writing(csv_path).
     csv_path = _path(cfg, "audit.csv")
     with FIO.atomic_path(csv_path) as tmp, open(tmp, "wb") as csv, \
             FIO.atomic_path(_path(cfg, "profiles.json")) as tmp, \
             open(tmp, "wb") as f:
-        _writes_to(csv_path, csv.write, b"video_id,frame,label,csl,"
-                   b"csl_smoothed,curvature,flag,gt_error\n")
+        with FIO.writing(csv_path):
+            csv.write(b"video_id,frame,label,csl,csl_smoothed,curvature,flag,"
+                      b"gt_error\n")
         # Keys are sorted and "videos" sorts last, so the bytes equal a
         # single json.dump(..., sort_keys=True) of the full dict.
         f.write(json.dumps(head, sort_keys=True)[:-1].encode()
@@ -294,11 +275,12 @@ def cmd_audit(cfg: dict) -> None:
                 if E >= 3 else [math.nan] * len(p.csl)
             # f"{x!r}" of a Python float is its shortest round-trip decimal,
             # with no per-frame numpy indexing.
-            _writes_to(csv_path, csv.write, "".join(
-                f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
-                for t, (y, c, sm, k, fl, g) in enumerate(zip(
-                    sample.labels, p.csl, p.smoothed, curvature,
-                    p.flags, sample.error_mask))).encode())
+            with FIO.writing(csv_path):
+                csv.write("".join(
+                    f"{sample.id},{t},{y},{c!r},{sm!r},{k!r},{fl},{g}\n"
+                    for t, (y, c, sm, k, fl, g) in enumerate(zip(
+                        sample.labels, p.csl, p.smoothed, curvature,
+                        p.flags, sample.error_mask))).encode())
         f.write(b"]}\n")
     n_frames = sum(s.num_frames for s in ds.samples)
     print(f"audited {len(ds.samples)} videos ({n_frames} frames) "
@@ -331,10 +313,8 @@ def _load_profiles(cfg: dict) -> dict:
     for i, v in enumerate(data["videos"]):
         where = f"{path}: profiles.videos[{i}]"
         vid, epochs, gt = v["id"], v["epochs"], v["gt_error"]
-        try:
+        with FIO.naming(f"{where}.id", SchemaError):
             FIO.check_id(vid)
-        except SchemaError as e:
-            raise SchemaError(f"{where}.id: {e}") from e
         if first.setdefault(vid, i) != i:
             raise SchemaError(f"{where}.id repeats videos[{first[vid]}].id")
         if not epochs:
@@ -343,12 +323,10 @@ def _load_profiles(cfg: dict) -> dict:
             raise SchemaError(f"{where}.gt_error must hold 0s and 1s only")
         v["losses"] = FIO.f8_bytes(v["losses"], (len(epochs), len(gt)),
                                    f"{where}.losses")
-    for v in data["videos"]:  # values last, once every field has its form
-        try:
+    with FIO.naming(path, DataError, NumericError):
+        for v in data["videos"]:  # values last, once every field has its form
             v["losses"] = FIO.loss_rows(v["losses"], v["epochs"],
                                         len(v["gt_error"]), v["id"])
-        except (DataError, NumericError) as e:
-            raise type(e)(f"{path}: {e}") from e
     return data
 
 
@@ -369,9 +347,8 @@ def cmd_eval(cfg: dict) -> None:
         print("warning: EDA undefined (no ground-truth erroneous segments)",
               file=sys.stderr)
     out = _path(cfg, "report.json")
-    with FIO.atomic_path(out) as tmp, open(tmp, "w", encoding="utf-8") as f:
-        json.dump(report, f, sort_keys=True, indent=1)
-        f.write("\n")
+    FIO.write_file(out, json.dumps(report, sort_keys=True, indent=1).encode(),
+                   b"\n")
     auc_s = "n/a" if auc is None else f"{auc:.4f}"
     eda_s = "n/a" if eda is None else f"{eda:.4f}"
     print(f"micro-AUC {auc_s}, EDA@{report['k_percent']:g}% {eda_s} -> {out}")
@@ -389,9 +366,7 @@ def write_pgm(losses, path: str) -> None:
         losses, peak = [[x / peak for x in row] for row in losses], 1.0
     pixels = b"".join(bytes(round(255.0 * x / peak) for x in row)
                       for row in losses) if peak > 0 else bytes(E * T)
-    with FIO.atomic_path(path) as tmp, open(tmp, "wb") as f:
-        f.write(f"P5\n{T} {E}\n255\n".encode("ascii"))
-        f.write(pixels)
+    FIO.write_file(path, f"P5\n{T} {E}\n255\n".encode("ascii"), pixels)
 
 
 def cmd_heatmap(cfg: dict, video: str | None) -> None:

@@ -119,10 +119,8 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     for lo in range(0, len(epochs), step):
         chunk = M.ModelParams({k: v[lo:lo + step]
                                for k, v in store.params.tensors.items()})
-        try:
+        with FIO.naming(f"video {sample.id}", NumericError):
             probs, _ = M.forward(chunk, model_cfg, frames, ws=ws)
-        except NumericError as e:
-            raise NumericError(f"video {sample.id}: {e}") from e
         losses[lo:lo + step] = M.per_frame_losses(probs, labels, alpha)
     try:
         rows = FIO.loss_rows(losses.tobytes(), epochs, T, sample.id)

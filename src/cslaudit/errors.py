@@ -18,13 +18,7 @@ class DataError(AuditToolError):
 
 
 class ParseError(DataError):
-    """File could not be parsed; carries a line number where known."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    """File could not be parsed; the message names the file (and line)."""
 
 
 class SchemaError(DataError):

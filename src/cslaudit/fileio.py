@@ -1,7 +1,8 @@
 """The file helpers every command runs before it computes: reading and
 shape-checking JSON documents, atomic writes, video ids, the byte level of
 the float64 base64 codec (`seqdata.f8_array` views its bytes as an array)
-and the loss check.
+and the loss check. `naming` adds each error's context (file, line, video,
+epoch), and `writing` names the output whose write failed.
 
 `json_b64` writes a JSON object with one base64 field, a dataset's sample
 line or a `profiles.json` video: base64 needs no JSON escape, so the field is
@@ -110,30 +111,55 @@ def read_json(path: str, error: type, missing: str):
         raise error(f"{path}: not UTF-8 text ({e.reason})") from e
     except json.JSONDecodeError as e:
         raise error(f"{path}: line {e.lineno}: not valid JSON ({e.msg})") from e
+    except (ValueError, RecursionError) as e:  # an int too long, too deep
+        raise error(f"{path}: not valid JSON ({e})") from e
+
+
+@contextlib.contextmanager
+def naming(prefix: str, *types: type):
+    """An error of one of types raised in the block is raised again as its
+    own type, its message preceded by `<prefix>: `."""
+    try:
+        yield
+    except types as e:
+        raise type(e)(f"{prefix}: {e}") from e
+
+
+@contextlib.contextmanager
+def writing(path: str):
+    """An OSError raised in the block is a DataError naming path, the output
+    whose write failed: `cannot write <path>: <strerror>`."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror}") from e
 
 
 @contextlib.contextmanager
 def atomic_path(path: str):
     """Yield the temp path to write path's content to: renamed over path when
-    the block ends, removed if it raises. An OSError is a DataError."""
+    the block ends, removed if it raises; under writing(path)."""
     tmp = path + ".tmp"
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        if isinstance(e, OSError):
-            raise DataError(f"cannot write {path}: {e.strerror}") from e
-        raise
+    with writing(path):
+        try:
+            yield tmp
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+
+
+def write_file(path: str, *parts: bytes) -> None:
+    """Write the parts, in order, as the whole file at path (atomic_path)."""
+    with atomic_path(path) as tmp, open(tmp, "wb") as f:
+        f.writelines(parts)
 
 
 def make_dir(path: str) -> None:
-    """os.makedirs(path, exist_ok=True); an OSError raises DataError."""
-    try:
+    """os.makedirs(path, exist_ok=True), under writing(path)."""
+    with writing(path):
         os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e.strerror}") from e
 
 
 def json_b64(obj: dict, key: str, raw: bytes) -> bytes:

@@ -58,7 +58,7 @@ from collections.abc import Iterator
 
 from .errors import ConfigError, DataError, ParseError, SchemaError
 from .fileio import atomic_path, check_id, check_json, f8_bytes, f8_finite, \
-    ints_within, json_b64
+    ints_within, json_b64, naming
 
 FORMAT_TAG = "csl-seqdata/2"
 
@@ -545,40 +545,37 @@ def write_dataset(ds: Dataset, path: str, header_extra: dict | None = None) -> N
         out.flush()
 
 
-def _sample_from_json(obj, ln: int, d: int) -> SequenceSample:
-    """Validate one parsed sample line; SchemaError names the line."""
+def _sample_from_json(obj, d: int) -> SequenceSample:
+    """Validate one parsed sample line; the reader's naming adds the line."""
     if not isinstance(obj, dict):
-        raise SchemaError(f"line {ln}: sample must be a JSON object, "
+        raise SchemaError("sample must be a JSON object, "
                           f"got {type(obj).__name__}")
     for key in ("id", "frames", "labels", "error_mask"):
         if key not in obj:
-            raise SchemaError(f"line {ln}: sample is missing field {key!r}")
-    raw = f8_bytes(obj["frames"], (-1, d), f"line {ln}: frames")
+            raise SchemaError(f"sample is missing field {key!r}")
+    raw = f8_bytes(obj["frames"], (-1, d), "frames")
     if not f8_finite(raw):
-        raise SchemaError(f"line {ln}: frames hold a non-finite value")
+        raise SchemaError("frames hold a non-finite value")
     labels, mask = obj["labels"], obj["error_mask"]
     # non-empty lists of int64s, as numpy read them (and, unlike numpy, no
     # bools); Dataset checks the labels' range
     if not (labels and ints_within(labels, -INT64_END, INT64_END)):
-        raise SchemaError(f"line {ln}: labels must be a list of integers")
+        raise SchemaError("labels must be a list of integers")
     if not (mask and ints_within(mask, 0, 2)):
         if not (mask and ints_within(mask, -INT64_END, INT64_END)):
-            raise SchemaError(f"line {ln}: error_mask must be a list of "
-                              f"integers")
-        raise SchemaError(f"line {ln}: error_mask values must be 0 or 1")
-    try:
-        return SequenceSample(obj["id"], raw, labels, mask,
-                              obj.get("corruption"), dim=d)
-    except SchemaError as e:
-        raise SchemaError(f"line {ln}: {e}") from e
+            raise SchemaError("error_mask must be a list of integers")
+        raise SchemaError("error_mask values must be 0 or 1")
+    return SequenceSample(obj["id"], raw, labels, mask, obj.get("corruption"),
+                          dim=d)
 
 
 def read_dataset(path: str) -> Dataset:
     """The dataset in a `csl-seqdata/2` file, parsed one line at a time.
     Every error names the path; a parse or schema error also the line."""
     try:
-        with (gzip.open(path, "rt", encoding="utf-8") if path.endswith(".gz")
-              else open(path, encoding="utf-8")) as f:
+        with naming(path, ParseError, SchemaError), (
+                gzip.open(path, "rt", encoding="utf-8") if path.endswith(".gz")
+                else open(path, encoding="utf-8")) as f:
             return _parse_dataset(f)
     except (FileNotFoundError, NotADirectoryError) as e:
         raise DataError(f"no dataset at {path}; run gen first") from e
@@ -588,47 +585,48 @@ def read_dataset(path: str) -> Dataset:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     except (gzip.BadGzipFile, EOFError, zlib.error) as e:
         raise ParseError(f"{path}: not a complete gzip file ({e})") from e
-    except (ParseError, SchemaError) as e:
-        e.args = (f"{path}: {e}",)  # keeps the type, line and traceback
-        raise
 
 
 # The header fields read besides `format`; from_dict checks the grammar's.
 HEADER_SHAPE = {"split": "x", "seed": 0, "grammar": {}}
 
 
+def _json_line(raw: str, what: str):
+    """json.loads(raw); ParseError for any fault the decoder raises."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as e:  # syntax, too deep, long int
+        raise ParseError(f"bad {what} JSON: {getattr(e, 'msg', e)}") from e
+
+
 def _parse_dataset(lines: Iterator[str]) -> Dataset:
-    try:
-        header = json.loads(next(lines))
-    except StopIteration as e:
-        raise ParseError("empty dataset file", line=1) from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad header JSON: {e.msg}", line=1) from e
-    fmt = header.get("format") if isinstance(header, dict) else None
-    if fmt == "csl-seqdata/1":
-        raise ParseError(
-            f"the file is in the retired format 'csl-seqdata/1'; regenerate "
-            f"it with `cslaudit gen` or write it with seqdata.write_dataset "
-            f"(format {FORMAT_TAG!r})", line=1)
-    if fmt != FORMAT_TAG:
-        raise ParseError(f"expected format {FORMAT_TAG!r}", line=1)
-    check_json(header, HEADER_SHAPE, "line 1: header", SchemaError)
-    if header["split"] not in SPLITS:
-        raise SchemaError(f"line 1: header.split must be one of {SPLITS}, "
-                          f"got {header['split']!r}")
-    try:
-        grammar = PhaseGrammar.from_dict(header["grammar"])
-    except SchemaError as e:  # each begins with "grammar"
-        raise SchemaError(f"line 1: header.{e}") from e
+    header = next(lines, None)
+    with naming("line 1", ParseError, SchemaError):
+        if header is None:
+            raise ParseError("empty dataset file")
+        header = _json_line(header, "header")
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt == "csl-seqdata/1":
+            raise ParseError(
+                f"the file is in the retired format 'csl-seqdata/1'; "
+                f"regenerate it with `cslaudit gen` or write it with "
+                f"seqdata.write_dataset (format {FORMAT_TAG!r})")
+        if fmt != FORMAT_TAG:
+            raise ParseError(f"expected format {FORMAT_TAG!r}")
+        check_json(header, HEADER_SHAPE, "header", SchemaError)
+        if header["split"] not in SPLITS:
+            raise SchemaError(f"header.split must be one of {SPLITS}, "
+                              f"got {header['split']!r}")
+        try:
+            grammar = PhaseGrammar.from_dict(header["grammar"])
+        except SchemaError as e:  # each begins with "grammar"
+            raise SchemaError(f"header.{e}") from e
     samples = []
     for ln, raw in enumerate(lines, start=2):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad sample JSON: {e.msg}", line=ln) from e
-        samples.append(_sample_from_json(obj, ln, grammar.feature_dim))
+        if raw.strip():
+            with naming(f"line {ln}", ParseError, SchemaError):
+                samples.append(_sample_from_json(_json_line(raw, "sample"),
+                                                 grammar.feature_dim))
     return Dataset(grammar=grammar, samples=samples,
                    split=header["split"], seed=header["seed"])
 

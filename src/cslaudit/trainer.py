@@ -23,7 +23,8 @@ import numpy as np
 
 from . import model as M
 from .errors import ConfigError, NumericError, StoreError
-from .fileio import atomic_path, check_json, make_dir, read_json
+from .fileio import check_json, make_dir, naming, read_json, write_file, \
+    writing
 from .seqdata import Dataset, dataset_fingerprint, f8_array, \
     grammar_fingerprint
 
@@ -200,12 +201,12 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
                True)
     n = len(ds_train.samples)
     make_dir(store_path)
-    try:  # reversed, manifest.json goes before any snapshot it may list
-        for name in sorted(os.listdir(store_path), reverse=True):
-            if name == "manifest.json" or fnmatch.fnmatch(name, "ckpt_*.bin"):
-                os.remove(os.path.join(store_path, name))
-    except OSError as e:
-        raise StoreError(f"cannot write {e.filename}: {e.strerror}") from e
+    with writing(store_path):
+        names = sorted(os.listdir(store_path), reverse=True)
+    for name in names:  # manifest.json goes before any snapshot it may list
+        if name == "manifest.json" or fnmatch.fnmatch(name, "ckpt_*.bin"):
+            with writing(path := os.path.join(store_path, name)):
+                os.remove(path)
     manifest = {
         "format": STORE_FORMAT,
         "model": asdict(cfg_model),
@@ -242,13 +243,10 @@ def train(ds_train: Dataset, cfg_model: M.ModelConfig, cfg_train: TrainConfig,
         mean_loss = float(np.mean(losses))
         manifest["epochs"].append(epoch)
         manifest["epoch_losses"].append(mean_loss)
-        with atomic_path(_snapshot_path(store_path, epoch)) as tmp, \
-                open(tmp, "wb") as f:
-            f.write(snapshot)
-        with atomic_path(os.path.join(store_path, "manifest.json")) as tmp, \
-                open(tmp, "w", encoding="utf-8") as f:
-            json.dump(manifest, f, sort_keys=True, indent=1)
-            f.write("\n")
+        write_file(_snapshot_path(store_path, epoch), snapshot)
+        write_file(os.path.join(store_path, "manifest.json"),
+                   json.dumps(manifest, sort_keys=True, indent=1).encode(),
+                   b"\n")
         if on_epoch is not None:
             on_epoch(epoch, mean_loss)
     return load_store(store_path)
@@ -335,14 +333,12 @@ def load_store(path: str) -> CheckpointStore:
     for epoch in epochs:
         snap_path = _snapshot_path(path, epoch)
         try:
-            with open(snap_path, "rb") as f:
+            with open(snap_path, "rb") as f, \
+                    naming(snap_path, StoreError, NumericError), \
+                    naming(f"epoch {epoch}", NumericError):
                 decoded.append(decode_snapshot(f.read(), shapes).tensors)
         except OSError as e:  # missing, or a directory
             raise StoreError(f"{manifest_path}: lists epoch {epoch} but cannot "
                              f"read {snap_path} ({e.strerror})") from e
-        except StoreError as e:
-            raise StoreError(f"{snap_path}: {e}") from e
-        except NumericError as e:
-            raise NumericError(f"{snap_path}: epoch {epoch}: {e}") from e
     return CheckpointStore(manifest, M.ModelParams(
         {k: np.stack([t[k] for t in decoded]) for k in shapes}))

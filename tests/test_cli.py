@@ -1358,6 +1358,51 @@ def test_truncated_profiles_names_path_first(trained_cfg, tmp_path, capsys):
         f"data error: {profiles}: line 1: not valid JSON (")
 
 
+# JSON that Python's decoder refuses with something other than
+# JSONDecodeError: RecursionError for nesting too deep, ValueError for an
+# integer of more than 4,300 digits
+UNDECODABLE = {"deep": "[" * 100_000, "long-int": "1" * 5_000}
+# (document, command that reads it, its exit code, the stderr line before
+# the decoder's reason), {path} naming the document
+DOCUMENTS = {
+    "config": ("gen", 2, "config error: {path}: not valid JSON ({reason})"),
+    "manifest": ("audit", 3, "data error: {path}: not valid JSON ({reason})"),
+    "profiles": ("eval", 3, "data error: {path}: not valid JSON ({reason})"),
+    "header": ("corrupt", 3,
+               "data error: {path}: line 1: bad header JSON: {reason}"),
+    "sample": ("corrupt", 3,
+               "data error: {path}: line 2: bad sample JSON: {reason}"),
+}
+
+
+@pytest.mark.parametrize("fault", list(UNDECODABLE))
+@pytest.mark.parametrize("document", list(DOCUMENTS))
+def test_json_the_decoder_refuses_is_named(trained_cfg, tmp_path, capsys,
+                                           document, fault):
+    """A config, manifest.json, profiles.json or dataset line holding JSON
+    the decoder refuses by RecursionError or ValueError, not JSONDecodeError,
+    ends in the document's exit code and one stderr line naming its path
+    (and line): a traceback with exit 1 before."""
+    text = UNDECODABLE[fault]
+    with pytest.raises((RecursionError, ValueError)) as refused:
+        json.loads(text)
+    command, code, line = DOCUMENTS[document]
+    run = tmp_path / "run"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(base_config(run)))
+    path = {"config": cfg_path, "manifest": run / "store" / "manifest.json",
+            "profiles": run / "profiles.json"}.get(document, run / "test.jsonl")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if document == "sample":
+        with open(os.path.join(trained_cfg["out_dir"], "test.jsonl")) as f:
+            text = f.readline() + text
+    path.write_text(text + "\n")
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(cfg_path)) == code
+    assert capsys.readouterr().err == line.format(
+        path=path, reason=refused.value) + "\n"
+
+
 def test_heatmap_of_empty_profiles_exit_3(tmp_path, capsys):
     """heatmap exited 0 and wrote nothing for a profiles.json without
     videos; eval exited 3 without naming the file."""

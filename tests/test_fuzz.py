@@ -380,9 +380,13 @@ def wide_pipeline(pipeline, tmp_path_factory):
 # (command, the output whose write the file-size limit stops): gen rewrites
 # its smaller splits before test.jsonl. audit writes both outputs side by
 # side, so the limit stops whichever crosses it first: profiles.json is the
-# larger one in wide_pipeline, and audit.csv in pipeline
+# larger one in wide_pipeline, and audit.csv in pipeline. heatmap writes one
+# file per video in dataset order: test-0001's is the first of the largest
 FULL_DISK = [("gen", "run/test.jsonl"), ("train", "run/store/ckpt_0001.bin"),
-             ("audit", "run/profiles.json"), ("audit", "run/audit.csv")]
+             ("audit", "run/profiles.json"), ("audit", "run/audit.csv"),
+             ("eval", "run/report.json"),
+             ("corrupt", "run/test_mislabel.jsonl"),
+             ("heatmap", "run/heatmap_test-0001.pgm")]
 
 
 @pytest.mark.parametrize("command,name", FULL_DISK)
@@ -400,6 +404,9 @@ def test_full_disk_exits_3(pipeline, wide_pipeline, tmp_path, command, name):
     if command == "audit":  # no other output of audit crosses the limit
         assert max(map(len, (before["run/profiles.json"],
                              before["run/audit.csv"]))) == limit + 1
+    if command == "heatmap":  # no heatmap written before it crosses it
+        assert all(len(v) <= limit for k, v in before.items()
+                   if k.startswith("run/heatmap_") and k < name)
 
     def limited():
         resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))

@@ -507,14 +507,14 @@ class TestStoreIO:
         snapshot among the old ones before)."""
         ca.train(small_dataset, tiny_model_cfg, TR.TrainConfig(epochs=3),
                  str(tmp_path))
-        atomic_path = TR.atomic_path
+        write_file = TR.write_file
 
-        def stopped(path):
+        def stopped(path, *parts):
             if path.endswith("manifest.json"):
                 raise KeyboardInterrupt
-            return atomic_path(path)
+            return write_file(path, *parts)
 
-        monkeypatch.setattr(TR, "atomic_path", stopped)
+        monkeypatch.setattr(TR, "write_file", stopped)
         with pytest.raises(KeyboardInterrupt):
             ca.train(small_dataset, tiny_model_cfg,
                      TR.TrainConfig(epochs=3, shuffle_seed=1), str(tmp_path))
