@@ -17,7 +17,7 @@ from . import errors, fileio  # every command needs these
 _PUBLIC = {  # module -> the public names it defines
     "seqdata": "CorruptionSpec Dataset PhaseGrammar SequenceSample "
                "corrupt_dataset generate_dataset read_dataset write_dataset",
-    "model": "ModelConfig ModelParams backward forward init_params",
+    "model": "ModelConfig backward forward init_params",
     "trainer": "CheckpointStore TrainConfig "
                "compute_class_weights load_store train",
     "csl": "CslProfile DetectionConfig audit_dataset "

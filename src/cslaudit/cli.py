@@ -92,7 +92,7 @@ def _merge(base: dict, override: dict, prefix: str = "",
                 what, test = '"train" or "test"', ("train", "test").__contains__
             if not test(v):
                 raise ConfigError(f"config field {dotted}: must be {what}, "
-                                  f"not {json.dumps(v)}")
+                                  f"not {FIO.shown(v)}")
         out[k] = v
     return out
 

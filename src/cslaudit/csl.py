@@ -117,15 +117,14 @@ def eval_loss_trajectory(store: CheckpointStore, sample: SequenceSample,
     step = _chunk_epochs(T, len(epochs))
     losses = np.empty((len(epochs), T), "<f8")
     for lo in range(0, len(epochs), step):
-        chunk = M.ModelParams({k: v[lo:lo + step]
-                               for k, v in store.params.tensors.items()})
+        chunk = {k: v[lo:lo + step] for k, v in store.params.items()}
         with FIO.naming(f"video {sample.id}", NumericError):
-            probs, _ = M.forward(chunk, model_cfg, frames, ws=ws)
+            probs = M.forward(chunk, model_cfg, frames, ws=ws)
         losses[lo:lo + step] = M.per_frame_losses(probs, labels, alpha)
     try:
         rows = FIO.loss_rows(losses.tobytes(), epochs, T, sample.id)
     except NumericError as e:
-        tensors = store.params.tensors.values()
+        tensors = store.params.values()
         if not all(np.isfinite(v).all() for v in tensors):
             raise  # the weights themselves (load_store refuses such a store)
         raise NumericError(f"{e}: the {next(iter(tensors)).dtype} replay "
@@ -167,5 +166,5 @@ def audit_dataset(store: CheckpointStore, ds: Dataset,
     if chunks:
         for T in (max(chunks, key=lambda T: chunks[T] * T), max(chunks)):
             ws.buffers(store.model_config, (chunks[T],), T, False,
-                       store.params.tensors["enc.W"].dtype)
+                       store.params["enc.W"].dtype)
     return (eval_loss_trajectory(store, s, cfg, ws=ws) for s in ds.samples)

@@ -70,6 +70,15 @@ def json_kind(example) -> tuple:
             lambda v: type(v) in (list, tuple) and all(map(test, v)))
 
 
+def shown(value) -> str:
+    """A refused value as an error shows it: a list or an object by its
+    type name, a scalar's JSON cut to at most 80 characters."""
+    if isinstance(value, (dict, list, tuple)):
+        return type(value).__name__
+    text = json.dumps(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def check_json(value, example, where: str, error: type) -> None:
     """Raise error naming the field at fault (`where`, then `.key` or `[i]`)
     unless value has example's shape: every key of an object (others pass),
@@ -90,9 +99,7 @@ def check_json(value, example, where: str, error: type) -> None:
         if test(value):  # a list in one pass; its bad item is sought below
             return
     if type(example) is not list or type(value) not in (list, tuple):
-        shown = type(value).__name__ if isinstance(value, (dict, list, tuple)) \
-            else json.dumps(value)
-        raise error(f"{where} must be {what}, not {shown}")
+        raise error(f"{where} must be {what}, not {shown(value)}")
     for i, item in enumerate(value):
         check_json(item, example[0], f"{where}[{i}]", error)
 

@@ -32,13 +32,11 @@ def mean_over_epochs(rows) -> list[float]:
 
 
 def smooth(csl, w: int) -> list[float]:
-    """Moving average with radius w; windows truncate at sequence edges and
+    """Moving average with radius w >= 0; windows truncate at the edges and
     divide by the actual in-range count. Each window sums its frames in
     ascending order, or descending when T < 2w+1: np.convolve's orders, its
     bits for w <= 7. The padded zeros add nothing to a sum from 0.0. A radius
     above max(1, T - 1), whose windows all span the sequence, is cut to it."""
-    if w < 0:
-        raise ConfigError("window radius must be >= 0")
     if w == 0:
         return list(csl)
     T = len(csl)
@@ -51,9 +49,7 @@ def smooth(csl, w: int) -> list[float]:
 
 
 def flags_above(smoothed, tau: float) -> list[int]:
-    """1 where the value is strictly above tau, else 0."""
-    if not math.isfinite(tau):
-        raise ConfigError("tau must be finite")
+    """1 where the value is strictly above tau (finite), else 0."""
     return [1 if x > tau else 0 for x in smoothed]
 
 

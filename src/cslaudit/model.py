@@ -10,16 +10,17 @@ then a 3-layer classifier head
 trained with class-weighted cross-entropy. Dropout (inverted convention) is
 applied after the two hidden head activations in train mode only.
 
-Everything is plain numpy; backward() returns exact gradients of the mean
-weighted cross-entropy with respect to every parameter tensor, verified
-against central finite differences in the test suite.
+Everything is plain numpy. The parameters are a plain dict, name -> array,
+in the canonical order of param_shapes(); backward() returns exact gradients
+of the mean weighted cross-entropy with respect to every one of them,
+verified against central finite differences in the test suite.
 
 forward() and backward() write every activation, T x T matrix, dropout mask
-and backward temporary into a Workspace that the training loop and the audit
-replay each keep for a whole run; its docstring says who owns the results
-and for how long. backward() writes the gradients where its caller says:
-during training, into the optimizer's flat buffer. Reductions call the ufunc
-methods that ndarray.sum/max/all wrap, which saves a Python frame per call.
+and backward temporary into a Workspace (its docstring says who owns them)
+that the training loop and the audit replay each keep for a whole run;
+backward() reads forward()'s activations there and writes the gradients
+where its caller says: in training, the optimizer's flat buffer. Reductions
+call the ufunc methods that ndarray.sum/max/all wrap (one frame less each).
 
 forward() computes in the dtype of the parameters: training runs in float64,
 and the audit replays the float32 checkpoints in float32.
@@ -113,23 +114,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors, keyed by canonical name."""
-
-    tensors: dict[str, np.ndarray]
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelParams):
-            return NotImplemented
-        return (set(self.tensors) == set(other.tensors)
-                and all(np.array_equal(v, other.tensors[k])
-                        for k, v in self.tensors.items()))
-
-
-def init_params(cfg: ModelConfig) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases, unit
-    LayerNorm gains."""
+def init_params(cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """name -> tensor in canonical order: Uniform(-1/sqrt(fan_in),
+    +1/sqrt(fan_in)) weights, zero biases, unit LayerNorm gains."""
     rng = np.random.default_rng(cfg.init_seed)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(cfg).items():
@@ -140,7 +127,7 @@ def init_params(cfg: ModelConfig) -> ModelParams:
             tensors[name] = np.ones(shape)
         else:
             tensors[name] = np.zeros(shape)
-    return ModelParams(tensors)
+    return tensors
 
 
 _PE_TABLES: dict[tuple[int, np.dtype], np.ndarray] = {}
@@ -181,10 +168,11 @@ class Workspace:
     again on every call. A train-mode attention call holds two T x T
     buffers, `A` and `dA`, and a (min(T, _ROW_BLOCK), T) scratch.
 
-    Ownership: a workspace belongs to one caller, and the arrays a call
-    returns (forward's probabilities and cache) are views into it, valid
-    until the next call with the same workspace. A call without one makes
-    a fresh workspace, so its results are the caller's alone.
+    Ownership: a workspace belongs to one caller. It is the only place a
+    call's activations live: forward's probabilities are a view into it,
+    and backward reads forward's activations from the same views. They are
+    valid until the next call with the same workspace. A call without one
+    makes a fresh workspace, so its results are the caller's alone.
     """
 
     def __init__(self):
@@ -342,24 +330,23 @@ def _softmax_rows_backward(A: np.ndarray, dA: np.ndarray,
 
 
 def _dropout(R: np.ndarray, rate: float, rng: np.random.Generator | None,
-             mask: np.ndarray) -> np.ndarray:
+             mask: np.ndarray) -> None:
     """Inverted dropout of R in place; the mask (1/(1 - rate) where kept,
-    else 0) is drawn into the buffer `mask` and returned."""
+    else 0) is drawn into the buffer `mask`."""
     if rng is None:
         raise ConfigError("train-mode forward with dropout requires an rng")
     rng.random(out=mask)
     np.greater_equal(mask, rate, out=mask)
     mask *= 1.0 / (1.0 - rate)  # x * fl(1/d) == fl(x/d) for x in {0, 1}
     R *= mask
-    return mask
 
 
-def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
-            train: bool = False, rng: np.random.Generator | None = None,
-            ws: Workspace | None = None) -> tuple[np.ndarray, dict]:
+def forward(params: dict[str, np.ndarray], cfg: ModelConfig,
+            frames: np.ndarray, train: bool = False,
+            rng: np.random.Generator | None = None,
+            ws: Workspace | None = None) -> np.ndarray:
     """Run the classifier over a full sequence: the per-frame probabilities
-    (..., T, C), rows on the simplex, and the activations the backward pass
-    reads (empty for a stacked call).
+    (..., T, C), rows on the simplex.
 
     Eval mode is a pure function of (params, frames); train mode consumes
     `rng` for the two dropout masks.
@@ -369,18 +356,18 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     matrix per checkpoint, `probs` of shape (E, T, C), each equal bit for bit
     to a forward with that checkpoint alone (per-frame layers broadcast one
     gemm per checkpoint; the T x T attention core loops over the checkpoints,
-    so only one score matrix is alive at a time). A stacked call caches no
-    activations: `backward` and train mode take unstacked parameters.
+    so only one score matrix is alive at a time). `backward` and train mode
+    take unstacked parameters.
 
     The call computes in the dtype of the parameters, and the frames are
     cast to it (float64 frames under float64 parameters are used as they
     are). A frame value beyond the range of that dtype, such as |x| > 3.4e38
     under float32 checkpoints, becomes inf and raises NumericError.
 
-    The result lives in `ws` (see Workspace), a fresh one when not given.
+    The result and every activation live in `ws` (see Workspace), a fresh
+    one when not given.
     """
-    p = params.tensors
-    W = p["enc.W"]
+    W = params["enc.W"]
     X = np.asarray(frames, dtype=W.dtype)
     if X.ndim != 2 or X.shape[1] != cfg.feature_dim:
         raise ConfigError(
@@ -389,38 +376,30 @@ def forward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
         raise ConfigError("need at least one frame")
     if not np.logical_and.reduce(np.isfinite(X), axis=None):
         raise NumericError(f"non-finite values in input frames as {X.dtype}")
-    lead = W.shape[:-2]
-    buf = (ws or Workspace()).buffers(cfg, lead, X.shape[0], train, W.dtype)
-    cache = None if lead else {"X": X}
-    H = _encode(p, X, buf, cache)
+    buf = (ws or Workspace()).buffers(cfg, W.shape[:-2], X.shape[0], train,
+                                      W.dtype)
+    H = _encode(params, X, buf)
     if cfg.temporal_mode == ATTENTION:
-        H = _attend(p, cfg, H, buf, cache)
-    if cache is not None:
-        cache["Hp"] = H
-    probs = _head(p, cfg, H, train, rng, buf, cache)
-    return probs, cache or {}
+        H = _attend(params, cfg, H, buf)
+    return _head(params, cfg, H, train, rng, buf)
 
 
 # The three stages of forward(). Each writes its activations into the
-# workspace views `buf` and fills `cache` with what backward needs when given
-# one (a stacked replay passes none).
+# workspace views `buf`, where backward reads them.
 
 
-def _encode(p: dict, X: np.ndarray, buf: dict,
-            cache: dict | None) -> np.ndarray:
+def _encode(p: dict, X: np.ndarray, buf: dict) -> np.ndarray:
     pre_enc = _affine(X, p["enc.W"], p["enc.b"], buf["pre_enc"])
-    if cache is not None:
-        cache["pre_enc"] = pre_enc
     return np.maximum(pre_enc, 0.0, out=buf["H"])
 
 
-def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray, buf: dict,
-            cache: dict | None) -> np.ndarray:
+def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray,
+            buf: dict) -> np.ndarray:
     T = H0.shape[-2]
     U = H0  # backward needs H0 no more: U = H0 + PE overwrites it
     U += sinusoidal_encoding(T, cfg.hidden_dim, U.dtype)
-    N, xhat_a, inv_a = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"],
-                                  buf["N"], buf["xhat_a"], buf["inv_a"])
+    N, _, _ = _layernorm(U, p["attn.ln_g"], p["attn.ln_b"],
+                         buf["N"], buf["xhat_a"], buf["inv_a"])
     Qm = _affine(N, p["attn.Wq"], out=buf["Qm"])
     Km = _affine(N, p["attn.Wk"], out=buf["Km"])
     Vm = _affine(N, p["attn.Wv"], out=buf["Vm"])
@@ -432,33 +411,27 @@ def _attend(p: dict, cfg: ModelConfig, H0: np.ndarray, buf: dict,
         A *= scale
         _softmax_rows(A)
         np.matmul(A, Vm[i], out=ctx[i])
-    if cache is not None:
-        cache.update(N=N, xhat_a=xhat_a, inv_a=inv_a,
-                     Qm=Qm, Km=Km, Vm=Vm, A=A, ctx=ctx, scale=scale)
     Hp = _affine(ctx, p["attn.Wo"], out=buf["Hp"])
     Hp += U  # the residual; IEEE addition commutes, so this is U + Hp
     return Hp
 
 
 def _head(p: dict, cfg: ModelConfig, Hp: np.ndarray, train: bool,
-          rng: np.random.Generator | None, buf: dict,
-          cache: dict | None) -> np.ndarray:
+          rng: np.random.Generator | None, buf: dict) -> np.ndarray:
     r1, r2 = cfg.dropout_rates if train else (0.0, 0.0)
     Z1 = _affine(Hp, p["head.W1"], p["head.b1"], buf["Z1"])
-    L1, xhat1, inv1 = _layernorm(Z1, p["head.ln1_g"], p["head.ln1_b"],
-                                 buf["L1"], Z1, buf["inv1"])
-    D1 = np.maximum(L1, 0.0, out=buf["D1"])
-    mask1 = _dropout(D1, r1, rng, buf["mask1"]) if r1 > 0 else None
+    _layernorm(Z1, p["head.ln1_g"], p["head.ln1_b"], buf["L1"], Z1,
+               buf["inv1"])
+    D1 = np.maximum(buf["L1"], 0.0, out=buf["D1"])
+    if r1 > 0:
+        _dropout(D1, r1, rng, buf["mask1"])
     Z2 = _affine(D1, p["head.W2"], p["head.b2"], buf["Z2"])
-    L2, xhat2, inv2 = _layernorm(Z2, p["head.ln2_g"], p["head.ln2_b"],
-                                 buf["L2"], Z2, buf["inv2"])
-    D2 = np.maximum(L2, 0.0, out=buf["D2"])
-    mask2 = _dropout(D2, r2, rng, buf["mask2"]) if r2 > 0 else None
-    Z = _affine(D2, p["head.W3"], p["head.b3"], buf["Z"])
-    if cache is not None:
-        cache.update(L1=L1, xhat1=xhat1, inv1=inv1, mask1=mask1, D1=D1,
-                     L2=L2, xhat2=xhat2, inv2=inv2, mask2=mask2, D2=D2)
-    return _softmax_rows(Z)
+    _layernorm(Z2, p["head.ln2_g"], p["head.ln2_b"], buf["L2"], Z2,
+               buf["inv2"])
+    D2 = np.maximum(buf["L2"], 0.0, out=buf["D2"])
+    if r2 > 0:
+        _dropout(D2, r2, rng, buf["mask2"])
+    return _softmax_rows(_affine(D2, p["head.W3"], p["head.b3"], buf["Z"]))
 
 
 def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
@@ -473,9 +446,9 @@ def per_frame_losses(probs: np.ndarray, labels: np.ndarray,
     return np.asarray(alpha)[labels] * (-np.log(p))
 
 
-def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
-             labels: np.ndarray, alpha: np.ndarray, train: bool = False,
-             rng: np.random.Generator | None = None,
+def backward(params: dict[str, np.ndarray], cfg: ModelConfig,
+             frames: np.ndarray, labels: np.ndarray, alpha: np.ndarray,
+             train: bool = False, rng: np.random.Generator | None = None,
              ws: Workspace | None = None,
              out: dict[str, np.ndarray] | None = None
              ) -> tuple[float, dict[str, np.ndarray]]:
@@ -487,13 +460,16 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     `out` (name -> float64 array), else into new arrays.
     """
     ws = ws or Workspace()
-    probs, c = forward(params, cfg, frames, train=train, rng=rng, ws=ws)
-    p = params.tensors
+    probs = forward(params, cfg, frames, train=train, rng=rng, ws=ws)
+    p = params
+    X = np.asarray(frames, dtype=p["enc.W"].dtype)
     labels = np.asarray(labels, dtype=np.int64)
     T = len(labels)
-    if T != c["X"].shape[0]:
+    if T != X.shape[0]:
         raise ConfigError("labels length does not match frames")
-    buf = ws.buffers(cfg, (), T, True)  # forward's views plus temporaries
+    # forward's views (its dtype: no buffer is replaced) plus temporaries
+    buf = ws.buffers(cfg, (), T, True, X.dtype)
+    r1, r2 = cfg.dropout_rates if train else (0.0, 0.0)
     alpha = np.asarray(alpha, dtype=np.float64)
     losses = per_frame_losses(probs, labels, alpha)
     loss = float(np.add.reduce(losses) / T)  # the operations of np.mean
@@ -505,53 +481,55 @@ def backward(params: ModelParams, cfg: ModelConfig, frames: np.ndarray,
     dZ = np.multiply(probs, w, out=buf["dZ"])
     dZ[np.arange(T), labels] -= w[:, 0]
 
-    np.matmul(dZ.T, c["D2"], out=grads["head.W3"])
+    np.matmul(dZ.T, buf["D2"], out=grads["head.W3"])
     np.add.reduce(dZ, axis=0, out=grads["head.b3"])
     dL2 = np.matmul(dZ, p["head.W3"], out=buf["dD2"])
-    if c["mask2"] is not None:
-        dL2 *= c["mask2"]
-    dL2 *= c["L2"] > 0
+    if r2 > 0:
+        dL2 *= buf["mask2"]
+    dL2 *= buf["L2"] > 0
     dZ2, _, _ = _layernorm_backward(
-        dL2, c["xhat2"], c["inv2"], p["head.ln2_g"], dL2, buf["tmp2"],
+        dL2, buf["Z2"], buf["inv2"], p["head.ln2_g"], dL2, buf["tmp2"],
         grads["head.ln2_g"], grads["head.ln2_b"])
-    np.matmul(dZ2.T, c["D1"], out=grads["head.W2"])
+    np.matmul(dZ2.T, buf["D1"], out=grads["head.W2"])
     np.add.reduce(dZ2, axis=0, out=grads["head.b2"])
     dL1 = np.matmul(dZ2, p["head.W2"], out=buf["dD1"])
-    if c["mask1"] is not None:
-        dL1 *= c["mask1"]
-    dL1 *= c["L1"] > 0
+    if r1 > 0:
+        dL1 *= buf["mask1"]
+    dL1 *= buf["L1"] > 0
     dZ1, _, _ = _layernorm_backward(
-        dL1, c["xhat1"], c["inv1"], p["head.ln1_g"], dL1, buf["tmp1"],
+        dL1, buf["Z1"], buf["inv1"], p["head.ln1_g"], dL1, buf["tmp1"],
         grads["head.ln1_g"], grads["head.ln1_b"])
-    np.matmul(dZ1.T, c["Hp"], out=grads["head.W1"])
+    attention = cfg.temporal_mode == ATTENTION
+    np.matmul(dZ1.T, buf["Hp" if attention else "H"], out=grads["head.W1"])
     np.add.reduce(dZ1, axis=0, out=grads["head.b1"])
     dHp = np.matmul(dZ1, p["head.W1"], out=buf["dHp"])
 
-    if cfg.temporal_mode == ATTENTION:
-        np.matmul(dHp.T, c["ctx"], out=grads["attn.Wo"])
+    if attention:
+        np.matmul(dHp.T, buf["ctx"], out=grads["attn.Wo"])
         dctx = np.matmul(dHp, p["attn.Wo"], out=buf["dctx"])
-        dA = np.matmul(dctx, c["Vm"].T, out=buf["dA"])
-        dVm = np.matmul(c["A"].T, dctx, out=buf["dVm"])
-        dS = _softmax_rows_backward(c["A"], dA, buf["tmpA"], buf["rowsumA"])
-        dQm = np.matmul(dS, c["Km"], out=buf["dQm"])
-        dQm *= c["scale"]
-        dKm = np.matmul(dS.T, c["Qm"], out=buf["dKm"])
-        dKm *= c["scale"]
-        np.matmul(dQm.T, c["N"], out=grads["attn.Wq"])
-        np.matmul(dKm.T, c["N"], out=grads["attn.Wk"])
-        np.matmul(dVm.T, c["N"], out=grads["attn.Wv"])
+        dA = np.matmul(dctx, buf["Vm"].T, out=buf["dA"])
+        dVm = np.matmul(buf["A"].T, dctx, out=buf["dVm"])
+        dS = _softmax_rows_backward(buf["A"], dA, buf["tmpA"], buf["rowsumA"])
+        scale = 1.0 / math.sqrt(cfg.attention_dim)  # forward's
+        dQm = np.matmul(dS, buf["Km"], out=buf["dQm"])
+        dQm *= scale
+        dKm = np.matmul(dS.T, buf["Qm"], out=buf["dKm"])
+        dKm *= scale
+        np.matmul(dQm.T, buf["N"], out=grads["attn.Wq"])
+        np.matmul(dKm.T, buf["N"], out=grads["attn.Wk"])
+        np.matmul(dVm.T, buf["N"], out=grads["attn.Wv"])
         dN, tmp = buf["dN"], buf["tmp_h"]
         np.matmul(dQm, p["attn.Wq"], out=dN)
         dN += np.matmul(dKm, p["attn.Wk"], out=tmp)
         dN += np.matmul(dVm, p["attn.Wv"], out=tmp)
         dU, _, _ = _layernorm_backward(
-            dN, c["xhat_a"], c["inv_a"], p["attn.ln_g"], dN, tmp,
+            dN, buf["xhat_a"], buf["inv_a"], p["attn.ln_g"], dN, tmp,
             grads["attn.ln_g"], grads["attn.ln_b"])
         dU += dHp          # residual + LN path
         dpre = dU          # positional encoding is constant
     else:
         dpre = dHp
-    dpre *= c["pre_enc"] > 0
-    np.matmul(dpre.T, c["X"], out=grads["enc.W"])
+    dpre *= buf["pre_enc"] > 0
+    np.matmul(dpre.T, X, out=grads["enc.W"])
     np.add.reduce(dpre, axis=0, out=grads["enc.b"])
     return loss, grads

@@ -157,12 +157,12 @@ def _array(value, dtype: str):
     return np.asarray(value, dtype=dtype)
 
 
-def _int_list(v, dtype: str) -> list:
+def _int_list(v) -> list:
     """A label or mask vector as a list of ints: a list of ints as it is,
-    anything else (an array, a list of numpy ints) as a numpy array of
-    `dtype` holds it."""
+    anything else (an array, a list of numpy ints or of floats) as an int64
+    array holds it."""
     return v if type(v) is list and set(map(type, v)) <= {int} \
-        else _array(v, dtype).tolist()
+        else _array(v, "<i8").tolist()
 
 
 class SequenceSample(_Record):
@@ -191,7 +191,13 @@ class SequenceSample(_Record):
             raise SchemaError(f"sample {id}: {len(frames)} frame bytes are "
                               f"not rows of dim={dim!r} float64s")
         T = len(frames) // (8 * dim)
-        labels, mask = _int_list(labels, "i8"), _int_list(error_mask, "i1")
+        try:  # strings, ragged rows
+            labels, mask = _int_list(labels), _int_list(error_mask)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise SchemaError(f"sample {id}: labels and error_mask must be "
+                              f"vectors of integers ({e})") from e
+        if not ints_within(mask, 0, 2):
+            raise SchemaError(f"sample {id}: error_mask values must be 0 or 1")
         if not (len(labels) == len(mask) == T):
             raise SchemaError(
                 f"sample {id}: frames ({T}), labels ({len(labels)}) "
@@ -424,8 +430,6 @@ def _swap(seq, a: int, b: int, c: int, row: int = 1):
 def inject_mislabeling(sample: SequenceSample, spec: CorruptionSpec,
                        num_classes: int, rng: DefaultRng) -> SequenceSample:
     """Relabel one contiguous segment with a single wrong class."""
-    if spec.kind != "mislabel":
-        raise ConfigError("inject_mislabeling requires a mislabel spec")
     if sample.corruption is not None:
         raise SchemaError(f"sample {sample.id} is already corrupted")
     T = sample.num_frames
@@ -458,8 +462,6 @@ def inject_disordering(sample: SequenceSample, spec: CorruptionSpec,
     are preserved while the transcript order violates the canonical phase
     progression.
     """
-    if spec.kind != "disorder":
-        raise ConfigError("inject_disordering requires a disorder spec")
     if sample.corruption is not None:
         raise SchemaError(f"sample {sample.id} is already corrupted")
     labels = sample.labels

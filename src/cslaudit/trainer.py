@@ -77,27 +77,26 @@ class AdamWState:
     their gradients.
 
     The constructor packs every parameter tensor into one contiguous float64
-    buffer `p`, 2-D weight matrices first, and rebinds `params.tensors` to
-    views of it (names and canonical order unchanged), so that one step is a
-    few vectorised operations over the whole model. `grads` maps each name,
-    in canonical order, to the view of the gradient buffer `g` at the same
+    buffer `p`, 2-D weight matrices first, and rebinds each entry of the
+    `params` dict, in place, to a view of it, so that one step is a few
+    vectorised operations over the whole model. `grads` maps each name, in
+    canonical order, to the view of the gradient buffer `g` at the same
     offset: fill it (`backward(..., out=state.grads)`) before each step.
     """
 
-    def __init__(self, params: M.ModelParams):
-        tensors = params.tensors
+    def __init__(self, params: dict[str, np.ndarray]):
         # a stable sort keeps canonical order within each group
-        order = sorted(tensors, key=lambda k: tensors[k].ndim != 2)
-        self.n_decay = sum(tensors[k].size for k in order
-                           if tensors[k].ndim == 2)
-        self.p = np.concatenate([tensors[k].ravel() for k in order],
+        order = sorted(params, key=lambda k: params[k].ndim != 2)
+        self.n_decay = sum(params[k].size for k in order
+                           if params[k].ndim == 2)
+        self.p = np.concatenate([params[k].ravel() for k in order],
                                 dtype=np.float64)
         self.g = np.empty_like(self.p)
-        self.grads = dict.fromkeys(tensors)
+        self.grads = dict.fromkeys(params)
         off = 0
         for k in order:
-            shape, n = tensors[k].shape, tensors[k].size
-            tensors[k] = self.p[off:off + n].reshape(shape)
+            shape, n = params[k].shape, params[k].size
+            params[k] = self.p[off:off + n].reshape(shape)
             self.grads[k] = self.g[off:off + n].reshape(shape)
             off += n
         self.m = np.zeros_like(self.p)
@@ -108,11 +107,9 @@ class AdamWState:
 
 def adamw_step(state: AdamWState, t: int, cfg: TrainConfig,
                context: str = "") -> None:
-    """One in-place AdamW update of the parameters `state` was built from,
+    """AdamW step t >= 1, in place, of the parameters `state` was built from,
     with the gradients in `state.grads`. Decoupled weight decay hits only
     the 2-D weight matrices (not biases, not LayerNorm gains/biases)."""
-    if t < 1:
-        raise ConfigError("step index must be >= 1")
     g = state.g
     if not np.logical_and.reduce(np.isfinite(g), axis=None):
         name = next(k for k, x in state.grads.items()
@@ -148,7 +145,7 @@ def adamw_step(state: AdamWState, t: int, cfg: TrainConfig,
 @dataclass
 class CheckpointStore:
     manifest: dict
-    params: M.ModelParams  # (E, ...) float32, row i manifest["epochs"][i]
+    params: dict[str, np.ndarray]  # (E, ...) float32, row i epochs[i]
 
     @property
     def epochs(self) -> list[int]:
@@ -267,14 +264,14 @@ def _tensor_head(name: str, shape: tuple[int, ...]) -> bytes:
                        len(shape), *shape)
 
 
-def encode_snapshot(params: M.ModelParams) -> bytes:
+def encode_snapshot(params: dict[str, np.ndarray]) -> bytes:
     body = b"".join(  # canonical order from construction
         _tensor_head(k, v.shape) + np.ascontiguousarray(v, "<f4").tobytes()
-        for k, v in params.tensors.items())
+        for k, v in params.items())
     return MAGIC + body + struct.pack("<I", zlib.crc32(body))
 
 
-def decode_snapshot(blob: bytes, shapes: dict) -> M.ModelParams:
+def decode_snapshot(blob: bytes, shapes: dict) -> dict[str, np.ndarray]:
     """The tensors of `shapes` (M.param_shapes) as stored: read-only float32
     views of blob. Each record's header must be the expected one, exactly."""
     end = len(blob) - 4
@@ -295,7 +292,7 @@ def decode_snapshot(blob: bytes, shapes: dict) -> M.ModelParams:
             raise NumericError(f"tensor {name} holds a non-finite value")
     if off != end:
         raise StoreError(f"{end - off} bytes after the last tensor")
-    return M.ModelParams(tensors)
+    return tensors
 
 
 # The manifest fields load_store reads, each an example of its kind
@@ -336,9 +333,9 @@ def load_store(path: str) -> CheckpointStore:
             with open(snap_path, "rb") as f, \
                     naming(snap_path, StoreError, NumericError), \
                     naming(f"epoch {epoch}", NumericError):
-                decoded.append(decode_snapshot(f.read(), shapes).tensors)
+                decoded.append(decode_snapshot(f.read(), shapes))
         except OSError as e:  # missing, or a directory
             raise StoreError(f"{manifest_path}: lists epoch {epoch} but cannot "
                              f"read {snap_path} ({e.strerror})") from e
-    return CheckpointStore(manifest, M.ModelParams(
-        {k: np.stack([t[k] for t in decoded]) for k in shapes}))
+    return CheckpointStore(manifest, {k: np.stack([t[k] for t in decoded])
+                                      for k in shapes})

@@ -31,6 +31,13 @@ def tiny_model_cfg():
         dropout_rates=(0.0, 0.0), init_seed=3)
 
 
+def params_equal(a, b):
+    """Whether two name -> array parameter dicts hold the same names and
+    equal arrays."""
+    return a.keys() == b.keys() and all(np.array_equal(v, b[k])
+                                        for k, v in a.items())
+
+
 def make_benchmark_grammar():
     """The desk-scale benchmark grammar used by the acceptance suite:
     6 classes, 16 feature dims, pairwise class-mean distance 4x the noise."""

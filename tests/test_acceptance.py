@@ -19,7 +19,6 @@ import cslaudit as ca
 from cslaudit import cli
 from cslaudit import csl as CSL
 from cslaudit import metrics as MET
-from cslaudit import model as M
 from cslaudit import trainer as TR
 
 from conftest import make_benchmark_grammar
@@ -223,14 +222,14 @@ def test_criterion_8_invariant_suite(small_grammar, tiny_model_cfg):
 
     params = ca.init_params(tiny_model_cfg)
     X = rng.normal(size=(9, 4))
-    probs = ca.forward(params, tiny_model_cfg, X)[0]
+    probs = ca.forward(params, tiny_model_cfg, X)
     ok = ok and np.abs(probs.sum(axis=1) - 1).max() < 1e-9
 
     ds = ca.generate_dataset(small_grammar, 5, "train", seed=21)
     ok = ok and abs(ca.compute_class_weights(ds).mean() - 1) < 1e-9
 
     perm = rng.permutation(9)
-    ok = ok and np.allclose(ca.forward(params, tiny_model_cfg, X[perm])[0],
+    ok = ok and np.allclose(ca.forward(params, tiny_model_cfg, X[perm]),
                             probs[perm])
 
     report(8, "invariant suite (CSL, smoothing, flags, EDA, softmax, weights)",
@@ -247,9 +246,9 @@ def test_float32_replay_tolerance_gate(bench):
     for key, name in (("attn_mis", "attn"), ("cf_dis", "cf")):
         r, store = bench[key], bench["stores"][name]
         assert all(v.dtype == np.float32
-                   for v in store.params.tensors.values())
-        upcast = TR.CheckpointStore(store.manifest, M.ModelParams(
-            {k: v.astype(np.float64) for k, v in store.params.tensors.items()}))
+                   for v in store.params.values())
+        upcast = TR.CheckpointStore(store.manifest, {
+            k: v.astype(np.float64) for k, v in store.params.items()})
         ref = audit_dataset(upcast, ca.Dataset(grammar, r.samples, "test", 2))
         for p32, p64 in zip(r.profiles, ref.profiles):
             assert p64.losses.dtype == np.float64

@@ -221,9 +221,8 @@ class TestAuditCmd:
         store_dir = str(tmp_path / "run" / "store")
         store = ca.load_store(store_dir)
         epoch = store.epochs[1]
-        params = ca.ModelParams({k: v[1] for k, v
-                                 in store.params.tensors.items()})
-        params.tensors["head.W3"][0, 0] = np.nan
+        params = {k: v[1] for k, v in store.params.items()}
+        params["head.W3"][0, 0] = np.nan
         with open(ca.trainer._snapshot_path(store_dir, epoch), "wb") as f:
             f.write(ca.trainer.encode_snapshot(params))
         capsys.readouterr()
@@ -436,6 +435,112 @@ def test_malformed_audit_input_exit_3(trained_cfg, tmp_path, capsys, line,
     code, err = audit_file(trained_cfg, tmp_path, capsys, bad)
     assert code == 3
     assert f"{bad}: line {line}:" in err  # audit reads two files
+
+
+def _frames_of_width(width):
+    """Edit of the test split: sample line 2's frames as rows of `width`."""
+    def edit(rows):
+        T = len(rows[1]["labels"])
+        rows[1]["frames"] = base64.b64encode(bytes(8 * T * width)).decode()
+    return edit
+
+
+# (command, config edit, test-split edit or None, exit code, stderr) of each
+# range check a run reaches that no other test ran (tools/uncovered.py);
+# {bad} is the edited split's path. eval runs on a fresh audit of the clean
+# test split, whose ground truth has no errors.
+RANGE_CHECKS = {
+    "feature-dim-below-classes": (
+        "gen", {"grammar": {"feature_dim": 3}}, None, 2,
+        "config error: feature_dim must be >= num_classes for default class "
+        "means\n"),
+    "feature-dim-0": (
+        "gen", {"grammar": {"feature_dim": 0, "class_means": [[]] * 4}}, None,
+        2, "config error: feature_dim must be >= 1, got 0\n"),
+    "phase-order-not-a-permutation": (
+        "gen", {"grammar": {"phase_order": [0, 1, 1, 2]}}, None, 2,
+        "config error: phase_order (0, 1, 1, 2) is not a permutation of "
+        "0..3\n"),
+    "class-means-wrong-shape": (
+        "gen", {"grammar": {"class_means": [[0.0] * 6] * 3}}, None, 2,
+        "config error: class_means shape (3, 6) != (4, 6)\n"),
+    "n-train-0": ("gen", {"data": {"n_train": 0}}, None, 2,
+                  "config error: n_videos must be >= 1\n"),
+    "corruption-kind": ("corrupt", {"corruption": {"kind": "x"}}, None, 2,
+                        "config error: unknown corruption kind 'x'\n"),
+    "corruption-fraction-0": (
+        "corrupt", {"corruption": {"fraction": 0}}, None, 2,
+        "config error: video_fraction must lie in (0, 1]\n"),
+    "segment-len-min-0": (
+        "corrupt", {"corruption": {"segment_len_min": 0}}, None, 2,
+        "config error: segment_len_min must be >= 1\n"),
+    "segment-len-min-above-max": (
+        "corrupt", {"corruption": {"segment_len_min": 7,
+                                   "segment_len_max": 6}}, None, 2,
+        "config error: segment_len_min must be <= segment_len_max\n"),
+    "hidden-dim-0": ("train", {"model": {"hidden_dim": 0}}, None, 2,
+                     "config error: hidden_dim must be >= 1\n"),
+    "head-dims-0": ("train", {"model": {"head_dims": [0, 8]}}, None, 2,
+                    "config error: head_dims must be >= 1\n"),
+    "temporal-mode": ("train", {"model": {"temporal_mode": "rnn"}}, None, 2,
+                      "config error: unknown temporal_mode 'rnn'\n"),
+    "dropout-rate-1": (
+        "train", {"model": {"dropout_rates": [1.0, 0.3]}}, None, 2,
+        "config error: dropout_rates must lie in [0, 1)\n"),
+    "epochs-0": ("train", {"train": {"epochs": 0}}, None, 2,
+                 "config error: epochs must be >= 1\n"),
+    "detection-mode": ("audit", {"detection": {"mode": "x"}}, None, 2,
+                       "config error: unknown detection mode 'x'\n"),
+    "audit-loss": ("audit", {"detection": {"audit_loss": "x"}}, None, 2,
+                   "config error: unknown audit_loss 'x'\n"),
+    "k-percent-0-audit": ("audit", {"detection": {"k_percent": 0}}, None, 2,
+                          "config error: k_percent must lie in (0, 100]\n"),
+    "k-percent-0-eval": ("eval", {"detection": {"k_percent": 0}}, None, 2,
+                         "config error: k_percent must lie in (0, 100]\n"),
+    "error-mask-2": (
+        "audit", {}, lambda rows: rows[1].update(error_mask=[2]), 3,
+        "data error: {bad}: line 2: error_mask values must be 0 or 1\n"),
+    "header-split": (
+        "audit", {}, lambda rows: rows[0].update(split="val2"), 3,
+        "data error: {bad}: line 1: header.split must be one of ('train', "
+        "'val', 'test'), got 'val2'\n"),
+    # the reader sizes each sample by the header's feature_dim
+    "sample-of-another-dim": (
+        "audit", {}, _frames_of_width(7), 3,
+        "data error: {bad}: line 2: sample test-0000: frames (56), labels "
+        "(48) and error_mask (48) lengths disagree\n"),
+    "label-beyond-classes": (
+        "audit", {}, lambda rows: rows[1]["labels"].__setitem__(0, 4), 3,
+        "data error: {bad}: sample test-0000: labels out of range\n"),
+    "eval-undefined-metrics": (
+        "eval", {}, None, 0,
+        "warning: micro-AUC undefined (single-class ground truth)\n"
+        "warning: EDA undefined (no ground-truth erroneous segments)\n"),
+}
+
+
+@pytest.mark.parametrize("command,edit,split_edit,code,err",
+                         list(RANGE_CHECKS.values()), ids=list(RANGE_CHECKS))
+def test_range_check_reached_by_a_run(trained_cfg, tmp_path, capsys, command,
+                                      edit, split_edit, code, err):
+    """Each ends in its exit code and its stderr line, on a copy of the
+    trained run."""
+    run = tmp_path / "run"
+    shutil.copytree(trained_cfg["out_dir"], run)
+    cfg, path = base_config(run), tmp_path / "config.json"
+    if command == "eval":
+        path.write_text(json.dumps(cfg))
+        assert run_cli("audit", "--config", str(path)) == 0
+    bad = None
+    if split_edit is not None:
+        bad = edited_test_split(trained_cfg, tmp_path, split_edit)
+        cfg["data"]["audit_path"] = str(bad)
+    for section, fields in edit.items():
+        cfg[section].update(fields)
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(path)) == code
+    assert capsys.readouterr().err == err.format(bad=bad)
 
 
 def test_retired_format_names_tag(trained_cfg, tmp_path, capsys):
@@ -818,6 +923,32 @@ def test_every_config_leaf_is_checked(tmp_path, capsys, field):
     assert run_cli("gen", "--config", str(path)) == 2
     assert capsys.readouterr().err.startswith(
         f"config error: config field {field}: must be ")
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize("text,shown", [
+    ("[" + ", ".join(["0"] * 100_000) + "]", "list"),
+    ("[" * 950 + "]" * 950, "list"),
+    ('"' + "x" * 5000 + '"', '"' + "x" * 76 + "..."),
+], ids=["100000-items", "950-deep", "5000-chars"])
+def test_refused_config_value_shown_short(tmp_path, text, shown):
+    """A refused value is shown by its type name (a list or an object) or
+    by its JSON cut to 80 characters: one short stderr line, not the whole
+    value (a 100,000-item list printed 300,070 bytes). A console run: the
+    JSON decoder refuses a list a few levels deeper than 950 (its recursion
+    limit), and deeper still in process under pytest's stack."""
+    cfg = base_config(tmp_path / "run")
+    del cfg["seed"]
+    path = tmp_path / "config.json"  # the JSON text as written, seed last
+    path.write_text(json.dumps(cfg)[:-1] + f', "seed": {text}}}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "cslaudit.cli", "gen", "--config", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=(
+            os.path.dirname(os.path.dirname(ca.__file__)))))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+        "config error: config field seed: must be a non-negative integer, "
+        f"not {shown}\n"))
+    assert len(shown) <= 80
     assert os.listdir(tmp_path) == ["config.json"]
 
 
@@ -1730,13 +1861,13 @@ def test_console_script_is_console_main():
 
 
 # The package's public names before its submodules loaded lazily, less the
-# deleted audit_sequence, ClassWeights, save_store, MetricsReport and the array
-# forms of the scoring core (compute_csl, smooth_csl, flag_threshold,
-# flag_percentile).
+# deleted audit_sequence, ClassWeights, save_store, MetricsReport, ModelParams
+# (parameters are a plain name -> array dict) and the array forms of the
+# scoring core (compute_csl, smooth_csl, flag_threshold, flag_percentile).
 PUBLIC = {
     "CorruptionSpec", "Dataset", "PhaseGrammar", "SequenceSample",
     "corrupt_dataset", "generate_dataset", "read_dataset", "write_dataset",
-    "ModelConfig", "ModelParams", "backward", "forward", "init_params",
+    "ModelConfig", "backward", "forward", "init_params",
     "CheckpointStore", "TrainConfig", "compute_class_weights",
     "load_store", "train",
     "CslProfile", "DetectionConfig", "audit_dataset",

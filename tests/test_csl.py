@@ -45,7 +45,7 @@ DET = ca.DetectionConfig(mode="percentile", k_percent=20, window=2)
 
 def row(store, i):
     """The checkpoint at row i of store.params, as unstacked parameters."""
-    return ca.ModelParams({k: v[i] for k, v in store.params.tensors.items()})
+    return {k: v[i] for k, v in store.params.items()}
 
 
 def first(store, n):
@@ -53,7 +53,7 @@ def first(store, n):
     return ca.CheckpointStore(
         dict(store.manifest, epochs=store.epochs[:n],
              epoch_losses=store.manifest["epoch_losses"][:n]),
-        ca.ModelParams({k: v[:n] for k, v in store.params.tensors.items()}))
+        {k: v[:n] for k, v in store.params.items()})
 
 
 def audit_one(store, ds, sample, det):
@@ -75,7 +75,7 @@ class TestTrajectory:
         traj = ca.eval_loss_trajectory(first(store, 1), ds.samples[1], DET)
         params = row(store, 0)
         probs = ca.forward(params, store.model_config,
-                           frames_of(ds.samples[1]))[0]
+                           frames_of(ds.samples[1]))
         expected = M.per_frame_losses(probs, ds.samples[1].labels, np.ones(3))
         assert np.allclose(traj.losses[0], expected, atol=1e-15)
 
@@ -97,7 +97,7 @@ class TestTrajectory:
             e = int(rng.integers(0, len(store)))
             t = int(rng.integers(0, sample.num_frames))
             probs = ca.forward(row(store, e), store.model_config,
-                               frames_of(sample))[0]
+                               frames_of(sample))
             expected = weighted_ce(probs[t], int(sample.labels[t]), np.ones(3))
             assert traj.losses[e, t] == pytest.approx(expected, abs=1e-15)
 
@@ -130,10 +130,10 @@ class TestTrajectory:
             received.clear()
             ca.eval_loss_trajectory(store, sample, DET)
             assert len(received) == -(-E // per_call)
-            assert sum(len(p.tensors["enc.W"]) for p in received) == E
-            for name, stacked in store.params.tensors.items():
+            assert sum(len(p["enc.W"]) for p in received) == E
+            for name, stacked in store.params.items():
                 assert np.array_equal(
-                    np.concatenate([p.tensors[name] for p in received]),
+                    np.concatenate([p[name] for p in received]),
                     stacked)
 
 
@@ -542,9 +542,8 @@ class TestAuditDataset:
     def test_nan_checkpoint_names_video_and_epoch(self, trained):
         store, ds = trained
         bad = first(store, 3)
-        bad.params = ca.ModelParams({k: v.copy()
-                                     for k, v in bad.params.tensors.items()})
-        next(iter(bad.params.tensors.values()))[2] = np.nan
+        bad.params = {k: v.copy() for k, v in bad.params.items()}
+        next(iter(bad.params.values()))[2] = np.nan
         epoch = store.epochs[2]
         with pytest.raises(NumericError,
                            match=f"{ds.samples[0].id}.*epoch {epoch}"):
@@ -568,7 +567,7 @@ def reference_losses(store, sample, cfg):
     alpha = store.class_weights if cfg.audit_loss == CSL.TRAIN_WEIGHTED \
         else np.ones(store.model_config.num_classes)
     rows = [M.per_frame_losses(
-        M.forward(row(store, e), store.model_config, frames_of(sample))[0],
+        M.forward(row(store, e), store.model_config, frames_of(sample)),
         sample.labels, alpha) for e in range(len(store))]
     return np.stack(rows)
 
@@ -590,14 +589,14 @@ def random_store(mode, n_epochs):
     for e in range(n_epochs):
         rng = np.random.default_rng(e)
         snapshots.append({k: v + rng.normal(0, 0.5, v.shape) for k, v
-                          in ca.init_params(cfg).tensors.items()})
+                          in ca.init_params(cfg).items()})
     manifest = {"model": asdict(cfg), "class_weights": [0.5, 1.0, 1.5],
                 "epochs": list(range(2, 2 * n_epochs + 1, 2)),
                 "epoch_losses": [1.0] * n_epochs,
                 "fingerprints": {"grammar": grammar_fingerprint(
                     replay_grammar()), "train_data": "d"}}
-    return ca.CheckpointStore(manifest, ca.ModelParams(
-        {k: np.stack([t[k] for t in snapshots]) for k in snapshots[0]}))
+    return ca.CheckpointStore(manifest, {
+        k: np.stack([t[k] for t in snapshots]) for k in snapshots[0]})
 
 
 @pytest.fixture(scope="module")
@@ -641,7 +640,7 @@ class TestStackedReplay:
     def test_nan_in_later_chunk_names_video_and_epoch(self, long_dataset,
                                                       monkeypatch):
         store = random_store("attention", 6)
-        store.params.tensors["head.W3"][3, 0, 0] = np.nan  # chunk 2, row 2
+        store.params["head.W3"][3, 0, 0] = np.nan  # chunk 2, row 2
         ds = long_dataset
         monkeypatch.setattr(CSL, "CHUNK_ROWS", 2 * ds.samples[0].num_frames)
         with pytest.raises(NumericError,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,14 @@ from hypothesis.extra.numpy import arrays
 import cslaudit as ca
 from cslaudit import model as M
 from cslaudit.errors import ConfigError, NumericError
+from conftest import params_equal
 
 
 def perturbed_params(cfg, seed, scale=0.1):
     params = ca.init_params(cfg)
     rng = np.random.default_rng(seed)
-    for k in params.tensors:
-        params.tensors[k] = params.tensors[k] + rng.normal(
-            0, scale, params.tensors[k].shape)
+    for k in params:
+        params[k] = params[k] + rng.normal(0, scale, params[k].shape)
     return params
 
 
@@ -29,25 +31,27 @@ def flat_gradcheck(cfg, seed, h=1e-4, kink_margin=None):
     X = rng.normal(0, 1, (5, cfg.feature_dim))
     y = rng.integers(0, cfg.num_classes, 5)
     alpha = rng.uniform(0.5, 2.0, cfg.num_classes)
-    _, cache = ca.forward(params, cfg, X)
+    ws = M.Workspace()
+    ca.forward(params, cfg, X, ws=ws)
     if kink_margin is not None:
-        margin = min(np.abs(cache["pre_enc"]).min(),
-                     np.abs(cache["L1"]).min(),
-                     np.abs(cache["L2"]).min())
+        buf = ws.buffers(cfg, (), len(X), False)
+        margin = min(np.abs(buf["pre_enc"]).min(),
+                     np.abs(buf["L1"]).min(),
+                     np.abs(buf["L2"]).min())
         if margin < kink_margin:
             return None
     _, grads = ca.backward(params, cfg, X, y, alpha)
     worst = 0.0
-    for k, arr in params.tensors.items():
+    for k, arr in params.items():
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
             arr[idx] = orig + h
-            lp = M.per_frame_losses(ca.forward(params, cfg, X)[0], y,
+            lp = M.per_frame_losses(ca.forward(params, cfg, X), y,
                                      alpha).mean()
             arr[idx] = orig - h
-            lm = M.per_frame_losses(ca.forward(params, cfg, X)[0], y,
+            lm = M.per_frame_losses(ca.forward(params, cfg, X), y,
                                      alpha).mean()
             arr[idx] = orig
             num = (lp - lm) / (2 * h)
@@ -58,20 +62,21 @@ def flat_gradcheck(cfg, seed, h=1e-4, kink_margin=None):
 
 class TestInit:
     def test_deterministic(self, tiny_model_cfg):
-        assert ca.init_params(tiny_model_cfg) == ca.init_params(tiny_model_cfg)
+        assert params_equal(ca.init_params(tiny_model_cfg),
+                            ca.init_params(tiny_model_cfg))
 
     def test_biases_zero_gains_one(self, tiny_model_cfg):
         p = ca.init_params(tiny_model_cfg)
-        assert not p.tensors["enc.b"].any()
-        assert not p.tensors["head.b1"].any()
-        assert not p.tensors["head.b3"].any()
-        assert (p.tensors["head.ln1_g"] == 1.0).all()
-        assert (p.tensors["head.ln2_g"] == 1.0).all()
-        assert not p.tensors["head.ln1_b"].any()
+        assert not p["enc.b"].any()
+        assert not p["head.b1"].any()
+        assert not p["head.b3"].any()
+        assert (p["head.ln1_g"] == 1.0).all()
+        assert (p["head.ln2_g"] == 1.0).all()
+        assert not p["head.ln1_b"].any()
 
     def test_weight_bounds(self, tiny_model_cfg):
         p = ca.init_params(tiny_model_cfg)
-        for name, arr in p.tensors.items():
+        for name, arr in p.items():
             if arr.ndim == 2:
                 bound = 1.0 / np.sqrt(arr.shape[1])
                 assert np.abs(arr).max() <= bound
@@ -79,22 +84,22 @@ class TestInit:
     def test_attention_params_present_only_in_attention_mode(self):
         cf = ca.ModelConfig(feature_dim=4, num_classes=3, temporal_mode="context_free")
         at = ca.ModelConfig(feature_dim=4, num_classes=3, temporal_mode="attention")
-        assert not any(k.startswith("attn.") for k in ca.init_params(cf).tensors)
-        assert any(k.startswith("attn.") for k in ca.init_params(at).tensors)
+        assert not any(k.startswith("attn.") for k in ca.init_params(cf))
+        assert any(k.startswith("attn.") for k in ca.init_params(at))
 
 
 class TestForward:
     def test_eval_deterministic(self, tiny_model_cfg):
         p = ca.init_params(tiny_model_cfg)
         X = np.random.default_rng(0).normal(size=(7, 4))
-        a = ca.forward(p, tiny_model_cfg, X)[0]
-        b = ca.forward(p, tiny_model_cfg, X)[0]
+        a = ca.forward(p, tiny_model_cfg, X)
+        b = ca.forward(p, tiny_model_cfg, X)
         assert np.array_equal(a, b)
 
     def test_rows_sum_to_one(self, tiny_model_cfg):
         p = perturbed_params(tiny_model_cfg, 1)
         X = np.random.default_rng(1).normal(size=(9, 4))
-        probs = ca.forward(p, tiny_model_cfg, X)[0]
+        probs = ca.forward(p, tiny_model_cfg, X)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
         assert (probs > 0).all() and (probs < 1).all()
 
@@ -103,8 +108,8 @@ class TestForward:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(8, 4))
         perm = rng.permutation(8)
-        assert np.allclose(ca.forward(p, tiny_model_cfg, X[perm])[0],
-                           ca.forward(p, tiny_model_cfg, X)[0][perm])
+        assert np.allclose(ca.forward(p, tiny_model_cfg, X[perm]),
+                           ca.forward(p, tiny_model_cfg, X)[perm])
 
     def test_attention_is_order_sensitive(self):
         cfg = ca.ModelConfig(feature_dim=4, num_classes=3, hidden_dim=8,
@@ -115,8 +120,8 @@ class TestForward:
         X = np.random.default_rng(3).normal(size=(8, 4))
         swapped = X.copy()
         swapped[[0, 5]] = swapped[[5, 0]]
-        a = ca.forward(p, cfg, X)[0]
-        b = ca.forward(p, cfg, swapped)[0]
+        a = ca.forward(p, cfg, X)
+        b = ca.forward(p, cfg, swapped)
         assert not np.allclose(a[[0, 5]], b[[5, 0]], atol=1e-12) \
             or not np.allclose(np.delete(a, [0, 5], 0), np.delete(b, [0, 5], 0))
 
@@ -125,9 +130,9 @@ class TestForward:
         cfg = replace(tiny_model_cfg, dropout_rates=(0.5, 0.3))
         p = perturbed_params(cfg, 4)
         X = np.random.default_rng(4).normal(size=(6, 4))
-        a = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9))[0]
-        b = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9))[0]
-        c = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(10))[0]
+        a = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9))
+        b = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(9))
+        c = ca.forward(p, cfg, X, train=True, rng=np.random.default_rng(10))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
         with pytest.raises(ConfigError):
@@ -202,7 +207,7 @@ class TestWeightedCE:
 class TestBackward:
     def test_saturated_gradients_vanish(self, tiny_model_cfg):
         p = ca.init_params(tiny_model_cfg)
-        p.tensors["head.b3"][0] = 60.0  # forces p(class 0) ~= 1 everywhere
+        p["head.b3"][0] = 60.0  # forces p(class 0) ~= 1 everywhere
         X = np.random.default_rng(5).normal(size=(6, 4))
         y = np.zeros(6, dtype=int)
         loss, grads = ca.backward(p, tiny_model_cfg, X, y, np.ones(3))
@@ -248,8 +253,8 @@ class TestBackward:
         y = np.random.default_rng(8).integers(0, 3, 5)
         loss, _ = ca.backward(p, cfg, X, y, np.ones(3), train=True,
                               rng=np.random.default_rng(11))
-        probs, _ = ca.forward(p, cfg, X, train=True,
-                              rng=np.random.default_rng(11))
+        probs = ca.forward(p, cfg, X, train=True,
+                           rng=np.random.default_rng(11))
         assert loss == pytest.approx(
             M.per_frame_losses(probs, y, np.ones(3)).mean(), abs=1e-12)
 
@@ -303,7 +308,7 @@ def ref_softmax_rows_backward(A, dA):
 def ref_backward(params, cfg, X, y, alpha, train=False, rng=None):
     """(loss, grads) of `backward` as plain expressions over the ref_*
     kernels: fresh arrays, operators, .sum() and .mean()."""
-    p = params.tensors
+    p = params
     T = len(y)
     r1, r2 = cfg.dropout_rates if train else (0.0, 0.0)
 
@@ -580,14 +585,12 @@ class TestStackedForward:
                              head_dims=(8, 6), temporal_mode=mode,
                              attention_dim=6)
         snaps = [perturbed_params(cfg, seed, scale=0.5) for seed in range(3)]
-        stacked = M.ModelParams({k: np.stack([p.tensors[k] for p in snaps])
-                                 for k in snaps[0].tensors})
+        stacked = {k: np.stack([p[k] for p in snaps]) for k in snaps[0]}
         X = np.random.default_rng(T).normal(0, 1, (T, 5))
-        probs, cache = ca.forward(stacked, cfg, X)
+        probs = ca.forward(stacked, cfg, X)
         assert probs.shape == (3, T, 4)
-        assert cache == {}  # a stacked replay keeps no activations
         for e, p in enumerate(snaps):
-            assert np.array_equal(probs[e], ca.forward(p, cfg, X)[0])
+            assert np.array_equal(probs[e], ca.forward(p, cfg, X))
 
 
 class TestWorkspace:
@@ -612,8 +615,8 @@ class TestWorkspace:
             assert loss == loss0
             for k in grads0:
                 assert np.array_equal(grads[k], grads0[k])
-            assert np.array_equal(ca.forward(p, cfg, X, ws=ws)[0],
-                                  ca.forward(p, cfg, X)[0])
+            assert np.array_equal(ca.forward(p, cfg, X, ws=ws),
+                                  ca.forward(p, cfg, X))
 
     @pytest.mark.parametrize("T", [65, 415])
     def test_train_attention_holds_two_t_by_t_buffers(self, T):
@@ -633,20 +636,14 @@ class TestWorkspace:
         rng = np.random.default_rng(9)
         X1, X2 = rng.normal(size=(2, 11, 4))
         y, alpha = rng.integers(0, 3, 11), np.ones(3)
-        out, cache = ca.forward(p, cfg, X1, train=True,
-                                rng=np.random.default_rng(1))
+        out = ca.forward(p, cfg, X1, train=True, rng=np.random.default_rng(1))
         _, grads = ca.backward(p, cfg, X1, y, alpha)
-        kept = {k: v.copy() for k, v in cache.items()
-                if isinstance(v, np.ndarray)}
         probs, kept_grads = out.copy(), {
             k: g.copy() for k, g in grads.items()}
         ca.forward(p, cfg, X2, train=True, rng=np.random.default_rng(2))
         ca.backward(p, cfg, X2, y, alpha, train=True,
                     rng=np.random.default_rng(2))
         assert np.array_equal(out, probs)
-        assert kept.keys() >= {"pre_enc", "L1", "L2", "D1", "D2"}
-        for k, v in kept.items():
-            assert np.array_equal(cache[k], v)
         for k, g in kept_grads.items():
             assert np.array_equal(grads[k], g)
 
@@ -662,38 +659,44 @@ class TestDtype:
     def test_float32_parameters_give_float32_probs(self, mode, lead):
         cfg = ca.ModelConfig(temporal_mode=mode, **self.CFG)
         snaps = [perturbed_params(cfg, seed, scale=0.5) for seed in range(3)]
-        p64 = snaps[0] if not lead else M.ModelParams(
-            {k: np.stack([p.tensors[k] for p in snaps]) for k in snaps[0].tensors})
-        p32 = M.ModelParams({k: v.astype(np.float32)
-                             for k, v in p64.tensors.items()})
+        p64 = snaps[0] if not lead else {
+            k: np.stack([p[k] for p in snaps]) for k in snaps[0]}
+        p32 = {k: v.astype(np.float32) for k, v in p64.items()}
         X = np.random.default_rng(1).normal(size=(13, 4))  # float64 frames
         ws = M.Workspace()
-        probs = ca.forward(p32, cfg, X, ws=ws)[0]
+        probs = ca.forward(p32, cfg, X, ws=ws)
         assert probs.dtype == np.float32 and probs.shape == lead + (13, 3)
         assert ws._flat and all(b.dtype == np.float32 for b in ws._flat.values())
-        up = M.ModelParams({k: v.astype(np.float64)
-                            for k, v in p32.tensors.items()})
-        assert np.abs(probs - ca.forward(up, cfg, X)[0]).max() < 1e-5
+        up = {k: v.astype(np.float64) for k, v in p32.items()}
+        assert np.abs(probs - ca.forward(up, cfg, X)).max() < 1e-5
 
     @pytest.mark.parametrize("mode", ["context_free", "attention"])
     def test_float64_step_uses_frames_as_given(self, mode):
         """A float64 training step casts nothing: the frames are used without
-        a copy and every workspace buffer stays float64."""
-        cfg = ca.ModelConfig(temporal_mode=mode, **self.CFG)
+        a copy and every workspace buffer stays float64. Wide frames make a
+        copy larger than everything else a step allocates, so a step on a
+        sized workspace must allocate less than the frames' bytes."""
+        cfg = ca.ModelConfig(temporal_mode=mode,
+                             **{**self.CFG, "feature_dim": 256})
         p = perturbed_params(cfg, 2)
-        X = np.random.default_rng(2).normal(size=(9, 4))
+        X = np.random.default_rng(2).normal(size=(200, 256))
         ws = M.Workspace()
-        probs, cache = ca.forward(p, cfg, X, train=True,
-                                  rng=np.random.default_rng(0), ws=ws)
-        assert cache["X"] is X and probs.dtype == np.float64
-        ca.backward(p, cfg, X, np.zeros(9, dtype=int), np.ones(3), train=True,
-                    rng=np.random.default_rng(0), ws=ws)
+        probs = ca.forward(p, cfg, X, train=True,
+                           rng=np.random.default_rng(0), ws=ws)
+        assert probs.dtype == np.float64
+        tracemalloc.start()
+        try:
+            ca.backward(p, cfg, X, np.zeros(200, dtype=np.int64), np.ones(3),
+                        train=True, rng=np.random.default_rng(0), ws=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes // 4
         assert all(b.dtype == np.float64 for b in ws._flat.values())
 
     def test_frame_beyond_float32_range_is_numeric_error(self, tiny_model_cfg):
         p64 = ca.init_params(tiny_model_cfg)
-        p32 = M.ModelParams({k: v.astype(np.float32)
-                             for k, v in p64.tensors.items()})
+        p32 = {k: v.astype(np.float32) for k, v in p64.items()}
         X = np.zeros((4, 4))
         X[2, 1] = 1e39  # finite in float64, inf in float32
         ca.forward(p64, tiny_model_cfg, X)

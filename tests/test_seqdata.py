@@ -434,6 +434,25 @@ class TestIO:
         with pytest.raises(SchemaError, match="^sample s9: .*frame"):
             ca.SequenceSample("s9", frames, [0], [0], dim=dim)
 
+    @pytest.mark.parametrize("labels,mask,match", [
+        ([0, 0], [3, 0], "error_mask values must be 0 or 1"),
+        ([0, 0], [-1, 0], "error_mask values must be 0 or 1"),
+        ([0, 0], [300, 0], "error_mask values must be 0 or 1"),
+        ([0, 0], np.array([256, 1]), "error_mask values must be 0 or 1"),
+        ([0, 0], [[0], [1]], "error_mask values must be 0 or 1"),
+        (["a", "b"], [0, 0], "labels and error_mask must be vectors of int"),
+        ([0, 0], ["x", 0], "labels and error_mask must be vectors of int"),
+        ([[0, 1], [0]], [0, 0], "labels and error_mask must be vectors of int")],
+        ids=["mask-3", "mask-negative", "mask-300", "mask-array-256",
+             "mask-2-d", "labels-strings", "mask-string", "labels-ragged"])
+    def test_labels_or_mask_the_format_refuses(self, labels, mask, match):
+        """A mask other than 0s and 1s, or labels or a mask numpy cannot
+        read as integers, raise SchemaError naming the sample, so that
+        write_dataset never writes a line read_dataset refuses and
+        dataset_fingerprint never meets a mask beyond int8."""
+        with pytest.raises(SchemaError, match=f"^sample s9: {match}"):
+            ca.SequenceSample("s9", np.zeros((2, 3)), labels, mask)
+
     def test_frame_bytes_of_whole_rows_accepted(self):
         s = ca.SequenceSample("s0", bytes(32), [0, 1], [0, 0], dim=2)
         assert (s.num_frames, s.dim) == (2, 2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cslaudit as ca
-from conftest import frames_of
+from conftest import frames_of, params_equal
 from cslaudit import model as M
 from cslaudit import trainer as TR
 from cslaudit.errors import ConfigError, NumericError, StoreError
@@ -68,7 +68,7 @@ def adamw_step(grads, state, t, cfg):
 
 class TestAdamW:
     def scalar_setup(self, weight_decay=0.0):
-        params = ca.ModelParams({"w": np.array([[1.0]])})
+        params = {"w": np.array([[1.0]])}
         cfg = TR.TrainConfig(epochs=1, learning_rate=0.1,
                              weight_decay=weight_decay, shuffle_seed=0)
         return params, TR.AdamWState(params), cfg
@@ -76,29 +76,29 @@ class TestAdamW:
     def test_zero_grad_fixed_point(self):
         params, state, cfg = self.scalar_setup(weight_decay=0.0)
         adamw_step({"w": np.zeros((1, 1))}, state, 1, cfg)
-        assert params.tensors["w"][0, 0] == 1.0
+        assert params["w"][0, 0] == 1.0
 
     def test_first_step_size(self):
         params, state, cfg = self.scalar_setup()
         adamw_step({"w": np.ones((1, 1))}, state, 1, cfg)
         # bias-corrected mhat/sqrt(vhat) = 1 at t=1
-        assert params.tensors["w"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-7)
+        assert params["w"][0, 0] == pytest.approx(1.0 - 0.1, abs=1e-7)
 
     def test_decoupled_decay(self):
         params, state, cfg = self.scalar_setup(weight_decay=0.01)
         adamw_step({"w": np.zeros((1, 1))}, state, 1, cfg)
-        assert params.tensors["w"][0, 0] == pytest.approx(1.0 * (1 - 0.1 * 0.01),
+        assert params["w"][0, 0] == pytest.approx(1.0 * (1 - 0.1 * 0.01),
                                                           abs=1e-15)
 
     def test_decay_skips_vectors(self):
-        params = ca.ModelParams({"b": np.array([1.0]), "ln_g": np.array([1.0])})
+        params = {"b": np.array([1.0]), "ln_g": np.array([1.0])}
         state = TR.AdamWState(params)
         cfg = TR.TrainConfig(epochs=1, learning_rate=0.1, weight_decay=0.5,
                              shuffle_seed=0)
         adamw_step({"b": np.zeros(1), "ln_g": np.zeros(1)},
                       state, 1, cfg)
-        assert params.tensors["b"][0] == 1.0
-        assert params.tensors["ln_g"][0] == 1.0
+        assert params["b"][0] == 1.0
+        assert params["ln_g"][0] == 1.0
 
     def test_nonfinite_grad_aborts(self):
         params, state, cfg = self.scalar_setup()
@@ -112,7 +112,7 @@ class TestAdamW:
             g = np.array([[0.3]])
             for t in range(1, 6):
                 adamw_step({"w": g * t}, state, t, cfg)
-            results.append(params.tensors["w"].copy())
+            results.append(params["w"].copy())
         assert np.array_equal(results[0], results[1])
 
 
@@ -141,7 +141,7 @@ class TestFlatAdamW:
     def make_state(self):
         rng = np.random.default_rng(0)
         init = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
-        params = ca.ModelParams({k: v.copy() for k, v in init.items()})
+        params = {k: v.copy() for k, v in init.items()}
         cfg = TR.TrainConfig(epochs=1, learning_rate=0.05, weight_decay=0.1,
                              shuffle_seed=0)
         return rng, init, params, TR.AdamWState(params), cfg
@@ -155,9 +155,9 @@ class TestFlatAdamW:
                      for k, s in self.SHAPES.items()}
             adamw_step(grads, state, t, cfg)
             ref_adamw_step(ref, grads, m, v, t, cfg)
-            assert list(params.tensors) == list(self.SHAPES)
+            assert list(params) == list(self.SHAPES)
             for k in self.SHAPES:
-                assert np.array_equal(params.tensors[k], ref[k]), (t, k)
+                assert np.array_equal(params[k], ref[k]), (t, k)
 
     def test_nonfinite_names_first_tensor_in_canonical_order(self):
         _, _, params, state, cfg = self.make_state()
@@ -182,8 +182,8 @@ def test_train_equals_reference_replay(small_dataset, tmp_path):
     rng_dropout = np.random.default_rng(dropout_seed)
     alpha = ca.compute_class_weights(small_dataset)
     params = ca.init_params(cfg_model)
-    m = {k: np.zeros_like(x) for k, x in params.tensors.items()}
-    v = {k: np.zeros_like(x) for k, x in params.tensors.items()}
+    m = {k: np.zeros_like(x) for k, x in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
     step = 0
     for epoch in (1, 2):
         for idx in rng_shuffle.permutation(len(small_dataset.samples)):
@@ -191,11 +191,11 @@ def test_train_equals_reference_replay(small_dataset, tmp_path):
             step += 1
             _, grads = M.backward(params, cfg_model, frames_of(s), s.labels,
                                   alpha, train=True, rng=rng_dropout)
-            ref_adamw_step(params.tensors, grads, m, v, step, cfg_train)
-        snap = ca.ModelParams({k: x.astype(np.float32).astype(np.float64)
-                               for k, x in params.tensors.items()})
-        assert ca.ModelParams({k: x[epoch - 1] for k, x
-                               in store.params.tensors.items()}) == snap
+            ref_adamw_step(params, grads, m, v, step, cfg_train)
+        snap = {k: x.astype(np.float32).astype(np.float64)
+                for k, x in params.items()}
+        assert params_equal({k: x[epoch - 1] for k, x
+                             in store.params.items()}, snap)
 
 
 @pytest.mark.parametrize("mode", ["context_free", "attention"])
@@ -216,7 +216,7 @@ def test_backward_into_state_grads_equals_fresh(mode):
     loss0, grads0 = M.backward(params, cfg, X, y, alpha, train=True,
                                rng=np.random.default_rng(1))
     assert grads is state.grads and loss == loss0
-    assert list(grads) == list(grads0) == list(params.tensors)
+    assert list(grads) == list(grads0) == list(params)
     for k in grads0:
         assert np.array_equal(grads[k], grads0[k]), k
     assert np.isfinite(state.g).all()
@@ -423,17 +423,17 @@ class TestStoreIO:
                          str(tmp_path))
         loaded = ca.load_store(str(tmp_path))
         assert store.manifest == loaded.manifest
-        assert store.params == loaded.params
+        assert params_equal(store.params, loaded.params)
         shapes = M.param_shapes(tiny_model_cfg)
-        assert list(store.params.tensors) == list(shapes)
-        for k, v in store.params.tensors.items():
+        assert list(store.params) == list(shapes)
+        for k, v in store.params.items():
             assert v.shape == (train_cfg.epochs, *shapes[k])
             assert v.dtype == np.float32 and v.flags.writeable
         for i, epoch in enumerate(store.epochs):
             with open(TR._snapshot_path(str(tmp_path), epoch), "rb") as f:
                 snap = TR.decode_snapshot(f.read(), shapes)
-            for k, v in snap.tensors.items():
-                assert np.array_equal(store.params.tensors[k][i], v)
+            for k, v in snap.items():
+                assert np.array_equal(store.params[k][i], v)
                 assert not v.flags.writeable  # a view of the file's bytes
 
     def test_non_finite_snapshot_refused_naming_it(self, small_dataset,
@@ -443,9 +443,8 @@ class TestStoreIO:
         of the store: load_store names the file, its epoch and the tensor."""
         store = ca.train(small_dataset, tiny_model_cfg, train_cfg,
                          str(tmp_path))
-        params = M.ModelParams({k: v[1].copy()
-                                for k, v in store.params.tensors.items()})
-        params.tensors["head.W3"][0, 0] = np.inf
+        params = {k: v[1].copy() for k, v in store.params.items()}
+        params["head.W3"][0, 0] = np.inf
         path = TR._snapshot_path(str(tmp_path), 2)
         with open(path, "wb") as f:
             f.write(TR.encode_snapshot(params))
@@ -465,8 +464,8 @@ class TestStoreIO:
         def overflowing(params):  # epoch 2's parameters grow past float32
             calls.append(1)
             if len(calls) == 2:
-                params = M.ModelParams(dict(params.tensors))
-                params.tensors["enc.W"] = params.tensors["enc.W"] * 1e300
+                params = dict(params)
+                params["enc.W"] = params["enc.W"] * 1e300
             return encode(params)
 
         monkeypatch.setattr(TR, "encode_snapshot", overflowing)
@@ -483,8 +482,8 @@ class TestStoreIO:
         params = ca.init_params(tiny_model_cfg)
         blob = TR.encode_snapshot(params)
         back = TR.decode_snapshot(blob, M.param_shapes(tiny_model_cfg))
-        for k, v in params.tensors.items():
-            assert np.array_equal(back.tensors[k],
+        for k, v in params.items():
+            assert np.array_equal(back[k],
                                   v.astype(np.float32).astype(np.float64))
 
     def test_retrain_clears_the_previous_run(self, small_dataset,
